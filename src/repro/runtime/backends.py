@@ -146,6 +146,7 @@ class IslandBackend:
         self.plans: Dict[int, object] = {}
         self._ledger: Optional[HaloLedger] = None
         self._stage_buffers: Dict[int, List[Optional[ArrayRegion]]] = {}
+        self._stage_reads: Dict[Tuple[int, int], tuple] = {}
         self._stage_programs: Dict[int, StencilProgram] = {}
         self._step_plans: Optional[Tuple[Tuple[object, ...], ...]] = None
         self._recurrent: Optional[str] = None
@@ -368,6 +369,7 @@ class IslandBackend:
                         )
                     )
             self._stage_buffers[island.index] = buffers
+        self._stage_reads = {}
         self._prepare_stage_state()
 
     def _allocate_stage_array(
@@ -391,6 +393,7 @@ class IslandBackend:
         """
         self._ledger = ledger
         self._stage_buffers = stage_buffers
+        self._stage_reads = {}
         self._prepare_stage_state()
 
     def stage_buffer(
@@ -442,13 +445,26 @@ class IslandBackend:
     ) -> Dict[str, ArrayRegion]:
         """Resolve one flat stage's reads: ghost inputs, earlier stage
         buffers of the same sub-step, or — for the recurrent field after
-        the first sub-step — the previous sub-step's output buffer."""
+        the first sub-step — the previous sub-step's output buffer.
+
+        Resolved once per (island, stage): stage buffers are never
+        replaced after :meth:`prepare_exchange`, so the same dict is
+        returned again while every ghost input it took from ``inputs`` is
+        still the same region object.
+        """
+        key = (island_index, stage_index)
+        bound = self._stage_reads.get(key)
+        if bound is not None:
+            ghosts, resolved = bound
+            if all(inputs[name] is region for name, region in ghosts):
+                return resolved
         sub_step, local = self._flat_stage(stage_index)
         stage = self.program.stages[local]
         stages = len(self.program.stages)
         field_map = self.program.field_map
         recurrent = self._ledger.recurrent if self._ledger is not None else None
-        resolved: Dict[str, ArrayRegion] = {}
+        resolved = {}
+        ghosts = []
         for name in stage.reads:
             if field_map[name].is_input:
                 if sub_step > 0 and name == recurrent:
@@ -458,11 +474,13 @@ class IslandBackend:
                     ]
                 else:
                     resolved[name] = inputs[name]
+                    ghosts.append((name, resolved[name]))
             else:
                 producer = self.program.producer_of(name)
                 resolved[name] = self._stage_buffers[island_index][
                     sub_step * stages + producer
                 ]
+        self._stage_reads[key] = (tuple(ghosts), resolved)
         return resolved
 
     def _stage_program(self, stage_index: int) -> StencilProgram:

@@ -39,6 +39,7 @@ bit-identical.  Per-step counters are reported via :class:`StepStats`.
 
 from __future__ import annotations
 
+import itertools
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -206,6 +207,7 @@ class PartitionedRunner:
         self.halo_ledger = self.decomposition.halo_ledger(
             config.halo, config.halo_threshold, sync_every=self.sync_every
         )
+        self._redundant_points = self.halo_ledger.redundant_points
         # Snapshot the process-wide plan cache around backend construction
         # so telemetry can attribute this runner's compile reuse.
         from ..stencil.plancache import PLAN_CACHE
@@ -233,6 +235,8 @@ class PartitionedRunner:
         self._ghost: Dict[str, ArrayRegion] = {}
         self._out: Optional[np.ndarray] = None
         self._pool: Optional[ThreadPoolExecutor] = None
+        # Exchange-mode boundary copies as view pairs (_exchange_copies).
+        self._copies: Optional[Dict[int, Tuple[tuple, int]]] = None
         self._closed = False
         self.last_step_stats: Optional[StepStats] = None
         # Run-level synchronization ledger: time steps advanced and
@@ -393,13 +397,17 @@ class PartitionedRunner:
     ) -> List[BaseException]:
         """Run ``task(0..count-1)`` across the island work team.
 
-        Serial when the team has one thread (or after degradation);
-        threaded otherwise, with the pool-breakage degradation path: a
-        broken pool flips the runner to serial in-process execution and
-        reruns every position.  Tasks that did get submitted must finish
-        (or be cancelled) first — the serial rerun may not race a live
-        worker for the same island's resources.  Re-running a completed
-        position is harmless: identical inputs rewrite identical bytes.
+        Serial when the team has one thread (or after degradation).
+        Otherwise the team is ``min(threads, count)`` pool tasks, one per
+        member, each claiming positions from a shared counter until none
+        are left; the calling thread waits for the members.  Every
+        position runs even when another fails, and the errors come back
+        in position order.  A broken pool flips the runner to serial
+        in-process execution and reruns every position.  Members that did
+        get submitted must finish (or be cancelled) first — the serial
+        rerun may not race a live worker for the same island's
+        resources.  Re-running a completed position is harmless:
+        identical inputs rewrite identical bytes.
         """
         errors: List[BaseException] = []
         if self.threads == 1 or count == 1 or self._degraded:
@@ -410,11 +418,23 @@ class PartitionedRunner:
                     errors.append(error)
                     break  # the step is lost; don't compute the rest
             return errors
+        outcomes: List[Optional[BaseException]] = [None] * count
+        claim = itertools.count().__next__  # atomic under the GIL
+
+        def member() -> None:
+            position = claim()
+            while position < count:
+                try:
+                    task(position)
+                except Exception as error:
+                    outcomes[position] = error
+                position = claim()
+
         futures = []
         try:
             executor = self._executor()
-            for position in range(count):
-                futures.append(executor.submit(task, position))
+            for _ in range(min(self.threads, count)):
+                futures.append(executor.submit(member))
         except RuntimeError:
             if self._closed:
                 raise
@@ -434,14 +454,44 @@ class PartitionedRunner:
                     errors.append(error)
                     break
         else:
-            # Collect every position's outcome; one failure must not
-            # leave siblings half-cancelled with buffers in flight.
+            # Wait for every member; one failure must not leave siblings
+            # half-cancelled with buffers in flight.  Members record task
+            # errors in ``outcomes``; anything else they raise comes last.
+            member_errors = []
             for future in futures:
                 try:
                     future.result()
                 except Exception as error:
-                    errors.append(error)
+                    member_errors.append(error)
+            errors = [error for error in outcomes if error is not None]
+            errors += member_errors
         return errors
+
+    def _exchange_copies(self) -> Dict[int, Tuple[tuple, int]]:
+        """Each active stage's boundary copies, built once per runner.
+
+        Maps each active flat stage index, in order, to its
+        :class:`~repro.core.halo.StageFlow` copies as ``(destination
+        view, source view)`` pairs plus their byte total.  Stage buffers
+        are allocated once by the backend's ``prepare_exchange`` and
+        never replaced, so the views stay valid for the runner's life,
+        and the bytes equal the ledger's flows.
+        """
+        if self._copies is None:
+            ledger = self.halo_ledger
+            itemsize = self.dtype.itemsize
+            copies: Dict[int, Tuple[tuple, int]] = {}
+            for stage_index in ledger.active_stages:
+                pairs = []
+                nbytes = 0
+                for flow in ledger.stage_flows[stage_index]:
+                    src = self.backend.stage_buffer(flow.src, stage_index)
+                    dst = self.backend.stage_buffer(flow.dst, stage_index)
+                    pairs.append((dst.view(flow.box), src.view(flow.box)))
+                    nbytes += flow.box.size * itemsize
+                copies[stage_index] = (tuple(pairs), nbytes)
+            self._copies = copies
+        return self._copies
 
     def _run_exchange_stages(
         self,
@@ -469,12 +519,12 @@ class PartitionedRunner:
         """
         islands = self.decomposition.islands
         ledger = self.halo_ledger
-        itemsize = self.dtype.itemsize
+        copies = self._exchange_copies()
         exchanged_bytes = 0
         stage_syncs = 0
         flat_limit = steps * ledger.stages_per_step
 
-        for stage_index in ledger.active_stages:
+        for stage_index, (pairs, nbytes) in copies.items():
             if stage_index >= flat_limit:
                 continue
 
@@ -495,11 +545,9 @@ class PartitionedRunner:
             stage_syncs += 1
             if errors:
                 return exchanged_bytes, stage_syncs
-            for flow in ledger.stage_flows[stage_index]:
-                src = self.backend.stage_buffer(flow.src, stage_index)
-                dst = self.backend.stage_buffer(flow.dst, stage_index)
-                dst.view(flow.box)[...] = src.view(flow.box)
-                exchanged_bytes += flow.box.size * itemsize
+            for dst, src in pairs:
+                np.copyto(dst, src)
+            exchanged_bytes += nbytes
 
         producer = (
             (steps - 1) * ledger.stages_per_step
@@ -635,7 +683,7 @@ class PartitionedRunner:
             scratch_allocations=scratch_allocations,
             exchanged_bytes=exchanged_bytes,
             stage_syncs=stage_syncs,
-            redundant_points=self.halo_ledger.redundant_points,
+            redundant_points=self._redundant_points,
             steps_advanced=steps,
             plan_cache_hits=self.plan_cache_hits,
             plan_cache_misses=self.plan_cache_misses,

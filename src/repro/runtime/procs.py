@@ -135,12 +135,33 @@ def _release_segments(arena_id: int, segments: List[object]) -> None:
         try:
             shm.close()
         except BufferError:
-            # NumPy views of the mapping are still alive somewhere; the
-            # segment is already unlinked, so nothing leaks — the memory
-            # is reclaimed when the last view is collected.
-            pass
+            # Arrays from :meth:`SharedArena.allocate` still export the
+            # mapping, so it stays mapped and they stay readable.  The
+            # segment is already unlinked, so nothing leaks: the arrays
+            # own the mapping now and unmap it when the last one dies.
+            _hand_mapping_to_arrays(shm)
     with _LIVE_LOCK:
         _LIVE_SEGMENTS.pop(arena_id, None)
+
+
+def _hand_mapping_to_arrays(shm) -> None:
+    """Drop a segment handle's own references to a still-exported mapping.
+
+    The arrays' buffer export keeps the ``mmap`` object alive (it unmaps
+    itself when the last array is collected); the handle only needs to
+    close its descriptor and forget the mapping, so that
+    ``SharedMemory.__del__`` later finds nothing to close instead of
+    failing on the export again.
+    """
+    shm._buf = None
+    shm._mmap = None
+    fd = getattr(shm, "_fd", -1)
+    if fd >= 0:
+        shm._fd = -1
+        try:
+            os.close(fd)
+        except OSError:  # pragma: no cover - already closed
+            pass
 
 
 class SharedArena:
@@ -150,9 +171,11 @@ class SharedArena:
     :class:`multiprocessing.shared_memory.SharedMemory` segments; the
     arena guarantees every segment is unlinked exactly once — on
     :meth:`close`, on garbage collection, or at interpreter exit — even
-    if the owning backend died mid-step.  Forked children inherit the
-    mappings; :meth:`disown` detaches the guard in a child so only the
-    parent ever unlinks.
+    if the owning backend died mid-step.  Each array holds a buffer
+    export of its mapping, so an array that outlives :meth:`close` (a
+    ``run()`` result under ``reuse_output``) stays readable until it is
+    collected.  Forked children inherit the mappings; :meth:`disown`
+    detaches the guard in a child so only the parent ever unlinks.
     """
 
     def __init__(self, tag: str) -> None:
@@ -177,7 +200,13 @@ class SharedArena:
         shm = SharedMemory(name=name, create=True, size=size)
         self._segments.append(shm)
         self._names.append(name)
-        return np.ndarray(tuple(shape), dtype=dtype, buffer=shm.buf)
+        # frombuffer holds an export of the mapping for the array's whole
+        # life (np.ndarray(buffer=...) does not), which is what keeps
+        # close() from unmapping memory a live array still points into.
+        count = int(np.prod(shape))
+        return np.frombuffer(shm.buf, dtype=dtype, count=count).reshape(
+            tuple(shape)
+        )
 
     @property
     def segment_names(self) -> Tuple[str, ...]:

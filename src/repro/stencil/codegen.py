@@ -61,7 +61,13 @@ from .plancache import PLAN_CACHE, plan_geometry_key, program_fingerprint
 from .program import StencilProgram
 from .region import Box
 
-__all__ = ["CompiledPlan", "Workspace", "compile_plan", "compile_program"]
+__all__ = [
+    "CompiledPlan",
+    "PlanBinding",
+    "Workspace",
+    "compile_plan",
+    "compile_program",
+]
 
 #: Source-level spellings of the interpreter's ufunc table.  Keeping the
 #: exact same callables is what guarantees bit-identical results.
@@ -104,7 +110,7 @@ class Workspace:
 
     __slots__ = (
         "dtype", "_outputs", "_scratch", "_masks",
-        "allocations", "reuses", "max_elems",
+        "allocations", "reuses", "max_elems", "epoch",
     )
 
     def __init__(
@@ -117,6 +123,10 @@ class Workspace:
         self.allocations = 0
         self.reuses = 0
         self.max_elems = max_elems
+        #: Bumped whenever an output slot changes array (allocation,
+        #: :meth:`bind_out`, :meth:`reset`): a plan binding that captured
+        #: output arrays is only reused while the epoch it saw holds.
+        self.epoch = 0
 
     def _check_size(self, need: int, kind: str, key: object) -> None:
         if self.max_elems is not None and need > self.max_elems:
@@ -136,6 +146,7 @@ class Workspace:
         self._outputs.clear()
         self._scratch.clear()
         self._masks.clear()
+        self.epoch += 1
 
     def capacity_report(self) -> Dict[str, object]:
         """What this workspace currently holds, for sizing diagnostics."""
@@ -175,6 +186,7 @@ class Workspace:
         array = np.empty(shape, dtype=self.dtype)
         self._outputs[name] = array
         self.allocations += 1
+        self.epoch += 1
         return array
 
     def bind_out(self, name: str, array: np.ndarray) -> None:
@@ -192,6 +204,7 @@ class Workspace:
                 f"expects {self.dtype}"
             )
         self._outputs[name] = array
+        self.epoch += 1
 
     def _slot(
         self,
@@ -222,6 +235,44 @@ class Workspace:
         return self._slot(self._masks, index, shape, np.dtype(bool))
 
 
+class PlanBinding:
+    """One call's validated set-up, reused while its sources stay put.
+
+    Binding a plan to its inputs checks that every input region covers
+    the plan's required box and re-anchors a view on it.  The binding
+    remembers every object that answer came from — each input
+    :class:`ArrayRegion` and its ``data`` and ``box`` — and the next call
+    reuses the views while all of them are still the same objects
+    (:meth:`holds`); anything else rebuilds with the full checks.  A
+    native plan adds its pre-built stage launches (``stages``), which
+    are tied to the workspace they were built against in turn.
+    """
+
+    __slots__ = ("_sources", "arrays", "stages", "results")
+
+    def __init__(
+        self,
+        sources: Tuple[Tuple[str, ArrayRegion, np.ndarray, Box], ...],
+        arrays: Dict[str, np.ndarray],
+    ) -> None:
+        self._sources = sources
+        self.arrays = arrays
+        self.stages: Optional[object] = None
+        #: ``(keep_temporaries, results)`` of the last call, returned again
+        #: while the produced arrays are the same objects.
+        self.results: Optional[Tuple[bool, Dict[str, ArrayRegion]]] = None
+
+    def holds(self, inputs: Mapping[str, ArrayRegion]) -> bool:
+        """Whether ``inputs`` are the very objects this binding checked."""
+        for name, region, data, box in self._sources:
+            current = inputs[name]
+            if current is not region or current.data is not data or (
+                current.box is not box
+            ):
+                return False
+        return True
+
+
 @dataclass
 class CompiledPlan:
     """A stencil program specialized to one halo plan.
@@ -232,6 +283,10 @@ class CompiledPlan:
     all result and scratch arrays are owned by one long-lived
     :class:`Workspace` and are **overwritten by the next call** — callers
     must copy anything they keep.
+
+    Input validation happens once per :class:`PlanBinding`: a call with
+    the same input regions as the previous one skips the coverage checks
+    and view slicing and goes straight to the kernels.
     """
 
     program: StencilProgram
@@ -246,6 +301,9 @@ class CompiledPlan:
     workspace_max_elems: Optional[int] = None
     _stage_names: Tuple[str, ...] = ()
     _stage_seconds: Optional[List[float]] = None
+    _binding: Optional[PlanBinding] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def persistent(self) -> bool:
@@ -307,17 +365,15 @@ class CompiledPlan:
     def __call__(
         self, inputs: Mapping[str, ArrayRegion], keep_temporaries: bool = False
     ) -> Dict[str, ArrayRegion]:
-        arrays = {}
-        for name, required_box in self._input_anchors.items():
-            region = inputs[name]
-            if not region.box.contains(required_box):
-                raise ValueError(
-                    f"input {name!r} covers {region.box} but "
-                    f"{required_box} is required"
-                )
-            # Re-anchor so the generated constant slices line up.
-            arrays[name] = region.view(required_box)
-        raw = self._function(**arrays)
+        binding = self._binding
+        if binding is None or not binding.holds(inputs):
+            binding = self._binding = self._bind(inputs)
+        raw = self._run(binding)
+        cached = binding.results
+        if cached is not None and cached[0] == keep_temporaries and all(
+            region.data is raw[name] for name, region in cached[1].items()
+        ):
+            return dict(cached[1])
 
         field_map = self.program.field_map
         results: Dict[str, ArrayRegion] = {}
@@ -328,7 +384,28 @@ class CompiledPlan:
             produced = field_map[stage.output]
             if produced.is_output or (keep_temporaries and produced.is_temporary):
                 results[stage.output] = ArrayRegion(raw[stage.output], box)
-        return results
+        binding.results = (keep_temporaries, results)
+        return dict(results)
+
+    def _bind(self, inputs: Mapping[str, ArrayRegion]) -> PlanBinding:
+        """Check input coverage and re-anchor the input views."""
+        sources = []
+        arrays = {}
+        for name, required_box in self._input_anchors.items():
+            region = inputs[name]
+            if not region.box.contains(required_box):
+                raise ValueError(
+                    f"input {name!r} covers {region.box} but "
+                    f"{required_box} is required"
+                )
+            # Re-anchor so the generated constant slices line up.
+            arrays[name] = region.view(required_box)
+            sources.append((name, region, region.data, region.box))
+        return PlanBinding(tuple(sources), arrays)
+
+    def _run(self, binding: PlanBinding) -> Dict[str, np.ndarray]:
+        """Execute the step over a binding's input views."""
+        return self._function(**binding.arrays)
 
 
 def _slice_source(read_box: Box, anchor: Box) -> str:

@@ -9,7 +9,8 @@ inputs and the outputs of earlier stages.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Optional, Sequence, Set, Tuple
 
 from .field import Field, FieldRole
 from .stage import Stage
@@ -41,6 +42,16 @@ class StencilProgram:
 
     def __post_init__(self) -> None:
         self._validate()
+        # Derived lookups, built once; kept outside the dataclass fields
+        # so equality and hashing ignore them.
+        object.__setattr__(
+            self, "_field_map", {f.name: f for f in self.fields}
+        )
+        object.__setattr__(
+            self,
+            "_producers",
+            {stage.output: index for index, stage in enumerate(self.stages)},
+        )
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -122,9 +133,9 @@ class StencilProgram:
     # Queries
     # ------------------------------------------------------------------
     @property
-    def field_map(self) -> Dict[str, Field]:
-        """Field declarations by name."""
-        return {f.name: f for f in self.fields}
+    def field_map(self) -> Mapping[str, Field]:
+        """Field declarations by name (a read-only view)."""
+        return MappingProxyType(self._field_map)
 
     @property
     def input_fields(self) -> Tuple[Field, ...]:
@@ -147,18 +158,14 @@ class StencilProgram:
 
     def producer_of(self, field_name: str) -> Optional[int]:
         """Index of the stage producing ``field_name``, or None for inputs."""
-        for index, stage in enumerate(self.stages):
-            if stage.output == field_name:
-                return index
-        return None
+        return self._producers.get(field_name)
 
     def dependency_edges(self) -> List[Tuple[int, int]]:
         """Stage-level dataflow edges ``(producer_index, consumer_index)``."""
-        producer = {s.output: i for i, s in enumerate(self.stages)}
         edges: List[Tuple[int, int]] = []
         for consumer_index, stage in enumerate(self.stages):
             for read in stage.reads:
-                producer_index = producer.get(read)
+                producer_index = self._producers.get(read)
                 if producer_index is not None:
                     edges.append((producer_index, consumer_index))
         return edges

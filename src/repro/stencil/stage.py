@@ -7,9 +7,9 @@ earlier stages or program inputs at constant offsets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
-from typing import Dict, Set, Tuple
+from dataclasses import dataclass
+from types import MappingProxyType
+from typing import FrozenSet, Mapping, Set, Tuple
 
 from .expr import Expr, Offset
 
@@ -64,16 +64,32 @@ class Stage:
         if not self.output:
             raise ValueError("stage output field must be named")
 
-    # Footprints are derived, cached per stage instance.
+    # The footprint is derived once per stage instance and kept outside
+    # the dataclass fields (equality, hashing and ``replace`` ignore it),
+    # so a lookup never hashes the expression tree.
+    def _derived(self) -> Tuple[Mapping[str, FrozenSet[Offset]], Tuple[str, ...]]:
+        cached = self.__dict__.get("_footprint_cache")
+        if cached is None:
+            footprint = {
+                name: frozenset(offsets)
+                for name, offsets in self.expr.footprint().items()
+            }
+            cached = (footprint, tuple(sorted(footprint)))
+            object.__setattr__(self, "_footprint_cache", cached)
+        return cached
+
     @property
-    def footprint(self) -> Dict[str, Set[Offset]]:
-        """Fields read by this stage, mapped to the offsets accessed."""
-        return _footprint_of(self)
+    def footprint(self) -> Mapping[str, FrozenSet[Offset]]:
+        """Fields read by this stage, mapped to the offsets accessed.
+
+        A read-only view: every caller shares the one cached footprint.
+        """
+        return MappingProxyType(self._derived()[0])
 
     @property
     def reads(self) -> Tuple[str, ...]:
         """Names of fields this stage reads, in sorted order."""
-        return tuple(sorted(self.footprint))
+        return self._derived()[1]
 
     def extent_on(self, field_name: str) -> AxisExtent:
         """Stencil reach of this stage on one of its read fields."""
@@ -102,8 +118,3 @@ class Stage:
 
     def __repr__(self) -> str:
         return f"Stage({self.name!r} -> {self.output})"
-
-
-@lru_cache(maxsize=None)
-def _footprint_of(stage: Stage) -> Dict[str, Set[Offset]]:
-    return stage.expr.footprint()

@@ -6,11 +6,14 @@ a broken thread pool degrades to serial execution, and a step that
 cannot complete is never observable as one that did.
 """
 
+from concurrent.futures import Future
+
 import numpy as np
 import pytest
 
 from repro.mpdata import MpdataSolver, mpdata_program, random_state
 from repro.runtime import (
+    EngineConfig,
     FaultInjector,
     FaultSpec,
     FaultStats,
@@ -289,16 +292,35 @@ class TestPartialFailureInvalidation:
             assert runner.last_step_stats is None
 
 
+class BrokenPool:
+    def submit(self, *args, **kwargs):
+        raise RuntimeError("cannot schedule new futures")
+
+    def shutdown(self, wait=True):
+        pass
+
+
+class HalfBrokenPool:
+    """Runs the first submitted task to completion, then breaks."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def submit(self, fn, *args):
+        self.calls += 1
+        if self.calls > 1:
+            raise RuntimeError("pool broke mid-submit")
+        future = Future()
+        future.set_result(fn(*args))  # the first task already ran
+        return future
+
+    def shutdown(self, wait=True):
+        pass
+
+
 class TestGracefulDegradation:
     def test_broken_pool_degrades_to_serial(self, state):
         expected = MpdataSolver(SHAPE).run(state, 2)
-
-        class BrokenPool:
-            def submit(self, *args, **kwargs):
-                raise RuntimeError("cannot schedule new futures")
-
-            def shutdown(self, wait=True):
-                pass
 
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=3, threads=3,
@@ -315,24 +337,7 @@ class TestGracefulDegradation:
     def test_pool_breaking_mid_submit_degrades_cleanly(self, state):
         """Some islands were already submitted when the pool broke; the
         serial fallback must not race them and still yields exact output."""
-        from concurrent.futures import Future
-
         expected = MpdataSolver(SHAPE).run(state, 1)
-
-        class HalfBrokenPool:
-            def __init__(self):
-                self.calls = 0
-
-            def submit(self, fn, *args):
-                self.calls += 1
-                if self.calls > 1:
-                    raise RuntimeError("pool broke mid-submit")
-                future = Future()
-                future.set_result(fn(*args))  # first island already ran
-                return future
-
-            def shutdown(self, wait=True):
-                pass
 
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=3, threads=3,
@@ -342,6 +347,60 @@ class TestGracefulDegradation:
             out = runner.step(_arrays(state))
             assert runner.degraded
             np.testing.assert_array_equal(out, expected)
+
+    def test_broken_pool_degrades_to_serial_under_exchange(self, state):
+        """Every stage sync fans out: the first one finds the pool broken,
+        and the rest of the run stays serial and bit-identical."""
+        expected = MpdataSolver(SHAPE).run(state, 2)
+        config = EngineConfig(halo="exchange", threads=3, reuse_output=True)
+        with PartitionedRunner(
+            mpdata_program(), SHAPE, islands=3, config=config
+        ) as runner:
+            runner._pool = BrokenPool()
+            arrays = _arrays(state)
+            arrays["x"] = runner.step(arrays)
+            assert runner.degraded
+            arrays["x"] = runner.step(arrays, changed={"x"})
+            np.testing.assert_array_equal(arrays["x"], expected)
+        assert runner.fault_stats.degraded_steps == 2
+
+    def test_pool_breaking_mid_stage_sync_degrades_cleanly(self, state):
+        """The first team member ran its stage before the pool broke at
+        the second submit; the serial rerun of that stage and every later
+        one stays bit-identical."""
+        expected = MpdataSolver(SHAPE).run(state, 1)
+        config = EngineConfig(halo="exchange", threads=3, reuse_output=True)
+        with PartitionedRunner(
+            mpdata_program(), SHAPE, islands=3, config=config
+        ) as runner:
+            pool = runner._pool = HalfBrokenPool()
+            out = runner.step(_arrays(state))
+            assert runner.degraded
+            assert pool.calls == 2
+            np.testing.assert_array_equal(out, expected)
+
+    def test_failing_island_under_exchange_collects_every_outcome(self, state):
+        """A stage task that fails on one island does not stop the team:
+        every other island still runs that stage, and the step fails."""
+        config = EngineConfig(
+            halo="exchange", threads=2,
+            fault_specs=("crash@island=0,step=0,attempts=5",),
+        )
+        ran = []
+        with PartitionedRunner(
+            mpdata_program(), SHAPE, islands=3, config=config
+        ) as runner:
+            run_stage = runner.resilience.run_island_stage
+
+            def recording(island, *args, **kwargs):
+                ran.append(island.index)
+                return run_stage(island, *args, **kwargs)
+
+            runner.resilience.run_island_stage = recording
+            with pytest.raises(IslandFailure):
+                runner.step(_arrays(state))
+            assert runner.last_step_stats is None
+        assert sorted(ran) == [0, 1, 2]
 
     def test_closed_runner_still_raises_not_degrades(self, state):
         runner = PartitionedRunner(

@@ -21,7 +21,8 @@ from repro.runtime import (
     MpdataIslandSolver,
     Telemetry,
 )
-from repro.stencil import full_box
+from repro.stencil import Box, full_box, native_available
+from repro.stencil import native as native_module
 
 SHAPE = (20, 14, 8)
 ISLANDS = 3
@@ -186,6 +187,111 @@ class TestFaultsUnderExchange:
         assert stats.retries >= 1
         assert stats.retry_successes >= 1
         assert stats.islands_failed == 0
+
+
+class _CountingPool:
+    """Delegates to a real pool and counts submitted tasks."""
+
+    def __init__(self, pool):
+        self.pool = pool
+        self.submits = 0
+
+    def submit(self, *args, **kwargs):
+        self.submits += 1
+        return self.pool.submit(*args, **kwargs)
+
+    def shutdown(self, wait=True):
+        self.pool.shutdown(wait=wait)
+
+
+class TestBindOnceDispatch:
+    """A steady-state exchange step reuses each island-stage call's
+    binding: no per-call validation, and one pool task per team member
+    per stage sync.  Anything a binding was built from changing forces a
+    rebuild, so every invalidating path stays bit-identical."""
+
+    SHAPE = (32, 12, 8)
+    ISLANDS = 8
+    BACKEND = "native" if native_available() else "compiled"
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        """The 1-island interpreter's trajectory, 6 steps."""
+        return _run(EngineConfig(), steps=6, shape=self.SHAPE, islands=1)
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_steady_step_skips_per_call_setup(self, monkeypatch, threads):
+        config = EngineConfig(
+            backend=self.BACKEND, halo="exchange", threads=threads,
+            reuse_output=True,
+        )
+        state = random_state(self.SHAPE, seed=5)
+        with MpdataIslandSolver(
+            self.SHAPE, self.ISLANDS, config=config
+        ) as solver:
+            runner = solver.runner
+            arrays = solver._arrays(state)
+            arrays[FIELD_X] = runner.step(arrays)
+            counts = {"contains": 0, "strides": 0}
+            contains = Box.contains
+            strides = native_module._strides_in_elements
+
+            def counting_contains(box, other):
+                counts["contains"] += 1
+                return contains(box, other)
+
+            def counting_strides(*args):
+                counts["strides"] += 1
+                return strides(*args)
+
+            monkeypatch.setattr(Box, "contains", counting_contains)
+            monkeypatch.setattr(
+                native_module, "_strides_in_elements", counting_strides
+            )
+            pool = runner._pool = (
+                _CountingPool(runner._pool) if runner._pool else None
+            )
+            runner.step(arrays, changed={FIELD_X})
+            monkeypatch.undo()
+            syncs = runner.last_step_stats.stage_syncs
+            assert runner.last_step_stats.allocations == 0
+        assert counts["contains"] <= self.ISLANDS
+        assert counts["strides"] == 0
+        if threads > 1:
+            assert 0 < pool.submits <= min(threads, self.ISLANDS) * syncs
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_crash_retry_rebuilds_the_binding(self, reference, threads):
+        config = EngineConfig(
+            backend=self.BACKEND, halo="exchange", threads=threads,
+            fault_specs=("crash@island=3,step=2,attempts=1",),
+            max_retries=1,
+        )
+        state = random_state(self.SHAPE, seed=2017)
+        with MpdataIslandSolver(
+            self.SHAPE, self.ISLANDS, config=config
+        ) as solver:
+            result = np.array(solver.run(state, 6), copy=True)
+            retries = solver.runner.fault_stats.retries
+            plans = solver.runner.backend._stage_plans
+        assert retries >= 1
+        np.testing.assert_array_equal(result, reference)
+        if self.BACKEND == "native":
+            # Each refreshed plan got a fresh workspace; its launches were
+            # rebuilt against it rather than kept from the old one.
+            for plan in plans.values():
+                stages = plan._binding.stages
+                assert stages.workspace is plan.workspace
+
+    def test_fresh_buffers_every_step_rebind(self, reference):
+        config = EngineConfig(
+            backend=self.BACKEND, halo="exchange", threads=2,
+            reuse_buffers=False, reuse_output=False,
+        )
+        result = _run(
+            config, steps=6, shape=self.SHAPE, islands=self.ISLANDS
+        )
+        np.testing.assert_array_equal(result, reference)
 
 
 class TestConfigSurface:

@@ -288,6 +288,41 @@ class TestSharedMemoryTeardown:
         del array
         arena.close()  # idempotent
 
+    def test_result_readable_after_close(self, tmp_path):
+        """Under reuse_output, run() returns an array in shared memory;
+        reading it after close() must not touch unmapped memory, and the
+        segments must still be gone."""
+        script = tmp_path / "read_after_close.py"
+        script.write_text(
+            "import numpy as np\n"
+            "from repro.mpdata import random_state\n"
+            "from repro.runtime import EngineConfig, MpdataIslandSolver\n"
+            "from repro.runtime.procs import live_segment_names\n"
+            "shape = (16, 12, 8)\n"
+            "config = EngineConfig(\n"
+            "    backend='procs', workers=2, reuse_output=True)\n"
+            "solver = MpdataIslandSolver(shape, 2, config=config)\n"
+            "final = solver.run(random_state(shape, seed=7), 3)\n"
+            "copy = np.array(final, copy=True)\n"
+            "solver.close()\n"
+            "print(bool(np.array_equal(final, copy)), final.sum() > 0)\n"
+            "print(len(live_segment_names()))\n"
+        )
+        env = dict(os.environ)
+        src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+        env["PYTHONPATH"] = os.path.abspath(src)
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True,
+            env=env,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["True", "True", "0"]
+        assert "Exception ignored" not in proc.stderr
+        assert not _shm_segments()
+
     def test_segments_cleaned_after_crash_recovery(self):
         config = EngineConfig(
             backend="procs",

@@ -1,11 +1,14 @@
 """Tests for the functional partitioned runtime and verification."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from repro.core import Variant, partition_grid_2d
 from repro.mpdata import MpdataSolver, random_state, upwind_program
 from repro.runtime import (
+    EngineConfig,
     MpdataIslandSolver,
     PartitionedRunner,
     verify_islands,
@@ -52,6 +55,34 @@ class TestPartitionedRunner:
         )
         expected = MpdataSolver(SHAPE).step(state)
         np.testing.assert_array_equal(out, expected)
+
+
+    def test_team_fan_out_runs_every_position_once(self, mpdata):
+        """Team members claim positions from one shared counter.  With
+        more members than cores and a tiny switch interval, every
+        position still runs exactly once per fan-out, and every failure
+        comes back, in position order."""
+        count, rounds = 300, 10
+        hits = [0] * count
+
+        def task(position):
+            hits[position] += 1  # a doubly claimed position shows here
+            if position % 97 == 0:
+                raise ValueError(position)
+
+        runner = PartitionedRunner(
+            mpdata, SHAPE, islands=2, config=EngineConfig(threads=8)
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(rounds):
+                errors = runner._fan_out(count, task)
+        finally:
+            sys.setswitchinterval(interval)
+            runner.close()
+        assert hits == [rounds] * count
+        assert [error.args[0] for error in errors] == [0, 97, 194, 291]
 
 
 class TestMpdataIslandSolver:

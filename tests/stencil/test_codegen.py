@@ -14,10 +14,24 @@ from repro.stencil import (
     StencilProgram,
     Workspace,
     compile_plan,
+    compile_plan_native,
     compile_program,
     execute_plan,
     full_box,
+    native_available,
     required_regions,
+)
+from repro.stencil import native as native_module
+
+COMPILERS = (
+    pytest.param(compile_plan, id="numpy"),
+    pytest.param(
+        compile_plan_native,
+        id="native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="needs cffi and a system C compiler"
+        ),
+    ),
 )
 
 
@@ -213,3 +227,118 @@ class TestCompileValidation:
         )
         with pytest.raises(ValueError, match="identifier"):
             compile_program(program, Box((0, 0, 0), (4, 4, 4)))
+
+
+def _chain_inputs(seed, length=18, lo=-3):
+    x = np.random.default_rng(seed).standard_normal((length, 4, 4))
+    return {"x": ArrayRegion.wrap(x, lo=(lo, 0, 0))}
+
+
+@pytest.mark.parametrize("compiler", COMPILERS)
+class TestPlanBinding:
+    """A plan checks and re-anchors its inputs once per binding and
+    rebuilds the binding whenever an input it was built from changes."""
+
+    TARGET = Box((0, 0, 0), (12, 4, 4))
+
+    def _plan(self, program, compiler, **kwargs):
+        plan = required_regions(program, self.TARGET)
+        return plan, compiler(program, plan, reuse_buffers=True, **kwargs)
+
+    def test_steady_call_skips_input_validation(
+        self, chain_program, compiler, monkeypatch
+    ):
+        _, compiled = self._plan(chain_program, compiler)
+        inputs = _chain_inputs(0)
+        compiled(inputs)
+        calls = []
+        contains = Box.contains
+        strides = native_module._strides_in_elements
+
+        def counting_contains(box, other):
+            calls.append("contains")
+            return contains(box, other)
+
+        def counting_strides(*args):
+            calls.append("strides")
+            return strides(*args)
+
+        monkeypatch.setattr(Box, "contains", counting_contains)
+        monkeypatch.setattr(
+            native_module, "_strides_in_elements", counting_strides
+        )
+        reuses = compiled.workspace.reuses
+        compiled(inputs)
+        per_call = compiled.workspace.reuses - reuses
+        compiled(inputs)
+        assert calls == []
+        # The bound call counts the reused output slots like a full call.
+        assert per_call > 0
+        assert compiled.workspace.reuses - reuses == 2 * per_call
+
+    def test_new_input_region_rebinds(self, chain_program, compiler):
+        plan, compiled = self._plan(chain_program, compiler)
+        first = _chain_inputs(1)
+        # Another region, anchored elsewhere: the views must be rebuilt.
+        second = _chain_inputs(2, length=20, lo=-4)
+        for inputs in (first, second, first):
+            expected, _ = execute_plan(chain_program, plan, inputs)
+            np.testing.assert_array_equal(
+                compiled(inputs)["y"].data, expected["y"].data
+            )
+
+    def test_bound_views_see_in_place_updates(self, chain_program, compiler):
+        plan, compiled = self._plan(chain_program, compiler)
+        inputs = _chain_inputs(3)
+        compiled(inputs)
+        inputs["x"].data[...] *= -2.0
+        expected, _ = execute_plan(chain_program, plan, inputs)
+        np.testing.assert_array_equal(
+            compiled(inputs)["y"].data, expected["y"].data
+        )
+
+    def test_bound_plan_still_rejects_a_too_small_region(
+        self, chain_program, compiler
+    ):
+        plan, compiled = self._plan(chain_program, compiler)
+        good = _chain_inputs(4)
+        expected, _ = execute_plan(chain_program, plan, good)
+        compiled(good)
+        small = {"x": ArrayRegion.wrap(np.zeros((8, 4, 4)))}
+        with pytest.raises(ValueError, match="required"):
+            compiled(small)
+        np.testing.assert_array_equal(
+            compiled(good)["y"].data, expected["y"].data
+        )
+
+    def test_rebound_output_slot_is_written(self, chain_program, compiler):
+        plan, compiled = self._plan(chain_program, compiler)
+        inputs = _chain_inputs(5)
+        expected, _ = execute_plan(chain_program, plan, inputs)
+        compiled(inputs)
+        target = np.zeros(self.TARGET.shape)
+        compiled.workspace.bind_out("y", target)
+        assert compiled(inputs)["y"].data is target
+        np.testing.assert_array_equal(target, expected["y"].data)
+
+    def test_reset_workspace_rebinds(self, chain_program, compiler):
+        plan, compiled = self._plan(chain_program, compiler)
+        inputs = _chain_inputs(6)
+        expected, _ = execute_plan(chain_program, plan, inputs)
+        compiled(inputs)
+        allocations = compiled.workspace.allocations
+        compiled.workspace.reset()
+        result = compiled(inputs)
+        assert compiled.workspace.allocations > allocations
+        np.testing.assert_array_equal(result["y"].data, expected["y"].data)
+
+    def test_ephemeral_workspace_keeps_results_independent(
+        self, chain_program, compiler
+    ):
+        plan = required_regions(chain_program, self.TARGET)
+        compiled = compiler(chain_program, plan)
+        inputs = _chain_inputs(7)
+        first = compiled(inputs)["y"].data
+        second = compiled(inputs)["y"].data
+        assert first is not second
+        np.testing.assert_array_equal(first, second)

@@ -114,6 +114,14 @@ class TestQueries:
         assert chain_program.producer_of("a") == 0
         assert chain_program.producer_of("x") is None
 
+    def test_field_map_is_one_read_only_mapping(self, chain_program):
+        field_map = chain_program.field_map
+        assert [name for name in field_map] == ["x", "a", "b", "y"]
+        assert field_map["a"].is_temporary
+        with pytest.raises(TypeError):
+            field_map["z"] = _field("z")
+        assert "z" not in chain_program.field_map
+
     def test_stage_index(self, chain_program):
         assert chain_program.stage_index("s2") == 1
         with pytest.raises(KeyError):

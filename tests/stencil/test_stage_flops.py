@@ -1,5 +1,7 @@
 """Tests for stage metadata and flop accounting."""
 
+import pytest
+
 from repro.stencil import (
     Access,
     AxisExtent,
@@ -20,6 +22,26 @@ class TestStage:
         stage = Stage("s", "y", Access("a", (1, 0, 0)) + Access("b"))
         assert stage.footprint == {"a": {(1, 0, 0)}, "b": {(0, 0, 0)}}
         assert stage.reads == ("a", "b")
+
+    def test_footprint_is_derived_once_and_read_only(self, monkeypatch):
+        stage = Stage("s", "y", Access("a", (1, 0, 0)) + Access("b"))
+        footprint = stage.footprint
+        with pytest.raises(TypeError):
+            footprint["c"] = {(0, 0, 0)}
+        with pytest.raises(AttributeError):
+            footprint["a"].add((2, 0, 0))
+        # Later lookups neither re-derive nor hash the expression tree.
+        calls = []
+        monkeypatch.setattr(
+            type(stage.expr), "footprint",
+            lambda expr: calls.append("footprint"),
+        )
+        monkeypatch.setattr(
+            type(stage.expr), "__hash__", lambda expr: calls.append("hash")
+        )
+        assert stage.reads == ("a", "b")
+        assert stage.footprint == {"a": {(1, 0, 0)}, "b": {(0, 0, 0)}}
+        assert calls == []
 
     def test_extent_on(self):
         stage = Stage(
