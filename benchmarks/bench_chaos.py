@@ -88,9 +88,13 @@ def _overhead_rows(smoke):
     state.validate()
     configs = {
         "unsupervised": EngineConfig(
-            backend="procs", step_deadline=None, deadline_factor=None
+            backend="procs",
+            procs_inner="native",
+            step_deadline=None,
+            deadline_factor=None,
         ),
-        "supervised": EngineConfig(backend="procs"),  # default adaptive
+        # default adaptive supervision
+        "supervised": EngineConfig(backend="procs", procs_inner="native"),
     }
     rows = []
     for islands in SMOKE_ISLANDS if smoke else FULL_ISLANDS:
@@ -162,7 +166,7 @@ def _clean_reference(islands, steps):
 
     state = random_state(STORM_SHAPE, seed=7)
     with MpdataIslandSolver(
-        STORM_SHAPE, islands, config=EngineConfig(backend="compiled")
+        STORM_SHAPE, islands, config=EngineConfig(backend="native")
     ) as solver:
         return np.array(solver.run(state, steps), copy=True)
 
@@ -196,6 +200,7 @@ def _storms(smoke):
         "hang": _storm(
             EngineConfig(
                 backend="procs",
+                procs_inner="native",
                 step_deadline=STORM_DEADLINE,
                 max_retries=2,
                 fault_specs=hang_faults,
@@ -205,6 +210,7 @@ def _storms(smoke):
         "kill": _storm(
             EngineConfig(
                 backend="procs",
+                procs_inner="native",
                 step_deadline=STORM_DEADLINE,
                 max_retries=2,
                 fault_specs=kill_faults,
@@ -214,6 +220,7 @@ def _storms(smoke):
         "quarantine": _storm(
             EngineConfig(
                 backend="procs",
+                procs_inner="native",
                 workers=2,
                 step_deadline=STORM_DEADLINE,
                 max_retries=3,

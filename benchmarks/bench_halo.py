@@ -54,7 +54,7 @@ def run(smoke: bool = False, json_path=None):
                 shape=shape,
                 steps=steps,
                 islands=islands,
-                compiled=True,
+                backend="native",
                 halo=policy,
             )
             engine = report.modes["engine"]
@@ -70,7 +70,7 @@ def run(smoke: bool = False, json_path=None):
     payload = {
         "shape": list(shape),
         "steps": steps,
-        "compiled": True,
+        "backend": "native",
         "rows": rows,
     }
     if json_path is not None:
@@ -91,7 +91,7 @@ def _model_check(shape, islands):
     )
 
     sink = InMemorySink()
-    config = EngineConfig(backend="compiled", halo="exchange")
+    config = EngineConfig(backend="native", halo="exchange")
     with MpdataIslandSolver(
         shape, islands, config=config, telemetry=Telemetry([sink])
     ) as solver:
@@ -111,7 +111,7 @@ def _model_check(shape, islands):
 def _render(payload):
     lines = [
         f"Halo policy duel ({'x'.join(str(n) for n in payload['shape'])}, "
-        f"{payload['steps']} steps, compiled)",
+        f"{payload['steps']} steps, {payload['backend']})",
         f"{'islands':>7} {'policy':<10} {'step time':>12} "
         f"{'KiB shipped':>12} {'syncs':>6} {'model':>6}",
     ]

@@ -10,7 +10,7 @@ about the paper's hardware.
 import pytest
 
 from repro.mpdata import MpdataSolver, random_state, reference_step
-from repro.runtime import MpdataIslandSolver
+from repro.runtime import EngineConfig, MpdataIslandSolver
 
 SHAPE = (96, 64, 32)
 
@@ -30,12 +30,12 @@ def bench_reference_step(benchmark, state):
 
 
 def bench_islands_step_sequential(benchmark, state):
-    solver = MpdataIslandSolver(SHAPE, islands=4, threads=1)
+    solver = MpdataIslandSolver(SHAPE, islands=4, config=EngineConfig(threads=1))
     benchmark(solver.step, state)
 
 
 def bench_islands_step_threaded(benchmark, state):
-    solver = MpdataIslandSolver(SHAPE, islands=4, threads=4)
+    solver = MpdataIslandSolver(SHAPE, islands=4, config=EngineConfig(threads=4))
     benchmark(solver.step, state)
 
 

@@ -1,20 +1,19 @@
-"""Benchmark: interpreter vs compiled-NumPy vs fused native C kernels.
+"""Benchmark: interpreter vs fused native C kernels.
 
 The native backend lowers every stage through the kernel IR and fuses
 its whole three-address chain into a single C loop nest, so each grid
 point is loaded once, flows through registers, and is stored once —
-where the interpreter and the compiled-NumPy plan both materialize every
-intermediate as a full array sweep.  This benchmark measures both
-levels of that claim:
+where the interpreter materializes every intermediate as a full array
+sweep.  This benchmark measures both levels of that claim:
 
 * **stage kernels** — per-stage wall time of the 17 MPDATA stages on an
-  L3-resident grid, interpreter vs compiled-NumPy vs native (timed
-  plans, best-of-N).  The acceptance gate is a native speedup of >= 5x
-  over the interpreter on at least one L3-resident stage (the fusion
-  win), checked only when a native toolchain is present.
+  L3-resident grid, interpreter vs native (timed plans, best-of-N).  The
+  acceptance gate is a native speedup of >= 5x over the interpreter on
+  at least one L3-resident stage (the fusion win), checked only when a
+  native toolchain is present.
 * **engine steps** — whole-step time across grids and island counts for
   the in-process backends (threads) and the procs pool with native
-  workers, all bit-identical to the compiled reference.
+  workers, all bit-identical to the interpreter.
 
 Writes ``BENCH_native.json`` at the repository root.  Run standalone:
 
@@ -51,10 +50,9 @@ DEFAULT_JSON = common.default_json_path("BENCH_native.json")
 
 
 def _stage_kernel_rows(shape, reps):
-    """Best-of-``reps`` per-stage seconds for all three execution tiers."""
+    """Best-of-``reps`` per-stage seconds, interpreter and native."""
     from repro.mpdata import MpdataSolver, mpdata_program, random_state
     from repro.stencil import (
-        compile_plan,
         compile_plan_native,
         execute_plan,
         required_regions,
@@ -89,9 +87,6 @@ def _stage_kernel_rows(shape, reps):
                 )
         return best
 
-    numpy_best = best_of(
-        compile_plan(program, plan, reuse_buffers=True, timed=True)
-    )
     native_best = best_of(
         compile_plan_native(program, plan, reuse_buffers=True, timed=True)
     )
@@ -102,10 +97,8 @@ def _stage_kernel_rows(shape, reps):
             {
                 "stage": name,
                 "interpreter_s": interp[name],
-                "numpy_s": numpy_best[name],
                 "native_s": native_best[name],
                 "speedup_vs_interpreter": interp[name] / native_best[name],
-                "speedup_vs_numpy": numpy_best[name] / native_best[name],
             }
         )
     return rows
@@ -139,9 +132,6 @@ def _mode_configs(islands, with_native):
     modes = {
         "interpreter": EngineConfig(
             backend="interpreter", threads=islands, reuse_output=True
-        ),
-        "compiled": EngineConfig(
-            backend="compiled", threads=islands, reuse_output=True
         ),
     }
     if with_native:
@@ -205,7 +195,7 @@ def run(smoke: bool = False, json_path=None):
                     ),
                     "plan_cache_hits": sink.last.stats.plan_cache_hits,
                 }
-            reference = finals["compiled"]
+            reference = finals["interpreter"]
             row["bit_identical"] = all(
                 bool(np.array_equal(final, reference))
                 for final in finals.values()
@@ -224,7 +214,7 @@ def run(smoke: bool = False, json_path=None):
 
 def _render(payload):
     lines = [
-        f"Interpreter vs compiled vs native "
+        f"Interpreter vs native "
         f"({payload['steps']} steps, {payload['cpu_count']} cpu(s), "
         f"native {'present' if payload['native_available'] else 'ABSENT'})"
     ]
@@ -235,13 +225,11 @@ def _render(payload):
             f"(best of {kernels['reps']}):"
         )
         lines.append(
-            f"{'stage':<16} {'interp':>10} {'numpy':>10} {'native':>10} "
-            f"{'vs interp':>10}"
+            f"{'stage':<16} {'interp':>10} {'native':>10} {'vs interp':>10}"
         )
         for row in kernels["rows"]:
             lines.append(
                 f"{row['stage']:<16} {row['interpreter_s'] * 1e6:>8.1f} us "
-                f"{row['numpy_s'] * 1e6:>8.1f} us "
                 f"{row['native_s'] * 1e6:>8.1f} us "
                 f"{row['speedup_vs_interpreter']:>9.1f}x"
             )

@@ -1,14 +1,14 @@
 """Benchmark: threads vs procs — do islands actually use the cores?
 
-Every in-process backend executes islands as threads under the GIL, so
-its "parallel" step time is really serialized compute.  The ``procs``
+Every in-process backend executes islands as threads of one process,
+so its parallelism ends wherever the GIL is held.  The ``procs``
 backend runs each island in a persistent worker process over
 shared-memory arenas — the first configuration where islands-vs-(3+1)D
 wall-clock reflects the paper's SMP mechanism rather than the
 simulator's cost model.  This benchmark times steady-state steps on an
 L3-spilling grid across island counts for three modes per count:
 
-* ``threads``   — compiled backend, one thread per island (GIL-bound);
+* ``threads``   — native backend, one thread per island;
 * ``procs``     — worker processes, recompute halo (one sync per step);
 * ``procs+ex``  — worker processes, per-stage halo exchange, recording
   the bytes shipped through the shared-memory stage buffers.
@@ -87,10 +87,12 @@ def _mode_config(kind, islands):
     from repro.runtime import EngineConfig
 
     if kind == "threads":
-        return EngineConfig(backend="compiled", threads=islands)
+        return EngineConfig(backend="native", threads=islands)
     if kind == "procs":
-        return EngineConfig(backend="procs")
-    return EngineConfig(backend="procs", halo="exchange")  # procs+ex
+        return EngineConfig(backend="procs", procs_inner="native")
+    return EngineConfig(  # procs+ex
+        backend="procs", procs_inner="native", halo="exchange"
+    )
 
 
 def run(smoke: bool = False, json_path=None):

@@ -2,7 +2,7 @@
 
 Times 10 steps of the Table 1 MPDATA configuration scaled to a
 single-process grid (128x64x16, 4 islands) in both interpreter and
-compiled execution, naive vs engine, and writes ``BENCH_steady_state.json``
+native execution, naive vs engine, and writes ``BENCH_steady_state.json``
 at the repository root so future PRs have a perf trajectory.
 
 Run standalone (writes the JSON):
@@ -43,10 +43,10 @@ def run(smoke: bool = False, json_path=None):
     steps = SMOKE_STEPS if smoke else FULL_STEPS
     reports = {
         "interpreted": measure_steady_state(
-            shape=shape, steps=steps, islands=ISLANDS, compiled=False
+            shape=shape, steps=steps, islands=ISLANDS, backend="interpreter"
         ),
-        "compiled": measure_steady_state(
-            shape=shape, steps=steps, islands=ISLANDS, compiled=True
+        "native": measure_steady_state(
+            shape=shape, steps=steps, islands=ISLANDS, backend="native"
         ),
     }
     if json_path is not None:

@@ -7,8 +7,8 @@ becomes one barrier per ``s`` steps, and the ``procs`` backend issues
 one RPC round trip per super-step instead of per step.  This benchmark
 sweeps step time versus ``s`` versus island count for two modes:
 
-* ``threads`` — compiled backend, one thread per island (GIL-bound;
-  its "barrier" is a cheap in-process join, so blocking rarely pays);
+* ``threads`` — native backend, one thread per island (its "barrier"
+  is a cheap in-process join, so blocking rarely pays);
 * ``procs``   — worker processes over shared memory, where the per-step
   RPC + barrier is real wall-clock that blocking amortizes ``s``-fold.
 
@@ -70,13 +70,16 @@ def _mode_config(kind, islands, sync_every):
 
     if kind == "threads":
         return EngineConfig(
-            backend="compiled",
+            backend="native",
             threads=islands,
             sync_every=sync_every,
             reuse_output=True,  # steady state: zero allocations per step
         )
     return EngineConfig(
-        backend="procs", sync_every=sync_every, reuse_output=True
+        backend="procs",
+        procs_inner="native",
+        sync_every=sync_every,
+        reuse_output=True,
     )
 
 

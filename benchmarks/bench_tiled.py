@@ -1,7 +1,7 @@
-"""Benchmark: flat vs tiled (3+1)D execution of the compiled engine.
+"""Benchmark: flat vs tiled (3+1)D execution of the native engine.
 
 Times the same partitioned MPDATA configuration three ways — flat
-compiled islands, block-by-block tiled islands, and tiled islands swept
+native islands, block-by-block tiled islands, and tiled islands swept
 by an intra-island thread team — across island counts, and writes
 ``BENCH_tiled.json`` at the repository root so future PRs have a perf
 trajectory.

@@ -4,8 +4,8 @@ The paper's introduction motivates MPDATA with numerical weather
 prediction; this example runs the kind of composite step an atmospheric
 model takes — advection by a rotating wind field *plus* turbulent
 diffusion *plus* first-order scavenging (decay) — using the composed
-stencil programs of :mod:`repro.mpdata.extensions`, compiled to
-straight-line NumPy.
+stencil programs of :mod:`repro.mpdata.extensions`, run by the engine's
+fused C kernels (needs cffi and a C compiler).
 
     python examples/weather_plume.py
 """
@@ -15,7 +15,6 @@ import math
 import numpy as np
 
 from repro.mpdata import (
-    MpdataSolver,
     MpdataState,
     advection_decay_program,
     advection_diffusion_program,
@@ -23,6 +22,7 @@ from repro.mpdata import (
     mpdata_program,
     rotation_velocity,
 )
+from repro.runtime import EngineConfig, MpdataIslandSolver
 
 SHAPE = (48, 48, 6)
 OMEGA = 2.0 * math.pi / 400.0  # corner Courant stays below 0.4/axis
@@ -30,8 +30,9 @@ STEPS = 100  # a quarter revolution
 
 
 def run(program, state: MpdataState) -> np.ndarray:
-    solver = MpdataSolver(SHAPE, program=program, compiled=True)
-    return solver.run(state, STEPS)
+    config = EngineConfig(backend="native")
+    with MpdataIslandSolver(SHAPE, 1, config=config, program=program) as solver:
+        return np.array(solver.run(state, STEPS), copy=True)
 
 
 def stats(label: str, field: np.ndarray, h: np.ndarray) -> None:

@@ -109,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="island count (default 4, or PIxPJ when --grid is given)",
     )
     engine.add_argument("--threads", type=int, default=1)
-    engine.add_argument("--compiled", action="store_true")
     # Offer exactly what the backend registry holds, so new backends (and
     # their error messages) can never drift out of the CLI.
     from .runtime.backends import BACKENDS
@@ -118,7 +117,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=tuple(sorted(BACKENDS)),
         default=None,
         help="explicit execution backend, one of: "
-        f"{', '.join(sorted(BACKENDS))} (default: from --compiled/--tiled); "
+        f"{', '.join(sorted(BACKENDS))} (default: interpreter, or tiled "
+        "with --tiled); "
         "procs runs each island in a persistent worker process over "
         "shared memory; native fuses each stage into one compiled-C loop "
         "nest (requires cffi + a C compiler)",
@@ -160,7 +160,7 @@ def build_parser() -> argparse.ArgumentParser:
     procs.add_argument(
         "--procs-inner", choices=PROCS_INNER_KEYS, default=None,
         help="stage executor each worker runs for its islands "
-        "(default: compiled, or interpreter without --compiled)",
+        "(default: interpreter)",
     )
     halo = engine.add_argument_group(
         "halo policy",
@@ -503,8 +503,6 @@ def _validate_engine_args(parser, args) -> None:
             f"--backend {args.backend} contradicts the "
             "--tiled/--block-shape/--autotune-blocks flags"
         )
-    if args.backend == "interpreter" and args.compiled:
-        parser.error("--backend interpreter contradicts --compiled")
     if args.backend != "procs":
         if args.workers is not None:
             parser.error("--workers requires --backend procs")
@@ -568,13 +566,12 @@ def _run_engine(args) -> int:
         steps=args.steps,
         islands=args.islands,
         threads=args.threads,
-        compiled=args.compiled,
         telemetry_jsonl=args.telemetry_jsonl,
         halo=args.halo,
         halo_threshold=args.halo_threshold,
         variant=Variant(args.variant),
         partition_grid=tuple(args.grid) if args.grid else None,
-        backend=args.backend,
+        backend=args.backend or "interpreter",
         workers=args.workers,
         pin_workers=args.pin_workers,
         step_deadline=args.step_deadline,

@@ -19,7 +19,6 @@ from ..stencil import (
     Box,
     StencilProgram,
     full_box,
-    required_regions,
 )
 from .boundary import extend_array, extended_box
 from .reference import MpdataState
@@ -88,7 +87,6 @@ class MpdataSolver:
         boundary: str = "periodic",
         program: Optional[StencilProgram] = None,
         dtype: np.dtype = np.float64,
-        compiled: bool = False,
     ) -> None:
         self.shape = tuple(shape)
         self.boundary = boundary
@@ -99,16 +97,6 @@ class MpdataSolver:
         self.extended_domain: Box = extended_box(
             self.shape, self.ghosts.lo, self.ghosts.hi
         )
-        # With compiled=True the time step runs as generated straight-line
-        # NumPy (see repro.stencil.codegen) — bit-identical, ~2-3x faster.
-        self._compiled_step = None
-        if compiled:
-            from ..stencil import compile_plan
-
-            plan = required_regions(
-                self.program, self.domain, domain=self.extended_domain
-            )
-            self._compiled_step = compile_plan(self.program, plan, dtype=dtype)
         if self.boundary == "periodic":
             for axis in range(3):
                 margin = max(self.ghosts.lo[axis], self.ghosts.hi[axis])
@@ -150,16 +138,13 @@ class MpdataSolver:
         from ..stencil import execute  # local import avoids cycle at module load
 
         inputs = self.prepare_inputs(state)
-        if self._compiled_step is not None:
-            results = self._compiled_step(inputs)
-        else:
-            results, _ = execute(
-                self.program,
-                inputs,
-                target=self.domain,
-                domain=self.extended_domain,
-                dtype=self.dtype,
-            )
+        results, _ = execute(
+            self.program,
+            inputs,
+            target=self.domain,
+            domain=self.extended_domain,
+            dtype=self.dtype,
+        )
         return results[FIELD_OUTPUT].view(self.domain)
 
     def run(self, state: MpdataState, steps: int) -> np.ndarray:

@@ -19,12 +19,13 @@ the halo policy (recompute / exchange / hybrid) whose geometry comes from
 :func:`repro.core.build_halo_ledger`.
 """
 
+from ..stencil.native import native_available
 from .backends import (
     BACKENDS,
-    CompiledBackend,
     FlatInterpreterBackend,
     IslandBackend,
     IslandResult,
+    NativeBackend,
     TiledBackend,
     create_backend,
 )
@@ -51,10 +52,6 @@ from .faults import (
 from .island_exec import (
     MpdataIslandSolver,
     PartitionedRunner,
-)
-from .native import (
-    NativeBackend,
-    native_available,
 )
 from .procs import (
     DeadlineClock,
@@ -95,7 +92,6 @@ from .verify import VerificationResult, verify_islands, verify_variants
 __all__ = [
     "BACKEND_KEYS",
     "BACKENDS",
-    "CompiledBackend",
     "DeadlineClock",
     "EngineConfig",
     "FAULT_KINDS",

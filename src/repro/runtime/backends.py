@@ -8,14 +8,15 @@ the shared output array.  What varies is *how* the sweep runs:
 ``interpreter`` (:class:`FlatInterpreterBackend`)
     Walk the stage graph per island with :func:`~repro.stencil
     .interpreter.execute_plan`, on persistent stage/scratch arenas in
-    steady-state mode.
-``compiled`` (:class:`CompiledBackend`)
-    One straight-line NumPy step per island
-    (:func:`~repro.stencil.codegen.compile_plan`) with a persistent
+    steady-state mode.  The reference, and the path that needs no C
+    compiler.
+``native`` (:class:`NativeBackend`)
+    One fused-C step per island
+    (:func:`~repro.stencil.native.compile_plan_native`) with a persistent
     workspace.
 ``tiled`` (:class:`TiledBackend`)
     The (3+1)D backend: each island's part is covered by cache-sized
-    blocks, each with its own compiled step and sized workspace
+    blocks, each with its own fused-C step and sized workspace
     (:func:`~repro.stencil.tiled_exec.compile_plan_tiled`), optionally
     swept by an intra-island thread team.
 ``procs`` (:class:`~repro.runtime.procs.ProcsBackend`)
@@ -26,10 +27,14 @@ the shared output array.  What varies is *how* the sweep runs:
 All of them produce bit-identical results — every backend evaluates the
 identical expressions on identical inputs — so the registry key in
 :class:`~repro.runtime.config.EngineConfig` is purely a performance and
-deployment choice.  Backends own their per-island resources (arenas,
-workspaces, block plans) behind a uniform lifecycle: :meth:`prepare`
-builds them, :meth:`execute_island` uses them, :meth:`refresh` replaces
-one island's after a failed attempt, :meth:`close` releases them.
+deployment choice.  The backends that build C kernels (``native``,
+``tiled`` and ``procs`` with native workers) check for cffi and a C
+compiler once, at construction (:func:`require_native`), so a host
+without them is rejected before any step runs.  Backends own their
+per-island resources (arenas, workspaces, block plans) behind a uniform
+lifecycle: :meth:`prepare` builds them, :meth:`execute_island` uses
+them, :meth:`refresh` replaces one island's after a failed attempt,
+:meth:`close` releases them.
 Backends know nothing about retries, faults or telemetry — that is the
 resilience layer's job (:mod:`repro.runtime.resilience`) — and they
 never read clocks: wall-time attribution happens around them.
@@ -61,6 +66,11 @@ from ..stencil import execute_plan, required_regions
 from ..stencil.expr import EvalArena
 from ..stencil.field import Field, FieldRole
 from ..stencil.interpreter import ArrayRegion, StageArena
+from ..stencil.native import (
+    NativeBuildError,
+    compile_plan_native,
+    native_unavailable_reason,
+)
 from ..stencil.program import StencilProgram
 from ..stencil.region import Box
 from .config import EngineConfig
@@ -68,14 +78,31 @@ from .faults import InjectedFault
 
 __all__ = [
     "BACKENDS",
-    "CompiledBackend",
     "FlatInterpreterBackend",
     "IslandBackend",
     "IslandResult",
+    "NativeBackend",
     "TiledBackend",
     "create_backend",
+    "require_native",
     "stage_delta",
 ]
+
+
+def require_native(what: str) -> None:
+    """Raise :class:`NativeBuildError` unless C kernels can be built here.
+
+    ``what`` names the configuration that needs them.  Every backend that
+    compiles C kernels calls this in its constructor, before it allocates
+    anything or forks a worker, so a missing toolchain is a configuration
+    error at construction rather than a failure partway through a run.
+    """
+    reason = native_unavailable_reason()
+    if reason is not None:
+        raise NativeBuildError(
+            f"{what} is unavailable: {reason}; use the 'interpreter' "
+            "backend or install cffi and a C compiler"
+        )
 
 
 def stage_delta(
@@ -119,7 +146,7 @@ class IslandBackend:
     Concrete backends register under :attr:`key` in :data:`BACKENDS` and
     are constructed via :meth:`from_config` /
     :func:`create_backend`.  ``plans`` maps island index to the backend's
-    per-island execution object where one exists (compiled and tiled
+    per-island execution object where one exists (native and tiled
     backends); the interpreter keeps arenas instead.
     """
 
@@ -637,25 +664,27 @@ class FlatInterpreterBackend(IslandBackend):
             self._stage_scratch[island_index] = EvalArena(self.dtype)
 
 
-class CompiledBackend(IslandBackend):
-    """One straight-line compiled step per island, persistent workspace."""
+class NativeBackend(IslandBackend):
+    """One fused-C step per island, persistent workspace.
 
-    key = "compiled"
+    Every halo plan — whole-step, per sub-step under ``sync_every > 1``,
+    and per stage under the exchange and hybrid policies — is compiled
+    by :func:`~repro.stencil.native.compile_plan_native`.  One stage then
+    costs a single memory sweep regardless of its operator-chain depth
+    (MODEL.md §15).  There is deliberately no silent fallback to the
+    interpreter: a quietly degraded backend would invalidate any
+    performance measurement taken through it.
+    """
 
-    def _compile(self, program: StencilProgram, plan, **kwargs):
-        """Compile one halo plan — the single seam subclasses override.
+    key = "native"
 
-        The whole-step, super-step and stage-granular paths all route
-        through here, which is what lets :class:`NativeBackend` swap in
-        fused-C kernels while inheriting every orchestration mode.
-        """
-        from ..stencil import compile_plan
-
-        return compile_plan(program, plan, **kwargs)
+    def __init__(self, *args, **kwargs) -> None:
+        require_native("the 'native' backend")
+        super().__init__(*args, **kwargs)
 
     def prepare(self) -> None:
         self.plans = {
-            island.index: self._compile(
+            island.index: compile_plan_native(
                 self.program,
                 island.halo_plan,
                 dtype=self.dtype,
@@ -697,7 +726,7 @@ class CompiledBackend(IslandBackend):
         self._super_plans: Dict[Tuple[int, int], object] = {}
         for island in self.decomposition.islands:
             for k, plan in enumerate(self._step_plans[island.index]):
-                self._super_plans[(island.index, k)] = self._compile(
+                self._super_plans[(island.index, k)] = compile_plan_native(
                     self.program,
                     plan,
                     dtype=self.dtype,
@@ -750,7 +779,7 @@ class CompiledBackend(IslandBackend):
                     continue
                 stage = self.program.stages[self._flat_stage(s)[1]]
                 sub = self._stage_program(s)
-                compiled = self._compile(
+                compiled = compile_plan_native(
                     sub,
                     required_regions(sub, comp),
                     dtype=self.dtype,
@@ -791,7 +820,7 @@ class CompiledBackend(IslandBackend):
 
 
 class TiledBackend(IslandBackend):
-    """Cache-blocked (3+1)D sweep of each island, per-block compiled steps."""
+    """Cache-blocked (3+1)D sweep of each island, per-block fused-C steps."""
 
     key = "tiled"
 
@@ -808,6 +837,7 @@ class TiledBackend(IslandBackend):
         block_shape: Tuple[int, int, int],
         intra_threads: int = 1,
     ) -> None:
+        require_native("the 'tiled' backend")
         super().__init__(
             program,
             decomposition,
@@ -953,13 +983,11 @@ class TiledBackend(IslandBackend):
 
     # -- stage-granular path (exchange / hybrid) ------------------------
     # Each stage's owned slab is covered by cache-sized blocks, each with
-    # its own compiled one-stage step writing straight into the island's
+    # its own fused-C one-stage step writing straight into the island's
     # persistent stage buffer.  Blocks are swept serially: exchange mode
     # already barriers per stage, so the (3+1)D depth dimension collapses
     # to single-stage sweeps and only the cache blocking remains.
     def _prepare_stage_state(self) -> None:
-        from ..stencil import compile_plan
-
         self._stage_plans: Dict[Tuple[int, int], Tuple[object, ...]] = {}
         for island in self.decomposition.islands:
             q = island.index
@@ -972,7 +1000,7 @@ class TiledBackend(IslandBackend):
                 buffer = self._stage_buffers[q][s]
                 compiled_blocks = []
                 for block in _grid_boxes(comp, self.block_shape):
-                    compiled = compile_plan(
+                    compiled = compile_plan_native(
                         sub,
                         required_regions(sub, block),
                         dtype=self.dtype,
@@ -1041,7 +1069,7 @@ def _grid_boxes(box: Box, block_shape: Tuple[int, int, int]) -> List[Box]:
 
 BACKENDS: Dict[str, Type[IslandBackend]] = {
     backend.key: backend
-    for backend in (FlatInterpreterBackend, CompiledBackend, TiledBackend)
+    for backend in (FlatInterpreterBackend, NativeBackend, TiledBackend)
 }
 
 

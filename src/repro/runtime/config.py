@@ -1,9 +1,10 @@
 """One engine configuration for the whole partitioned runtime.
 
 Three feature axes grew onto the runner in successive steps — backend
-selection (interpreter / compiled / tiled, with an optional intra-island
-team), resilience policy (retry budget, backoff, injected faults) and
-observability (buffer reuse accounting, timing collection) — and each
+selection (interpreter / native / tiled / procs, with an optional
+intra-island team), resilience policy (retry budget, backoff, injected
+faults) and observability (buffer reuse accounting, timing collection)
+— and each
 grew its own copy of the kwarg list: once on
 :class:`~repro.runtime.island_exec.PartitionedRunner`, once on
 :class:`~repro.runtime.island_exec.MpdataIslandSolver`, and once more as
@@ -12,15 +13,10 @@ three copies collapse into: a frozen, validated, JSON-round-trippable
 value describing *how* to execute — the problem itself (program, shape,
 islands, variant, partition) stays a constructor argument, because a
 config that names a grid is a job, not a configuration.
-
-The old keyword arguments remain accepted for one release through
-:func:`resolve_engine_config`, which converts them to an
-:class:`EngineConfig` and emits a :class:`DeprecationWarning`.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, fields
 from typing import Any, Dict, Mapping, Optional, Tuple
 
@@ -32,32 +28,16 @@ from .faults import FaultInjector, parse_fault_spec
 
 __all__ = [
     "BACKEND_KEYS",
-    "LEGACY_ENGINE_KWARGS",
     "PROCS_INNER_KEYS",
     "EngineConfig",
     "resolve_engine_config",
 ]
 
 #: Registry keys of the execution backends (see :mod:`repro.runtime.backends`).
-BACKEND_KEYS = ("interpreter", "compiled", "tiled", "procs", "native")
+BACKEND_KEYS = ("interpreter", "native", "tiled", "procs")
 
 #: Stage executors a ``procs`` worker may run inside itself.
-PROCS_INNER_KEYS = ("interpreter", "compiled", "native")
-
-#: Constructor keywords the one-release deprecation shim still accepts.
-LEGACY_ENGINE_KWARGS = (
-    "boundary",
-    "threads",
-    "dtype",
-    "compiled",
-    "reuse_buffers",
-    "reuse_output",
-    "max_retries",
-    "retry_backoff",
-    "block_shape",
-    "intra_threads",
-    "collect_timings",
-)
+PROCS_INNER_KEYS = ("interpreter", "native")
 
 
 @dataclass(frozen=True)
@@ -68,11 +48,12 @@ class EngineConfig:
     ----------
     backend:
         Registry key of the execution backend: ``"interpreter"`` (stage
-        graph walked per island), ``"compiled"`` (straight-line NumPy per
-        island), ``"tiled"`` (per-block compiled steps, cache-resident
-        (3+1)D sweep; requires ``block_shape``), ``"procs"`` (worker
-        processes over shared memory) or ``"native"`` (fused compiled-C
-        stage kernels; requires cffi and a system C compiler).
+        graph walked per island; needs no C compiler), ``"native"``
+        (fused compiled-C stage kernels per island), ``"tiled"``
+        (per-block native steps, cache-resident (3+1)D sweep; requires
+        ``block_shape``) or ``"procs"`` (worker processes over shared
+        memory).  ``native``, ``tiled`` and ``procs`` with
+        ``procs_inner="native"`` require cffi and a system C compiler.
     boundary:
         Ghost-fill mode for all inputs (``"periodic"`` or ``"open"``).
     threads:
@@ -126,9 +107,9 @@ class EngineConfig:
         ``sched_setaffinity`` (the paper's core-to-island placement).
     procs_inner:
         ``procs`` backend only: the stage executor each worker runs for
-        its islands — ``"compiled"`` (default), ``"interpreter"`` or
-        ``"native"`` (fused C kernels; workers reload the on-disk kernel
-        cache instead of recompiling).
+        its islands — ``"interpreter"`` (default) or ``"native"`` (fused
+        C kernels; workers reload the on-disk kernel cache instead of
+        recompiling).
     step_deadline:
         ``procs`` backend only: explicit supervision deadline in seconds
         for one island command (step or stage).  A worker that does not
@@ -173,7 +154,7 @@ class EngineConfig:
     halo_threshold: Optional[int] = None
     workers: Optional[int] = None
     pin_workers: bool = False
-    procs_inner: str = "compiled"
+    procs_inner: str = "interpreter"
     step_deadline: Optional[float] = None
     deadline_factor: Optional[float] = 8.0
     quarantine_after: Optional[int] = 3
@@ -414,17 +395,11 @@ class EngineConfig:
             or getattr(args, "checkpoint_every", None) is not None
             or getattr(args, "checkpoint_dir", None) is not None
         )
-        # --backend is the explicit selector; the legacy --compiled /
-        # --tiled flags keep working when it is absent.
+        # --backend is the explicit selector; --tiled keeps working when
+        # it is absent.
         backend = getattr(args, "backend", None)
         if backend is None:
-            backend = (
-                "tiled"
-                if tiled
-                else "compiled"
-                if getattr(args, "compiled", False)
-                else "interpreter"
-            )
+            backend = "tiled" if tiled else "interpreter"
         if backend != "tiled" and tiled:
             raise ValueError(
                 f"--backend {backend} does not combine with "
@@ -448,14 +423,7 @@ class EngineConfig:
             pin_workers=(
                 bool(getattr(args, "pin_workers", False)) if procs else False
             ),
-            procs_inner=(
-                getattr(args, "procs_inner", None)
-                or (
-                    "interpreter"
-                    if procs and not getattr(args, "compiled", False)
-                    else "compiled"
-                )
-            ),
+            procs_inner=getattr(args, "procs_inner", None) or "interpreter",
             step_deadline=(
                 getattr(args, "step_deadline", None) if procs else None
             ),
@@ -473,67 +441,20 @@ class EngineConfig:
             sync_every=getattr(args, "sync_every", 1) or 1,
         )
 
-    @classmethod
-    def from_legacy_kwargs(cls, **kwargs: Any) -> "EngineConfig":
-        """Convert the pre-config constructor keywords.
-
-        ``block_shape`` selects the tiled backend and takes precedence
-        over ``compiled=True``, exactly as the old constructor resolved
-        the same combination.
-        """
-        unknown = set(kwargs) - set(LEGACY_ENGINE_KWARGS)
-        if unknown:
-            raise TypeError(
-                f"unexpected keyword argument(s): {', '.join(sorted(unknown))}"
-            )
-        compiled = bool(kwargs.pop("compiled", False))
-        block_shape = kwargs.pop("block_shape", None)
-        if block_shape is not None:
-            backend = "tiled"
-            block_shape = tuple(block_shape)
-        elif compiled:
-            backend = "compiled"
-        else:
-            backend = "interpreter"
-        return cls(backend=backend, block_shape=block_shape, **kwargs)
-
 
 def resolve_engine_config(
-    config: Optional[EngineConfig],
-    legacy: Mapping[str, Any],
-    owner: str,
+    config: Optional[EngineConfig], owner: str
 ) -> EngineConfig:
-    """The constructor-side half of the deprecation shim.
+    """The configuration a runtime constructor runs with.
 
-    Exactly one source may describe the engine: ``config=`` or the old
-    keyword arguments (which warn and are converted).  Mixing them is an
-    error rather than a merge — a silent precedence rule is how configs
-    drift apart.
+    ``None`` means the default engine; anything but an
+    :class:`EngineConfig` is rejected here, at construction.
     """
-    if config is not None:
-        if legacy:
-            raise TypeError(
-                f"{owner}: pass either config= or legacy engine keywords, "
-                f"not both (got {sorted(legacy)})"
-            )
-        if not isinstance(config, EngineConfig):
-            raise TypeError(
-                f"{owner}: config must be an EngineConfig, got "
-                f"{type(config).__name__}"
-            )
-        return config
-    if not legacy:
+    if config is None:
         return EngineConfig()
-    unknown = set(legacy) - set(LEGACY_ENGINE_KWARGS)
-    if unknown:
+    if not isinstance(config, EngineConfig):
         raise TypeError(
-            f"{owner} got unexpected keyword argument(s): "
-            f"{', '.join(sorted(unknown))}"
+            f"{owner}: config must be an EngineConfig, got "
+            f"{type(config).__name__}"
         )
-    warnings.warn(
-        f"{owner}: engine keyword arguments {sorted(legacy)} are "
-        "deprecated; pass config=EngineConfig(...) instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    return EngineConfig.from_legacy_kwargs(**legacy)
+    return config

@@ -11,9 +11,9 @@ checks.
 The runner is a thin composition of four explicit layers:
 
 * a **backend** (:mod:`repro.runtime.backends`) owning the per-island
-  compute resources — interpreter arenas, compiled workspaces, or tiled
-  block plans — behind one ``prepare``/``execute_island``/``refresh``
-  lifecycle;
+  compute resources — interpreter arenas, native plan workspaces, or
+  tiled block plans — behind one
+  ``prepare``/``execute_island``/``refresh`` lifecycle;
 * a **resilience** layer (:mod:`repro.runtime.resilience`) wrapping every
   island sweep with fault injection, bounded retry and backoff;
 * a **telemetry** spine (:mod:`repro.runtime.telemetry`) that can record
@@ -53,12 +53,7 @@ from ..mpdata.reference import MpdataState
 from ..mpdata.solver import GhostSpec
 from ..mpdata.stages import FIELD_DENSITY, FIELD_X, mpdata_program
 from ..stencil import ArrayRegion, Box, StencilProgram, full_box
-from .backends import (
-    CompiledBackend,
-    IslandResult,
-    TiledBackend,
-    create_backend,
-)
+from .backends import IslandResult, create_backend
 from .config import EngineConfig, resolve_engine_config
 from .faults import FaultInjector, FaultStats
 from .resilience import IslandFailure, ResiliencePolicy, ResilientExecutor
@@ -114,14 +109,6 @@ class PartitionedRunner:
         successful step is recorded into its sinks as a
         :class:`~repro.runtime.telemetry.StepEvent`.  Without sinks the
         runner pays nothing beyond filling :attr:`last_step_stats`.
-    **legacy:
-        The pre-config keyword arguments (``boundary``, ``threads``,
-        ``dtype``, ``compiled``, ``reuse_buffers``, ``reuse_output``,
-        ``max_retries``, ``retry_backoff``, ``block_shape``,
-        ``intra_threads``, ``collect_timings``) are still accepted for
-        one release; they convert to an :class:`EngineConfig` and emit a
-        :class:`DeprecationWarning`.  Mixing them with ``config=`` is an
-        error.
     """
 
     def __init__(
@@ -135,12 +122,11 @@ class PartitionedRunner:
         *,
         fault_injector: Optional[FaultInjector] = None,
         telemetry: Optional[Telemetry] = None,
-        **legacy: object,
     ) -> None:
         outputs = program.output_fields
         if len(outputs) != 1:
             raise ValueError("PartitionedRunner requires a single-output program")
-        config = resolve_engine_config(config, legacy, "PartitionedRunner")
+        config = resolve_engine_config(config, "PartitionedRunner")
         self.config = config
         self.program = program
         self.shape = tuple(shape)
@@ -244,22 +230,6 @@ class PartitionedRunner:
         # the amortized sync rate temporal blocking exists to lower.
         self.total_steps_advanced = 0
         self.total_syncs = 0
-
-    # ------------------------------------------------------------------
-    # Pre-refactor surface: the per-island plan dicts of the compiled and
-    # tiled paths, now owned by the backend.
-    # ------------------------------------------------------------------
-    @property
-    def _tiled(self) -> Optional[Dict[int, object]]:
-        if isinstance(self.backend, TiledBackend):
-            return self.backend.plans
-        return None
-
-    @property
-    def _compiled(self) -> Optional[Dict[int, object]]:
-        if isinstance(self.backend, CompiledBackend):
-            return self.backend.plans
-        return None
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -714,10 +684,8 @@ class MpdataIslandSolver:
     The solver is a context manager (closing releases the runner's thread
     pool).  The engine — backend, buffer reuse, resilience policy, timing
     collection — is selected by one :class:`~repro.runtime.config
-    .EngineConfig`; the old keyword arguments remain accepted for one
-    release via the same deprecation shim as the runner.  Checkpointed
-    rollback-and-replay is enabled per run via :meth:`run`'s ``recovery``
-    policy.
+    .EngineConfig`.  Checkpointed rollback-and-replay is enabled per run
+    via :meth:`run`'s ``recovery`` policy.
     """
 
     def __init__(
@@ -731,9 +699,8 @@ class MpdataIslandSolver:
         program: Optional[StencilProgram] = None,
         fault_injector: Optional[FaultInjector] = None,
         telemetry: Optional[Telemetry] = None,
-        **legacy: object,
     ) -> None:
-        config = resolve_engine_config(config, legacy, "MpdataIslandSolver")
+        config = resolve_engine_config(config, "MpdataIslandSolver")
         self.config = config
         self.runner = PartitionedRunner(
             program if program is not None else mpdata_program(),

@@ -21,7 +21,7 @@ alike:
 
 Workers are forked (POSIX only), so they inherit the parent's program,
 decomposition and shared-memory views with no pickling; each worker then
-builds its *own* islands' compute state — arenas, compiled workspaces —
+builds its *own* islands' compute state — arenas, native plan workspaces —
 in its own address space, the first-touch-style per-island initialization
 of Wittmann/Hager (arXiv 0912.4506).  The step protocol is the paper's
 one-barrier-per-step: the parent issues one command per island, the
@@ -30,7 +30,7 @@ once per stage.  Temporal blocking (``sync_every = s``) amortizes that
 barrier: one ``super`` command advances ``s`` chained sub-steps inside
 the worker, so the parent pays one dispatch and one pipe-join per
 super-step — ``s``\\ × fewer synchronizations for the same trajectory.
-The interpreter/compiled stage executors run inside the workers
+The interpreter/native stage executors run inside the workers
 unchanged, so every trajectory is bit-identical to the single-process
 backends.
 
@@ -82,7 +82,7 @@ from ..core import IslandDecomposition
 from ..stencil.interpreter import ArrayRegion
 from ..stencil.program import StencilProgram
 from ..stencil.region import Box
-from .backends import BACKENDS, IslandBackend, IslandResult
+from .backends import BACKENDS, IslandBackend, IslandResult, require_native
 from .config import PROCS_INNER_KEYS, EngineConfig
 from .faults import InjectedFault, WorkerHung
 
@@ -404,7 +404,7 @@ class ProcsBackend(IslandBackend):
         timed: bool,
         workers: Optional[int] = None,
         pin_workers: bool = False,
-        inner: str = "compiled",
+        inner: str = "interpreter",
         step_deadline: Optional[float] = None,
         deadline_factor: Optional[float] = 8.0,
         quarantine_after: Optional[int] = 3,
@@ -419,6 +419,10 @@ class ProcsBackend(IslandBackend):
             raise ValueError(
                 f"procs inner executor must be one of {known}, got {inner!r}"
             )
+        if inner == "native":
+            # Checked here, in the parent: a worker that failed to build
+            # its kernels after the fork would only surface as a crash.
+            require_native("procs with procs_inner='native'")
         super().__init__(
             program,
             decomposition,

@@ -46,10 +46,9 @@ class SteadyStateReport:
     islands: int
     threads: int
     steps: int
-    compiled: bool
     bit_identical: bool
     halo: str = "recompute"
-    backend: str = ""  # registry key; "" = derived from ``compiled``
+    backend: str = "interpreter"
     sync_every: int = 1
     #: mode name -> {"step_time_s", "allocations_per_step", "reused_per_step",
     #:               "warmup_allocations", "exchanged_bytes_per_step",
@@ -78,7 +77,6 @@ class SteadyStateReport:
             "islands": self.islands,
             "threads": self.threads,
             "steps": self.steps,
-            "compiled": self.compiled,
             "bit_identical": self.bit_identical,
             "halo": self.halo,
             "backend": self.backend,
@@ -94,12 +92,7 @@ class SteadyStateReport:
             "Steady-state execution engine "
             f"({ni}x{nj}x{nk}, {self.islands} islands, "
             f"{self.threads} threads, {self.steps} steps, "
-            + (
-                f"backend {self.backend}, "
-                if self.backend
-                else f"{'compiled' if self.compiled else 'interpreted'}, "
-            )
-            + f"halo {self.halo}"
+            f"backend {self.backend}, halo {self.halo}"
             + (
                 f", sync every {self.sync_every}"
                 if self.sync_every > 1
@@ -205,7 +198,6 @@ def measure_steady_state(
     steps: int = 10,
     islands: int = 4,
     threads: int = 1,
-    compiled: bool = False,
     boundary: str = "periodic",
     seed: int = 0,
     state=None,
@@ -214,7 +206,7 @@ def measure_steady_state(
     halo_threshold: Optional[int] = None,
     variant: Variant = Variant.A,
     partition_grid: Optional[Tuple[int, int]] = None,
-    backend: Optional[str] = None,
+    backend: str = "interpreter",
     workers: Optional[int] = None,
     pin_workers: bool = False,
     step_deadline: Optional[float] = None,
@@ -232,8 +224,8 @@ def measure_steady_state(
     Lines file.  ``halo`` selects the boundary policy (recompute /
     exchange / hybrid); ``partition_grid=(pi, pj)`` decomposes over a 2D
     island grid instead of 1D slabs (``variant`` must be ``GRID_2D``).
-    ``backend`` overrides the ``compiled`` flag with an explicit registry
-    key (e.g. ``"procs"``, whose worker count, CPU pinning and deadline
+    ``backend`` is the registry key (e.g. ``"procs"``, whose worker
+    count, CPU pinning and deadline
     supervision come from ``workers`` / ``pin_workers`` /
     ``step_deadline`` / ``deadline_factor`` / ``quarantine_after``;
     ``None`` for the last three keeps the config defaults, and ``0`` for
@@ -250,8 +242,6 @@ def measure_steady_state(
         pi, pj = partition_grid
         partition = partition_grid_2d(full_box(shape), pi, pj)
         islands = partition.count
-    if backend is None:
-        backend = "compiled" if compiled else "interpreter"
     procs = backend == "procs"
     supervision = {}
     if procs:
@@ -276,7 +266,6 @@ def measure_steady_state(
         islands=islands,
         threads=threads,
         steps=steps,
-        compiled=compiled,
         bit_identical=False,
         halo=halo,
         backend=backend,
@@ -314,8 +303,8 @@ def measure_steady_state(
 class TiledEngineReport:
     """Flat vs tiled (3+1)D engine measurements for one configuration.
 
-    All modes run the compiled steady-state engine; what varies is the
-    inner execution order — one flat sweep per island versus a
+    All modes run native kernels in the steady-state engine; what varies
+    is the inner execution order — one flat sweep per island versus a
     block-by-block sweep (optionally on an intra-island thread team).
     Every mode must reproduce the flat trajectory bit-for-bit.
     """
@@ -394,9 +383,9 @@ def measure_tiled_engine(
     collect_timings: bool = False,
     telemetry_jsonl: Optional[str] = None,
 ) -> TiledEngineReport:
-    """Measure the flat compiled engine against its tiled backend.
+    """Measure the flat native engine against its tiled backend.
 
-    Runs ``flat`` (compiled, one sweep per island), ``tiled``
+    Runs ``flat`` (native, one sweep per island), ``tiled``
     (block-by-block, serial sweep) and — when ``intra_threads > 1`` —
     ``tiled+team`` (same blocks on an intra-island thread team).  All
     modes advance ``1 + steps`` identical time steps from the same state;
@@ -434,7 +423,7 @@ def measure_tiled_engine(
     results = {}
     for mode, blocks, intra in configs:
         config = EngineConfig(
-            backend="compiled" if blocks is None else "tiled",
+            backend="native" if blocks is None else "tiled",
             boundary=boundary,
             threads=threads,
             reuse_buffers=True,

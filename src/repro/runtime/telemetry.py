@@ -58,7 +58,7 @@ class StepTimings:
         execution, where an island is one undivided sweep).
     stage_seconds:
         Wall seconds per stage name, summed over islands and blocks.
-        Available from the compiled engines (timed codegen) and the
+        Available from the native engines (timed plans) and the
         interpreter; empty when the backend cannot attribute stages.
     """
 
@@ -157,7 +157,7 @@ class StepStats:
     ``1 / sync_every``.
 
     ``plan_cache_hits`` / ``plan_cache_misses`` report how many of this
-    runner's compiled plans (NumPy or native) were served from the
+    runner's native plans were served from the
     process-wide plan cache at construction time (see
     :mod:`repro.stencil.plancache`).  They are a property of the runner,
     so every step of one runner reports the same numbers.

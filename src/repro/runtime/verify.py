@@ -49,13 +49,13 @@ def verify_islands(
     boundary: str = "periodic",
     threads: int = 1,
     program: Optional[StencilProgram] = None,
-    compiled: bool = False,
+    backend: str = "interpreter",
     reuse_buffers: bool = True,
     reuse_output: bool = False,
 ) -> VerificationResult:
     """Compare an islands run to the whole-domain run, bit for bit.
 
-    ``compiled`` / ``reuse_buffers`` / ``reuse_output`` select the
+    ``backend`` / ``reuse_buffers`` / ``reuse_output`` select the
     steady-state engine configuration under test (see
     :class:`~repro.runtime.island_exec.PartitionedRunner`); every
     combination must reproduce the whole-domain reference exactly.
@@ -63,7 +63,7 @@ def verify_islands(
     whole = MpdataSolver(shape, boundary=boundary, program=program)
     expected = whole.run(state, steps)
     config = EngineConfig(
-        backend="compiled" if compiled else "interpreter",
+        backend=backend,
         boundary=boundary,
         threads=threads,
         reuse_buffers=reuse_buffers,

@@ -27,7 +27,7 @@ from .autotune import (
     measured_objective,
     tune_sync_every,
 )
-from .codegen import CompiledPlan, Workspace, compile_plan, compile_program
+from .codegen import CompiledPlan, Workspace
 from .expr import (
     Access,
     Binary,
@@ -84,7 +84,6 @@ from .lowering import (
 )
 from .native import (
     NativeBuildError,
-    NativePlan,
     compile_plan_native,
     native_available,
 )
@@ -143,7 +142,6 @@ __all__ = [
     "HaloPlan",
     "KernelIR",
     "NativeBuildError",
-    "NativePlan",
     "Offset",
     "PLAN_CACHE",
     "ProgramCost",
@@ -164,11 +162,9 @@ __all__ = [
     "biharmonic",
     "candidate_shapes",
     "clear_plan_cache",
-    "compile_plan",
     "compile_plan_native",
     "compile_plan_tiled",
     "composed_step_plans",
-    "compile_program",
     "dependency_levels",
     "describe_program",
     "describe_stage_table",

@@ -222,7 +222,7 @@ def tune_sync_every(
     islands: int = 4,
     candidates: Sequence[int] = (1, 2, 4),
     steps: int = 8,
-    backend: str = "compiled",
+    backend: str = "native",
     halo: str = "recompute",
     halo_threshold: Optional[int] = None,
     threads: int = 1,

@@ -14,7 +14,7 @@ two-field leapfrogs, and deep heterogeneous chains:
   (each extra stage deepens the transitive halo by one).
 
 All programs are single-output and runnable by every executor in the
-library (interpreter, compiled, partitioned, threaded).
+library (interpreter, native, partitioned, threaded).
 """
 
 from __future__ import annotations

@@ -20,9 +20,9 @@ lowering into explicit, typed data:
 The lowering mirrors ``Expr._eval_into`` exactly — same operation set, same
 evaluation order, same selection expansion (compare, copy-else, masked
 copy-then) — so any backend that executes the ops faithfully reproduces the
-interpreter bit for bit.  The NumPy source generator in
-:mod:`repro.stencil.codegen` and the fused-C emitter in
-:mod:`repro.stencil.native` are both thin walks over this IR.
+interpreter bit for bit.  The IR has one emitter, the fused-C one in
+:mod:`repro.stencil.native`, a thin walk over this IR; the cost model
+(:mod:`repro.machine.costmodel`) reads the same schedules.
 
 Slot allocation is LIFO: ``acquire`` pops the most recently released slot
 (else opens a new one), ``release`` happens the moment an operand's last
@@ -70,8 +70,7 @@ class Operand:
     ``kind`` is one of:
 
     * ``"const"`` — a scalar literal; ``value`` holds the float, ``text``
-      its ``repr`` (the exact spelling the NumPy emitter uses, which C's
-      ``strtod`` parses back to the same double).
+      its ``repr`` (which C's ``strtod`` parses back to the same double).
     * ``"view"`` — a bound input view; ``text`` is the view symbol
       (``_v3``) resolved through the stage's :class:`ViewBind` list.
     * ``"slot"`` — float scratch slot ``slot``; ``text`` is ``_s{slot}``.
@@ -94,9 +93,8 @@ class ViewBind:
 
     ``symbol`` is the view's name in generated code; ``field`` and
     ``offset`` identify the access; ``read_box`` is the global-coordinate
-    box the view covers (``compute.shift(offset)``).  Emitters turn this
-    into a constant slice (NumPy) or a constant base offset (C) against the
-    field's anchor box.
+    box the view covers (``compute.shift(offset)``).  The emitter turns
+    this into a constant base offset against the field's anchor box.
     """
 
     symbol: str
@@ -162,7 +160,7 @@ class StageSchedule:
     """The complete lowered schedule of one non-empty stage.
 
     ``index`` is the stage's position in the *program* (0-based; the
-    NumPy emitter's stage comments print ``index + 1``).  ``box`` is the
+    emitted stage comments print ``index + 1``).  ``box`` is the
     stage's clipped compute box; every op sweeps ``box.shape`` points.
     ``float_slots`` / ``mask_slots`` list every slot index the stage ever
     touches (sorted); ``peak_float_slots`` / ``peak_mask_slots`` are the
@@ -218,7 +216,7 @@ class KernelIR:
 
     ``anchors`` maps each live field (inputs *and* produced fields) to the
     box its backing array is anchored at; ``input_anchors`` is the subset
-    for program inputs (the callable's signature, sorted by the emitters).
+    for program inputs (the plan's input views).
     """
 
     program: StencilProgram
@@ -322,9 +320,8 @@ def lower_plan(program: StencilProgram, plan: HaloPlan) -> KernelIR:
     """Lower every non-empty stage of ``plan`` to a :class:`KernelIR`.
 
     Validates what code generation requires — compilable field names and
-    reads that stay inside the available (anchored) data — raising the
-    same errors the string emitter historically raised, so both the NumPy
-    and the native backends share one diagnostic surface.
+    reads that stay inside the available (anchored) data — so a plan that
+    cannot run fails here, before any C is emitted.
     """
     for declared in program.fields:
         if not declared.name.isidentifier() or declared.name.startswith("_") or (

@@ -1,13 +1,13 @@
 """Fused native-C kernels for stencil stages (cffi + system ``cc``).
 
-The NumPy emitter in :mod:`repro.stencil.codegen` executes a stage as a
-*chain* of whole-array ufunc sweeps: an op chain of depth N reads and
-writes stage-sized arrays N times, so every stage is bandwidth-bound no
-matter how arithmetic-heavy its expression is.  This module walks the same
-kernel IR (:mod:`repro.stencil.lowering`) and instead emits **one fused C
-loop nest per stage**: the whole op chain runs per grid point in scalar
-registers, so each point costs one read per input view and one write to
-the output — the transform that moves heterogeneous stages from the
+The interpreter executes a stage as a *chain* of whole-array ufunc
+sweeps: an op chain of depth N reads and writes stage-sized arrays N
+times, so every stage is bandwidth-bound no matter how arithmetic-heavy
+its expression is.  This module is the one emitter over the kernel IR
+(:mod:`repro.stencil.lowering`): it emits **one fused C loop nest per
+stage**, so the whole op chain runs per grid point in scalar registers
+and each point costs one read per input view and one write to the
+output — the transform that moves heterogeneous stages from the
 ``stream`` regime toward the ``cached``/``team`` regimes of the cost
 model (Malas & Hager, arXiv:1510.04995).
 
@@ -30,11 +30,10 @@ Compiled shared objects are cached on disk keyed by a content hash of the
 generated C source (``REPRO_NATIVE_CACHE`` overrides the location), so
 re-runs — and worker processes of the procs pool rebuilding their inner
 backend after fork/spawn — reload the ``.so`` instead of invoking the
-compiler.  :func:`compile_plan_native` returns a :class:`NativePlan`,
-which *is a* :class:`~repro.stencil.codegen.CompiledPlan`: the Workspace
-protocol, ``bind_out``, persistence, and per-stage timing all behave
-identically, which is what lets the native island backend reuse the
-compiled backend's orchestration wholesale.
+compiler.  :func:`compile_plan_native` returns a
+:class:`~repro.stencil.codegen.CompiledPlan` whose stage launches call
+the loaded kernels; cffi releases the GIL for each call, so threads
+sweeping different islands or blocks run their kernels in parallel.
 """
 
 from __future__ import annotations
@@ -47,12 +46,12 @@ import os
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .codegen import CompiledPlan, PlanBinding, Workspace
+from .codegen import CompiledPlan, Workspace
 from .halo import HaloPlan
 from .lowering import (
     BinaryOp,
@@ -70,7 +69,6 @@ from .region import Box
 
 __all__ = [
     "NativeBuildError",
-    "NativePlan",
     "native_available",
     "native_unavailable_reason",
     "native_cache_dir",
@@ -393,8 +391,8 @@ class _StageLaunches:
     stage's output slot, check unit innermost strides, cast pointers.
     The tuples stay valid while the workspace is the same object at the
     same :attr:`Workspace.epoch` (no output slot changed array since) and
-    the owning :class:`PlanBinding` holds its inputs; ``produced`` keeps
-    every array a pointer refers to alive.
+    the owning :class:`~repro.stencil.codegen.PlanBinding` holds its
+    inputs; ``produced`` keeps every array a pointer refers to alive.
     """
 
     workspace: Workspace
@@ -404,43 +402,6 @@ class _StageLaunches:
 
     def holds(self, workspace: Workspace) -> bool:
         return workspace is self.workspace and workspace.epoch == self.epoch
-
-
-@dataclass
-class NativePlan(CompiledPlan):
-    """A :class:`CompiledPlan` whose step function calls fused C kernels.
-
-    ``source`` holds the generated C translation unit (inspectable, like
-    the NumPy plan's Python source).  Everything else — workspace
-    protocol, ``bind_out``, persistence, per-stage timing — is inherited
-    unchanged, so the native backend composes with the same runtime
-    machinery as the compiled backend.
-
-    With a persistent workspace the stage launches are bound once per
-    :class:`PlanBinding`: a steady-state call is the kernel calls alone
-    (plus per-stage clock reads when timed).  Without one every call gets
-    a fresh workspace, so the launches are rebuilt per call.
-    """
-
-    _bind_stages: Optional[Callable[..., _StageLaunches]] = field(
-        default=None, repr=False, compare=False
-    )
-    _launch: Optional[Callable[[_StageLaunches], Dict[str, np.ndarray]]] = field(
-        default=None, repr=False, compare=False
-    )
-
-    def _run(self, binding: PlanBinding) -> Dict[str, np.ndarray]:
-        workspace = self._workspace_cell[0]
-        if workspace is None:
-            return self._function(**binding.arrays)
-        stages = binding.stages
-        if stages is None or not stages.holds(workspace):
-            stages = binding.stages = self._bind_stages(binding.arrays, workspace)
-        else:
-            # The output slots a per-call sweep fetches again, counted the
-            # same way so workspace reuse counters keep their meaning.
-            workspace.reuses += len(stages.args)
-        return self._launch(stages)
 
 
 def _strides_in_elements(array: np.ndarray, label: str) -> Tuple[int, int]:
@@ -461,24 +422,27 @@ def compile_plan_native(
     reuse_buffers: bool = False,
     timed: bool = False,
     workspace_max_elems: Optional[int] = None,
-) -> NativePlan:
+) -> CompiledPlan:
     """Compile one halo plan to fused native-C stage kernels.
 
-    Drop-in equivalent of :func:`repro.stencil.codegen.compile_plan` —
-    same signature, same Workspace/persistence semantics, bit-identical
-    results — but each stage executes as a single compiled loop nest
-    instead of a chain of NumPy sweeps.  Raises :class:`NativeBuildError`
-    when cffi or a C compiler is missing (callers choose the fallback;
-    the runtime's backend registry reports this as a configuration
-    error rather than silently degrading).
+    Each stage executes as a single compiled loop nest, bit-identical to
+    the interpreter.  With ``reuse_buffers`` the plan starts with a
+    persistent :class:`~repro.stencil.codegen.Workspace`, making repeat
+    calls allocation-free.  ``timed`` reads the clock between stage
+    kernels so :attr:`CompiledPlan.stage_seconds` accumulates per-stage
+    wall time; ``workspace_max_elems`` sizes every workspace the plan
+    creates.  Raises :class:`NativeBuildError` when cffi or a C compiler
+    is missing (the runtime's backends check this once, at construction,
+    and report it as a configuration error rather than degrading).
 
     Generated C and the stage call table are served from the process-wide
     plan cache; compiled shared objects are additionally cached on disk,
-    so forked/spawned procs workers reload instead of recompiling.
+    so forked/spawned procs workers reload instead of recompiling.  Each
+    call still returns its own plan object, so cached plans never share
+    buffers.
     """
     dtype = np.dtype(dtype)
     cache_key = (
-        "native",
         program_fingerprint(program),
         plan_geometry_key(plan),
         dtype.str,
@@ -511,18 +475,6 @@ def compile_plan_native(
     stage_functions: Tuple[Callable, ...] = tuple(
         getattr(lib, call.symbol) for call in calls
     )
-
-    workspace_cell: List[Optional[Workspace]] = [
-        Workspace(dtype, workspace_max_elems) if reuse_buffers else None,
-        None,  # last ephemeral workspace, kept so callers can read stats
-    ]
-
-    def _ws() -> Workspace:
-        cached = workspace_cell[0]
-        if cached is not None:
-            return cached
-        workspace_cell[1] = Workspace(dtype, workspace_max_elems)
-        return workspace_cell[1]
 
     stage_seconds: Optional[List[float]] = None
     clock = None
@@ -568,20 +520,18 @@ def compile_plan_native(
                 mark = now
         return stages.produced
 
-    def _step(**arrays: np.ndarray) -> Dict[str, np.ndarray]:
-        return _launch(_bind_stages(arrays, _ws()))
-
-    return NativePlan(
+    return CompiledPlan(
         program=program,
         plan=plan,
         source=csource,
-        _function=_step,
-        _input_anchors=input_anchors,
         dtype=dtype,
-        _workspace_cell=workspace_cell,
+        _input_anchors=input_anchors,
+        _bind_stages=_bind_stages,
+        _launch=_launch,
+        _workspace=(
+            Workspace(dtype, workspace_max_elems) if reuse_buffers else None
+        ),
         workspace_max_elems=workspace_max_elems,
         _stage_names=tuple(call.name for call in calls),
         _stage_seconds=stage_seconds,
-        _bind_stages=_bind_stages,
-        _launch=_launch,
     )

@@ -1,27 +1,23 @@
 """Process-wide cache of compiled stencil plans.
 
-Runner construction compiles one plan per island (and per sub-step, and —
-under the exchange policy — per stage).  The emitted artifact depends only
-on (program, plan geometry, dtype, emission flags), so repeated runner
-construction with the same :class:`~repro.runtime.config.EngineConfig` —
-retries, benchmark sweeps, the future engine-pool — can reuse the compiled
-artifact instead of re-lowering, re-emitting and re-``compile()``-ing.
+Runner construction compiles one plan per island (and per sub-step, per
+tiled block, and — under the exchange policy — per stage).  The emitted
+artifact depends only on (program, plan geometry, dtype), so repeated
+runner construction with the same :class:`~repro.runtime.config
+.EngineConfig` — retries, benchmark sweeps — can reuse it instead of
+re-lowering and re-emitting.
 
-Two layers use this module:
-
-* :func:`repro.stencil.codegen.compile_plan` caches the generated NumPy
-  source **and** its compiled code object; a hit skips lowering, emission
-  and bytecode compilation (the per-plan function is still ``exec``-ed
-  into a fresh namespace, so plans never share workspaces).
-* :func:`repro.stencil.native.compile_plan_native` caches the generated C
-  source and module name; a hit skips lowering and C emission, and the
-  on-disk shared-object cache (see :mod:`repro.stencil.native`) skips the
-  ``cc`` invocation as well.
+:func:`repro.stencil.native.compile_plan_native` caches the generated C
+source, its cffi declarations and the stage call table here; a hit skips
+lowering and C emission, and the on-disk shared-object cache (see
+:mod:`repro.stencil.native`) skips the ``cc`` invocation as well.  Each
+hit still gets its own plan object and workspace, so cached plans never
+share buffers.
 
 Cache keys embed a content fingerprint of the program (SHA-1 of its
-canonical serialized form), the plan's exact box geometry, the dtype and
-the backend/flavour tag, so distinct programs or geometries can never
-collide.  Hit/miss counters are surfaced per-runner in step telemetry
+canonical serialized form), the plan's exact box geometry and the dtype,
+so distinct programs or geometries can never collide.  Hit/miss counters
+are surfaced per-runner in step telemetry
 (:class:`repro.runtime.telemetry.StepStats.plan_cache_hits`).
 """
 

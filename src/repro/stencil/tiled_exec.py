@@ -1,4 +1,4 @@
-"""Tiled (3+1)D execution of compiled stencil plans.
+"""Tiled (3+1)D execution of native stencil plans.
 
 :mod:`repro.stencil.tiling` plans cache-sized blocks and the cost model
 prices them; this module *executes* them.  A :class:`TiledPlan` covers one
@@ -9,21 +9,25 @@ MPDATA stages stays cache-resident while a block is processed, and main
 memory sees only the compulsory input/output streams.
 
 Each block gets its own backward halo analysis (clipped exactly like the
-island's plan) and its own straight-line compiled step with a *sized*
+island's plan) and its own fused-C step
+(:func:`~repro.stencil.native.compile_plan_native`) with a *sized*
 persistent :class:`~repro.stencil.codegen.Workspace`, so the steady state
 allocates nothing and a block's buffers can never silently grow past the
-block.  Block halos are recomputed from the island's ghost-extended
-inputs, never communicated — blocks relate to the island exactly as
-islands relate to the domain.
+block.  Blocks whose emitted C is the same — equal shapes and read
+offsets, as interior blocks of a periodic grid have — load one shared
+kernel module, so tiling adds no compiler runs per block.  Block halos
+are recomputed from the island's ghost-extended inputs, never
+communicated — blocks relate to the island exactly as islands relate to
+the domain.
 
-**Bit-identity.**  Every expression node lowers to an elementwise ufunc,
-so the value of any grid point of any stage depends only on the values of
-its operand points, never on the shape of the array the ufunc swept.  A
+**Bit-identity.**  Every stage kernel evaluates its op chain per grid
+point, so the value of any point of any stage depends only on the values
+of its operand points, never on the shape of the box the kernel swept.  A
 block's stage box is the same backward expansion (and the same clipping)
 the island plan uses, restricted to the block, so every output element is
 produced by the identical per-element operation chain as in flat
-execution — tiled results equal flat results to the last bit, which the
-property tests pin.
+execution — tiled results equal flat results (and the interpreter's) to
+the last bit, which the property tests pin.
 
 **Intra-island work team.**  With ``intra_threads > 1`` the block list is
 split into that many contiguous chunks (static chunking, i-major order
@@ -31,8 +35,8 @@ preserved per worker) and swept by a persistent thread team.  There is
 deliberately *no per-stage barrier*: the per-stage sync of the original
 scheme is precisely what the islands approach eliminates, and block halo
 recomputation makes every block self-contained, so workers only meet at
-the end of the sweep — once per island per step.  NumPy ufuncs release
-the GIL, so the team is true parallelism.
+the end of the sweep — once per island per step.  cffi releases the GIL
+for every kernel call, so the team is true parallelism.
 """
 
 from __future__ import annotations
@@ -44,10 +48,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .codegen import CompiledPlan, Workspace, compile_plan
+from .codegen import CompiledPlan, Workspace
 from .halo import HaloPlan, required_regions
-from .plancache import PLAN_CACHE
 from .interpreter import ArrayRegion
+from .native import compile_plan_native
+from .plancache import PLAN_CACHE
 from .program import StencilProgram
 from .region import Box
 from .tiling import BlockPlan
@@ -57,7 +62,7 @@ __all__ = ["BlockTask", "TiledPlan", "compile_plan_tiled"]
 
 @dataclass
 class BlockTask:
-    """One block of a tiled plan: its box, halo plan and compiled step."""
+    """One block of a tiled plan: its box, halo plan and native step."""
 
     index: int
     block: Box
@@ -287,7 +292,10 @@ def compile_plan_tiled(
     intra_threads: int = 1,
     timed: bool = False,
 ) -> TiledPlan:
-    """Compile a halo plan into a block-by-block execution backend.
+    """Compile a halo plan into native block steps, swept block by block.
+
+    Raises :class:`~repro.stencil.native.NativeBuildError` when cffi or a
+    C compiler is missing.
 
     Parameters
     ----------
@@ -327,7 +335,7 @@ def compile_plan_tiled(
             (box.size for box in block_halo.stage_boxes if not box.is_empty()),
             default=0,
         )
-        compiled = compile_plan(
+        compiled = compile_plan_native(
             program,
             block_halo,
             dtype=dtype,

@@ -29,7 +29,7 @@ def _translation_error(cells: int, program) -> float:
     x = np.tile(profile[:, None, None], (1, 4, 4))
     u1, u2, u3 = uniform_velocity(shape, (0.25, 0.0, 0.0))
     state = MpdataState(x, u1, u2, u3, np.ones(shape))
-    solver = MpdataSolver(shape, program=program, compiled=True)
+    solver = MpdataSolver(shape, program=program)
     out = solver.run(state, steps=cells)  # 0.25 * cells cells of travel
     exact = np.roll(x, cells // 4, axis=0)
     return float(np.abs(out - exact).mean())

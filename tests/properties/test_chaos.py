@@ -21,20 +21,38 @@ import numpy as np
 import pytest
 
 from repro.mpdata import random_state
-from repro.runtime import EngineConfig, MpdataIslandSolver, RecoveryPolicy
+from repro.runtime import (
+    EngineConfig,
+    MpdataIslandSolver,
+    RecoveryPolicy,
+    native_available,
+)
 
 SHAPE = (16, 12, 8)
 STEPS = 50
 ISLANDS = 2
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
+
 BACKENDS = [
     pytest.param(EngineConfig(backend="interpreter"), id="interpreter"),
-    pytest.param(EngineConfig(backend="compiled"), id="compiled"),
     pytest.param(
-        EngineConfig(backend="tiled", block_shape=(8, 12, 8)), id="tiled"
+        EngineConfig(backend="native"), id="native", marks=needs_native
+    ),
+    pytest.param(
+        EngineConfig(backend="tiled", block_shape=(8, 12, 8)),
+        id="tiled",
+        marks=needs_native,
     ),
     pytest.param(
         EngineConfig(backend="procs", step_deadline=2.0), id="procs"
+    ),
+    pytest.param(
+        EngineConfig(backend="procs", step_deadline=2.0, procs_inner="native"),
+        id="procs-native",
+        marks=needs_native,
     ),
 ]
 

@@ -1,13 +1,14 @@
 """Property-based tests of the compiler-side invariants.
 
-Random multi-stage programs are pushed through codegen, the transformation
-passes and serialization; in every case the observable semantics (array
+Random multi-stage programs are pushed through the native compiler, the
+transformation passes and serialization; in every case the observable semantics (array
 values, to the last bit) or the structure (program equality) must survive.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stencil import (
@@ -18,12 +19,13 @@ from repro.stencil import (
     FieldRole,
     Stage,
     StencilProgram,
-    compile_plan,
+    compile_plan_native,
     eliminate_dead_stages,
     execute_plan,
     inline_all_temporaries,
     load_program,
     dump_program,
+    native_available,
     required_regions,
     schedule_by_levels,
 )
@@ -78,16 +80,19 @@ def _inputs_for(program, plan, seed):
     return out
 
 
+@pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
 @settings(max_examples=40, deadline=None)
 @given(program=programs(), seed=st.integers(0, 1000))
 def test_codegen_bit_exact_for_random_programs(program, seed):
-    """Compiled straight-line code computes the same bits as the
-    interpreter on any program."""
+    """Fused native kernels compute the same bits as the interpreter on
+    any program."""
     target = Box((0, 0, 0), (9, 7, 4))
     plan = required_regions(program, target)
     inputs = _inputs_for(program, plan, seed)
     expected, _ = execute_plan(program, plan, inputs)
-    compiled = compile_plan(program, plan)
+    compiled = compile_plan_native(program, plan)
     actual = compiled(inputs)
     output = program.output_fields[0].name
     np.testing.assert_array_equal(

@@ -1,7 +1,7 @@
 """Property tests for the steady-state execution engine.
 
 The engine's whole claim is "same bits, fewer allocations": `out=`-arena
-expression evaluation — interpreted and compiled, ephemeral and persistent
+expression evaluation — interpreted and native, ephemeral and persistent
 — must be indistinguishable from naive evaluation on every program in the
 stencil gallery, and repeat runs over persistent arenas must allocate
 nothing.
@@ -10,6 +10,7 @@ nothing.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.stencil import (
@@ -18,8 +19,9 @@ from repro.stencil import (
     Box,
     EvalArena,
     StageArena,
-    compile_plan,
+    compile_plan_native,
     execute_plan,
+    native_available,
     required_regions,
 )
 
@@ -58,10 +60,13 @@ def _inputs_for(program, plan, seed):
     return inputs
 
 
+@pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
 @settings(max_examples=25, deadline=None)
 @given(name=st.sampled_from(sorted(GALLERY)), seed=st.integers(0, 1000))
 def test_arena_evaluation_bit_identical_over_gallery(name, seed):
-    """Interpreted (ephemeral + persistent arenas) and compiled
+    """Interpreted (ephemeral + persistent arenas) and native
     (ephemeral + persistent workspaces) evaluation all match naive
     evaluation exactly, on every gallery program."""
     program = GALLERY[name]()
@@ -84,13 +89,13 @@ def test_arena_evaluation_bit_identical_over_gallery(name, seed):
     assert stats.scratch_allocations == 0
     assert stats.reused_buffers > 0
 
-    # Compiled, fresh workspace per call.
-    compiled = compile_plan(program, plan)
+    # Native, fresh workspace per call.
+    compiled = compile_plan_native(program, plan)
     np.testing.assert_array_equal(compiled(inputs)[output].data, expected)
 
-    # Compiled, persistent workspace: second call is allocation-free and
+    # Native, persistent workspace: second call is allocation-free and
     # still exact.
-    steady = compile_plan(program, plan, reuse_buffers=True)
+    steady = compile_plan_native(program, plan, reuse_buffers=True)
     steady(inputs)
     workspace = steady.workspace
     allocations_before = workspace.allocations

@@ -1,13 +1,11 @@
 """Tests for the engine configuration layer and the telemetry spine.
 
 Covers the frozen :class:`EngineConfig` (validation, JSON round-trip,
-CLI derivation, legacy-kwarg shim), the backend registry (every backend
-selectable by key, all bit-identical), and the pluggable telemetry
-sinks.
+CLI derivation), the backend registry (every backend selectable by key,
+all bit-identical), and the pluggable telemetry sinks.
 """
 
 import json
-import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -31,6 +29,10 @@ from repro.runtime import (
 
 SHAPE = (16, 12, 8)
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
+
 
 def _trajectory(config, steps=50, islands=2, telemetry=None):
     state = random_state(SHAPE, seed=7)
@@ -53,6 +55,14 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError, match="backend"):
             EngineConfig(backend="gpu")
 
+    def test_removed_compiled_key_names_the_remaining_keys(self):
+        with pytest.raises(
+            ValueError, match="known: interpreter, native, tiled, procs"
+        ):
+            EngineConfig(backend="compiled")
+        with pytest.raises(ValueError, match="known: interpreter, native$"):
+            EngineConfig(backend="procs", procs_inner="compiled")
+
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
             EngineConfig(boundary="reflecting")
@@ -67,7 +77,7 @@ class TestEngineConfigValidation:
 
     def test_intra_threads_require_tiled_backend(self):
         with pytest.raises(ValueError, match="intra_threads"):
-            EngineConfig(backend="compiled", intra_threads=2)
+            EngineConfig(backend="native", intra_threads=2)
 
     def test_tiled_requires_block_shape(self):
         with pytest.raises(ValueError, match="block_shape"):
@@ -75,7 +85,7 @@ class TestEngineConfigValidation:
 
     def test_block_shape_requires_tiled(self):
         with pytest.raises(ValueError, match="block_shape"):
-            EngineConfig(backend="compiled", block_shape=(8, 8, 8))
+            EngineConfig(backend="native", block_shape=(8, 8, 8))
 
     def test_bad_fault_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -112,13 +122,14 @@ class TestEngineConfigRoundTrip:
         with pytest.raises((TypeError, ValueError)):
             EngineConfig.from_dict({"backend": "interpreter", "gpu": True})
 
+    @needs_native
     def test_cli_args_round_trip_same_behaviour(self):
         args = build_parser().parse_args(
             ["engine", "--shape", *map(str, SHAPE), "--islands", "2",
-             "--compiled"]
+             "--backend", "native"]
         )
         config = EngineConfig.from_cli_args(args)
-        assert config.backend == "compiled"
+        assert config.backend == "native"
         assert config.max_retries == 0  # no fault flags -> retries stay off
         revived = EngineConfig.from_dict(config.to_dict())
         assert revived == config
@@ -137,50 +148,25 @@ class TestEngineConfigRoundTrip:
         assert config.build_fault_injector() is not None
 
 
-class TestLegacyKwargShim:
-    def test_legacy_kwargs_warn_and_match_config(self):
-        state = random_state(SHAPE, seed=7)
-        with pytest.warns(DeprecationWarning, match="config=EngineConfig"):
-            with MpdataIslandSolver(
-                SHAPE, 2, compiled=True, reuse_output=True
-            ) as solver:
-                legacy = np.array(solver.run(state, 5), copy=True)
-        config = EngineConfig(backend="compiled", reuse_output=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            modern = _trajectory(config, steps=5)
-        assert np.array_equal(legacy, modern)
-
-    def test_block_shape_kwarg_selects_tiled_over_compiled(self):
-        config = EngineConfig.from_legacy_kwargs(
-            compiled=True, block_shape=(8, 6, 8)
-        )
-        assert config.backend == "tiled"
-        assert config.block_shape == (8, 6, 8)
-
-    def test_mixing_config_and_legacy_kwargs_is_an_error(self):
-        with pytest.raises(TypeError, match="config"):
-            MpdataIslandSolver(
-                SHAPE, 2, config=EngineConfig(), compiled=True
-            )
-
+class TestConstructorKeywords:
     def test_unknown_kwarg_is_an_error(self):
-        with pytest.raises(TypeError, match="turbo"):
-            MpdataIslandSolver(SHAPE, 2, turbo=True)
+        # The engine is configured through config= alone.
+        for keyword in ("turbo", "compiled", "threads"):
+            with pytest.raises(TypeError, match=keyword):
+                MpdataIslandSolver(SHAPE, 2, **{keyword: True})
 
 
 class TestBackendRegistryBitIdentical:
     def test_all_backends_bit_identical_over_50_steps(self):
         configs = {
             "interpreter": EngineConfig(backend="interpreter"),
-            "compiled": EngineConfig(backend="compiled"),
             "tiled": EngineConfig(backend="tiled", block_shape=(8, 6, 8)),
             "procs": EngineConfig(backend="procs", workers=2),
             "native": EngineConfig(backend="native"),
         }
         assert set(configs) == set(BACKEND_KEYS)
         if not native_available():
-            del configs["native"]
+            del configs["native"], configs["tiled"]
         finals = {key: _trajectory(cfg) for key, cfg in configs.items()}
         reference = finals["interpreter"]
         for key in finals:
@@ -188,7 +174,7 @@ class TestBackendRegistryBitIdentical:
 
     def test_steady_state_allocation_free_for_every_backend(self):
         for key in BACKEND_KEYS:
-            if key == "native" and not native_available():
+            if key in ("native", "tiled") and not native_available():
                 continue
             block = (8, 6, 8) if key == "tiled" else None
             config = EngineConfig(
@@ -204,6 +190,7 @@ class TestBackendRegistryBitIdentical:
                 assert solver.last_step_stats.allocations == 0, key
 
 
+@needs_native
 class TestTelemetry:
     def test_disabled_by_default(self):
         telemetry = Telemetry()
@@ -213,7 +200,7 @@ class TestTelemetry:
     def test_in_memory_sink_records_each_step(self):
         sink = InMemorySink()
         _trajectory(
-            EngineConfig(backend="compiled", reuse_output=True), steps=4,
+            EngineConfig(backend="native", reuse_output=True), steps=4,
             telemetry=Telemetry((sink,)),
         )
         assert len(sink.events) == 4
@@ -224,7 +211,7 @@ class TestTelemetry:
     def test_in_memory_sink_capacity_bound(self):
         sink = InMemorySink(capacity=2)
         _trajectory(
-            EngineConfig(backend="compiled", reuse_output=True), steps=5,
+            EngineConfig(backend="native", reuse_output=True), steps=5,
             telemetry=Telemetry((sink,)),
         )
         assert [event.step for event in sink.events] == [3, 4]
@@ -232,7 +219,7 @@ class TestTelemetry:
     def test_jsonl_sink_round_trips_events(self, tmp_path):
         path = tmp_path / "steps.jsonl"
         _trajectory(
-            EngineConfig(backend="compiled", reuse_output=True), steps=3,
+            EngineConfig(backend="native", reuse_output=True), steps=3,
             telemetry=Telemetry((JsonlSink(path),)),
         )
         lines = path.read_text().strip().splitlines()
@@ -244,7 +231,7 @@ class TestTelemetry:
     def test_table_sink_renders_rows(self):
         sink = TableSink()
         _trajectory(
-            EngineConfig(backend="compiled"), steps=2,
+            EngineConfig(backend="native"), steps=2,
             telemetry=Telemetry((sink,)),
         )
         table = sink.render()
@@ -254,7 +241,7 @@ class TestTelemetry:
     def test_event_dict_shape(self):
         sink = InMemorySink()
         _trajectory(
-            EngineConfig(backend="compiled"), steps=1,
+            EngineConfig(backend="native"), steps=1,
             telemetry=Telemetry((sink,)),
         )
         event = sink.last
@@ -267,7 +254,7 @@ class TestTelemetry:
     def test_retry_activity_lands_in_events(self):
         sink = InMemorySink()
         config = EngineConfig(
-            backend="compiled",
+            backend="native",
             max_retries=2,
             fault_specs=("crash@island=0,step=1",),
         )

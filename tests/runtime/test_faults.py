@@ -22,10 +22,22 @@ from repro.runtime import (
     MpdataIslandSolver,
     PartitionedRunner,
     ResiliencePolicy,
+    native_available,
     parse_fault_spec,
 )
 
 SHAPE = (16, 12, 8)
+
+#: Kernel backends under test: the reference and the native fast path.
+KERNEL_BACKENDS = (
+    "interpreter",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="needs cffi and a system C compiler"
+        ),
+    ),
+)
 
 
 @pytest.fixture()
@@ -127,13 +139,13 @@ class TestFaultStats:
 
 
 class TestPerIslandRetry:
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_transient_crash_retried_bit_identical(self, state, compiled):
-        expected = MpdataSolver(SHAPE, compiled=compiled).run(state, 3)
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_transient_crash_retried_bit_identical(self, state, backend):
+        expected = MpdataSolver(SHAPE).run(state, 3)
         injector = FaultInjector([FaultSpec("crash", island=1, step=1)])
+        config = EngineConfig(backend=backend, reuse_output=True, max_retries=2)
         with MpdataIslandSolver(
-            SHAPE, 3, compiled=compiled, reuse_output=True,
-            max_retries=2, fault_injector=injector,
+            SHAPE, 3, fault_injector=injector, config=config
         ) as solver:
             actual = solver.run(state, 3)
             stats = solver.runner.fault_stats
@@ -150,8 +162,10 @@ class TestPerIslandRetry:
             FaultSpec("crash", island=2, step=2),
         ])
         with MpdataIslandSolver(
-            SHAPE, 4, threads=4, reuse_output=True,
-            max_retries=1, fault_injector=injector,
+            SHAPE,
+            4,
+            fault_injector=injector,
+            config=EngineConfig(threads=4, reuse_output=True, max_retries=1),
         ) as solver:
             actual = solver.run(state, 4)
         np.testing.assert_array_equal(actual, expected)
@@ -162,8 +176,11 @@ class TestPerIslandRetry:
             [FaultSpec("crash", island=1, step=0, attempts=99)]
         )
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3,
-            max_retries=2, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=3,
+            fault_injector=injector,
+            config=EngineConfig(max_retries=2),
         ) as runner:
             with pytest.raises(IslandFailure) as excinfo:
                 runner.step(_arrays(state))
@@ -191,8 +208,11 @@ class TestPerIslandRetry:
             [FaultSpec("crash", island=0, step=0, attempts=2)]
         )
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2,
-            max_retries=3, retry_backoff=0.5, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            fault_injector=injector,
+            config=EngineConfig(max_retries=3, retry_backoff=0.5),
         ) as runner:
             runner.step(_arrays(state))
         # Exponential backoff per attempt, with the policy's deterministic
@@ -213,7 +233,7 @@ class TestSlowAndCorruptFaults:
             [FaultSpec("slow", island=0, step=1, delay=0.001)]
         )
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_output=True, fault_injector=injector,
+            SHAPE, 2, fault_injector=injector, config=EngineConfig(reuse_output=True)
         ) as solver:
             actual = solver.run(state, 2)
         np.testing.assert_array_equal(actual, expected)
@@ -235,8 +255,11 @@ class TestPartialFailureInvalidation:
     def test_stats_not_published_on_failure(self, state):
         injector = FaultInjector([FaultSpec("crash", island=1, step=1)])
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)
@@ -254,8 +277,11 @@ class TestPartialFailureInvalidation:
             [FaultSpec("crash", island=1, step=1, attempts=99)]
         )
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
         ) as runner:
             arrays = _arrays(state)
             first = runner.step(arrays)
@@ -271,8 +297,11 @@ class TestPartialFailureInvalidation:
         expected_1 = MpdataSolver(SHAPE).run(state, 1)
         injector = FaultInjector([FaultSpec("crash", island=0, step=0)])
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
         ) as runner:
             arrays = _arrays(state)
             with pytest.raises(IslandFailure):
@@ -284,8 +313,11 @@ class TestPartialFailureInvalidation:
     def test_naive_mode_failure_also_unpublishes_stats(self, state):
         injector = FaultInjector([FaultSpec("crash", island=0, step=0)])
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=False, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            fault_injector=injector,
+            config=EngineConfig(reuse_buffers=False),
         ) as runner:
             with pytest.raises(IslandFailure):
                 runner.step(_arrays(state))
@@ -323,8 +355,10 @@ class TestGracefulDegradation:
         expected = MpdataSolver(SHAPE).run(state, 2)
 
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, threads=3,
-            reuse_buffers=True, reuse_output=True,
+            mpdata_program(),
+            SHAPE,
+            islands=3,
+            config=EngineConfig(threads=3, reuse_buffers=True, reuse_output=True),
         ) as runner:
             runner._pool = BrokenPool()
             arrays = _arrays(state)
@@ -340,8 +374,10 @@ class TestGracefulDegradation:
         expected = MpdataSolver(SHAPE).run(state, 1)
 
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, threads=3,
-            reuse_buffers=True, reuse_output=True,
+            mpdata_program(),
+            SHAPE,
+            islands=3,
+            config=EngineConfig(threads=3, reuse_buffers=True, reuse_output=True),
         ) as runner:
             runner._pool = HalfBrokenPool()
             out = runner.step(_arrays(state))
@@ -404,7 +440,7 @@ class TestGracefulDegradation:
 
     def test_closed_runner_still_raises_not_degrades(self, state):
         runner = PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, threads=2,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(threads=2)
         )
         runner.close()
         with pytest.raises(RuntimeError, match="closed"):
@@ -417,9 +453,11 @@ class TestSteadyStateWithFaultMachinery:
         """The fault-tolerance machinery is free when nothing fails."""
         injector = FaultInjector([])  # armed, never fires
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3,
-            reuse_buffers=True, reuse_output=True,
-            max_retries=2, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=3,
+            fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True, max_retries=2),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)  # warm-up
@@ -432,9 +470,11 @@ class TestSteadyStateWithFaultMachinery:
         """A retried step pays for its fresh arena; the next steps do not."""
         injector = FaultInjector([FaultSpec("crash", island=1, step=2)])
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3,
-            reuse_buffers=True, reuse_output=True,
-            max_retries=2, fault_injector=injector,
+            mpdata_program(),
+            SHAPE,
+            islands=3,
+            fault_injector=injector,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True, max_retries=2),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)

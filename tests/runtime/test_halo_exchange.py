@@ -27,6 +27,16 @@ from repro.stencil import native as native_module
 SHAPE = (20, 14, 8)
 ISLANDS = 3
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
+#: The reference kernels plus the two backends that run native kernels.
+KERNEL_BACKENDS = (
+    "interpreter",
+    pytest.param("native", marks=needs_native),
+    pytest.param("tiled", marks=needs_native),
+)
+
 
 def _run(config, steps, shape=SHAPE, islands=ISLANDS, sink=None, **kwargs):
     state = random_state(shape, seed=2017)
@@ -47,7 +57,7 @@ class TestBitIdentity:
     """Acceptance: 50-step trajectories agree across every backend and
     policy — exchanged halos carry exactly the recomputed values."""
 
-    @pytest.mark.parametrize("backend", ("interpreter", "compiled", "tiled"))
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     @pytest.mark.parametrize(
         "halo,threshold",
         [("recompute", None), ("exchange", None), ("hybrid", 600)],
@@ -82,7 +92,7 @@ class TestBitIdentity:
 
 
 class TestSteadyState:
-    @pytest.mark.parametrize("backend", ("interpreter", "compiled", "tiled"))
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_zero_allocations_per_step_under_exchange(self, backend):
         config = EngineConfig(
             backend=backend,
@@ -204,6 +214,7 @@ class _CountingPool:
         self.pool.shutdown(wait=wait)
 
 
+@needs_native
 class TestBindOnceDispatch:
     """A steady-state exchange step reuses each island-stage call's
     binding: no per-call validation, and one pool task per team member
@@ -212,7 +223,7 @@ class TestBindOnceDispatch:
 
     SHAPE = (32, 12, 8)
     ISLANDS = 8
-    BACKEND = "native" if native_available() else "compiled"
+    BACKEND = "native"
 
     @pytest.fixture(scope="class")
     def reference(self):

@@ -37,10 +37,15 @@ from repro.runtime import (
     ProcsBackend,
     SharedArena,
     Telemetry,
+    native_available,
 )
 from repro.runtime.procs import SEGMENT_PREFIX, live_segment_names
 
 SHAPE = (16, 12, 8)
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
 
 
 def _shm_segments():
@@ -96,6 +101,15 @@ class TestProcsBitIdentity:
     def test_interpreter_inner_bit_identical(self, reference):
         final, _ = _trajectory(
             EngineConfig(backend="procs", procs_inner="interpreter"),
+            steps=10,
+        )
+        ref10, _ = _trajectory(EngineConfig(), steps=10)
+        assert np.array_equal(final, ref10)
+
+    @needs_native
+    def test_native_inner_bit_identical(self, reference):
+        final, _ = _trajectory(
+            EngineConfig(backend="procs", procs_inner="native"),
             steps=10,
         )
         ref10, _ = _trajectory(EngineConfig(), steps=10)
@@ -222,11 +236,12 @@ class TestProcsCrashRecovery:
             with pytest.raises(Exception, match="island 0"):
                 solver.run(state, 3)
 
+    @needs_native
     def test_kill_degrades_to_crash_in_process_backends(self):
         # In-process backends have no separate executor to kill, so the
         # kill fault must degrade to an injected crash and still recover.
         config = EngineConfig(
-            backend="compiled",
+            backend="native",
             max_retries=2,
             fault_specs=("kill@island=1,step=3",),
         )
@@ -236,9 +251,10 @@ class TestProcsCrashRecovery:
         assert stats.retry_successes == 1
         assert np.array_equal(final, ref)
 
+    @needs_native
     def test_kill_with_no_retry_budget_raises(self):
         injector = FaultInjector([FaultSpec(kind="kill", island=0, step=0)])
-        config = EngineConfig(backend="compiled")
+        config = EngineConfig(backend="native")
         state = random_state(SHAPE, seed=7)
         with MpdataIslandSolver(
             SHAPE, 2, config=config, fault_injector=injector
@@ -371,7 +387,7 @@ class TestSharedMemoryTeardown:
 class TestProcsConfig:
     def test_workers_requires_procs_backend(self):
         with pytest.raises(ValueError, match="workers"):
-            EngineConfig(backend="compiled", workers=2)
+            EngineConfig(backend="native", workers=2)
 
     def test_pin_workers_requires_procs_backend(self):
         with pytest.raises(ValueError, match="pin_workers"):
@@ -407,14 +423,14 @@ class TestProcsConfig:
         assert config.pin_workers is True
         assert config.procs_inner == "interpreter"
 
-    def test_cli_backend_procs_compiled_inner(self):
+    def test_cli_backend_procs_native_inner(self):
         parser = build_parser()
         args = parser.parse_args(
-            ["engine", "--backend", "procs", "--compiled"]
+            ["engine", "--backend", "procs", "--procs-inner", "native"]
         )
         config = EngineConfig.from_cli_args(args)
         assert config.backend == "procs"
-        assert config.procs_inner == "compiled"
+        assert config.procs_inner == "native"
 
     def test_cli_workers_without_procs_rejected(self):
         from repro.cli import _validate_engine_args

@@ -98,8 +98,8 @@ class TestMpdataIslandSolver:
         np.testing.assert_array_equal(split.step(state), whole.step(state))
 
     def test_threaded_matches_sequential(self, state):
-        threaded = MpdataIslandSolver(SHAPE, 4, threads=4)
-        sequential = MpdataIslandSolver(SHAPE, 4, threads=1)
+        threaded = MpdataIslandSolver(SHAPE, 4, config=EngineConfig(threads=4))
+        sequential = MpdataIslandSolver(SHAPE, 4, config=EngineConfig(threads=1))
         np.testing.assert_array_equal(
             threaded.run(state, 3), sequential.run(state, 3)
         )

@@ -13,14 +13,27 @@ import pytest
 
 from repro.mpdata import MpdataSolver, random_state
 from repro.runtime import (
+    EngineConfig,
     MpdataIslandSolver,
     PartitionedRunner,
     measure_steady_state,
+    native_available,
     verify_islands,
 )
 from repro.mpdata import mpdata_program
 
 SHAPE = (16, 12, 8)
+
+#: Kernel backends under test: the reference and the native fast path.
+KERNEL_BACKENDS = (
+    "interpreter",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="needs cffi and a system C compiler"
+        ),
+    ),
+)
 
 
 @pytest.fixture()
@@ -36,11 +49,13 @@ def _arrays(state):
 
 
 class TestZeroAllocationSteadyState:
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_zero_allocations_after_warmup(self, state, compiled):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_zero_allocations_after_warmup(self, state, backend):
+        config = EngineConfig(
+            backend=backend, reuse_buffers=True, reuse_output=True
+        )
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3,
-            compiled=compiled, reuse_buffers=True, reuse_output=True,
+            mpdata_program(), SHAPE, islands=3, config=config
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)  # warm-up allocates everything
@@ -53,8 +68,10 @@ class TestZeroAllocationSteadyState:
 
     def test_threaded_steady_state_zero_allocations(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=4, threads=4,
-            reuse_buffers=True, reuse_output=True,
+            mpdata_program(),
+            SHAPE,
+            islands=4,
+            config=EngineConfig(threads=4, reuse_buffers=True, reuse_output=True),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)
@@ -63,7 +80,7 @@ class TestZeroAllocationSteadyState:
 
     def test_naive_mode_allocates_every_step(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, reuse_buffers=False,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(reuse_buffers=False)
         ) as runner:
             arrays = _arrays(state)
             for _ in range(2):
@@ -76,8 +93,10 @@ class TestZeroAllocationSteadyState:
 
     def test_reuse_output_returns_same_buffer(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2,
-            reuse_buffers=True, reuse_output=True,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            config=EngineConfig(reuse_buffers=True, reuse_output=True),
         ) as runner:
             first = runner.step(_arrays(state))
             second = runner.step(_arrays(state), changed={"x"})
@@ -85,38 +104,39 @@ class TestZeroAllocationSteadyState:
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("compiled", [False, True])
-    def test_engine_matches_whole_domain(self, state, compiled):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_engine_matches_whole_domain(self, state, backend):
         expected = MpdataSolver(SHAPE).run(state, 3)
-        with MpdataIslandSolver(
-            SHAPE, 3, compiled=compiled,
-            reuse_buffers=True, reuse_output=True,
-        ) as solver:
+        config = EngineConfig(
+            backend=backend, reuse_buffers=True, reuse_output=True
+        )
+        with MpdataIslandSolver(SHAPE, 3, config=config) as solver:
             actual = solver.run(state, 3)
         np.testing.assert_array_equal(actual, expected)
 
     def test_engine_matches_naive_runner(self, state):
-        with MpdataIslandSolver(SHAPE, 2, reuse_buffers=False) as naive:
+        naive_config = EngineConfig(reuse_buffers=False)
+        with MpdataIslandSolver(SHAPE, 2, config=naive_config) as naive:
             expected = naive.run(state, 2)
         with MpdataIslandSolver(
-            SHAPE, 2, reuse_buffers=True, reuse_output=True
+            SHAPE, 2, config=EngineConfig(reuse_buffers=True, reuse_output=True)
         ) as engine:
             actual = engine.run(state, 2)
         np.testing.assert_array_equal(actual, expected)
 
-    def test_verify_islands_engine_configurations(self, state):
-        for compiled in (False, True):
-            result = verify_islands(
-                SHAPE, state, islands=3, steps=2, compiled=compiled,
-                reuse_buffers=True, reuse_output=True,
-            )
-            assert result.bit_exact
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_verify_islands_engine_configurations(self, state, backend):
+        result = verify_islands(
+            SHAPE, state, islands=3, steps=2, backend=backend,
+            reuse_buffers=True, reuse_output=True,
+        )
+        assert result.bit_exact
 
     def test_changed_hint_is_bit_identical_to_full_refill(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, reuse_buffers=True,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(reuse_buffers=True)
         ) as hinted, PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, reuse_buffers=True,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(reuse_buffers=True)
         ) as refilled:
             arrays_a = _arrays(state)
             arrays_b = _arrays(state)
@@ -131,7 +151,7 @@ class TestBitIdentity:
 class TestLifecycle:
     def test_close_is_idempotent_and_context_manager(self, state):
         runner = PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, threads=2,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(threads=2)
         )
         runner.step(_arrays(state))
         assert runner._pool is not None  # pool persisted across the call
@@ -141,14 +161,14 @@ class TestLifecycle:
 
     def test_threaded_step_after_close_rejected(self, state):
         runner = PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, threads=2,
+            mpdata_program(), SHAPE, islands=2, config=EngineConfig(threads=2)
         )
         runner.close()
         with pytest.raises(RuntimeError, match="closed"):
             runner.step(_arrays(state))
 
     def test_solver_context_manager_closes_runner(self, state):
-        with MpdataIslandSolver(SHAPE, 2, threads=2) as solver:
+        with MpdataIslandSolver(SHAPE, 2, config=EngineConfig(threads=2)) as solver:
             solver.run(state, 2)
             pool = solver.runner._pool
             assert pool is not None
@@ -187,6 +207,9 @@ class TestSteadyStateBenchmarkSmoke:
         spec.loader.exec_module(module)
         return module
 
+    @pytest.mark.skipif(
+        not native_available(), reason="needs cffi and a system C compiler"
+    )
     def test_smoke_run_meets_acceptance(self):
         bench = self._load_bench()
         reports = bench.run(smoke=True)
@@ -196,6 +219,9 @@ class TestSteadyStateBenchmarkSmoke:
             # >= 2x fewer allocations per steady-state step (here: inf).
             assert report.allocation_ratio >= 2.0
 
+    @pytest.mark.skipif(
+        not native_available(), reason="needs cffi and a system C compiler"
+    )
     def test_measure_writes_json(self, tmp_path):
         bench = self._load_bench()
         target = tmp_path / "BENCH_steady_state.json"
@@ -203,7 +229,7 @@ class TestSteadyStateBenchmarkSmoke:
         import json
 
         payload = json.loads(target.read_text())
-        assert set(payload) == {"interpreted", "compiled"}
+        assert set(payload) == {"interpreted", "native"}
         for entry in payload.values():
             assert entry["bit_identical"] is True
             assert entry["modes"]["engine"]["allocations_per_step"] == 0.0

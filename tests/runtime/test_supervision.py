@@ -34,6 +34,7 @@ from repro.runtime import (
     RecoveryReport,
     ResiliencePolicy,
     Telemetry,
+    native_available,
 )
 from repro.runtime.procs import SEGMENT_PREFIX, live_segment_names
 
@@ -220,7 +221,10 @@ class TestHangDetection:
         assert np.array_equal(final, reference)
 
     def test_in_process_backends_skip_hang_gracefully(self, reference):
-        for backend in ("interpreter", "compiled"):
+        in_process = ["interpreter"]
+        if native_available():
+            in_process.append("native")
+        for backend in in_process:
             config = EngineConfig(
                 backend=backend,
                 max_retries=1,
@@ -453,7 +457,7 @@ class TestSupervisionConfig:
 
     def test_step_deadline_requires_procs(self):
         with pytest.raises(ValueError, match="procs-backend option"):
-            EngineConfig(backend="compiled", step_deadline=1.0)
+            EngineConfig(backend="native", step_deadline=1.0)
 
     def test_validation_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="step_deadline"):
@@ -545,6 +549,9 @@ class TestSupervisionConfig:
         assert "workers quarantined 1 (2 islands remapped)" in text
 
 
+@pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
 class TestChaosBenchmarkSmoke:
     """Tier-1 smoke wiring of benchmarks/bench_chaos.py."""
 

@@ -34,12 +34,19 @@ from repro.stencil import tune_sync_every
 SHAPE = (16, 16, 16)  # every axis >= 12: the s=4 composed halo fits
 STEPS = 50  # not divisible by 4: s=4 ends on a partial super-step
 
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
+
 
 def _config(backend, halo, sync_every, **kwargs):
     if halo == "hybrid":
         kwargs.setdefault("halo_threshold", 64)
     if backend == "tiled":
         kwargs.setdefault("block_shape", (8, 8, 8))
+    if backend == "procs-native":  # procs workers running native kernels
+        backend = "procs"
+        kwargs.setdefault("procs_inner", "native")
     return EngineConfig(
         backend=backend, halo=halo, sync_every=sync_every, **kwargs
     )
@@ -56,7 +63,7 @@ def _trajectory(config, steps=STEPS, islands=2, telemetry=None, seed=7):
 
 @pytest.fixture(scope="module")
 def reference():
-    return _trajectory(EngineConfig(backend="compiled"))
+    return _trajectory(EngineConfig())
 
 
 class TestBitIdentityMatrix:
@@ -64,11 +71,11 @@ class TestBitIdentityMatrix:
     s in {1, 2, 4} x {recompute, exchange, hybrid} x every backend."""
 
     @pytest.mark.parametrize("backend", [
-        "interpreter", "compiled", "tiled", "procs",
-        pytest.param("native", marks=pytest.mark.skipif(
-            not native_available(),
-            reason="needs cffi and a system C compiler",
-        )),
+        "interpreter",
+        pytest.param("tiled", marks=needs_native),
+        "procs",
+        pytest.param("procs-native", marks=needs_native),
+        pytest.param("native", marks=needs_native),
     ])
     @pytest.mark.parametrize("halo", ["recompute", "exchange", "hybrid"])
     @pytest.mark.parametrize("sync_every", [1, 2, 4])
@@ -79,19 +86,20 @@ class TestBitIdentityMatrix:
         np.testing.assert_array_equal(final, reference)
 
 
+@needs_native
 class TestPartialSuperSteps:
     def test_remainder_of_one_runs_through_super_path(self, reference):
         """5 steps at s=4 is one full super-step plus a remainder of 1;
         the super-prepared backend has no per-step state, so even that
         single step must run the composed path — and stay bit-exact."""
-        expected = _trajectory(EngineConfig(backend="compiled"), steps=5)
-        actual = _trajectory(_config("compiled", "recompute", 4), steps=5)
+        expected = _trajectory(EngineConfig(backend="native"), steps=5)
+        actual = _trajectory(_config("native", "recompute", 4), steps=5)
         np.testing.assert_array_equal(actual, expected)
 
     def test_step_count_within_super_step_is_validated(self):
         state = random_state(SHAPE, seed=7)
         with MpdataIslandSolver(
-            SHAPE, 2, config=_config("compiled", "recompute", 2)
+            SHAPE, 2, config=_config("native", "recompute", 2)
         ) as solver:
             arrays = solver._arrays(state)
             arrays[FIELD_X] = np.asarray(
@@ -155,6 +163,7 @@ class TestDeadlineClockPerStepNormalization:
         assert clock.ewma == pytest.approx(1.5)
 
 
+@needs_native
 class TestRecoveryWithSuperSteps:
     def test_rollback_replays_super_steps_bit_identical(self, reference):
         """The super-step is the replay unit: a corruption detected at a
@@ -166,7 +175,7 @@ class TestRecoveryWithSuperSteps:
         with MpdataIslandSolver(
             SHAPE,
             2,
-            config=_config("compiled", "recompute", 2),
+            config=_config("native", "recompute", 2),
             fault_injector=injector,
         ) as solver:
             actual = solver.run(
@@ -187,7 +196,7 @@ class TestRecoveryWithSuperSteps:
             checkpoint_every=3, checkpoint_dir=tmp_path
         )
         with MpdataIslandSolver(
-            SHAPE, 2, config=_config("compiled", "recompute", 2)
+            SHAPE, 2, config=_config("native", "recompute", 2)
         ) as solver:
             solver.run(state, 10, recovery=policy)
             report = solver.last_recovery_report
@@ -203,6 +212,7 @@ class TestRecoveryWithSuperSteps:
         assert report.checkpoints_written == len(steps)
 
 
+@needs_native
 class TestRunLevelSyncLedger:
     def test_steps_advanced_and_syncs_per_step(self):
         sink = InMemorySink()
@@ -210,7 +220,7 @@ class TestRunLevelSyncLedger:
         with MpdataIslandSolver(
             SHAPE,
             2,
-            config=_config("compiled", "recompute", 2),
+            config=_config("native", "recompute", 2),
             telemetry=Telemetry([sink]),
         ) as solver:
             solver.run(state, 6)
@@ -233,7 +243,7 @@ class TestRunLevelSyncLedger:
         with MpdataIslandSolver(
             SHAPE,
             2,
-            config=_config("compiled", "recompute", 2),
+            config=_config("native", "recompute", 2),
             telemetry=Telemetry([sink]),
         ) as solver:
             solver.run(state, 6)
@@ -250,7 +260,7 @@ class TestRunLevelSyncLedger:
         with MpdataIslandSolver(
             SHAPE,
             2,
-            config=_config("compiled", "recompute", 2, reuse_output=True),
+            config=_config("native", "recompute", 2, reuse_output=True),
             telemetry=Telemetry([sink]),
         ) as solver:
             solver.run(state, 8)
@@ -258,13 +268,14 @@ class TestRunLevelSyncLedger:
 
 
 class TestSyncEveryAutotuner:
+    @needs_native
     def test_measured_sweep_picks_a_runnable_depth(self):
         result = tune_sync_every(
             SHAPE,
             islands=2,
             candidates=(1, 2, 8),  # s=8 needs 24-cell axes: skipped
             steps=2,
-            backend="compiled",
+            backend="native",
         )
         assert result.skipped == (8,)
         assert result.best in (1, 2)

@@ -1,10 +1,11 @@
 """Tests for the tiled (3+1)D backend wired into the partitioned runtime.
 
 The acceptance bar: a 50-step MPDATA run through the tiled engine is
-bit-identical to the flat compiled engine, steady-state steps allocate
-nothing, a failed block retries the whole island step through the
-existing fault machinery, and the timing instrumentation reports where
-the step's wall time went.
+bit-identical to the interpreter under every halo policy, steady-state
+steps allocate nothing, a failed block retries the whole island step
+through the existing fault machinery, and the timing instrumentation
+reports where the step's wall time went.  Tiled blocks are native
+kernels, so the module needs cffi and a C compiler.
 """
 
 import json
@@ -14,14 +15,21 @@ import pytest
 
 from repro.mpdata import mpdata_program, random_state
 from repro.runtime import (
+    EngineConfig,
     MpdataIslandSolver,
     PartitionedRunner,
     StepTimings,
     measure_tiled_engine,
 )
+from repro.stencil import native_available
+
+pytestmark = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
 
 SHAPE = (16, 12, 8)
 BLOCK = (5, 4, 8)
+NATIVE = EngineConfig(backend="native")
 
 
 @pytest.fixture()
@@ -55,41 +63,72 @@ class _FlakyCompiled:
         return getattr(self._inner, name)
 
 
+@pytest.fixture(scope="module")
+def interpreted_50():
+    with MpdataIslandSolver(SHAPE, 3) as plain:
+        return np.array(plain.run(random_state(SHAPE, seed=21), 50), copy=True)
+
+
 class TestBitIdentity:
-    def test_fifty_steps_tiled_equals_flat(self, state):
-        """The acceptance run: 50 MPDATA steps, tiled vs flat, bit-equal."""
-        flat = MpdataIslandSolver(SHAPE, 3, compiled=True)
-        with flat:
-            expected = np.array(flat.run(state, 50), copy=True)
+    @pytest.mark.parametrize("sync_every", (1, 2))
+    @pytest.mark.parametrize("halo", ("recompute", "exchange", "hybrid"))
+    def test_fifty_steps_tiled_equals_interpreter(
+        self, state, interpreted_50, halo, sync_every
+    ):
+        """The acceptance run: 50 MPDATA steps of native blocks, serial
+        and on a two-thread team, bit-equal to the interpreter."""
         for intra in (1, 2):
-            with MpdataIslandSolver(
-                SHAPE, 3, block_shape=BLOCK, intra_threads=intra
-            ) as tiled:
+            config = EngineConfig(
+                backend="tiled",
+                block_shape=BLOCK,
+                intra_threads=intra,
+                halo=halo,
+                halo_threshold=64 if halo == "hybrid" else None,
+                sync_every=sync_every,
+            )
+            with MpdataIslandSolver(SHAPE, 3, config=config) as tiled:
                 actual = tiled.run(state, 50)
-            np.testing.assert_array_equal(expected, actual)
+            np.testing.assert_array_equal(interpreted_50, actual)
 
     def test_tiled_equals_interpreted(self, state):
         with MpdataIslandSolver(SHAPE, 2) as plain:
             expected = np.array(plain.run(state, 5), copy=True)
-        with MpdataIslandSolver(SHAPE, 2, block_shape=(4, 4, 4)) as tiled:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="tiled", block_shape=(4, 4, 4))
+        ) as tiled:
             actual = tiled.run(state, 5)
         np.testing.assert_array_equal(expected, actual)
 
     def test_tiled_with_island_threads(self, state):
         """Inter-island threads and intra-island teams compose."""
-        with MpdataIslandSolver(SHAPE, 2, compiled=True) as flat:
+        with MpdataIslandSolver(SHAPE, 2, config=NATIVE) as flat:
             expected = np.array(flat.run(state, 4), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, threads=2, block_shape=BLOCK, intra_threads=2
+            SHAPE,
+            2,
+            config=EngineConfig(
+                backend="tiled",
+                threads=2,
+                block_shape=BLOCK,
+                intra_threads=2,
+            ),
         ) as tiled:
             actual = tiled.run(state, 4)
         np.testing.assert_array_equal(expected, actual)
 
     def test_open_boundary(self, state):
-        with MpdataIslandSolver(SHAPE, 2, boundary="open", compiled=True) as flat:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="native", boundary="open")
+        ) as flat:
             expected = np.array(flat.run(state, 5), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, boundary="open", block_shape=(4, 4, 4)
+            SHAPE,
+            2,
+            config=EngineConfig(
+                backend="tiled",
+                boundary="open",
+                block_shape=(4, 4, 4),
+            ),
         ) as tiled:
             actual = tiled.run(state, 5)
         np.testing.assert_array_equal(expected, actual)
@@ -98,8 +137,10 @@ class TestBitIdentity:
 class TestSteadyState:
     def test_zero_allocations_after_warmup(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, block_shape=BLOCK,
-            reuse_output=True,
+            mpdata_program(),
+            SHAPE,
+            islands=3,
+            config=EngineConfig(backend="tiled", block_shape=BLOCK, reuse_output=True),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)  # warm-up fills workspaces
@@ -112,17 +153,20 @@ class TestSteadyState:
 
     def test_intra_threads_require_block_shape(self):
         with pytest.raises(ValueError, match="block_shape"):
-            PartitionedRunner(mpdata_program(), SHAPE, islands=2, intra_threads=2)
+            PartitionedRunner(
+                mpdata_program(), SHAPE, islands=2, config=EngineConfig(intra_threads=2)
+            )
 
-    def test_block_shape_takes_precedence_over_compiled(self, state):
+    def test_islands_are_swept_in_blocks(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, compiled=True,
-            block_shape=(4, 4, 4),
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            config=EngineConfig(backend="tiled", block_shape=(4, 4, 4)),
         ) as runner:
-            assert runner._tiled is not None
-            arrays = _arrays(state)
-            runner.step(arrays)
-            assert sum(p.block_count for p in runner._tiled.values()) > 1
+            plans = runner.backend.plans
+            runner.step(_arrays(state))
+            assert sum(p.block_count for p in plans.values()) > 1
 
 
 class TestRetryComposition:
@@ -130,12 +174,14 @@ class TestRetryComposition:
         """One poisoned block fails its island's first attempt; the retry
         resets the island's workspaces, re-sweeps every block, and the
         step's result is still bit-identical to the flat engine."""
-        with MpdataIslandSolver(SHAPE, 2, compiled=True) as flat:
+        with MpdataIslandSolver(SHAPE, 2, config=NATIVE) as flat:
             expected = np.array(flat.run(state, 3), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, block_shape=BLOCK, max_retries=1
+            SHAPE,
+            2,
+            config=EngineConfig(backend="tiled", block_shape=BLOCK, max_retries=1),
         ) as solver:
-            task = solver.runner._tiled[0].tasks[1]
+            task = solver.runner.backend.plans[0].tasks[1]
             task.compiled = _FlakyCompiled(task.compiled, failures=1)
             actual = solver.run(state, 3)
             stats = solver.runner.fault_stats
@@ -147,8 +193,10 @@ class TestRetryComposition:
     def test_exhausted_retries_fail_the_step(self, state):
         from repro.runtime import IslandFailure
 
-        with MpdataIslandSolver(SHAPE, 2, block_shape=BLOCK) as solver:
-            task = solver.runner._tiled[1].tasks[0]
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="tiled", block_shape=BLOCK)
+        ) as solver:
+            task = solver.runner.backend.plans[1].tasks[0]
             task.compiled = _FlakyCompiled(task.compiled, failures=10)
             with pytest.raises(IslandFailure):
                 solver.run(state, 1)
@@ -157,12 +205,14 @@ class TestRetryComposition:
         """The existing fault injector composes with tiled islands."""
         from repro.runtime import FaultInjector
 
-        with MpdataIslandSolver(SHAPE, 2, compiled=True) as flat:
+        with MpdataIslandSolver(SHAPE, 2, config=NATIVE) as flat:
             expected = np.array(flat.run(state, 4), copy=True)
         injector = FaultInjector.from_strings(["crash@island=1,step=2"])
         with MpdataIslandSolver(
-            SHAPE, 2, block_shape=BLOCK, max_retries=2,
+            SHAPE,
+            2,
             fault_injector=injector,
+            config=EngineConfig(backend="tiled", block_shape=BLOCK, max_retries=2),
         ) as solver:
             actual = solver.run(state, 4)
         np.testing.assert_array_equal(expected, actual)
@@ -171,8 +221,14 @@ class TestRetryComposition:
 class TestTimings:
     def test_tiled_step_timings(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=3, block_shape=BLOCK,
-            collect_timings=True,
+            mpdata_program(),
+            SHAPE,
+            islands=3,
+            config=EngineConfig(
+                backend="tiled",
+                block_shape=BLOCK,
+                collect_timings=True,
+            ),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -184,10 +240,12 @@ class TestTimings:
         assert len(timings.stage_seconds) == 17
         assert all(seconds >= 0.0 for seconds in timings.stage_seconds.values())
 
-    def test_flat_compiled_step_timings(self, state):
+    def test_flat_native_step_timings(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, compiled=True,
-            collect_timings=True,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            config=EngineConfig(backend="native", collect_timings=True),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -198,7 +256,10 @@ class TestTimings:
 
     def test_interpreted_step_timings(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, collect_timings=True,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            config=EngineConfig(collect_timings=True),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -208,7 +269,10 @@ class TestTimings:
 
     def test_timings_off_by_default(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, block_shape=BLOCK,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            config=EngineConfig(backend="tiled", block_shape=BLOCK),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -216,8 +280,14 @@ class TestTimings:
 
     def test_render_mentions_islands_blocks_and_stages(self, state):
         with PartitionedRunner(
-            mpdata_program(), SHAPE, islands=2, block_shape=BLOCK,
-            collect_timings=True,
+            mpdata_program(),
+            SHAPE,
+            islands=2,
+            config=EngineConfig(
+                backend="tiled",
+                block_shape=BLOCK,
+                collect_timings=True,
+            ),
         ) as runner:
             arrays = _arrays(state)
             runner.step(arrays)
@@ -227,10 +297,18 @@ class TestTimings:
         assert "top stages" in text
 
     def test_bit_identity_unaffected_by_timing(self, state):
-        with MpdataIslandSolver(SHAPE, 2, block_shape=BLOCK) as plain:
+        with MpdataIslandSolver(
+            SHAPE, 2, config=EngineConfig(backend="tiled", block_shape=BLOCK)
+        ) as plain:
             expected = np.array(plain.run(state, 3), copy=True)
         with MpdataIslandSolver(
-            SHAPE, 2, block_shape=BLOCK, collect_timings=True
+            SHAPE,
+            2,
+            config=EngineConfig(
+                backend="tiled",
+                block_shape=BLOCK,
+                collect_timings=True,
+            ),
         ) as timed:
             actual = timed.run(state, 3)
         np.testing.assert_array_equal(expected, actual)

@@ -1,9 +1,15 @@
-"""Tests for the stencil-program compiler (codegen)."""
+"""Tests for compiled stencil plans (codegen: workspace, binding, plan).
+
+Plans are built by the native compiler, so everything that compiles is
+gated on :func:`native_available` (cffi plus a system C compiler), as in
+``test_native.py``; the workspace unit tests always run.
+"""
 
 import numpy as np
 import pytest
 
-from repro.mpdata import MpdataSolver, mpdata_program, random_state
+from repro.mpdata import MpdataSolver, random_state
+from repro.runtime import EngineConfig
 from repro.stencil import (
     Access,
     ArrayRegion,
@@ -13,9 +19,7 @@ from repro.stencil import (
     Stage,
     StencilProgram,
     Workspace,
-    compile_plan,
     compile_plan_native,
-    compile_program,
     execute_plan,
     full_box,
     native_available,
@@ -23,18 +27,18 @@ from repro.stencil import (
 )
 from repro.stencil import native as native_module
 
-COMPILERS = (
-    pytest.param(compile_plan, id="numpy"),
-    pytest.param(
-        compile_plan_native,
-        id="native",
-        marks=pytest.mark.skipif(
-            not native_available(), reason="needs cffi and a system C compiler"
-        ),
-    ),
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
 )
 
 
+def _compile(program, target, domain=None, **kwargs):
+    """Derive the halo plan for ``target``, then compile it."""
+    plan = required_regions(program, target, domain=domain)
+    return compile_plan_native(program, plan, **kwargs)
+
+
+@needs_native
 class TestCompileChain:
     def test_bit_exact_vs_interpreter(self, chain_program):
         rng = np.random.default_rng(0)
@@ -42,7 +46,7 @@ class TestCompileChain:
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
         target = Box((0, 0, 0), (12, 4, 4))
         plan = required_regions(chain_program, target)
-        compiled = compile_plan(chain_program, plan)
+        compiled = compile_plan_native(chain_program, plan)
         expected, _ = execute_plan(chain_program, plan, inputs)
         actual = compiled(inputs)
         np.testing.assert_array_equal(
@@ -51,21 +55,20 @@ class TestCompileChain:
         assert actual["y"].box == expected["y"].box
 
     def test_source_is_inspectable(self, chain_program):
-        compiled = compile_program(chain_program, Box((0, 0, 0), (8, 4, 4)))
-        assert "def _step(x):" in compiled.source
-        assert "np.add" in compiled.source
-        assert "# stage 3: s3 -> y" in compiled.source
+        compiled = _compile(chain_program, Box((0, 0, 0), (8, 4, 4)))
+        assert "void _stage_2(" in compiled.source
+        assert "/* stage 3: s3 -> y */" in compiled.source
 
     def test_keep_temporaries(self, chain_program):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((14, 4, 4))
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
-        compiled = compile_program(chain_program, Box((0, 0, 0), (8, 4, 4)))
+        compiled = _compile(chain_program, Box((0, 0, 0), (8, 4, 4)))
         results = compiled(inputs, keep_temporaries=True)
         assert set(results) == {"a", "b", "y"}
 
     def test_insufficient_input_rejected(self, chain_program):
-        compiled = compile_program(chain_program, Box((0, 0, 0), (8, 4, 4)))
+        compiled = _compile(chain_program, Box((0, 0, 0), (8, 4, 4)))
         small = {"x": ArrayRegion.wrap(np.zeros((8, 4, 4)))}
         with pytest.raises(ValueError, match="required"):
             compiled(small)
@@ -73,12 +76,13 @@ class TestCompileChain:
     def test_dtype_respected(self, chain_program):
         x = np.zeros((14, 4, 4), dtype=np.float32)
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
-        compiled = compile_program(
+        compiled = _compile(
             chain_program, Box((0, 0, 0), (8, 4, 4)), dtype=np.float32
         )
         assert compiled(inputs)["y"].data.dtype == np.float32
 
 
+@needs_native
 class TestCompileMpdata:
     def test_full_step_bit_exact(self, mpdata):
         shape = (16, 12, 8)
@@ -88,33 +92,26 @@ class TestCompileMpdata:
         plan = required_regions(
             mpdata, solver.domain, domain=solver.extended_domain
         )
-        compiled = compile_plan(mpdata, plan)
+        compiled = compile_plan_native(mpdata, plan)
         expected, _ = execute_plan(mpdata, plan, inputs)
         actual = compiled(inputs)
         np.testing.assert_array_equal(
             actual["x_out"].data, expected["x_out"].data
         )
 
-    def test_solver_compiled_flag(self):
-        shape = (14, 10, 8)
-        state = random_state(shape, seed=6)
-        plain = MpdataSolver(shape).run(state, 3)
-        fast = MpdataSolver(shape, compiled=True).run(state, 3)
-        np.testing.assert_array_equal(plain, fast)
-
-    def test_islands_compiled_flag(self):
+    def test_islands_native_backend(self):
         from repro.runtime import MpdataIslandSolver
 
         shape = (14, 10, 8)
         state = random_state(shape, seed=7)
         plain = MpdataIslandSolver(shape, 3).run(state, 2)
-        fast = MpdataIslandSolver(shape, 3, compiled=True, threads=3).run(
-            state, 2
-        )
+        config = EngineConfig(backend="native", threads=3)
+        with MpdataIslandSolver(shape, 3, config=config) as solver:
+            fast = solver.run(state, 2)
         np.testing.assert_array_equal(plain, fast)
 
     def test_all_17_stages_in_source(self, mpdata):
-        compiled = compile_program(mpdata, full_box((16, 16, 8)))
+        compiled = _compile(mpdata, full_box((16, 16, 8)))
         for stage in mpdata.stages:
             assert f"-> {stage.output}" in compiled.source
 
@@ -124,31 +121,29 @@ class TestCompileMpdata:
         raises at run time; silent negative slices would wrap)."""
         domain = full_box((16, 16, 8))
         with pytest.raises(ValueError, match="ghost"):
-            compile_program(mpdata, domain, domain=domain)
+            _compile(mpdata, domain, domain=domain)
 
 
 class TestWorkspaceGuards:
     def test_reset_drops_buffers_but_keeps_counters(self):
         ws = Workspace()
         ws.out("a", (4, 4))
-        ws.scratch(0, (8,))
-        ws.mask(0, (8,))
-        assert ws.allocations == 3
+        ws.out("b", (8,))
+        assert ws.allocations == 2
         ws.reset()
         report = ws.capacity_report()
         assert report["buffers"] == 0
         assert report["total_bytes"] == 0
-        assert ws.allocations == 3  # cumulative across resets
+        assert ws.allocations == 2  # cumulative across resets
         ws.out("a", (4, 4))
-        assert ws.allocations == 4  # fresh allocation, not a stale reuse
+        assert ws.allocations == 3  # fresh allocation, not a stale reuse
 
     def test_capacity_report_contents(self):
         ws = Workspace(max_elems=64)
         ws.out("y", (2, 3, 4))
-        ws.scratch(1, (10,))
+        ws.out("z", (10,))
         report = ws.capacity_report()
-        assert report["outputs"] == {"y": (2, 3, 4)}
-        assert report["scratch_elems"] == {1: 10}
+        assert report["outputs"] == {"y": (2, 3, 4), "z": (10,)}
         assert report["buffers"] == 2
         assert report["total_bytes"] == (24 + 10) * 8
         assert report["max_elems"] == 64
@@ -159,9 +154,7 @@ class TestWorkspaceGuards:
         with pytest.raises(ValueError, match="sized for 10"):
             ws.out("b", (11,))
         with pytest.raises(ValueError, match="sized for 10"):
-            ws.scratch(0, (4, 4))
-        with pytest.raises(ValueError, match="sized for 10"):
-            ws.mask(0, (16,))
+            ws.out("c", (4, 4))
 
     def test_sized_workspace_pins_output_shapes(self):
         """A block-sized workspace must never silently hand back a stale
@@ -181,17 +174,19 @@ class TestWorkspaceGuards:
         assert second.shape == (5, 4)
         assert second is not first
 
+    @needs_native
     def test_compiled_plan_rejects_mismatched_workspace_dtype(self, chain_program):
-        compiled = compile_program(
+        compiled = _compile(
             chain_program, Box((0, 0, 0), (8, 4, 4)), dtype=np.float32
         )
         with pytest.raises(ValueError, match="dtype"):
             compiled.use_workspace(Workspace(np.float64))
 
+    @needs_native
     def test_stage_seconds_accumulate_when_timed(self, chain_program):
         target = Box((0, 0, 0), (8, 4, 4))
         plan = required_regions(chain_program, target)
-        compiled = compile_plan(chain_program, plan, timed=True)
+        compiled = compile_plan_native(chain_program, plan, timed=True)
         x = np.random.default_rng(2).standard_normal((14, 4, 4))
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
         compiled(inputs)
@@ -201,8 +196,9 @@ class TestWorkspaceGuards:
         second = compiled.stage_seconds
         assert all(second[name] >= first[name] for name in first)
 
+    @needs_native
     def test_untimed_plan_has_no_stage_seconds(self, chain_program):
-        compiled = compile_program(chain_program, Box((0, 0, 0), (8, 4, 4)))
+        compiled = _compile(chain_program, Box((0, 0, 0), (8, 4, 4)))
         assert compiled.timed is False
         assert compiled.stage_seconds is None
 
@@ -216,7 +212,7 @@ class TestCompileValidation:
             outputs=("y",),
         )
         with pytest.raises(ValueError, match="identifier"):
-            compile_program(program, Box((0, 0, 0), (4, 4, 4)))
+            _compile(program, Box((0, 0, 0), (4, 4, 4)))
 
     def test_underscore_field_name_rejected(self):
         program = StencilProgram.build(
@@ -226,7 +222,7 @@ class TestCompileValidation:
             outputs=("y",),
         )
         with pytest.raises(ValueError, match="identifier"):
-            compile_program(program, Box((0, 0, 0), (4, 4, 4)))
+            _compile(program, Box((0, 0, 0), (4, 4, 4)))
 
 
 def _chain_inputs(seed, length=18, lo=-3):
@@ -234,21 +230,23 @@ def _chain_inputs(seed, length=18, lo=-3):
     return {"x": ArrayRegion.wrap(x, lo=(lo, 0, 0))}
 
 
-@pytest.mark.parametrize("compiler", COMPILERS)
+@needs_native
 class TestPlanBinding:
     """A plan checks and re-anchors its inputs once per binding and
     rebuilds the binding whenever an input it was built from changes."""
 
     TARGET = Box((0, 0, 0), (12, 4, 4))
 
-    def _plan(self, program, compiler, **kwargs):
+    def _plan(self, program, **kwargs):
         plan = required_regions(program, self.TARGET)
-        return plan, compiler(program, plan, reuse_buffers=True, **kwargs)
+        return plan, compile_plan_native(
+            program, plan, reuse_buffers=True, **kwargs
+        )
 
     def test_steady_call_skips_input_validation(
-        self, chain_program, compiler, monkeypatch
+        self, chain_program, monkeypatch
     ):
-        _, compiled = self._plan(chain_program, compiler)
+        _, compiled = self._plan(chain_program)
         inputs = _chain_inputs(0)
         compiled(inputs)
         calls = []
@@ -276,8 +274,8 @@ class TestPlanBinding:
         assert per_call > 0
         assert compiled.workspace.reuses - reuses == 2 * per_call
 
-    def test_new_input_region_rebinds(self, chain_program, compiler):
-        plan, compiled = self._plan(chain_program, compiler)
+    def test_new_input_region_rebinds(self, chain_program):
+        plan, compiled = self._plan(chain_program)
         first = _chain_inputs(1)
         # Another region, anchored elsewhere: the views must be rebuilt.
         second = _chain_inputs(2, length=20, lo=-4)
@@ -287,8 +285,8 @@ class TestPlanBinding:
                 compiled(inputs)["y"].data, expected["y"].data
             )
 
-    def test_bound_views_see_in_place_updates(self, chain_program, compiler):
-        plan, compiled = self._plan(chain_program, compiler)
+    def test_bound_views_see_in_place_updates(self, chain_program):
+        plan, compiled = self._plan(chain_program)
         inputs = _chain_inputs(3)
         compiled(inputs)
         inputs["x"].data[...] *= -2.0
@@ -298,9 +296,9 @@ class TestPlanBinding:
         )
 
     def test_bound_plan_still_rejects_a_too_small_region(
-        self, chain_program, compiler
+        self, chain_program
     ):
-        plan, compiled = self._plan(chain_program, compiler)
+        plan, compiled = self._plan(chain_program)
         good = _chain_inputs(4)
         expected, _ = execute_plan(chain_program, plan, good)
         compiled(good)
@@ -311,8 +309,8 @@ class TestPlanBinding:
             compiled(good)["y"].data, expected["y"].data
         )
 
-    def test_rebound_output_slot_is_written(self, chain_program, compiler):
-        plan, compiled = self._plan(chain_program, compiler)
+    def test_rebound_output_slot_is_written(self, chain_program):
+        plan, compiled = self._plan(chain_program)
         inputs = _chain_inputs(5)
         expected, _ = execute_plan(chain_program, plan, inputs)
         compiled(inputs)
@@ -321,8 +319,8 @@ class TestPlanBinding:
         assert compiled(inputs)["y"].data is target
         np.testing.assert_array_equal(target, expected["y"].data)
 
-    def test_reset_workspace_rebinds(self, chain_program, compiler):
-        plan, compiled = self._plan(chain_program, compiler)
+    def test_reset_workspace_rebinds(self, chain_program):
+        plan, compiled = self._plan(chain_program)
         inputs = _chain_inputs(6)
         expected, _ = execute_plan(chain_program, plan, inputs)
         compiled(inputs)
@@ -333,10 +331,10 @@ class TestPlanBinding:
         np.testing.assert_array_equal(result["y"].data, expected["y"].data)
 
     def test_ephemeral_workspace_keeps_results_independent(
-        self, chain_program, compiler
+        self, chain_program
     ):
         plan = required_regions(chain_program, self.TARGET)
-        compiled = compiler(chain_program, plan)
+        compiled = compile_plan_native(chain_program, plan)
         inputs = _chain_inputs(7)
         first = compiled(inputs)["y"].data
         second = compiled(inputs)["y"].data

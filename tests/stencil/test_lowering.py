@@ -13,9 +13,10 @@ op over the whole stencil gallery plus the MPDATA variants:
   and ``float_slots`` / ``mask_slots`` list exactly the slots ever used.
 
 Plus determinism: lowering the same plan twice yields equal IR, and the
-NumPy emission over it is byte-stable.
+C emission over it is byte-stable.
 """
 
+import numpy as np
 import pytest
 
 from repro.mpdata import MpdataSolver, mpdata_program
@@ -31,13 +32,13 @@ from repro.stencil import (
     lower_plan,
     required_regions,
 )
-from repro.stencil.codegen import _emit_numpy_source
 from repro.stencil.lowering import (
     BinaryOp,
     CopyOp,
     SelectOp,
     UnaryOp,
 )
+from repro.stencil.native import emit_c_source
 
 
 def _mpdata_plan():
@@ -183,9 +184,5 @@ class TestSlotAllocatorProperties:
         second = lower_plan(program, plan)
         assert first.stages == second.stages
         assert first.anchors == second.anchors
-        assert _emit_numpy_source(first, timed=False) == _emit_numpy_source(
-            second, timed=False
-        )
-        assert _emit_numpy_source(first, timed=True) == _emit_numpy_source(
-            second, timed=True
-        )
+        for dtype in (np.float64, np.float32):
+            assert emit_c_source(first, dtype) == emit_c_source(second, dtype)

@@ -3,9 +3,9 @@
 The C emitter is pure Python, so source-shape tests always run; anything
 that actually compiles is gated on :func:`native_available` (cffi plus a
 system C compiler) and skips gracefully elsewhere.  The contract under
-test is the repo's usual one: the native kernels must match the NumPy
-compiled plans — and therefore the interpreter — to the last bit, while
-allocating nothing in the steady state.
+test is the repo's usual one: the native kernels must match the
+interpreter to the last bit, while allocating nothing in the steady
+state.
 """
 
 import numpy as np
@@ -18,8 +18,8 @@ from repro.stencil import (
     ArrayRegion,
     Box,
     NativeBuildError,
-    compile_plan,
     compile_plan_native,
+    execute_plan,
     full_box,
     lower_plan,
     native_available,
@@ -73,12 +73,12 @@ class TestCSourceEmission:
 
 @needs_native
 class TestNativePlanBitIdentity:
-    def test_chain_matches_numpy_plan(self, chain_program):
+    def test_chain_matches_interpreter(self, chain_program):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((18, 4, 4))
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
         plan = required_regions(chain_program, Box((0, 0, 0), (12, 4, 4)))
-        reference = compile_plan(chain_program, plan)(inputs)
+        reference, _ = execute_plan(chain_program, plan, inputs)
         native = compile_plan_native(chain_program, plan)(inputs)
         np.testing.assert_array_equal(
             native["y"].data, reference["y"].data
@@ -87,7 +87,9 @@ class TestNativePlanBitIdentity:
 
     def test_mpdata_every_stage_bit_identical(self):
         program, plan, inputs = _mpdata_setup()
-        reference = compile_plan(program, plan)(inputs, keep_temporaries=True)
+        reference, _ = execute_plan(
+            program, plan, inputs, keep_temporaries=True
+        )
         native = compile_plan_native(program, plan)(
             inputs, keep_temporaries=True
         )
@@ -101,7 +103,9 @@ class TestNativePlanBitIdentity:
         x = np.linspace(-1, 1, 18 * 16, dtype=np.float32).reshape(18, 4, 4)
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
         plan = required_regions(chain_program, Box((0, 0, 0), (12, 4, 4)))
-        reference = compile_plan(chain_program, plan, dtype=np.float32)(inputs)
+        reference, _ = execute_plan(
+            chain_program, plan, inputs, dtype=np.float32
+        )
         native = compile_plan_native(chain_program, plan, dtype=np.float32)(
             inputs
         )
@@ -148,18 +152,52 @@ class TestNativePlanRuntime:
 
 
 class TestNativeBackendErrors:
-    def test_unavailable_toolchain_fails_loudly(self, monkeypatch):
-        import repro.runtime.native as runtime_native
+    """Every configuration that builds C kernels is rejected at
+    construction when the toolchain is missing, naming the fallback."""
+
+    @pytest.fixture
+    def no_toolchain(self, monkeypatch):
+        import repro.runtime.backends as backends
 
         monkeypatch.setattr(
-            runtime_native,
+            backends,
             "native_unavailable_reason",
             lambda: "no C compiler found (tried cc, gcc, clang)",
         )
-        with pytest.raises(NativeBuildError, match="no C compiler found"):
-            MpdataIslandSolver(
-                SHAPE, 2, config=EngineConfig(backend="native")
-            )
+
+    @pytest.mark.parametrize(
+        "config",
+        [
+            EngineConfig(backend="native"),
+            EngineConfig(backend="tiled", block_shape=(8, 6, 8)),
+            EngineConfig(backend="tiled", block_shape=(8, 6, 8), halo="exchange"),
+        ],
+        ids=["native", "tiled", "tiled-exchange"],
+    )
+    def test_unavailable_toolchain_fails_loudly(self, no_toolchain, config):
+        with pytest.raises(NativeBuildError, match="no C compiler found") as info:
+            MpdataIslandSolver(SHAPE, 2, config=config)
+        assert "'interpreter'" in str(info.value)
+
+    def test_procs_native_workers_fail_before_forking(
+        self, no_toolchain, monkeypatch
+    ):
+        import multiprocessing
+
+        from repro.runtime.procs import live_segment_names
+
+        started = []
+        monkeypatch.setattr(
+            multiprocessing.context.ForkProcess,
+            "start",
+            lambda process: started.append(process),
+        )
+        config = EngineConfig(backend="procs", workers=2, procs_inner="native")
+        with pytest.raises(NativeBuildError, match="no C compiler found") as info:
+            MpdataIslandSolver(SHAPE, 2, config=config)
+        assert "procs_inner='native'" in str(info.value)
+        assert started == []
+        assert live_segment_names() == ()
 
 
 @needs_native

@@ -1,9 +1,9 @@
 """Tests for the process-wide compiled-plan cache.
 
 Covers the :class:`~repro.stencil.plancache.PlanCache` LRU itself, the
-cache keys (fingerprint + geometry + dtype + flags: equal plans hit,
-any variation misses), plan compilation served through it for both the
-NumPy and native emitters, and the per-runner hit/miss telemetry.
+cache keys (fingerprint + geometry + dtype: equal plans hit, any
+variation misses), native plan compilation served through it, and the
+per-runner hit/miss telemetry.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from repro.runtime import EngineConfig, InMemorySink, MpdataIslandSolver, Teleme
 from repro.stencil import (
     Box,
     clear_plan_cache,
-    compile_plan,
+    compile_plan_native,
     native_available,
     plan_cache_stats,
     program_fingerprint,
@@ -23,6 +23,10 @@ from repro.stencil import (
 from repro.stencil.plancache import PlanCache, plan_geometry_key
 
 SHAPE = (16, 12, 8)
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
 
 
 @pytest.fixture(autouse=True)
@@ -91,11 +95,12 @@ class TestFingerprintAndGeometry:
         )
 
 
+@needs_native
 class TestCompilePlanCaching:
     def test_recompile_hits(self, chain_program):
         plan = required_regions(chain_program, Box((0, 0, 0), (8, 4, 4)))
-        _, first = _delta(lambda: compile_plan(chain_program, plan))
-        _, second = _delta(lambda: compile_plan(chain_program, plan))
+        _, first = _delta(lambda: compile_plan_native(chain_program, plan))
+        _, second = _delta(lambda: compile_plan_native(chain_program, plan))
         assert first == {"hits": 0, "misses": 1}
         assert second == {"hits": 1, "misses": 0}
 
@@ -106,8 +111,8 @@ class TestCompilePlanCaching:
 
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
         plan = required_regions(chain_program, Box((0, 0, 0), (8, 4, 4)))
-        one = compile_plan(chain_program, plan, reuse_buffers=True)
-        two = compile_plan(chain_program, plan, reuse_buffers=True)
+        one = compile_plan_native(chain_program, plan, reuse_buffers=True)
+        two = compile_plan_native(chain_program, plan, reuse_buffers=True)
         one(inputs)
         two(inputs)
         assert one.workspace is not two.workspace
@@ -115,51 +120,40 @@ class TestCompilePlanCaching:
             one(inputs)["y"].data, two(inputs)["y"].data
         )
 
-    @pytest.mark.parametrize(
-        "variation",
-        [
-            dict(dtype=np.float32),
-            dict(timed=True),
-        ],
-        ids=["dtype", "timed"],
-    )
-    def test_key_sensitivity_misses(self, chain_program, variation):
+    def test_dtype_variation_misses(self, chain_program):
         plan = required_regions(chain_program, Box((0, 0, 0), (8, 4, 4)))
-        compile_plan(chain_program, plan)
-        _, varied = _delta(lambda: compile_plan(chain_program, plan, **variation))
+        compile_plan_native(chain_program, plan)
+        _, varied = _delta(
+            lambda: compile_plan_native(chain_program, plan, dtype=np.float32)
+        )
         assert varied["misses"] == 1 and varied["hits"] == 0
 
+    def test_timing_is_not_part_of_the_key(self, chain_program):
+        """Stage clocks are read between kernel calls, so a timed plan
+        runs the very C an untimed one does."""
+        plan = required_regions(chain_program, Box((0, 0, 0), (8, 4, 4)))
+        compile_plan_native(chain_program, plan)
+        timed, varied = _delta(
+            lambda: compile_plan_native(chain_program, plan, timed=True)
+        )
+        assert varied == {"hits": 1, "misses": 0}
+        assert timed.timed
+
     def test_different_geometry_misses(self, chain_program):
-        compile_plan(
+        compile_plan_native(
             chain_program,
             required_regions(chain_program, Box((0, 0, 0), (8, 4, 4))),
         )
         _, other = _delta(
-            lambda: compile_plan(
+            lambda: compile_plan_native(
                 chain_program,
                 required_regions(chain_program, Box((0, 0, 0), (10, 4, 4))),
             )
         )
         assert other["misses"] == 1 and other["hits"] == 0
 
-    @pytest.mark.skipif(
-        not native_available(), reason="needs cffi and a system C compiler"
-    )
-    def test_native_and_numpy_keys_are_disjoint(self, chain_program):
-        from repro.stencil import compile_plan_native
 
-        plan = required_regions(chain_program, Box((0, 0, 0), (8, 4, 4)))
-        compile_plan(chain_program, plan)
-        _, native_first = _delta(
-            lambda: compile_plan_native(chain_program, plan)
-        )
-        _, native_second = _delta(
-            lambda: compile_plan_native(chain_program, plan)
-        )
-        assert native_first == {"hits": 0, "misses": 1}
-        assert native_second == {"hits": 1, "misses": 0}
-
-
+@needs_native
 class TestRunnerTelemetry:
     def _stats(self, config):
         sink = InMemorySink()
@@ -171,7 +165,7 @@ class TestRunnerTelemetry:
         return sink.last.stats
 
     def test_second_runner_reports_hits(self):
-        config = EngineConfig(backend="compiled")
+        config = EngineConfig(backend="native")
         cold = self._stats(config)
         warm = self._stats(config)
         assert cold.plan_cache_hits == 0
@@ -180,6 +174,6 @@ class TestRunnerTelemetry:
         assert warm.plan_cache_misses == 0
 
     def test_stats_appear_in_event_payload(self):
-        payload = self._stats(EngineConfig(backend="compiled")).to_dict()
+        payload = self._stats(EngineConfig(backend="native")).to_dict()
         assert "plan_cache_hits" in payload
         assert "plan_cache_misses" in payload

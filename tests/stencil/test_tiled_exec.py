@@ -1,10 +1,12 @@
 """Tests for the tiled (3+1)D execution backend.
 
-The load-bearing property is bit-identity: a tiled sweep must produce
-exactly the bytes the flat compiled engine produces, for any block shape
-— including degenerate ones (blocks larger than the domain, unit axes,
-halos deeper than the block).  On top of that: sized workspaces, static
-chunking, steady-state allocation counters, and timing collection.
+The load-bearing property is bit-identity: a tiled sweep of native block
+kernels must produce exactly the bytes the interpreter's flat sweep
+produces, for any block shape — including degenerate ones (blocks larger
+than the domain, unit axes, halos deeper than the block).  On top of
+that: sized workspaces, static chunking, steady-state allocation
+counters, and timing collection.  Block plans are compiled to C, so
+everything that compiles is gated on :func:`native_available`.
 """
 
 import numpy as np
@@ -15,14 +17,19 @@ from repro.mpdata import MpdataSolver, mpdata_program, random_state
 from repro.stencil import (
     ArrayRegion,
     Box,
-    compile_plan,
     compile_plan_tiled,
+    execute_plan,
     heat3d,
+    native_available,
     plan_blocks_exact,
     required_regions,
     smoother_chain,
 )
 from repro.stencil.tiled_exec import _chunk
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
 
 
 def _random_inputs(program, plan, seed=0):
@@ -38,8 +45,7 @@ def _random_inputs(program, plan, seed=0):
 
 
 def _flat_result(program, plan, inputs):
-    compiled = compile_plan(program, plan)
-    results = compiled(inputs)
+    results, _ = execute_plan(program, plan, inputs)
     output = program.output_fields[0].name
     return results[output].view(plan.target)
 
@@ -52,6 +58,7 @@ def _tiled_result(program, plan, inputs, block_shape, **kwargs):
     return out
 
 
+@needs_native
 class TestBitIdentity:
     @pytest.mark.parametrize(
         "block_shape",
@@ -146,6 +153,7 @@ class TestBitIdentity:
         np.testing.assert_array_equal(flat, out)
 
 
+@needs_native
 class TestWorkspaces:
     def _tiled(self, **kwargs):
         program = heat3d()
@@ -171,6 +179,13 @@ class TestWorkspaces:
             alloc1, reuse1 = tiled.counters()
         assert alloc1 == alloc0
         assert reuse1 > reuse0
+
+    def test_block_plans_are_native(self):
+        program, plan, tiled = self._tiled()
+        with tiled:
+            assert tiled.block_count > 1
+            for task in tiled.tasks:
+                assert "void _stage_0(" in task.compiled.source
 
     def test_workspaces_are_sized_to_the_block(self):
         """Every block workspace carries a cap equal to its own largest
@@ -262,6 +277,7 @@ class TestValidationAndTiming:
         with pytest.raises(ValueError, match="single-output"):
             compile_plan_tiled(program, plan, block_plan)
 
+    @needs_native
     def test_closed_plan_refuses_team_sweeps(self):
         program = heat3d()
         target = Box((0, 0, 0), (8, 8, 8))
@@ -275,6 +291,7 @@ class TestValidationAndTiming:
         with pytest.raises(RuntimeError, match="closed"):
             tiled.execute(inputs, out)
 
+    @needs_native
     def test_timed_sweep_records_block_and_stage_seconds(self):
         program = heat3d()
         target = Box((0, 0, 0), (12, 10, 8))
@@ -290,6 +307,7 @@ class TestValidationAndTiming:
             stage_names = {stage.name for stage in program.stages}
             assert set(tiled.stage_seconds) == stage_names
 
+    @needs_native
     def test_untimed_sweep_records_nothing(self):
         program = heat3d()
         target = Box((0, 0, 0), (8, 8, 8))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.stencil import native_available
 
 
 class TestParser:
@@ -169,6 +170,9 @@ class TestCommands:
         assert "bit-identical to fault-free run: True" in out
         assert list(tmp_path.glob("*.npz"))  # checkpoints really landed
 
+    @pytest.mark.skipif(
+        not native_available(), reason="needs cffi and a system C compiler"
+    )
     def test_engine_tiled_run_bit_identical(self, capsys, tmp_path):
         json_path = tmp_path / "tiled.json"
         code = main(

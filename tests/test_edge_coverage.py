@@ -8,7 +8,7 @@ from repro.core import scenario_costs, Variant, partition_domain
 from repro.experiments import ExperimentSetup
 from repro.machine import sgi_uv2000
 from repro.mpdata import mpdata_program
-from repro.runtime import PartitionedRunner
+from repro.runtime import EngineConfig, PartitionedRunner
 from repro.stencil import (
     Access,
     ArrayRegion,
@@ -19,9 +19,11 @@ from repro.stencil import (
     Stage,
     StencilProgram,
     Where,
-    compile_program,
+    compile_plan_native,
     execute,
     full_box,
+    native_available,
+    required_regions,
 )
 
 
@@ -48,13 +50,18 @@ class TestWhereThroughTheToolchain:
         expected = np.where(x[:9] > 0, x[:9], 0.25 * x[1:10])
         np.testing.assert_array_equal(results["y"].view(target), expected)
 
+    @pytest.mark.skipif(
+        not native_available(), reason="needs cffi and a system C compiler"
+    )
     def test_codegen_matches_interpreter(self, clamp_program):
         rng = np.random.default_rng(1)
         x = rng.standard_normal((10, 4, 4))
         inputs = {"x": ArrayRegion.wrap(x, lo=(0, 0, 0))}
         target = Box((0, 0, 0), (9, 4, 4))
         interpreted, _ = execute(clamp_program, inputs, target)
-        compiled = compile_program(clamp_program, target)
+        compiled = compile_plan_native(
+            clamp_program, required_regions(clamp_program, target)
+        )
         np.testing.assert_array_equal(
             compiled(inputs)["y"].data, interpreted["y"].data
         )
@@ -91,7 +98,9 @@ class TestSmallBehaviours:
 
     def test_threaded_runner_propagates_errors(self, mpdata):
         """An island failure must surface, not vanish in the pool."""
-        runner = PartitionedRunner(mpdata, (16, 12, 8), islands=4, threads=4)
+        runner = PartitionedRunner(
+            mpdata, (16, 12, 8), islands=4, config=EngineConfig(threads=4)
+        )
         bad = {
             "x": np.zeros((16, 12, 8)),
             "u1": np.zeros((16, 12, 8)),

@@ -16,7 +16,7 @@ from repro.core import Variant, decompose, recommend, redundancy_report, partiti
 from repro.experiments import ExperimentSetup, table2, table3, table4
 from repro.machine import simulate, sgi_uv2000, uv2000_costs
 from repro.mpdata import MpdataSolver, mpdata_program, random_state
-from repro.runtime import MpdataIslandSolver
+from repro.runtime import EngineConfig, MpdataIslandSolver
 from repro.sched import build_islands_plan
 from repro.stencil import (
     execute_plan,
@@ -128,10 +128,11 @@ class TestEndToEndStory:
         state = random_state(shape, seed=2017)
 
         # 1. Functional: whole-domain vs threaded islands, bit-exact.
-        whole = MpdataSolver(shape, compiled=True).run(state, 3)
-        split = MpdataIslandSolver(shape, 4, threads=4, compiled=True).run(
-            state, 3
-        )
+        whole = MpdataSolver(shape).run(state, 3)
+        with MpdataIslandSolver(
+            shape, 4, config=EngineConfig(threads=4)
+        ) as islands:
+            split = islands.run(state, 3)
         np.testing.assert_array_equal(whole, split)
 
         # 2. Physics invariants.
