@@ -189,13 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="2D island grid extents (requires --variant 2D)",
     )
     engine.add_argument(
-        "--sync-every", type=int, default=1, metavar="S",
-        help="temporal blocking: islands synchronize once per S time "
-        "steps, running the whole S-step cascade locally on halos deep "
-        "enough for it — S x fewer barriers for ~linear extra redundant "
-        "work (default 1; periodic boundaries only)",
-    )
-    engine.add_argument(
         "--json", metavar="PATH", default=None,
         help="also write the report as JSON (e.g. BENCH_steady_state.json)",
     )
@@ -206,8 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--telemetry-table", action="store_true",
-        help="print the per-(super-)step telemetry table (steps advanced, "
-        "wall time, allocations, syncs) plus run-level sync totals",
+        help="print the per-step telemetry table (wall time, allocations, "
+        "syncs) plus run-level sync totals",
     )
     tiled = engine.add_argument_group(
         "tiled (3+1)D backend",
@@ -414,6 +407,34 @@ def _run_show(name: str, iord: int, no_fct: bool) -> int:
     return 0
 
 
+#: The grid axis each 1D partition variant splits into islands.
+_SPLIT_AXIS = {"A": 0, "B": 1}
+
+
+def _check_split(parser, flag, parts, shape, variant, axis=None) -> None:
+    """Reject more islands than the split axis has cells."""
+    if axis is None:
+        axis = _SPLIT_AXIS[variant]
+    if parts > shape[axis]:
+        parser.error(
+            f"{flag}: variant {variant} cannot split axis {'ijk'[axis]} "
+            f"({shape[axis]} cells) into {parts} islands; use at most "
+            f"{shape[axis]}"
+        )
+
+
+def _validate_verify_args(parser, args) -> None:
+    """Reject island counts ``verify`` cannot partition (it runs both
+    variants, so every count must fit axis i and axis j)."""
+    for islands in args.islands:
+        if islands < 1:
+            parser.error("--islands must be at least 1")
+        for variant in _SPLIT_AXIS:
+            _check_split(
+                parser, f"--islands {islands}", islands, args.shape, variant
+            )
+
+
 def _validate_engine_args(parser, args) -> None:
     """Reject inconsistent ``engine`` flag combinations up front.
 
@@ -437,6 +458,9 @@ def _validate_engine_args(parser, args) -> None:
             parser.error(
                 "--grid decomposes over a 2D island grid; add --variant 2D"
             )
+        flag = f"--grid {pi} {pj}"
+        _check_split(parser, flag, pi, args.shape, "2D", axis=0)
+        _check_split(parser, flag, pj, args.shape, "2D", axis=1)
         if args.islands is not None and args.islands != pi * pj:
             parser.error(
                 f"--islands {args.islands} contradicts --grid {pi} {pj} "
@@ -452,6 +476,11 @@ def _validate_engine_args(parser, args) -> None:
         args.islands = 4
     if args.islands < 1:
         parser.error("--islands must be at least 1")
+    if args.variant != "2D":
+        _check_split(
+            parser, f"--islands {args.islands}", args.islands, args.shape,
+            args.variant,
+        )
     if args.halo_threshold is not None and args.halo != "hybrid":
         parser.error(
             "--halo-threshold tunes the hybrid policy; add --halo hybrid"
@@ -478,14 +507,6 @@ def _validate_engine_args(parser, args) -> None:
         parser.error("--threads must be at least 1")
     if args.intra_threads < 1:
         parser.error("--intra-threads must be at least 1")
-    if args.sync_every < 1:
-        parser.error("--sync-every must be at least 1")
-    if args.sync_every > 1 and tiled_flags:
-        parser.error(
-            "the tiled comparison runs one step per sync; drop "
-            "--sync-every or the --tiled/--block-shape/--autotune-blocks "
-            "flags"
-        )
     if args.telemetry_table and tiled_flags:
         parser.error(
             "--telemetry-table is wired to the steady-state and "
@@ -577,7 +598,6 @@ def _run_engine(args) -> int:
         step_deadline=args.step_deadline,
         deadline_factor=args.deadline_factor,
         quarantine_after=args.quarantine_after,
-        sync_every=args.sync_every,
         telemetry_table=args.telemetry_table,
     )
     json_path = args.json
@@ -714,6 +734,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"wrote {path}")
         return 0
     if args.command == "verify":
+        _validate_verify_args(parser, args)
         return _run_verify(args.shape, args.steps, args.islands)
     if args.command == "calibrate":
         _run_calibrate()

@@ -53,8 +53,6 @@ def island_halo_plans(
     program: StencilProgram,
     partition: Partition,
     clip_domain: Optional[Box] = None,
-    sync_every: int = 1,
-    recurrent: Optional[str] = None,
 ) -> Tuple[HaloPlan, ...]:
     """Backward halo plans for every island part of a partition.
 
@@ -62,25 +60,10 @@ def island_halo_plans(
     physical domain (``clip_domain=None``), executors clip to the
     ghost-extended domain.  Every consumer sees identical geometry for
     identical arguments.
-
-    With ``sync_every=s > 1`` the analysis composes across *steps*
-    (temporal blocking): each island's entry becomes the tuple of ``s``
-    :class:`~repro.stencil.halo.HaloPlan` objects, in execution order,
-    that chain the full cascade ``s`` times down to the island's part —
-    see :func:`repro.stencil.halo.composed_step_plans`.  With the
-    default ``sync_every=1`` the return value is unchanged: one plan
-    per island.
     """
     clip = clip_domain if clip_domain is not None else partition.domain
-    if sync_every == 1:
-        return tuple(
-            required_regions(program, part, domain=clip) for part in partition.parts
-        )
-    return tuple(  # type: ignore[return-value]
-        composed_step_plans(
-            program, part, domain=clip, sync_every=sync_every, recurrent=recurrent
-        )
-        for part in partition.parts
+    return tuple(
+        required_regions(program, part, domain=clip) for part in partition.parts
     )
 
 

@@ -88,15 +88,11 @@ class IslandDecomposition:
         self,
         policy: str = "recompute",
         hybrid_max_flow_points: Optional[int] = None,
-        sync_every: int = 1,
     ) -> HaloLedger:
         """Executable per-stage halo geometry for one policy.
 
         Built against this decomposition's clip domain, so the resulting
         compute/buffer boxes are directly runnable by the backends.
-        ``sync_every`` composes the geometry across that many time steps
-        (temporal blocking) — the clip domain must then include ghosts
-        deep enough for the composed plans.
         """
         return build_halo_ledger(
             self.program,
@@ -104,7 +100,6 @@ class IslandDecomposition:
             clip_domain=self.clip_domain,
             policy=policy,
             hybrid_max_flow_points=hybrid_max_flow_points,
-            sync_every=sync_every,
         )
 
 

@@ -19,6 +19,7 @@ from ..stencil import (
     Box,
     StencilProgram,
     full_box,
+    required_regions,
 )
 from .boundary import extend_array, extended_box
 from .reference import MpdataState
@@ -36,35 +37,18 @@ class GhostSpec:
 
     @staticmethod
     def for_program(
-        program: StencilProgram,
-        shape: Tuple[int, int, int],
-        sync_every: int = 1,
+        program: StencilProgram, shape: Tuple[int, int, int]
     ) -> "GhostSpec":
-        """Derive ghost widths from the program's transitive input halo.
-
-        With ``sync_every=s > 1`` the halo composes across ``s`` chained
-        applications (temporal blocking): ghosts must feed the deepest
-        sub-step's reads, so the widths grow ~linearly in ``s``.  Reads
-        of the recurrent field by later sub-steps are satisfied by the
-        previous sub-step's output region, never by ghosts, so only the
-        composed first-sub-step plan (the deepest) matters — but the
-        hull over all sub-steps is taken anyway, which costs nothing and
-        stays correct for any monotonicity edge case.
-        """
-        from ..stencil import composed_step_plans
-
-        plans = composed_step_plans(
-            program, full_box(shape), domain=None, sync_every=sync_every
-        )
+        """Derive ghost widths from the program's transitive input halo."""
+        plan = required_regions(program, full_box(shape))
         lo = [0, 0, 0]
         hi = [0, 0, 0]
-        for plan in plans:
-            for box in plan.input_boxes.values():
-                if box.is_empty():
-                    continue
-                for axis in range(3):
-                    lo[axis] = max(lo[axis], -box.lo[axis])
-                    hi[axis] = max(hi[axis], box.hi[axis] - shape[axis])
+        for box in plan.input_boxes.values():
+            if box.is_empty():
+                continue
+            for axis in range(3):
+                lo[axis] = max(lo[axis], -box.lo[axis])
+                hi[axis] = max(hi[axis], box.hi[axis] - shape[axis])
         return GhostSpec(tuple(lo), tuple(hi))  # type: ignore[arg-type]
 
 

@@ -175,8 +175,6 @@ class IslandBackend:
         self._stage_buffers: Dict[int, List[Optional[ArrayRegion]]] = {}
         self._stage_reads: Dict[Tuple[int, int], tuple] = {}
         self._stage_programs: Dict[int, StencilProgram] = {}
-        self._step_plans: Optional[Tuple[Tuple[object, ...], ...]] = None
-        self._recurrent: Optional[str] = None
 
     @classmethod
     def from_config(
@@ -223,83 +221,12 @@ class IslandBackend:
         """
         if self._ledger is not None:
             self._refresh_stage_state(island_index)
-        elif self._step_plans is not None:
-            self._refresh_super(island_index)
         else:
             self._refresh_plan(island_index)
 
     def _refresh_plan(self, island_index: int) -> None:
         """Replace one island's whole-step compute state (recompute mode)."""
         raise NotImplementedError
-
-    # -- super-step execution (temporal blocking, recompute policy) -----
-    def prepare_super(
-        self,
-        step_plans: Tuple[Tuple[object, ...], ...],
-        recurrent: str,
-    ) -> None:
-        """Build per-sub-step state for temporal-blocked super-steps.
-
-        Called instead of :meth:`prepare` when ``sync_every > 1`` under
-        the recompute policy.  ``step_plans[island]`` holds the ``s``
-        composed :class:`~repro.stencil.halo.HaloPlan` objects in
-        execution order (see
-        :func:`repro.stencil.halo.composed_step_plans`); ``recurrent``
-        names the input field that receives each sub-step's output.
-        Every sub-step gets its *own* persistent compute state (arena /
-        workspace): one shared arena would recycle sub-step ``k``'s
-        output buffers at the start of sub-step ``k+1``, exactly while
-        they are being read.
-        """
-        self._step_plans = step_plans
-        self._recurrent = recurrent
-        self._prepare_super_state()
-
-    def _prepare_super_state(self) -> None:
-        """Hook: build per-(island, sub-step) compute state."""
-        raise NotImplementedError
-
-    @property
-    def temporal(self) -> bool:
-        """True when prepared for super-steps (``prepare_super`` ran).
-
-        A temporally-blocked backend has *only* per-sub-step state — no
-        plain whole-step plans — so callers must route every execution
-        through :meth:`execute_island_super`, even a remainder
-        super-step that advances a single step.
-        """
-        return self._step_plans is not None
-
-    def execute_island_super(
-        self,
-        island,
-        inputs: Mapping[str, ArrayRegion],
-        out: np.ndarray,
-        steps: int,
-    ) -> IslandResult:
-        """Advance ``steps`` sub-steps island-locally, then write ``out``.
-
-        Runs the first ``steps`` composed plans (``steps < sync_every``
-        only on a run's remainder super-step, where the deeper plans do
-        some extra redundant work but stay bit-identical), feeding each
-        sub-step's output region into the next sub-step's recurrent
-        input, and extracts the island's part from the last sub-step.
-        """
-        raise NotImplementedError
-
-    def _refresh_super(self, island_index: int) -> None:
-        """Hook: replace one island's per-sub-step state before a retry."""
-        raise NotImplementedError
-
-    def _chain_inputs(
-        self,
-        inputs: Mapping[str, ArrayRegion],
-        produced: ArrayRegion,
-    ) -> Dict[str, ArrayRegion]:
-        """Next sub-step's inputs: ghost inputs + the recurrent region."""
-        chained = dict(inputs)
-        chained[self._recurrent] = produced
-        return chained
 
     def close(self) -> None:
         """Release backend-owned resources (idempotent; default: none)."""
@@ -454,25 +381,13 @@ class IslandBackend:
             return IslandResult()
         return self._execute_stage(island, stage_index, inputs)
 
-    def _flat_stage(self, stage_index: int) -> Tuple[int, int]:
-        """Split a flat ledger index into ``(sub_step, local_stage)``.
-
-        Exchange-mode ledgers built with ``sync_every = s`` flatten the
-        stage axis to ``s * len(program.stages)`` entries; with the
-        default ``s = 1`` this is the identity mapping.
-        """
-        stages = len(self.program.stages)
-        return stage_index // stages, stage_index % stages
-
     def _stage_inputs(
         self,
         island_index: int,
         stage_index: int,
         inputs: Mapping[str, ArrayRegion],
     ) -> Dict[str, ArrayRegion]:
-        """Resolve one flat stage's reads: ghost inputs, earlier stage
-        buffers of the same sub-step, or — for the recurrent field after
-        the first sub-step — the previous sub-step's output buffer.
+        """Resolve one stage's reads: ghost inputs or earlier stage buffers.
 
         Resolved once per (island, stage): stage buffers are never
         replaced after :meth:`prepare_exchange`, so the same dict is
@@ -485,41 +400,26 @@ class IslandBackend:
             ghosts, resolved = bound
             if all(inputs[name] is region for name, region in ghosts):
                 return resolved
-        sub_step, local = self._flat_stage(stage_index)
-        stage = self.program.stages[local]
-        stages = len(self.program.stages)
+        stage = self.program.stages[stage_index]
         field_map = self.program.field_map
-        recurrent = self._ledger.recurrent if self._ledger is not None else None
         resolved = {}
         ghosts = []
         for name in stage.reads:
             if field_map[name].is_input:
-                if sub_step > 0 and name == recurrent:
-                    producer = self.program.producer_of(self.output_field)
-                    resolved[name] = self._stage_buffers[island_index][
-                        (sub_step - 1) * stages + producer
-                    ]
-                else:
-                    resolved[name] = inputs[name]
-                    ghosts.append((name, resolved[name]))
+                resolved[name] = inputs[name]
+                ghosts.append((name, resolved[name]))
             else:
-                producer = self.program.producer_of(name)
                 resolved[name] = self._stage_buffers[island_index][
-                    sub_step * stages + producer
+                    self.program.producer_of(name)
                 ]
         self._stage_reads[key] = (tuple(ghosts), resolved)
         return resolved
 
     def _stage_program(self, stage_index: int) -> StencilProgram:
-        """A one-stage program whose inputs are the stage's read fields.
-
-        Keyed by the *local* stage index: every sub-step runs the same
-        seventeen stages, so flat indices share the cached programs.
-        """
-        _, local = self._flat_stage(stage_index)
-        cached = self._stage_programs.get(local)
+        """A one-stage program whose inputs are the stage's read fields."""
+        cached = self._stage_programs.get(stage_index)
         if cached is None:
-            stage = self.program.stages[local]
+            stage = self.program.stages[stage_index]
             field_map = self.program.field_map
             declared = tuple(
                 Field(name, FieldRole.INPUT, itemsize=field_map[name].itemsize)
@@ -531,7 +431,7 @@ class IslandBackend:
                 (stage,),
                 (stage.output,),
             )
-            self._stage_programs[local] = cached
+            self._stage_programs[stage_index] = cached
         return cached
 
     def _prepare_stage_state(self) -> None:
@@ -585,50 +485,6 @@ class FlatInterpreterBackend(IslandBackend):
             self._arenas[island_index] = StageArena(self.dtype)
             self._scratch[island_index] = EvalArena(self.dtype)
 
-    # -- super-step path (temporal blocking) ----------------------------
-    def _prepare_super_state(self) -> None:
-        self._super_arenas: Dict[Tuple[int, int], StageArena] = {}
-        self._scratch = {}
-        if self.reuse_buffers:
-            for island in self.decomposition.islands:
-                self._scratch[island.index] = EvalArena(self.dtype)
-                for k in range(len(self._step_plans[island.index])):
-                    self._super_arenas[(island.index, k)] = StageArena(self.dtype)
-
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
-        plans = self._step_plans[island.index]
-        current: Mapping[str, ArrayRegion] = inputs
-        total = IslandResult()
-        results = None
-        for k in range(steps):
-            results, stats = execute_plan(
-                self.program,
-                plans[k],
-                current,
-                dtype=self.dtype,
-                arena=self._super_arenas.get((island.index, k)),
-                scratch=self._scratch.get(island.index),
-                collect_timing=self.timed,
-            )
-            total.stage_allocations += stats.allocations
-            total.scratch_allocations += stats.scratch_allocations
-            total.reused += stats.reused_buffers + stats.scratch_reused
-            if self.timed and stats.stage_seconds:
-                merged = dict(total.stage_seconds or {})
-                for name, seconds in stats.stage_seconds.items():
-                    merged[name] = merged.get(name, 0.0) + seconds
-                total.stage_seconds = merged
-            if k + 1 < steps:
-                current = self._chain_inputs(inputs, results[self.output_field])
-        out[island.part.slices()] = results[self.output_field].view(island.part)
-        return total
-
-    def _refresh_super(self, island_index: int) -> None:
-        if self.reuse_buffers:
-            self._scratch[island_index] = EvalArena(self.dtype)
-            for k in range(len(self._step_plans[island_index])):
-                self._super_arenas[(island_index, k)] = StageArena(self.dtype)
-
     # -- stage-granular path (exchange / hybrid) ------------------------
     def _prepare_stage_state(self) -> None:
         self._stage_scratch: Dict[int, EvalArena] = {}
@@ -637,7 +493,7 @@ class FlatInterpreterBackend(IslandBackend):
                 self._stage_scratch[island.index] = EvalArena(self.dtype)
 
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
-        stage = self.program.stages[self._flat_stage(stage_index)[1]]
+        stage = self.program.stages[stage_index]
         comp = self._ledger.compute_boxes[island.index][stage_index]
         out_view = self._stage_buffers[island.index][stage_index].view(comp)
         resolved = self._stage_inputs(island.index, stage_index, inputs)
@@ -667,9 +523,9 @@ class FlatInterpreterBackend(IslandBackend):
 class NativeBackend(IslandBackend):
     """One fused-C step per island, persistent workspace.
 
-    Every halo plan — whole-step, per sub-step under ``sync_every > 1``,
-    and per stage under the exchange and hybrid policies — is compiled
-    by :func:`~repro.stencil.native.compile_plan_native`.  One stage then
+    Every halo plan — whole-step, and per stage under the exchange and
+    hybrid policies — is compiled by
+    :func:`~repro.stencil.native.compile_plan_native`.  One stage then
     costs a single memory sweep regardless of its operator-chain depth
     (MODEL.md §15).  There is deliberately no silent fallback to the
     interpreter: a quietly degraded backend would invalidate any
@@ -721,53 +577,6 @@ class NativeBackend(IslandBackend):
         if compiled.persistent:
             compiled.persistent = True  # installs a fresh Workspace
 
-    # -- super-step path (temporal blocking) ----------------------------
-    def _prepare_super_state(self) -> None:
-        self._super_plans: Dict[Tuple[int, int], object] = {}
-        for island in self.decomposition.islands:
-            for k, plan in enumerate(self._step_plans[island.index]):
-                self._super_plans[(island.index, k)] = compile_plan_native(
-                    self.program,
-                    plan,
-                    dtype=self.dtype,
-                    reuse_buffers=self.reuse_buffers,
-                    timed=self.timed,
-                )
-
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
-        current: Mapping[str, ArrayRegion] = inputs
-        total = IslandResult()
-        results = None
-        for k in range(steps):
-            compiled = self._super_plans[(island.index, k)]
-            workspace = compiled.workspace
-            before = (
-                (workspace.allocations, workspace.reuses)
-                if workspace is not None
-                else (0, 0)
-            )
-            stage_before = compiled.stage_seconds if self.timed else None
-            results = compiled(current)
-            workspace = compiled.last_workspace
-            total.stage_allocations += workspace.allocations - before[0]
-            total.reused += workspace.reuses - before[1]
-            if self.timed:
-                delta = stage_delta(compiled.stage_seconds, stage_before)
-                if delta:
-                    merged = dict(total.stage_seconds or {})
-                    for name, seconds in delta.items():
-                        merged[name] = merged.get(name, 0.0) + seconds
-                    total.stage_seconds = merged
-            if k + 1 < steps:
-                current = self._chain_inputs(inputs, results[self.output_field])
-        out[island.part.slices()] = results[self.output_field].view(island.part)
-        return total
-
-    def _refresh_super(self, island_index: int) -> None:
-        for (q, _k), compiled in self._super_plans.items():
-            if q == island_index and compiled.persistent:
-                compiled.persistent = True  # installs a fresh Workspace
-
     # -- stage-granular path (exchange / hybrid) ------------------------
     def _prepare_stage_state(self) -> None:
         self._stage_plans: Dict[Tuple[int, int], object] = {}
@@ -777,7 +586,7 @@ class NativeBackend(IslandBackend):
                 comp = self._ledger.compute_boxes[q][s]
                 if comp.is_empty():
                     continue
-                stage = self.program.stages[self._flat_stage(s)[1]]
+                stage = self.program.stages[s]
                 sub = self._stage_program(s)
                 compiled = compile_plan_native(
                     sub,
@@ -814,7 +623,7 @@ class NativeBackend(IslandBackend):
             compiled.persistent = True  # installs a fresh Workspace
             comp = self._ledger.compute_boxes[q][s]
             compiled.workspace.bind_out(
-                self.program.stages[self._flat_stage(s)[1]].output,
+                self.program.stages[s].output,
                 self._stage_buffers[q][s].view(comp),
             )
 
@@ -915,71 +724,6 @@ class TiledBackend(IslandBackend):
     def close(self) -> None:
         for plan in self.plans.values():
             plan.close()
-        for plan in getattr(self, "_super_tiled", {}).values():
-            plan.close()
-
-    # -- super-step path (temporal blocking) ----------------------------
-    # Each sub-step gets its own TiledPlan over the composed plan's
-    # (deeper) target, writing into a persistent intermediate region
-    # buffer; the island's part is copied out of the last sub-step's
-    # buffer.  Intermediate targets exceed the island part, so the block
-    # grid simply grows — block_shape stays a per-block cache bound.
-    def _prepare_super_state(self) -> None:
-        from ..stencil.tiled_exec import compile_plan_tiled
-        from ..stencil.tiling import plan_blocks_exact
-
-        self._super_tiled: Dict[Tuple[int, int], object] = {}
-        self._super_out: Dict[Tuple[int, int], ArrayRegion] = {}
-        for island in self.decomposition.islands:
-            q = island.index
-            for k, plan in enumerate(self._step_plans[q]):
-                self._super_tiled[(q, k)] = compile_plan_tiled(
-                    self.program,
-                    plan,
-                    plan_blocks_exact(self.program, plan.target, self.block_shape),
-                    clip_domain=self.clip_domain,
-                    dtype=self.dtype,
-                    reuse_buffers=self.reuse_buffers,
-                    intra_threads=self.intra_threads,
-                    timed=self.timed,
-                )
-                self._super_out[(q, k)] = ArrayRegion(
-                    np.empty(plan.target.shape, dtype=self.dtype), plan.target
-                )
-
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
-        q = island.index
-        current: Mapping[str, ArrayRegion] = inputs
-        total = IslandResult()
-        produced = None
-        for k in range(steps):
-            tiled = self._super_tiled[(q, k)]
-            produced = self._super_out[(q, k)]
-            before = tiled.counters()
-            stage_before = tiled.stage_seconds if self.timed else None
-            tiled.execute(current, produced.data, origin=produced.box.lo)
-            after = tiled.counters()
-            total.stage_allocations += after[0] - before[0]
-            total.reused += after[1] - before[1]
-            if self.timed:
-                total.block_seconds = total.block_seconds + tuple(
-                    tiled.last_block_seconds or ()
-                )
-                delta = stage_delta(tiled.stage_seconds, stage_before)
-                if delta:
-                    merged = dict(total.stage_seconds or {})
-                    for name, seconds in delta.items():
-                        merged[name] = merged.get(name, 0.0) + seconds
-                    total.stage_seconds = merged
-            if k + 1 < steps:
-                current = self._chain_inputs(inputs, produced)
-        out[island.part.slices()] = produced.view(island.part)
-        return total
-
-    def _refresh_super(self, island_index: int) -> None:
-        for (q, _k), tiled in self._super_tiled.items():
-            if q == island_index:
-                tiled.refresh_workspaces()
 
     # -- stage-granular path (exchange / hybrid) ------------------------
     # Each stage's owned slab is covered by cache-sized blocks, each with
@@ -995,7 +739,7 @@ class TiledBackend(IslandBackend):
                 comp = self._ledger.compute_boxes[q][s]
                 if comp.is_empty():
                     continue
-                stage = self.program.stages[self._flat_stage(s)[1]]
+                stage = self.program.stages[s]
                 sub = self._stage_program(s)
                 buffer = self._stage_buffers[q][s]
                 compiled_blocks = []
@@ -1014,7 +758,7 @@ class TiledBackend(IslandBackend):
                 self._stage_plans[(q, s)] = tuple(compiled_blocks)
 
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
-        stage = self.program.stages[self._flat_stage(stage_index)[1]]
+        stage = self.program.stages[stage_index]
         resolved = self._stage_inputs(island.index, stage_index, inputs)
         result = IslandResult()
         block_seconds = [] if self.timed else None
@@ -1043,7 +787,7 @@ class TiledBackend(IslandBackend):
             for block, compiled in compiled_blocks:
                 compiled.persistent = True  # installs a fresh Workspace
                 compiled.workspace.bind_out(
-                    self.program.stages[self._flat_stage(s)[1]].output,
+                    self.program.stages[s].output,
                     buffer.view(block),
                 )
 
@@ -1086,9 +830,7 @@ def create_backend(
 
     With a non-recompute ``ledger`` the backend is prepared for
     stage-granular execution (:meth:`IslandBackend.prepare_exchange`)
-    instead of whole-step island sweeps; a recompute ledger carrying
-    ``sync_every > 1`` selects the temporal-blocked super-step path
-    (:meth:`IslandBackend.prepare_super`).
+    instead of whole-step island sweeps.
     """
     try:
         backend_cls = BACKENDS[config.backend]
@@ -1106,8 +848,6 @@ def create_backend(
     )
     if ledger is not None and ledger.policy != "recompute":
         backend.prepare_exchange(ledger)
-    elif ledger is not None and ledger.sync_every > 1:
-        backend.prepare_super(ledger.step_plans, ledger.recurrent)
     else:
         backend.prepare()
     return backend

@@ -129,12 +129,10 @@ class EngineConfig:
         serial-in-parent as the last resort.  ``None`` never
         quarantines.
     sync_every:
-        Temporal blocking: islands synchronize once per this many time
-        steps, computing on ghost halos deep enough for the whole
-        ``s``-step cascade (one super-step).  ``1`` (default) is the
-        paper's per-step sync.  Requires periodic boundaries: with open
-        boundaries the reference refills boundary values every step,
-        which a sync-free super-step cannot reproduce bit-identically.
+        Time steps per inter-island synchronization.  Only ``1`` is
+        accepted — islands sync once per step, as in the paper; the
+        deep-halo temporal blocking that took larger values was removed
+        because it never beat ``1`` (EXPERIMENTS.md).
     """
 
     backend: str = "interpreter"
@@ -264,15 +262,10 @@ class EngineConfig:
                 raise ValueError(
                     "quarantine_after must be at least 1 (or None)"
                 )
-        object.__setattr__(self, "sync_every", int(self.sync_every))
-        if self.sync_every < 1:
-            raise ValueError("sync_every must be at least 1")
-        if self.sync_every > 1 and self.boundary != "periodic":
+        if self.sync_every != 1:
             raise ValueError(
-                "sync_every > 1 (temporal blocking) requires periodic "
-                "boundaries: open boundaries refill ghost values every "
-                "step, which an s-step super-step cannot reproduce "
-                "bit-identically"
+                f"sync_every must be 1, got {self.sync_every!r}: temporal "
+                "blocking was removed, islands sync once per time step"
             )
         if self.backend != "procs":
             if self.workers is not None:
@@ -333,7 +326,6 @@ class EngineConfig:
             "step_deadline": self.step_deadline,
             "deadline_factor": self.deadline_factor,
             "quarantine_after": self.quarantine_after,
-            "sync_every": self.sync_every,
         }
 
     @classmethod
@@ -438,7 +430,6 @@ class EngineConfig:
             collect_timings=getattr(args, "timings", False),
             halo=getattr(args, "halo", "recompute") or "recompute",
             halo_threshold=getattr(args, "halo_threshold", None),
-            sync_every=getattr(args, "sync_every", 1) or 1,
         )
 
 

@@ -145,7 +145,6 @@ class PartitionedRunner:
         self.collect_timings = config.collect_timings
         self.halo = config.halo
         self.halo_threshold = config.halo_threshold
-        self.sync_every = config.sync_every
         self.fault_injector = (
             fault_injector
             if fault_injector is not None
@@ -157,20 +156,15 @@ class PartitionedRunner:
         self._step_index = 0  # logical step counter for fault keying
 
         self.domain: Box = full_box(self.shape)
-        # Temporal blocking composes the halo across sync_every steps, so
-        # the ghost margins (and the clip domain below) deepen with it.
-        self.ghosts = GhostSpec.for_program(
-            program, self.shape, sync_every=self.sync_every
-        )
+        self.ghosts = GhostSpec.for_program(program, self.shape)
         if self.boundary == "periodic":
             for axis in range(3):
                 margin = max(self.ghosts.lo[axis], self.ghosts.hi[axis])
                 if margin > self.shape[axis]:
                     raise ValueError(
                         f"grid axis {axis} ({self.shape[axis]} cells) is "
-                        f"smaller than the composed program halo ({margin}"
-                        f" at sync_every={self.sync_every}); enlarge the "
-                        "grid or lower --sync-every"
+                        f"smaller than the program halo ({margin}); enlarge "
+                        "the grid"
                     )
         self.extended_domain = extended_box(self.shape, self.ghosts.lo, self.ghosts.hi)
         self.decomposition: IslandDecomposition = decompose(
@@ -191,7 +185,7 @@ class PartitionedRunner:
         # ``exchange``/``hybrid`` it is the executable stage geometry the
         # backend and the per-stage copy loop both follow.
         self.halo_ledger = self.decomposition.halo_ledger(
-            config.halo, config.halo_threshold, sync_every=self.sync_every
+            config.halo, config.halo_threshold
         )
         self._redundant_points = self.halo_ledger.redundant_points
         # Snapshot the process-wide plan cache around backend construction
@@ -225,10 +219,9 @@ class PartitionedRunner:
         self._copies: Optional[Dict[int, Tuple[tuple, int]]] = None
         self._closed = False
         self.last_step_stats: Optional[StepStats] = None
-        # Run-level synchronization ledger: time steps advanced and
-        # inter-island barriers paid since construction.  Their ratio is
-        # the amortized sync rate temporal blocking exists to lower.
-        self.total_steps_advanced = 0
+        # Run-level synchronization ledger: successful steps and the
+        # inter-island barriers they paid since construction.
+        self.total_steps = 0
         self.total_syncs = 0
 
     # ------------------------------------------------------------------
@@ -340,8 +333,8 @@ class PartitionedRunner:
 
     @property
     def syncs_per_step(self) -> float:
-        """Amortized inter-island barriers per time step, run to date."""
-        return self.total_syncs / max(1, self.total_steps_advanced)
+        """Inter-island barriers per time step, run to date."""
+        return self.total_syncs / max(1, self.total_steps)
 
     def _fresh_island_resources(self, island_index: int) -> None:
         """Replace one island's persistent compute state before a retry."""
@@ -440,7 +433,7 @@ class PartitionedRunner:
     def _exchange_copies(self) -> Dict[int, Tuple[tuple, int]]:
         """Each active stage's boundary copies, built once per runner.
 
-        Maps each active flat stage index, in order, to its
+        Maps each active stage index, in order, to its
         :class:`~repro.core.halo.StageFlow` copies as ``(destination
         view, source view)`` pairs plus their byte total.  Stage buffers
         are allocated once by the backend's ``prepare_exchange`` and
@@ -471,32 +464,21 @@ class PartitionedRunner:
         island_results: List[Optional[IslandResult]],
         fault_slot: Callable[[int], FaultStats],
         errors: List[BaseException],
-        steps: int = 1,
     ) -> Tuple[int, int]:
-        """One scenario-1 (super-)step: per stage, compute owned slabs,
-        copy halos.
+        """One scenario-1 step: per stage, compute owned slabs, copy halos.
 
         Every active stage is one fan-out over all islands (each computes
         its ledger slab into its persistent stage buffer), followed by a
         barrier — the fan-out joins every island before the boundary
         copies run — and the stage's :class:`~repro.core.halo.StageFlow`
-        copies between island buffers.  With temporal blocking the
-        ledger's stage axis is ``sync_every`` chained cascades laid flat;
-        a remainder super-step (``steps < sync_every``) runs only the
-        first ``steps`` cascades and extracts the output from the last
-        one it ran.  Returns the measured ``(exchanged_bytes,
-        stage_syncs)`` of the call.
+        copies between island buffers.  Returns the measured
+        ``(exchanged_bytes, stage_syncs)`` of the call.
         """
         islands = self.decomposition.islands
-        ledger = self.halo_ledger
-        copies = self._exchange_copies()
         exchanged_bytes = 0
         stage_syncs = 0
-        flat_limit = steps * ledger.stages_per_step
 
-        for stage_index, (pairs, nbytes) in copies.items():
-            if stage_index >= flat_limit:
-                continue
+        for stage_index, (pairs, nbytes) in self._exchange_copies().items():
 
             def run_stage(position: int, _stage: int = stage_index) -> None:
                 result = self.resilience.run_island_stage(
@@ -519,10 +501,7 @@ class PartitionedRunner:
                 np.copyto(dst, src)
             exchanged_bytes += nbytes
 
-        producer = (
-            (steps - 1) * ledger.stages_per_step
-            + self.program.producer_of(self.output_field)
-        )
+        producer = self.program.producer_of(self.output_field)
         for island in islands:
             buffer = self.backend.stage_buffer(island.index, producer)
             out[island.part.slices()] = buffer.view(island.part)
@@ -533,9 +512,8 @@ class PartitionedRunner:
         arrays: Mapping[str, np.ndarray],
         changed: Optional[Set[str]] = None,
         step_index: Optional[int] = None,
-        steps: int = 1,
     ) -> np.ndarray:
-        """One partitioned (super-)step; returns the assembled output.
+        """One partitioned time step; returns the assembled output.
 
         ``changed`` is forwarded to :meth:`extend_inputs`; pass the set of
         input names whose contents differ from the previous step to skip
@@ -543,20 +521,12 @@ class PartitionedRunner:
         step re-extends everything).  With ``reuse_output`` the returned
         array is the runner's persistent buffer, overwritten next step.
 
-        ``steps`` (temporal blocking, at most ``sync_every``) advances
-        that many time steps in one call: each island runs the whole
-        sub-step cascade locally on its deep halo, and the islands
-        synchronize once — the barrier amortization the ``sync_every``
-        configuration buys.  A remainder ``steps < sync_every`` runs the
-        first ``steps`` composed sub-steps (extra redundant work, same
-        bits).
-
-        ``step_index`` is the logical time-step number of the call's
-        *first* step, used to key injected faults; drivers that replay
-        steps after a rollback pass it explicitly so a replayed step
-        keeps its original identity.  By default an internal counter is
-        used, advancing only on success — a caller-level re-execution of
-        a failed step reuses the same index.
+        ``step_index`` is the logical time-step number, used to key
+        injected faults; drivers that replay steps after a rollback pass
+        it explicitly so a replayed step keeps its original identity.  By
+        default an internal counter is used, advancing only on success —
+        a caller-level re-execution of a failed step reuses the same
+        index.
 
         On an island failure that survives the retry budget the step
         raises :class:`IslandFailure` with the output buffer invalidated
@@ -565,11 +535,6 @@ class PartitionedRunner:
         into :attr:`telemetry` (when it has sinks) as
         :class:`~repro.runtime.telemetry.StepEvent` records.
         """
-        if steps < 1 or steps > self.sync_every:
-            raise ValueError(
-                f"steps must be within [1, sync_every={self.sync_every}], "
-                f"got {steps}"
-            )
         if step_index is None:
             step_index = self._step_index
         observing = self.telemetry.enabled
@@ -599,17 +564,15 @@ class PartitionedRunner:
                 inputs,
                 out,
                 lambda: fault_slot(position),
-                steps=steps,
             )
 
         errors: List[BaseException] = []
         exchanged_bytes = 0
-        stage_syncs = 1  # recompute: one synchronization per super-step
+        stage_syncs = 1  # recompute: one synchronization per step
         try:
             if self.halo_ledger.policy != "recompute":
                 exchanged_bytes, stage_syncs = self._run_exchange_stages(
-                    inputs, out, step_index, island_results, fault_slot,
-                    errors, steps=steps,
+                    inputs, out, step_index, island_results, fault_slot, errors
                 )
             else:
                 errors.extend(self._fan_out(len(islands), run_island))
@@ -654,14 +617,13 @@ class PartitionedRunner:
             exchanged_bytes=exchanged_bytes,
             stage_syncs=stage_syncs,
             redundant_points=self._redundant_points,
-            steps_advanced=steps,
             plan_cache_hits=self.plan_cache_hits,
             plan_cache_misses=self.plan_cache_misses,
             timings=timings,
         )
-        self.total_steps_advanced += steps
+        self.total_steps += 1
         self.total_syncs += stage_syncs
-        self._step_index = step_index + steps
+        self._step_index = step_index + 1
         if observing:
             self.telemetry.record(
                 StepEvent(
@@ -777,13 +739,9 @@ class MpdataIslandSolver:
         arrays = self._arrays(state)
         arrays[FIELD_X] = np.asarray(state.x, dtype=self.runner.dtype)
         changed: Optional[Set[str]] = None  # first step fills everything
-        stride = self.runner.sync_every
-        index = 0
-        while index < steps:
-            advance = min(stride, steps - index)
+        for index in range(steps):
             arrays[FIELD_X] = self.runner.step(
-                arrays, changed=changed, step_index=index, steps=advance
+                arrays, changed=changed, step_index=index
             )
             changed = {FIELD_X}
-            index += advance
         return arrays[FIELD_X]

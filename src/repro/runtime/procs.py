@@ -26,13 +26,9 @@ in its own address space, the first-touch-style per-island initialization
 of Wittmann/Hager (arXiv 0912.4506).  The step protocol is the paper's
 one-barrier-per-step: the parent issues one command per island, the
 pipe joins are the barrier, and under exchange mode the same join runs
-once per stage.  Temporal blocking (``sync_every = s``) amortizes that
-barrier: one ``super`` command advances ``s`` chained sub-steps inside
-the worker, so the parent pays one dispatch and one pipe-join per
-super-step — ``s``\\ × fewer synchronizations for the same trajectory.
-The interpreter/native stage executors run inside the workers
-unchanged, so every trajectory is bit-identical to the single-process
-backends.
+once per stage.  The interpreter/native stage executors run inside the
+workers unchanged, so every trajectory is bit-identical to the
+single-process backends.
 
 Failure semantics are *real*: a worker that dies (SIGKILL, OOM, a
 ``kill`` fault) surfaces as :class:`WorkerCrashed` on the parent's pipe,
@@ -270,18 +266,6 @@ class DeadlineClock:
     deadline would kill every respawn forever).  With neither set there
     is no deadline: :meth:`current` returns ``None`` and dispatch
     blocks unbounded, exactly the pre-supervision behaviour.
-
-    Temporal blocking makes commands *legitimately* longer: one
-    ``super`` command advances ``steps`` sub-steps between replies.
-    The EWMA therefore tracks **per-step** durations — :meth:`observe`
-    normalizes by the command's ``steps``, :meth:`current` scales the
-    adapted (or explicit) deadline back up by the next command's
-    ``steps`` — so one clock serves mixed step/super traffic and a
-    retuned ``sync_every`` never inherits a stale absolute deadline.
-    The warm-up grace is deliberately **not** scaled: it is already
-    sized for one-off cost (fork + state rebuild), and multiplying it
-    by ``steps`` would let a worker wedged mid-super-step hide behind
-    ``steps × 60 s`` of grace.
     """
 
     def __init__(
@@ -308,31 +292,25 @@ class DeadlineClock:
         with self._lock:
             return self._ewma
 
-    def current(self, fresh: bool = False, steps: int = 1) -> Optional[float]:
-        """The deadline for a command advancing ``steps`` sub-steps.
-
-        ``None`` means unsupervised.  The per-step budget (explicit or
-        adapted) is multiplied by ``steps``; the warm-up grace is not
-        (see the class docstring).
-        """
+    def current(self, fresh: bool = False) -> Optional[float]:
+        """The deadline for the next command (``None``: unsupervised)."""
         if self.explicit is not None:
-            return self.explicit * steps
+            return self.explicit
         if self.factor is None:
             return None
         with self._lock:
             ewma = self._ewma
         if ewma is None or fresh:
             return self.warmup
-        return max(self.floor, ewma * self.factor) * steps
+        return max(self.floor, ewma * self.factor)
 
-    def observe(self, seconds: float, steps: int = 1) -> None:
-        """Feed one successful command's duration into the per-step EWMA."""
-        per_step = seconds / max(1, steps)
+    def observe(self, seconds: float) -> None:
+        """Feed one successful command's duration into the EWMA."""
         with self._lock:
             if self._ewma is None:
-                self._ewma = per_step
+                self._ewma = seconds
             else:
-                self._ewma += EWMA_ALPHA * (per_step - self._ewma)
+                self._ewma += EWMA_ALPHA * (seconds - self._ewma)
 
 
 @dataclass
@@ -457,6 +435,10 @@ class ProcsBackend(IslandBackend):
         self._serial = False
         self._parent_inner: Optional[IslandBackend] = None
         self._serial_lock = threading.Lock()
+        # Held from creating a worker's pipe until its handle records the
+        # parent end, so every fork sees each live parent end on a handle
+        # (the child closes those; see _worker_entry).
+        self._fork_lock = threading.Lock()
         self._close_grace = 5.0
         self._closed = False
         self._finalizer = weakref.finalize(
@@ -541,13 +523,6 @@ class ProcsBackend(IslandBackend):
         self._allocate_shared_io()
         self._spawn_all()
 
-    def _prepare_super_state(self) -> None:
-        # Called by the base prepare_super() *after* the composed step
-        # plans are stored on self, so the forked workers inherit them
-        # and build their own per-sub-step compute state locally.
-        self._allocate_shared_io()
-        self._spawn_all()
-
     def _spawn_all(self) -> None:
         island_ids = [island.index for island in self.decomposition.islands]
         for worker_id in range(self.workers):
@@ -562,17 +537,20 @@ class ProcsBackend(IslandBackend):
             self._start_worker(handle)
 
     def _start_worker(self, handle: _WorkerHandle) -> None:
-        parent_conn, child_conn = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=self._worker_entry,
-            args=(child_conn, handle.worker_id, handle.islands),
-            name=f"repro-procs-w{handle.worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        handle.process = process
-        handle.conn = parent_conn
+        with self._fork_lock:
+            parent_conn, child_conn = self._ctx.Pipe()
+            process = self._ctx.Process(
+                target=self._worker_entry,
+                args=(
+                    child_conn, parent_conn, handle.worker_id, handle.islands
+                ),
+                name=f"repro-procs-w{handle.worker_id}",
+                daemon=True,
+            )
+            process.start()
+            child_conn.close()
+            handle.process = process
+            handle.conn = parent_conn
         handle.fresh = True
 
     def refresh(self, island_index: int) -> None:
@@ -767,8 +745,6 @@ class ProcsBackend(IslandBackend):
                     inner.adopt_exchange_state(
                         self._ledger, self._stage_buffers
                     )
-                elif self._step_plans is not None:
-                    inner.prepare_super(self._step_plans, self._recurrent)
                 else:
                     inner.prepare()
                 self._parent_inner = inner
@@ -875,9 +851,7 @@ class ProcsBackend(IslandBackend):
     # ------------------------------------------------------------------
     # Dispatch (parent side)
     # ------------------------------------------------------------------
-    def _dispatch(
-        self, island_index: int, command: tuple, steps: int = 1
-    ) -> IslandResult:
+    def _dispatch(self, island_index: int, command: tuple) -> IslandResult:
         """Send one command and await its reply under the deadline.
 
         Three outcomes: a reply in time (success — the duration feeds
@@ -887,10 +861,7 @@ class ProcsBackend(IslandBackend):
         SIGKILLs the worker and raises
         :class:`~repro.runtime.faults.WorkerHung` carrying the detection
         latency actually paid.  An unsupervised pool (no deadline)
-        blocks in ``recv`` exactly as before.  ``steps`` is how many
-        sub-steps the command legitimately advances; the clock scales
-        its adaptive deadline by it and normalizes the observed
-        duration back to per-step.
+        blocks in ``recv`` exactly as before.
         """
         handle = self._by_island[island_index]
         with handle.lock:
@@ -900,7 +871,7 @@ class ProcsBackend(IslandBackend):
                 raise WorkerCrashed(
                     island_index, handle.worker_id, None, None
                 )
-            deadline = self._clock.current(fresh=handle.fresh, steps=steps)
+            deadline = self._clock.current(fresh=handle.fresh)
             begin = time.perf_counter()
             try:
                 handle.conn.send(command)
@@ -931,7 +902,7 @@ class ProcsBackend(IslandBackend):
                     None if process is None else process.pid,
                     None if process is None else process.exitcode,
                 ) from error
-            self._clock.observe(time.perf_counter() - begin, steps=steps)
+            self._clock.observe(time.perf_counter() - begin)
             handle.fresh = False
         self._record_success(handle)
         if reply[0] != "ok":
@@ -961,35 +932,6 @@ class ProcsBackend(IslandBackend):
             out[island.part.slices()] = self._output[island.part.slices()]
         return result
 
-    def execute_island_super(self, island, inputs, out, steps) -> IslandResult:
-        """One RPC, one pipe-join barrier, ``steps`` time steps.
-
-        The whole point of temporal blocking on this backend: the worker
-        chains ``steps`` composed sub-steps island-locally and replies
-        once, so the parent pays one dispatch and one barrier per
-        super-step instead of per step.
-        """
-        self._sync_inputs(inputs)
-        if self._serial:
-            self._take_kill(island.index)  # stale arms are void in serial
-            self._take_hang(island.index)
-            inner = self._ensure_parent_inner()
-            return inner.execute_island_super(island, inputs, out, steps)
-        result = self._dispatch(
-            island.index,
-            (
-                "super",
-                island.index,
-                steps,
-                self._take_kill(island.index),
-                self._take_hang(island.index),
-            ),
-            steps=steps,
-        )
-        if out is not self._output:  # direct caller with a foreign buffer
-            out[island.part.slices()] = self._output[island.part.slices()]
-        return result
-
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
         self._sync_inputs(inputs)
         if self._serial:
@@ -1011,12 +953,22 @@ class ProcsBackend(IslandBackend):
     # ------------------------------------------------------------------
     # Worker side (runs in the forked child)
     # ------------------------------------------------------------------
-    def _worker_entry(self, conn, worker_id: int, islands: Tuple[int, ...]):
+    def _worker_entry(
+        self, conn, parent_end, worker_id: int, islands: Tuple[int, ...]
+    ):
         # The child must never run the parent's finalizers (unlinking a
         # live arena) nor any other interpreter-exit machinery, so every
         # path out of here is an os._exit.
         status = 0
         try:
+            # The fork copied the parent's end of this worker's pipe and
+            # of every sibling's.  Holding them would keep ``recv`` from
+            # ever seeing EOF, so a SIGKILLed parent would leave this
+            # worker — and, through it, the shared segments — behind.
+            parent_end.close()
+            for handle in self._handles:
+                if handle.conn is not None:
+                    handle.conn.close()
             self._worker_loop(conn, worker_id, islands)
         except BaseException:
             status = 1  # the parent sees the dead pipe, not a traceback
@@ -1054,10 +1006,6 @@ class ProcsBackend(IslandBackend):
                 # First-touch-style: this worker binds its own compute
                 # state to the shared stage buffers inherited at fork.
                 built.adopt_exchange_state(self._ledger, self._stage_buffers)
-            elif self._step_plans is not None:
-                # Temporal blocking: per-sub-step compute state, built in
-                # this worker's own address space from the inherited plans.
-                built.prepare_super(self._step_plans, self._recurrent)
             else:
                 built.prepare()
             return built
@@ -1091,21 +1039,6 @@ class ProcsBackend(IslandBackend):
                         time.sleep(3600.0)
                 try:
                     result = inner.execute_island(by_index[q], inputs, out)
-                except Exception as error:
-                    conn.send(("err", f"{type(error).__name__}: {error}"))
-                else:
-                    conn.send(("ok", result))
-            elif op == "super":
-                _, q, steps, die, wedge = command
-                if die:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if wedge:
-                    while True:  # hung, not dead: the pipe stays open
-                        time.sleep(3600.0)
-                try:
-                    result = inner.execute_island_super(
-                        by_index[q], inputs, out, steps
-                    )
                 except Exception as error:
                     conn.send(("err", f"{type(error).__name__}: {error}"))
                 else:

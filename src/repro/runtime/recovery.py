@@ -268,21 +268,11 @@ def run_with_recovery(
         _write_checkpoint(policy, report, written, good_x, state, 0)
         report.last_checkpoint_step = 0
 
-    # Temporal blocking makes the super-step the replay unit: the runner
-    # advances up to ``sync_every`` steps per call, faults are keyed at
-    # the super-step's base index, and a rollback replays whole
-    # super-steps from the checkpoint.  Regrouping steps into different
-    # super-steps after a rollback is safe because every grouping is
-    # bit-identical (the acceptance invariant of temporal blocking).
-    stride = getattr(runner, "sync_every", 1)
     step = 0
     changed: Optional[Set[str]] = None  # first step fills every ghost buffer
     while step < steps:
-        advance = min(stride, steps - step)
         try:
-            new_x = runner.step(
-                arrays, changed=changed, step_index=step, steps=advance
-            )
+            new_x = runner.step(arrays, changed=changed, step_index=step)
             reason = (
                 check_step_health(
                     new_x,
@@ -317,16 +307,10 @@ def run_with_recovery(
             step = good_step
             changed = None
             continue
-        previous = step
-        step += advance
+        step += 1
         arrays[FIELD_X] = new_x
         changed = {FIELD_X}
-        # Checkpoint whenever this (super-)step crossed a multiple of
-        # checkpoint_every; with stride 1 this is the old `step % every`.
-        if (
-            step // policy.checkpoint_every > previous // policy.checkpoint_every
-            and step < steps
-        ):
+        if step % policy.checkpoint_every == 0 and step < steps:
             good_x = np.array(new_x, copy=True)
             good_step = step
             if policy.checkpoint_dir is not None:

@@ -143,11 +143,7 @@ class ResilientExecutor:
         inputs: Mapping[str, object],
         out: np.ndarray,
         fault_stats: Callable[[], FaultStats],
-        steps: int = 1,
     ) -> IslandResult:
-        # Faults are keyed at the super-step's *base* step index: the
-        # super-step is the retry/replay unit, so a fault scheduled for any
-        # interior sub-step fires when the covering super-step executes.
         fired = (
             self.injector.fire(step_index, island.index)
             if self.injector is not None
@@ -160,15 +156,7 @@ class ResilientExecutor:
                 hang=self.backend.inject_hang,
             )
         begin = time.perf_counter() if self.backend.timed else 0.0
-        if steps == 1 and not self.backend.temporal:
-            result = self.backend.execute_island(island, inputs, out)
-        else:
-            # A temporally-blocked backend only has per-sub-step state,
-            # so even a remainder advance of one step goes through the
-            # super path (running the deepest composed plan alone).
-            result = self.backend.execute_island_super(
-                island, inputs, out, steps
-            )
+        result = self.backend.execute_island(island, inputs, out)
         if self.backend.timed:
             result.seconds = time.perf_counter() - begin
         if fired:
@@ -258,21 +246,13 @@ class ResilientExecutor:
         inputs: Mapping[str, object],
         out: np.ndarray,
         fault_stats: Callable[[], FaultStats],
-        steps: int = 1,
     ) -> IslandResult:
-        """One island's whole (super-)step, retried in place.
-
-        ``steps > 1`` runs a temporal-blocking super-step: the backend
-        advances the island ``steps`` sub-steps locally between syncs,
-        and a retry replays the entire super-step — its inputs are the
-        sync-point snapshot, so the replay is bit-identical.
-        """
+        """One island's whole step, retried in place."""
         return self._with_retries(
             island,
             step_index,
             lambda attempt: self._attempt(
-                island, step_index, attempt, inputs, out, fault_stats,
-                steps=steps,
+                island, step_index, attempt, inputs, out, fault_stats
             ),
             fault_stats,
         )

@@ -49,10 +49,9 @@ class SteadyStateReport:
     bit_identical: bool
     halo: str = "recompute"
     backend: str = "interpreter"
-    sync_every: int = 1
     #: mode name -> {"step_time_s", "allocations_per_step", "reused_per_step",
     #:               "warmup_allocations", "exchanged_bytes_per_step",
-    #:               "stage_syncs"}  (all normalized per *time step*)
+    #:               "stage_syncs"}  (all normalized per time step)
     modes: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
@@ -80,7 +79,6 @@ class SteadyStateReport:
             "bit_identical": self.bit_identical,
             "halo": self.halo,
             "backend": self.backend,
-            "sync_every": self.sync_every,
             "modes": self.modes,
             "allocation_ratio": ratio if np.isfinite(ratio) else None,
             "speedup": self.speedup,
@@ -92,13 +90,7 @@ class SteadyStateReport:
             "Steady-state execution engine "
             f"({ni}x{nj}x{nk}, {self.islands} islands, "
             f"{self.threads} threads, {self.steps} steps, "
-            f"backend {self.backend}, halo {self.halo}"
-            + (
-                f", sync every {self.sync_every}"
-                if self.sync_every > 1
-                else ""
-            )
-            + ")",
+            f"backend {self.backend}, halo {self.halo})",
             f"{'mode':<8} {'step time':>12} {'allocs/step':>12} "
             f"{'reused/step':>12} {'warm-up allocs':>15}",
         ]
@@ -124,11 +116,6 @@ class SteadyStateReport:
                 f"{engine['exchanged_bytes_per_step'] / 1024:.1f} KiB/step, "
                 f"{engine['stage_syncs']:.2f} stage syncs/step"
             )
-        elif self.sync_every > 1 and "stage_syncs" in engine:
-            lines.append(
-                f"temporal blocking: {engine['stage_syncs']:.3f} syncs/step "
-                f"(1/{self.sync_every} of one barrier per step)"
-            )
         return "\n".join(lines)
 
 
@@ -145,24 +132,12 @@ def _run_mode(
     arrays = solver._arrays(state)
     arrays[FIELD_X] = np.asarray(state.x, dtype=solver.runner.dtype)
 
-    # With temporal blocking the runner advances sync_every steps per
-    # call; the timed window still covers exactly ``steps`` time steps,
-    # and every per-step number below is normalized by time steps — so
-    # "stage_syncs" reads as the *amortized* syncs per step (1/s under
-    # recompute at sync_every=s).
-    stride = solver.runner.sync_every
-    # warm-up fills every buffer (one full super-step)
-    arrays[FIELD_X] = solver.runner.step(arrays, steps=stride)
+    arrays[FIELD_X] = solver.runner.step(arrays)  # warm-up fills every buffer
     warmup_allocations = sink.last.stats.allocations
 
     begin = time.perf_counter()
-    done = 0
-    while done < steps:
-        advance = min(stride, steps - done)
-        arrays[FIELD_X] = solver.runner.step(
-            arrays, changed={FIELD_X}, steps=advance
-        )
-        done += advance
+    for _ in range(steps):
+        arrays[FIELD_X] = solver.runner.step(arrays, changed={FIELD_X})
     elapsed = time.perf_counter() - begin
     timed = sink.events[1:]
     numbers = {
@@ -212,7 +187,6 @@ def measure_steady_state(
     step_deadline: Optional[float] = None,
     deadline_factor: Optional[float] = None,
     quarantine_after: Optional[int] = None,
-    sync_every: int = 1,
     telemetry_table: bool = False,
 ) -> SteadyStateReport:
     """Measure naive vs engine stepping on one configuration.
@@ -230,10 +204,6 @@ def measure_steady_state(
     ``step_deadline`` / ``deadline_factor`` / ``quarantine_after``;
     ``None`` for the last three keeps the config defaults, and ``0`` for
     the factor or quarantine threshold disables that half).
-    ``sync_every=s`` runs both modes temporally blocked — islands sync
-    once per ``s`` steps on deep halos — with warm-up advancing one full
-    super-step and per-step numbers normalized by time steps, so
-    ``stage_syncs`` reads as the amortized sync rate.
     """
     if state is None:
         state = random_state(shape, seed=seed)
@@ -258,7 +228,6 @@ def measure_steady_state(
         workers=workers if procs else None,
         pin_workers=pin_workers if procs else False,
         step_deadline=step_deadline if procs else None,
-        sync_every=sync_every,
         **supervision,
     )
     report = SteadyStateReport(
@@ -269,7 +238,6 @@ def measure_steady_state(
         bit_identical=False,
         halo=halo,
         backend=backend,
-        sync_every=sync_every,
     )
     results = {}
     for mode, reuse in (("naive", False), ("engine", True)):

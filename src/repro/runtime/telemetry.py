@@ -150,12 +150,6 @@ class StepStats:
     ``redundant_points`` how many stage points were computed beyond the
     once-per-point minimum (0 under pure exchange).
 
-    Temporal blocking makes one :meth:`step` call advance several time
-    steps between barriers: ``steps_advanced`` says how many (1 without
-    ``sync_every``), and :attr:`syncs_per_step` is the amortized barrier
-    rate the optimization exists to lower — under recompute it is
-    ``1 / sync_every``.
-
     ``plan_cache_hits`` / ``plan_cache_misses`` report how many of this
     runner's native plans were served from the
     process-wide plan cache at construction time (see
@@ -172,15 +166,9 @@ class StepStats:
     exchanged_bytes: int = 0
     stage_syncs: int = 0
     redundant_points: int = 0
-    steps_advanced: int = 1
     plan_cache_hits: int = 0
     plan_cache_misses: int = 0
     timings: Optional[StepTimings] = None
-
-    @property
-    def syncs_per_step(self) -> float:
-        """Inter-island synchronizations amortized over steps advanced."""
-        return self.stage_syncs / max(1, self.steps_advanced)
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe form for telemetry sinks."""
@@ -194,7 +182,6 @@ class StepStats:
             "exchanged_bytes": self.exchanged_bytes,
             "stage_syncs": self.stage_syncs,
             "redundant_points": self.redundant_points,
-            "steps_advanced": self.steps_advanced,
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
             "timings": self.timings.to_dict() if self.timings else None,
@@ -244,8 +231,7 @@ class StepEvent:
             else f"{'—':>7} {'—':>9}"
         )
         return (
-            f"{self.step:>5d} {self.stats.steps_advanced:>5d} "
-            f"{self.wall_seconds * 1e3:>10.2f} "
+            f"{self.step:>5d} {self.wall_seconds * 1e3:>10.2f} "
             f"{self.stats.allocations:>11d} {self.stats.reused:>11d} "
             f"{self.stats.stage_syncs:>5d} {survived}"
         )
@@ -253,7 +239,7 @@ class StepEvent:
     @staticmethod
     def render_header() -> str:
         return (
-            f"{'step':>5} {'+adv':>5} {'wall ms':>10} {'allocs':>11} "
+            f"{'step':>5} {'wall ms':>10} {'allocs':>11} "
             f"{'reused':>11} {'syncs':>5} {'retries':>7} {'recovered':>9}"
         )
 
@@ -341,8 +327,7 @@ class TableSink(TelemetrySink):
     and :meth:`render` returns the whole table — the form the engine CLI
     prints.  The sink keeps run-level synchronization totals as it goes:
     ``total_syncs`` over ``total_steps`` time steps, whose ratio
-    (:meth:`summary`) is the amortized barrier rate temporal blocking
-    lowers.
+    :meth:`summary` reports.
     """
 
     def __init__(self, stream: Optional[TextIO] = None) -> None:
@@ -356,13 +341,13 @@ class TableSink(TelemetrySink):
         if self.stream is not None and not self.rows:
             print(StepEvent.render_header(), file=self.stream)
         self.rows.append(row)
-        self.total_steps += event.stats.steps_advanced
+        self.total_steps += 1
         self.total_syncs += event.stats.stage_syncs
         if self.stream is not None:
             print(row, file=self.stream)
 
     def summary(self) -> str:
-        """Run-level totals: steps advanced, syncs paid, syncs/step."""
+        """Run-level totals: steps, syncs paid, syncs/step."""
         per_step = self.total_syncs / max(1, self.total_steps)
         return (
             f"total: {self.total_steps} steps, {self.total_syncs} syncs "

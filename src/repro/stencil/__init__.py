@@ -20,12 +20,10 @@ together with the analyses the islands-of-cores approach rests on:
 """
 
 from .autotune import (
-    SyncTuningResult,
     TuningResult,
     autotune_blocks,
     candidate_shapes,
     measured_objective,
-    tune_sync_every,
 )
 from .codegen import CompiledPlan, Workspace
 from .expr import (
@@ -151,7 +149,6 @@ __all__ = [
     "StageSchedule",
     "Stage",
     "StencilProgram",
-    "SyncTuningResult",
     "TiledPlan",
     "TuningResult",
     "Unary",
@@ -210,7 +207,6 @@ __all__ = [
     "star3d",
     "stage_expansions",
     "substitute_field",
-    "tune_sync_every",
     "wave3d",
     "working_set_bytes",
 ]

@@ -16,19 +16,17 @@ lands; the ``bench_ablations`` cache study shows how much that matters.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .program import StencilProgram
 from .region import Box
 from .tiling import BlockPlan, plan_blocks, plan_blocks_exact
 
 __all__ = [
-    "SyncTuningResult",
     "TuningResult",
     "candidate_shapes",
     "autotune_blocks",
     "measured_objective",
-    "tune_sync_every",
 ]
 
 Shape = Tuple[int, int, int]
@@ -189,117 +187,3 @@ def measured_objective(
         return elapsed / steps
 
     return score
-
-
-@dataclass(frozen=True)
-class SyncTuningResult:
-    """Outcome of a measured ``sync_every`` sweep.
-
-    ``ranking`` holds every candidate that could run on the grid with its
-    measured seconds per *time step* (best first); ``skipped`` the
-    candidates whose composed halo outgrew the grid.  ``best == 1`` is a
-    perfectly valid answer: temporal blocking trades redundant boundary
-    flops for barriers, and on few islands (or huge grids) the barriers
-    were never the bottleneck.
-    """
-
-    best: int
-    best_seconds_per_step: float
-    ranking: Tuple[Tuple[int, float], ...]  # (sync_every, s/step), best first
-    skipped: Tuple[int, ...] = ()
-
-    @property
-    def speedup_over_unblocked(self) -> float:
-        """s=1 step time over the best candidate's (>1: blocking pays)."""
-        for candidate, seconds in self.ranking:
-            if candidate == 1:
-                return seconds / self.best_seconds_per_step
-        return float("nan")
-
-
-def tune_sync_every(
-    shape: Shape,
-    islands: int = 4,
-    candidates: Sequence[int] = (1, 2, 4),
-    steps: int = 8,
-    backend: str = "native",
-    halo: str = "recompute",
-    halo_threshold: Optional[int] = None,
-    threads: int = 1,
-    workers: Optional[int] = None,
-    boundary: str = "periodic",
-    seed: int = 0,
-) -> SyncTuningResult:
-    """Pick ``sync_every`` by timing real super-steps on this machine.
-
-    The redundancy-vs-synchronization optimum depends on everything the
-    cost model struggles to see at once — grid size, island count, halo
-    policy, backend dispatch cost (thread hand-off vs process RPC) — so,
-    like :func:`measured_objective` for block shapes, this sweep just
-    runs each candidate: one warm-up super-step, then ``steps`` time
-    steps timed, same initial state replayed per candidate.  Candidates
-    whose composed halo does not fit the grid are skipped (reported in
-    the result), so callers can pass an ambitious candidate list.
-    """
-    import time as _time
-
-    import numpy as np
-
-    from ..mpdata.fields import random_state
-    from ..mpdata.stages import FIELD_X
-
-    state = random_state(shape, seed=seed)
-    ranking: List[Tuple[int, float]] = []
-    skipped: List[int] = []
-    for sync_every in candidates:
-        # Imported lazily: autotune is a stencil-layer module and must not
-        # pull the runtime layer (which imports stencil) at import time.
-        from ..runtime.config import EngineConfig
-        from ..runtime.island_exec import MpdataIslandSolver
-
-        try:
-            solver = MpdataIslandSolver(
-                shape,
-                islands,
-                config=EngineConfig(
-                    backend=backend,
-                    boundary=boundary,
-                    halo=halo,
-                    halo_threshold=halo_threshold,
-                    threads=threads,
-                    workers=workers if backend == "procs" else None,
-                    sync_every=sync_every,
-                ),
-            )
-        except ValueError:  # composed halo outgrew the grid
-            skipped.append(sync_every)
-            continue
-        with solver:
-            arrays = solver._arrays(state)
-            arrays[FIELD_X] = np.asarray(state.x, dtype=solver.runner.dtype)
-            arrays[FIELD_X] = solver.runner.step(
-                arrays, steps=sync_every
-            )  # warm-up
-            begin = _time.perf_counter()
-            done = 0
-            while done < steps:
-                advance = min(sync_every, steps - done)
-                arrays[FIELD_X] = solver.runner.step(
-                    arrays, changed={FIELD_X}, steps=advance
-                )
-                done += advance
-            elapsed = _time.perf_counter() - begin
-        ranking.append((sync_every, elapsed / steps))
-    if not ranking:
-        raise ValueError(
-            f"no sync_every candidate from {tuple(candidates)!r} fits grid "
-            f"{shape}"
-        )
-    ranking.sort(key=lambda item: item[1])
-    best, best_seconds = ranking[0]
-    return SyncTuningResult(
-        best=best,
-        best_seconds_per_step=best_seconds,
-        ranking=tuple(ranking),
-        skipped=tuple(skipped),
-    )

@@ -38,12 +38,14 @@ sweeping different islands or blocks run their kernels in parallel.
 
 from __future__ import annotations
 
+import functools
 import getpass
 import hashlib
 import importlib.machinery
 import importlib.util
 import os
 import shutil
+import sysconfig
 import tempfile
 import threading
 from dataclasses import dataclass
@@ -295,8 +297,44 @@ def native_cache_dir() -> str:
 _COMPILE_ARGS = ("-O3", "-march=native", "-ffp-contract=off")
 
 
+def _compiler_command() -> str:
+    """The C compiler command a cffi build runs: ``$CC`` wins, else the
+    one this interpreter was configured with."""
+    return os.environ.get("CC") or sysconfig.get_config_var("CC") or "cc"
+
+
+@functools.lru_cache(maxsize=None)
+def _compiler_identity(command: str) -> str:
+    """``command`` plus its resolved binary's path, size and mtime.
+
+    A ``stat``, not a ``cc --version`` subprocess, and once per process
+    and command.
+    """
+    words = command.split()
+    binary = shutil.which(words[0]) if words else None
+    if binary is None:
+        return command
+    binary = os.path.realpath(binary)
+    info = os.stat(binary)
+    return f"{command}\0{binary}\0{info.st_size}\0{info.st_mtime_ns}"
+
+
 def _module_name(csource: str, cdef: str) -> str:
-    digest = hashlib.sha1((csource + "\0" + cdef).encode("utf-8")).hexdigest()
+    """The cache key of one kernel module.
+
+    Covers the build flags and the compiler as well as the source: a
+    cached ``.so`` built without ``-ffp-contract=off``, or by another
+    compiler, must never be loaded in place of a fresh build.
+    """
+    key = "\0".join(
+        (
+            csource,
+            cdef,
+            *_COMPILE_ARGS,
+            _compiler_identity(_compiler_command()),
+        )
+    )
+    digest = hashlib.sha1(key.encode("utf-8")).hexdigest()
     return f"_repro_stencil_{digest[:16]}"
 
 

@@ -1,7 +1,7 @@
 """Process-wide cache of compiled stencil plans.
 
-Runner construction compiles one plan per island (and per sub-step, per
-tiled block, and — under the exchange policy — per stage).  The emitted
+Runner construction compiles one plan per island (and per tiled block,
+and — under the exchange policy — per stage).  The emitted
 artifact depends only on (program, plan geometry, dtype), so repeated
 runner construction with the same :class:`~repro.runtime.config
 .EngineConfig` — retries, benchmark sweeps — can reuse it instead of

@@ -1,0 +1,100 @@
+"""Every backend under every halo policy: one step is one time step.
+
+A ``PartitionedRunner.step`` advances one time step and synchronizes
+once (once per active stage under exchange and hybrid) on every backend.
+Three contracts run over the same backend x halo matrix: 50-step
+trajectories equal the whole-domain solver's to the last bit, the
+run-level sync ledger counts one time step per call, and the steady
+state allocates nothing after the warm-up step.
+"""
+
+import numpy as np
+import pytest
+
+from repro.mpdata import MpdataSolver, random_state
+from repro.runtime import (
+    EngineConfig,
+    InMemorySink,
+    MpdataIslandSolver,
+    Telemetry,
+    native_available,
+)
+
+SHAPE = (16, 16, 16)
+STEPS = 50
+#: MPDATA's stages that each synchronize once under exchange; hybrid
+#: at ``halo_threshold=64`` ships every one of them on this grid.
+EXCHANGE_SYNCS = 17
+
+needs_native = pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
+
+BACKENDS = [
+    "interpreter",
+    pytest.param("tiled", marks=needs_native),
+    "procs",
+    pytest.param("procs-native", marks=needs_native),
+    pytest.param("native", marks=needs_native),
+]
+HALOS = ["recompute", "exchange", "hybrid"]
+
+
+def _config(backend, halo, **kwargs):
+    if halo == "hybrid":
+        kwargs.setdefault("halo_threshold", 64)
+    if backend == "tiled":
+        kwargs.setdefault("block_shape", (8, 8, 8))
+    if backend == "procs-native":  # procs workers running native kernels
+        backend = "procs"
+        kwargs.setdefault("procs_inner", "native")
+    return EngineConfig(backend=backend, halo=halo, **kwargs)
+
+
+def _run(config, steps, sink=None):
+    """Final field after ``steps`` steps on 2 islands, plus the runner's
+    run-level ``(total_steps, total_syncs, syncs_per_step, step_syncs)``."""
+    telemetry = None if sink is None else Telemetry([sink])
+    state = random_state(SHAPE, seed=7)
+    with MpdataIslandSolver(
+        SHAPE, 2, config=config, telemetry=telemetry
+    ) as solver:
+        final = np.array(solver.run(state, steps), copy=True)
+        runner = solver.runner
+        ledger = (
+            runner.total_steps,
+            runner.total_syncs,
+            runner.syncs_per_step,
+            runner.halo_ledger.step_syncs,
+        )
+    return final, ledger
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return MpdataSolver(SHAPE).run(random_state(SHAPE, seed=7), STEPS)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("halo", HALOS)
+class TestBackendHaloMatrix:
+    def test_trajectory_matches_whole_domain(self, reference, backend, halo):
+        final, _ = _run(_config(backend, halo), STEPS)
+        np.testing.assert_array_equal(final, reference)
+
+    def test_every_step_is_one_time_step(self, backend, halo):
+        sink = InMemorySink()
+        _, ledger = _run(_config(backend, halo), 6, sink=sink)
+        total_steps, total_syncs, syncs_per_step, step_syncs = ledger
+        assert step_syncs == (1 if halo == "recompute" else EXCHANGE_SYNCS)
+        assert total_steps == 6
+        assert total_syncs == 6 * step_syncs
+        assert syncs_per_step == step_syncs
+        assert [e.stats.stage_syncs for e in sink.events] == [step_syncs] * 6
+
+    def test_steady_state_does_not_allocate(self, backend, halo):
+        sink = InMemorySink()
+        _run(_config(backend, halo, reuse_output=True), 4, sink=sink)
+        assert len(sink.events) == 4
+        assert sink.events[0].stats.allocations > 0  # warm-up builds all
+        assert all(e.stats.allocations == 0 for e in sink.events[1:])

@@ -55,6 +55,15 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError, match="backend"):
             EngineConfig(backend="gpu")
 
+    @pytest.mark.parametrize("sync_every", [0, 2])
+    def test_sync_every_other_than_one_is_rejected(self, sync_every):
+        with pytest.raises(ValueError, match="temporal blocking was removed"):
+            EngineConfig(sync_every=sync_every)
+
+    def test_sync_every_one_is_the_default_and_not_serialized(self):
+        assert EngineConfig(sync_every=1) == EngineConfig()
+        assert "sync_every" not in EngineConfig().to_dict()
+
     def test_removed_compiled_key_names_the_remaining_keys(self):
         with pytest.raises(
             ValueError, match="known: interpreter, native, tiled, procs"
@@ -237,6 +246,17 @@ class TestTelemetry:
         table = sink.render()
         assert "step" in table
         assert len(table.strip().splitlines()) >= 3  # header + 2 rows
+
+    def test_table_sink_totals_and_summary(self):
+        sink = TableSink()
+        _trajectory(
+            EngineConfig(backend="native"), steps=6,
+            telemetry=Telemetry((sink,)),
+        )
+        assert sink.total_steps == 6
+        assert sink.total_syncs == 6  # recompute: one barrier per step
+        assert sink.summary() == "total: 6 steps, 6 syncs (1.000 syncs/step)"
+        assert sink.summary() in sink.render()
 
     def test_event_dict_shape(self):
         sink = InMemorySink()

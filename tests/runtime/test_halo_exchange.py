@@ -134,6 +134,22 @@ class TestTelemetryCounters:
             assert event.stats.stage_syncs == 1
             assert event.stats.redundant_points > 0
 
+    @pytest.mark.parametrize("halo", ["recompute", "exchange"])
+    def test_run_level_sync_ledger(self, halo):
+        """Every step is one time step: the runner's run-to-date
+        syncs per step equal one step's barriers under either policy."""
+        state = random_state(SHAPE, seed=2017)
+        with MpdataIslandSolver(
+            SHAPE, ISLANDS, config=EngineConfig(halo=halo)
+        ) as solver:
+            solver.run(state, 6)
+            runner = solver.runner
+            step_syncs = runner.halo_ledger.step_syncs
+            assert runner.total_steps == 6
+            assert runner.total_syncs == 6 * step_syncs
+            assert runner.syncs_per_step == step_syncs
+        assert step_syncs == (1 if halo == "recompute" else 17)
+
     def test_pinned_config_matches_the_analytic_model(self):
         """Measured bytes on the wire == the model's predicted shipped
         volume: over the runner's ghost-extended domain, the points

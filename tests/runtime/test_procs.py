@@ -16,6 +16,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 import weakref
 from dataclasses import replace
 
@@ -114,6 +115,23 @@ class TestProcsBitIdentity:
         )
         ref10, _ = _trajectory(EngineConfig(), steps=10)
         assert np.array_equal(final, ref10)
+
+    @needs_native
+    @pytest.mark.parametrize(
+        "halo,threshold", [("exchange", None), ("hybrid", 200)]
+    )
+    def test_native_inner_stage_policies_50_steps(
+        self, reference, halo, threshold
+    ):
+        final, _ = _trajectory(
+            EngineConfig(
+                backend="procs",
+                procs_inner="native",
+                halo=halo,
+                halo_threshold=threshold,
+            )
+        )
+        assert np.array_equal(final, reference)
 
     def test_workers_fewer_than_islands(self, reference):
         final, _ = _trajectory(
@@ -382,6 +400,96 @@ class TestSharedMemoryTeardown:
                 proc.kill()
                 proc.wait()
         assert not _shm_segments()
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="needs Linux /proc"
+    )
+    def test_sigkilled_parent_leaves_no_workers_or_segments(self, tmp_path):
+        """SIGKILL skips every finalizer in the parent, so the workers
+        must notice the dead parent on their own: their command pipes hit
+        EOF, they exit, and the segments they kept mapped are unlinked."""
+        _sigkill_after_one_step(tmp_path, "")
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/stat"), reason="needs Linux /proc"
+    )
+    def test_sigkilled_parent_after_respawn_leaves_no_workers(
+        self, tmp_path
+    ):
+        """A worker re-forked after a kill inherits the parent ends of
+        its siblings' pipes too; it must close them like the first."""
+        forked, killed = _sigkill_after_one_step(
+            tmp_path, "max_retries=2, fault_specs=('kill@island=1,step=0',)"
+        )
+        assert forked[0] == killed[0] and forked[1] != killed[1]
+
+
+def _sigkill_after_one_step(tmp_path, extra_config):
+    """Build procs with 2 workers (``extra_config`` appended to the
+    ``EngineConfig`` arguments), step once, SIGKILL the process; within
+    10 s the workers alive at the kill and the segments must be gone.
+    Returns the worker pids at construction and at the kill."""
+    script = tmp_path / "killed.py"
+    script.write_text(
+        "import os, signal\n"
+        "from repro.mpdata import random_state\n"
+        "from repro.runtime import EngineConfig, MpdataIslandSolver\n"
+        "from repro.runtime.procs import live_segment_names\n"
+        "shape = (16, 12, 8)\n"
+        "config = EngineConfig(\n"
+        f"    backend='procs', workers=2, {extra_config})\n"
+        "solver = MpdataIslandSolver(shape, 2, config=config)\n"
+        "handles = solver.runner.backend._handles\n"
+        "print(*(handle.process.pid for handle in handles))\n"
+        "solver.run(random_state(shape, seed=7), 1)\n"
+        "print(*(handle.process.pid for handle in handles))\n"
+        "print(*live_segment_names(), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    env = dict(os.environ)
+    src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
+    env["PYTHONPATH"] = os.path.abspath(src)
+    # Read the three report lines, then wait for the process itself:
+    # waiting for EOF instead would also wait for any worker that
+    # kept the inherited stdout open.
+    proc = subprocess.Popen(
+        [sys.executable, str(script)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
+        env=env,
+        text=True,
+    )
+    with proc.stdout:
+        forked = [int(pid) for pid in proc.stdout.readline().split()]
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+        segments = [
+            f"/dev/shm/{name}" for name in proc.stdout.readline().split()
+        ]
+    assert proc.wait(timeout=120) == -signal.SIGKILL
+    assert len(forked) == len(pids) == 2 and segments
+
+    def running(pid):
+        try:
+            with open(f"/proc/{pid}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except FileNotFoundError:
+            return False
+        return state != "Z"  # a zombie has exited; only reaping is left
+
+    def leftovers():
+        return [pid for pid in pids if running(pid)], [
+            path for path in segments if os.path.exists(path)
+        ]
+
+    deadline = time.monotonic() + 10.0
+    try:
+        while any(leftovers()) and time.monotonic() < deadline:
+            time.sleep(0.1)
+        assert leftovers() == ([], [])
+    finally:
+        for pid in leftovers()[0]:
+            os.kill(pid, signal.SIGKILL)
+    return forked, pids
 
 
 class TestProcsConfig:

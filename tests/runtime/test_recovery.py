@@ -272,6 +272,26 @@ class TestCheckpointedCrashResume:
         assert report.checkpoints_written == 6  # 0, 2, 4, 6, 8, 10
         assert report.last_checkpoint_path.name in remaining
 
+    def test_checkpoint_written_at_every_interval(self, state, tmp_path):
+        """The initial state and every multiple of checkpoint_every
+        before the final step is checkpointed; the final step is not."""
+        with MpdataIslandSolver(SHAPE, 2, config=REUSE_OUTPUT) as solver:
+            solver.run(
+                state,
+                10,
+                recovery=RecoveryPolicy(
+                    checkpoint_every=3, checkpoint_dir=tmp_path
+                ),
+            )
+            report = solver.last_recovery_report
+        steps = sorted(
+            int(path.name.split("-")[1].split(".")[0])
+            for path in tmp_path.iterdir()
+        )
+        assert steps == [0, 3, 6, 9]
+        assert report.checkpoints_written == 4
+        assert report.last_checkpoint_step == 9
+
 
 class TestRunWithRecoveryDirect:
     def test_rejects_negative_steps(self, state):

@@ -44,6 +44,11 @@ class TestPartitionedRunner:
         with pytest.raises(ValueError, match="shape"):
             runner.step(arrays)
 
+    def test_grid_smaller_than_program_halo_rejected(self, mpdata):
+        # MPDATA's periodic ghosts are 3 deep; axis 2 has 2 cells.
+        with pytest.raises(ValueError, match="smaller than the program halo"):
+            PartitionedRunner(mpdata, (16, 16, 2), islands=2)
+
     def test_2d_partition_supported(self, mpdata, state):
         partition = partition_grid_2d(full_box(SHAPE), 2, 2)
         runner = PartitionedRunner(mpdata, SHAPE, partition=partition)

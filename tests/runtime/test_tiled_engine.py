@@ -70,10 +70,9 @@ def interpreted_50():
 
 
 class TestBitIdentity:
-    @pytest.mark.parametrize("sync_every", (1, 2))
     @pytest.mark.parametrize("halo", ("recompute", "exchange", "hybrid"))
     def test_fifty_steps_tiled_equals_interpreter(
-        self, state, interpreted_50, halo, sync_every
+        self, state, interpreted_50, halo
     ):
         """The acceptance run: 50 MPDATA steps of native blocks, serial
         and on a two-thread team, bit-equal to the interpreter."""
@@ -84,7 +83,6 @@ class TestBitIdentity:
                 intra_threads=intra,
                 halo=halo,
                 halo_threshold=64 if halo == "hybrid" else None,
-                sync_every=sync_every,
             )
             with MpdataIslandSolver(SHAPE, 3, config=config) as tiled:
                 actual = tiled.run(state, 50)

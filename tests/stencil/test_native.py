@@ -25,6 +25,7 @@ from repro.stencil import (
     native_available,
     required_regions,
 )
+from repro.stencil import native as native_module
 from repro.stencil.native import emit_c_source
 
 needs_native = pytest.mark.skipif(
@@ -69,6 +70,38 @@ class TestCSourceEmission:
         from repro.stencil.native import _COMPILE_ARGS
 
         assert "-ffp-contract=off" in _COMPILE_ARGS
+
+
+class TestModuleCacheKey:
+    """The on-disk cache must never serve a module built another way."""
+
+    SOURCE = ("void f(void) {}", "void f(void);")
+
+    def test_unchanged_toolchain_keeps_the_name(self):
+        assert native_module._module_name(
+            *self.SOURCE
+        ) == native_module._module_name(*self.SOURCE)
+
+    def test_compile_args_change_the_name(self, monkeypatch):
+        before = native_module._module_name(*self.SOURCE)
+        monkeypatch.setattr(
+            native_module, "_COMPILE_ARGS", ("-O3", "-march=native")
+        )
+        assert native_module._module_name(*self.SOURCE) != before
+
+    def test_cc_changes_the_name(self, monkeypatch):
+        monkeypatch.delenv("CC", raising=False)
+        before = native_module._module_name(*self.SOURCE)
+        monkeypatch.setenv("CC", "another-cc -m64")
+        assert native_module._module_name(*self.SOURCE) != before
+
+    def test_compiler_binary_identity_is_part_of_the_key(self, tmp_path):
+        compiler = tmp_path / "fake-cc"
+        compiler.write_text("#!/bin/sh\n")
+        compiler.chmod(0o755)
+        identity = native_module._compiler_identity(str(compiler))
+        assert str(compiler.resolve()) in identity
+        assert str(compiler.stat().st_mtime_ns) in identity
 
 
 @needs_native

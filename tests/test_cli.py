@@ -74,6 +74,11 @@ class TestParser:
         assert args.block_cache_kib == 1024
         assert args.timings
 
+    def test_engine_telemetry_table_option(self):
+        assert not build_parser().parse_args(["engine"]).telemetry_table
+        args = build_parser().parse_args(["engine", "--telemetry-table"])
+        assert args.telemetry_table
+
 
 class TestEngineValidation:
     """Inconsistent engine flag mixes fail fast with a parser error."""
@@ -117,12 +122,76 @@ class TestEngineValidation:
         )
         assert "fault-tolerant" in err
 
+    def test_telemetry_table_conflicts_with_tiled(self, capsys):
+        err = self._error(capsys, ["engine", "--tiled", "--telemetry-table"])
+        assert "--telemetry-table" in err
+
     def test_islands_must_be_positive(self, capsys):
         err = self._error(capsys, ["engine", "--islands", "0"])
         assert "--islands" in err
 
+    def test_sync_every_flag_is_gone(self, capsys):
+        err = self._error(capsys, ["engine", "--sync-every", "2"])
+        assert "unrecognized arguments: --sync-every" in err
+
+    @pytest.mark.parametrize(
+        "flags,expected",
+        [
+            (["--islands", "20"], "variant A cannot split axis i (16 cells)"),
+            (
+                ["--islands", "13", "--variant", "B"],
+                "variant B cannot split axis j (12 cells)",
+            ),
+            (
+                ["--variant", "2D", "--grid", "17", "2"],
+                "variant 2D cannot split axis i (16 cells)",
+            ),
+            (
+                ["--variant", "2D", "--grid", "2", "13"],
+                "variant 2D cannot split axis j (12 cells)",
+            ),
+        ],
+        ids=["A-i", "B-j", "2D-i", "2D-j"],
+    )
+    def test_islands_must_fit_the_split_axis(self, capsys, flags, expected):
+        err = self._error(
+            capsys, ["engine", "--shape", "16", "12", "8", *flags]
+        )
+        assert expected in err
+        assert "Traceback" not in err
+
+    def test_verify_islands_must_be_positive(self, capsys):
+        err = self._error(capsys, ["verify", "--islands", "0"])
+        assert "--islands must be at least 1" in err
+
+    def test_verify_islands_must_fit_both_variants(self, capsys):
+        # verify runs variant A (splits i) and variant B (splits j).
+        err = self._error(
+            capsys,
+            ["verify", "--shape", "16", "12", "8", "--islands", "2", "14"],
+        )
+        assert "--islands 14: variant B cannot split axis j (12 cells)" in err
+
 
 class TestCommands:
+    @pytest.mark.parametrize(
+        "flags,steps",
+        [([], 4), (["--faults", "crash@island=1,step=1"], 3)],
+        ids=["steady", "faults"],
+    )
+    def test_engine_telemetry_table_counts_one_sync_per_step(
+        self, capsys, flags, steps
+    ):
+        """The steady-state run tables its warm-up step too."""
+        argv = ["engine", "--shape", "16", "12", "8", "--steps", "3",
+                "--islands", "2", "--telemetry-table", *flags]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert "per-step telemetry:" in out
+        assert (
+            f"total: {steps} steps, {steps} syncs (1.000 syncs/step)" in out
+        )
+
     def test_table2_output(self, capsys):
         assert main(["table2"]) == 0
         out = capsys.readouterr().out
