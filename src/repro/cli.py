@@ -14,8 +14,6 @@ strategy for a workload:
     python -m repro engine              # steady-state engine counters
     python -m repro engine --faults crash@island=1,step=3 \\
         --checkpoint-every 5            # fault-tolerant run + recovery report
-    python -m repro engine --tiled --block-shape 32 32 16 \\
-        --intra-threads 2 --timings     # flat vs tiled (3+1)D backend
     python -m repro engine --halo exchange --variant 2D \\
         --grid 2 2                      # per-stage halo exchange, 2D grid
 """
@@ -117,11 +115,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend", choices=tuple(sorted(BACKENDS)),
         default=None,
         help="explicit execution backend, one of: "
-        f"{', '.join(sorted(BACKENDS))} (default: interpreter, or tiled "
-        "with --tiled); "
+        f"{', '.join(sorted(BACKENDS))} (default: interpreter); "
         "procs runs each island in a persistent worker process over "
-        "shared memory; native fuses each stage into one compiled-C loop "
-        "nest (requires cffi + a C compiler)",
+        "shared memory; native runs each island step as one compiled-C "
+        "call, its fused stage loop nests pipelined over i-planes "
+        "(requires cffi + a C compiler)",
     )
     procs = engine.add_argument_group(
         "procs backend",
@@ -202,40 +200,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the per-step telemetry table (wall time, allocations, "
         "syncs) plus run-level sync totals",
     )
-    tiled = engine.add_argument_group(
-        "tiled (3+1)D backend",
-        "execute island interiors block by block (all stages per block "
-        "stay cache-resident) and compare against the flat engine "
-        "bit-for-bit",
-    )
-    tiled.add_argument(
-        "--tiled", action="store_true",
-        help="run the tiled backend comparison (flat vs tiled vs "
-        "tiled+team)",
-    )
-    tiled.add_argument(
-        "--block-shape", type=int, nargs=3, default=None, metavar="B",
-        help="block extents (default: cost-model choice for "
-        "--block-cache-kib)",
-    )
-    tiled.add_argument(
-        "--intra-threads", type=int, default=1, metavar="N",
-        help="intra-island thread team sweeping the block list (default 1)",
-    )
-    tiled.add_argument(
-        "--block-cache-kib", type=int, default=2048, metavar="KIB",
-        help="cache budget per block for the automatic block shape "
-        "(default 2048 KiB)",
-    )
-    tiled.add_argument(
-        "--autotune-blocks", action="store_true",
-        help="search block shapes by timing real tiled steps before the "
-        "comparison",
-    )
-    tiled.add_argument(
+    engine.add_argument(
         "--timings", action="store_true",
-        help="collect and print the per-island / per-block / per-stage "
-        "wall-time breakdown",
+        help="collect per-island and per-stage wall times into each "
+        "step's stats (EngineConfig.collect_timings) in the "
+        "fault-tolerant run",
     )
     faults = engine.add_argument_group(
         "fault tolerance",
@@ -438,13 +407,10 @@ def _validate_verify_args(parser, args) -> None:
 def _validate_engine_args(parser, args) -> None:
     """Reject inconsistent ``engine`` flag combinations up front.
 
-    The engine subcommand multiplexes three modes (steady-state, tiled,
+    The engine subcommand multiplexes two modes (steady-state,
     fault-tolerant); these checks turn silently-ignored or late-failing
     flag mixes into immediate, actionable parser errors.
     """
-    tiled_flags = (
-        args.tiled or args.autotune_blocks or args.block_shape is not None
-    )
     fault_flags = (
         args.faults is not None
         or args.checkpoint_every is not None
@@ -492,38 +458,13 @@ def _validate_engine_args(parser, args) -> None:
         )
     if args.halo_threshold is not None and args.halo_threshold < 0:
         parser.error("--halo-threshold must be non-negative")
-    if args.halo != "recompute" and tiled_flags:
+    if args.variant != "A" and fault_flags:
         parser.error(
-            "the tiled comparison fixes the halo policy to recompute; "
-            "drop --halo or the --tiled/--block-shape/--autotune-blocks "
-            "flags"
-        )
-    if args.variant != "A" and (tiled_flags or fault_flags):
-        parser.error(
-            "the tiled and fault-tolerant runs partition with variant A; "
-            "drop --variant/--grid or the tiled/fault flags"
+            "the fault-tolerant run partitions with variant A; "
+            "drop --variant/--grid or the fault flags"
         )
     if args.threads < 1:
         parser.error("--threads must be at least 1")
-    if args.intra_threads < 1:
-        parser.error("--intra-threads must be at least 1")
-    if args.telemetry_table and tiled_flags:
-        parser.error(
-            "--telemetry-table is wired to the steady-state and "
-            "fault-tolerant runs; drop the tiled flags"
-        )
-    if args.backend == "tiled" and not tiled_flags:
-        parser.error(
-            "--backend tiled runs the tiled comparison; use --tiled "
-            "(optionally with --block-shape/--autotune-blocks) instead"
-        )
-    if args.backend is not None and args.backend not in (
-        "tiled",
-    ) and tiled_flags:
-        parser.error(
-            f"--backend {args.backend} contradicts the "
-            "--tiled/--block-shape/--autotune-blocks flags"
-        )
     if args.backend != "procs":
         if args.workers is not None:
             parser.error("--workers requires --backend procs")
@@ -546,36 +487,6 @@ def _validate_engine_args(parser, args) -> None:
             parser.error("--deadline-factor must be non-negative")
         if args.quarantine_after is not None and args.quarantine_after < 0:
             parser.error("--quarantine-after must be non-negative")
-    if args.block_shape is not None and not (
-        args.tiled or args.autotune_blocks
-    ):
-        parser.error(
-            "--block-shape selects the tiled (3+1)D backend; "
-            "add --tiled (or --autotune-blocks)"
-        )
-    if args.intra_threads > 1 and not tiled_flags:
-        parser.error(
-            "--intra-threads teams sweep (3+1)D blocks; "
-            "add --tiled with --block-shape (or --autotune-blocks)"
-        )
-    if fault_flags and tiled_flags:
-        parser.error(
-            "the fault-tolerant run uses the flat engine; drop "
-            "--tiled/--block-shape/--autotune-blocks or the "
-            "--faults/--checkpoint-* flags"
-        )
-    if args.block_shape is not None:
-        if min(args.block_shape) < 1:
-            parser.error("--block-shape extents must be positive")
-        ni, nj, nk = args.shape
-        part_i = -(-ni // args.islands)  # largest island part under variant A
-        bi, bj, bk = args.block_shape
-        if bi > part_i or bj > nj or bk > nk:
-            parser.error(
-                f"--block-shape {bi}x{bj}x{bk} exceeds the island part "
-                f"{part_i}x{nj}x{nk} ({args.islands} islands over "
-                f"{ni}x{nj}x{nk}); shrink the block or use fewer islands"
-            )
 
 
 def _run_engine(args) -> int:
@@ -608,58 +519,6 @@ def _run_engine(args) -> int:
         with open(json_path, "w") as handle:
             json.dump(report.to_dict(), handle, indent=2)
         print(f"\nwrote {json_path}")
-    return 0 if report.bit_identical else 1
-
-
-def _run_engine_tiled(args) -> int:
-    """Flat vs tiled (3+1)D engine comparison, optionally autotuned."""
-    from .runtime import measure_tiled_engine
-
-    shape = tuple(args.shape)
-    block_shape = tuple(args.block_shape) if args.block_shape else None
-    cache_bytes = args.block_cache_kib * 1024
-    if args.autotune_blocks:
-        from .mpdata import mpdata_program
-        from .stencil import Box, autotune_blocks, measured_objective
-
-        result = autotune_blocks(
-            mpdata_program(),
-            Box((0, 0, 0), shape),
-            cache_bytes,
-            measured_objective(
-                shape,
-                islands=args.islands,
-                intra_threads=args.intra_threads,
-            ),
-            max_candidates=8,
-        )
-        block_shape = result.best.block_shape
-        print(
-            f"autotuned block shape: {block_shape} "
-            f"({result.best_score * 1e3:.2f} ms/step, "
-            f"{result.evaluated} candidates timed)"
-        )
-        for shape_option, seconds in result.ranking[:5]:
-            print(f"  {str(shape_option):<16} {seconds * 1e3:8.2f} ms/step")
-        print()
-    report = measure_tiled_engine(
-        shape=shape,
-        steps=args.steps,
-        islands=args.islands,
-        threads=args.threads,
-        block_shape=block_shape,
-        intra_threads=args.intra_threads,
-        block_cache_bytes=cache_bytes,
-        collect_timings=args.timings,
-        telemetry_jsonl=args.telemetry_jsonl,
-    )
-    print(report.render())
-    if args.json:
-        import json
-
-        with open(args.json, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"\nwrote {args.json}")
     return 0 if report.bit_identical else 1
 
 
@@ -711,12 +570,16 @@ def _run_engine_faults(args) -> int:
             print(f"\nUNRECOVERABLE: {error}")
             return 1
         report = solver.last_recovery_report
+        stats = solver.runner.last_step_stats
 
     if table_sink is not None and table_sink.rows:
         print("per-step telemetry:")
         print(table_sink.render())
         print()
     print(report.render())
+    if stats is not None and stats.timings is not None:
+        print("\nlast step timings:")
+        print(stats.timings.render())
     identical = bool(np.array_equal(final, expected))
     print(f"bit-identical to fault-free run: {identical}")
     return 0 if identical else 1
@@ -750,8 +613,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             or args.checkpoint_dir is not None
         ):
             return _run_engine_faults(args)
-        if args.tiled or args.autotune_blocks:
-            return _run_engine_tiled(args)
         return _run_engine(args)
     _run_tables(args.command)
     return 0

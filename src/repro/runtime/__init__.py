@@ -26,7 +26,6 @@ from .backends import (
     IslandBackend,
     IslandResult,
     NativeBackend,
-    TiledBackend,
     create_backend,
 )
 from .config import (
@@ -71,12 +70,7 @@ from .resilience import (
     ResiliencePolicy,
     ResilientExecutor,
 )
-from .steady import (
-    SteadyStateReport,
-    TiledEngineReport,
-    measure_steady_state,
-    measure_tiled_engine,
-)
+from .steady import SteadyStateReport, measure_steady_state
 from .telemetry import (
     InMemorySink,
     JsonlSink,
@@ -125,8 +119,6 @@ __all__ = [
     "TableSink",
     "Telemetry",
     "TelemetrySink",
-    "TiledBackend",
-    "TiledEngineReport",
     "UnrecoverableRunError",
     "VerificationResult",
     "WorkerCrashed",
@@ -134,7 +126,6 @@ __all__ = [
     "check_step_health",
     "create_backend",
     "measure_steady_state",
-    "measure_tiled_engine",
     "native_available",
     "parse_fault_spec",
     "resolve_engine_config",

@@ -11,14 +11,11 @@ the shared output array.  What varies is *how* the sweep runs:
     steady-state mode.  The reference, and the path that needs no C
     compiler.
 ``native`` (:class:`NativeBackend`)
-    One fused-C step per island
-    (:func:`~repro.stencil.native.compile_plan_native`) with a persistent
-    workspace.
-``tiled`` (:class:`TiledBackend`)
-    The (3+1)D backend: each island's part is covered by cache-sized
-    blocks, each with its own fused-C step and sized workspace
-    (:func:`~repro.stencil.tiled_exec.compile_plan_tiled`), optionally
-    swept by an intra-island thread team.
+    One C call per island step
+    (:func:`~repro.stencil.native.compile_plan_native`): the (3+1)D
+    sweep, every stage pipelined over the island's i-planes with its
+    temporaries folded into rings of planes, writing the island's part
+    straight into the output array.
 ``procs`` (:class:`~repro.runtime.procs.ProcsBackend`)
     True multi-core islands: each island runs in a persistent worker
     *process* over shared-memory arenas, sidestepping the GIL entirely
@@ -27,11 +24,11 @@ the shared output array.  What varies is *how* the sweep runs:
 All of them produce bit-identical results — every backend evaluates the
 identical expressions on identical inputs — so the registry key in
 :class:`~repro.runtime.config.EngineConfig` is purely a performance and
-deployment choice.  The backends that build C kernels (``native``,
-``tiled`` and ``procs`` with native workers) check for cffi and a C
-compiler once, at construction (:func:`require_native`), so a host
-without them is rejected before any step runs.  Backends own their
-per-island resources (arenas, workspaces, block plans) behind a uniform
+deployment choice.  The backends that build C kernels (``native`` and
+``procs`` with native workers) check for cffi and a C compiler once, at
+construction (:func:`require_native`), so a host without them is
+rejected before any step runs.  Backends own their per-island resources
+(arenas, workspaces) behind a uniform
 lifecycle: :meth:`prepare` builds them, :meth:`execute_island` uses
 them, :meth:`refresh` replaces one island's after a failed attempt,
 :meth:`close` releases them.
@@ -63,6 +60,7 @@ import numpy as np
 from ..core import IslandDecomposition
 from ..core.halo import HaloLedger
 from ..stencil import execute_plan, required_regions
+from ..stencil.codegen import Workspace
 from ..stencil.expr import EvalArena
 from ..stencil.field import Field, FieldRole
 from ..stencil.interpreter import ArrayRegion, StageArena
@@ -82,7 +80,6 @@ __all__ = [
     "IslandBackend",
     "IslandResult",
     "NativeBackend",
-    "TiledBackend",
     "create_backend",
     "require_native",
     "stage_delta",
@@ -128,15 +125,14 @@ class IslandResult:
     """What one successful island sweep reported.
 
     ``seconds`` is filled by the caller that timed the sweep (the
-    resilience layer), not by the backend; ``block_seconds`` and
-    ``stage_seconds`` are only populated by timing-enabled backends.
+    resilience layer), not by the backend; ``stage_seconds`` is only
+    populated by timing-enabled backends.
     """
 
     stage_allocations: int = 0
     scratch_allocations: int = 0
     reused: int = 0
     seconds: float = 0.0
-    block_seconds: Tuple[float, ...] = ()
     stage_seconds: Optional[Dict[str, float]] = field(default=None)
 
 
@@ -146,8 +142,8 @@ class IslandBackend:
     Concrete backends register under :attr:`key` in :data:`BACKENDS` and
     are constructed via :meth:`from_config` /
     :func:`create_backend`.  ``plans`` maps island index to the backend's
-    per-island execution object where one exists (native and tiled
-    backends); the interpreter keeps arenas instead.
+    per-island execution object where one exists (the native backend's
+    compiled plans); the interpreter keeps arenas instead.
     """
 
     key: ClassVar[str]
@@ -521,15 +517,18 @@ class FlatInterpreterBackend(IslandBackend):
 
 
 class NativeBackend(IslandBackend):
-    """One fused-C step per island, persistent workspace.
+    """One C call per island step, persistent workspace.
 
     Every halo plan — whole-step, and per stage under the exchange and
     hybrid policies — is compiled by
-    :func:`~repro.stencil.native.compile_plan_native`.  One stage then
-    costs a single memory sweep regardless of its operator-chain depth
-    (MODEL.md §15).  There is deliberately no silent fallback to the
-    interpreter: a quietly degraded backend would invalidate any
-    performance measurement taken through it.
+    :func:`~repro.stencil.native.compile_plan_native`.  A whole step then
+    streams the island's inputs and output once, keeping every
+    intermediate in a ring of planes (MODEL.md §8, §15).  With a
+    persistent workspace the plan's output is bound to the island's part
+    of the runner's output array, so the step writes it in place.  There
+    is deliberately no silent fallback to the interpreter: a quietly
+    degraded backend would invalidate any performance measurement taken
+    through it.
     """
 
     key = "native"
@@ -539,6 +538,9 @@ class NativeBackend(IslandBackend):
         super().__init__(*args, **kwargs)
 
     def prepare(self) -> None:
+        output_stage = self.program.producer_of(self.output_field)
+        for island in self.decomposition.islands:
+            assert island.halo_plan.stage_boxes[output_stage] == island.part
         self.plans = {
             island.index: compile_plan_native(
                 self.program,
@@ -549,10 +551,21 @@ class NativeBackend(IslandBackend):
             )
             for island in self.decomposition.islands
         }
+        #: Per island, the ``(workspace, out)`` its output slot is bound to.
+        self._bound: Dict[int, Tuple[Workspace, np.ndarray]] = {}
 
     def execute_island(self, island, inputs, out) -> IslandResult:
         compiled = self.plans[island.index]
         workspace = compiled.workspace
+        if workspace is not None:
+            # Rebind only for a new workspace (a refresh) or a new output
+            # array (after a failed step, or without reuse_output).
+            bound = self._bound.get(island.index)
+            if bound is None or bound[0] is not workspace or bound[1] is not out:
+                workspace.bind_out(
+                    self.output_field, out[island.part.slices()]
+                )
+                self._bound[island.index] = (workspace, out)
         before = (
             (workspace.allocations, workspace.reuses)
             if workspace is not None
@@ -560,12 +573,15 @@ class NativeBackend(IslandBackend):
         )
         stage_before = compiled.stage_seconds if self.timed else None
         results = compiled(inputs)
+        if workspace is None:
+            out[island.part.slices()] = results[self.output_field].view(
+                island.part
+            )
         workspace = compiled.last_workspace
         result = IslandResult(
             stage_allocations=workspace.allocations - before[0],
             reused=workspace.reuses - before[1],
         )
-        out[island.part.slices()] = results[self.output_field].view(island.part)
         if self.timed:
             result.stage_seconds = stage_delta(
                 compiled.stage_seconds, stage_before
@@ -628,192 +644,9 @@ class NativeBackend(IslandBackend):
             )
 
 
-class TiledBackend(IslandBackend):
-    """Cache-blocked (3+1)D sweep of each island, per-block fused-C steps."""
-
-    key = "tiled"
-
-    def __init__(
-        self,
-        program: StencilProgram,
-        decomposition: IslandDecomposition,
-        *,
-        clip_domain: Box,
-        output_field: str,
-        dtype: np.dtype,
-        reuse_buffers: bool,
-        timed: bool,
-        block_shape: Tuple[int, int, int],
-        intra_threads: int = 1,
-    ) -> None:
-        require_native("the 'tiled' backend")
-        super().__init__(
-            program,
-            decomposition,
-            clip_domain=clip_domain,
-            output_field=output_field,
-            dtype=dtype,
-            reuse_buffers=reuse_buffers,
-            timed=timed,
-        )
-        self.block_shape = tuple(block_shape)
-        self.intra_threads = max(1, intra_threads)
-
-    @classmethod
-    def from_config(
-        cls,
-        config: EngineConfig,
-        program: StencilProgram,
-        decomposition: IslandDecomposition,
-        *,
-        clip_domain: Box,
-        output_field: str,
-    ) -> "TiledBackend":
-        if config.block_shape is None:  # EngineConfig already enforces this
-            raise ValueError("the tiled backend requires block_shape")
-        return cls(
-            program,
-            decomposition,
-            clip_domain=clip_domain,
-            output_field=output_field,
-            dtype=config.numpy_dtype,
-            reuse_buffers=config.reuse_buffers,
-            timed=config.collect_timings,
-            block_shape=config.block_shape,
-            intra_threads=config.intra_threads,
-        )
-
-    def prepare(self) -> None:
-        from ..stencil.tiled_exec import compile_plan_tiled
-        from ..stencil.tiling import plan_blocks_exact
-
-        self.plans = {
-            island.index: compile_plan_tiled(
-                self.program,
-                island.halo_plan,
-                plan_blocks_exact(self.program, island.part, self.block_shape),
-                clip_domain=self.clip_domain,
-                dtype=self.dtype,
-                reuse_buffers=self.reuse_buffers,
-                intra_threads=self.intra_threads,
-                timed=self.timed,
-            )
-            for island in self.decomposition.islands
-        }
-
-    def execute_island(self, island, inputs, out) -> IslandResult:
-        tiled = self.plans[island.index]
-        before = tiled.counters()
-        stage_before = tiled.stage_seconds if self.timed else None
-        tiled.execute(inputs, out)
-        after = tiled.counters()
-        result = IslandResult(
-            stage_allocations=after[0] - before[0],
-            reused=after[1] - before[1],
-        )
-        if self.timed:
-            result.block_seconds = tiled.last_block_seconds or ()
-            result.stage_seconds = stage_delta(
-                tiled.stage_seconds, stage_before
-            )
-        return result
-
-    def _refresh_plan(self, island_index: int) -> None:
-        self.plans[island_index].refresh_workspaces()
-
-    def close(self) -> None:
-        for plan in self.plans.values():
-            plan.close()
-
-    # -- stage-granular path (exchange / hybrid) ------------------------
-    # Each stage's owned slab is covered by cache-sized blocks, each with
-    # its own fused-C one-stage step writing straight into the island's
-    # persistent stage buffer.  Blocks are swept serially: exchange mode
-    # already barriers per stage, so the (3+1)D depth dimension collapses
-    # to single-stage sweeps and only the cache blocking remains.
-    def _prepare_stage_state(self) -> None:
-        self._stage_plans: Dict[Tuple[int, int], Tuple[object, ...]] = {}
-        for island in self.decomposition.islands:
-            q = island.index
-            for s in range(len(self._ledger.compute_boxes[q])):
-                comp = self._ledger.compute_boxes[q][s]
-                if comp.is_empty():
-                    continue
-                stage = self.program.stages[s]
-                sub = self._stage_program(s)
-                buffer = self._stage_buffers[q][s]
-                compiled_blocks = []
-                for block in _grid_boxes(comp, self.block_shape):
-                    compiled = compile_plan_native(
-                        sub,
-                        required_regions(sub, block),
-                        dtype=self.dtype,
-                        reuse_buffers=True,
-                        timed=self.timed,
-                    )
-                    compiled.workspace.bind_out(
-                        stage.output, buffer.view(block)
-                    )
-                    compiled_blocks.append((block, compiled))
-                self._stage_plans[(q, s)] = tuple(compiled_blocks)
-
-    def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
-        stage = self.program.stages[stage_index]
-        resolved = self._stage_inputs(island.index, stage_index, inputs)
-        result = IslandResult()
-        block_seconds = [] if self.timed else None
-        total = 0.0
-        for _block, compiled in self._stage_plans[(island.index, stage_index)]:
-            workspace = compiled.workspace
-            before = (workspace.allocations, workspace.reuses)
-            start = perf_counter() if self.timed else 0.0
-            compiled(resolved)
-            if self.timed:
-                elapsed = perf_counter() - start
-                block_seconds.append(elapsed)
-                total += elapsed
-            result.stage_allocations += workspace.allocations - before[0]
-            result.reused += workspace.reuses - before[1]
-        if self.timed:
-            result.block_seconds = tuple(block_seconds)
-            result.stage_seconds = {stage.name: total}
-        return result
-
-    def _refresh_stage_state(self, island_index: int) -> None:
-        for (q, s), compiled_blocks in self._stage_plans.items():
-            if q != island_index:
-                continue
-            buffer = self._stage_buffers[q][s]
-            for block, compiled in compiled_blocks:
-                compiled.persistent = True  # installs a fresh Workspace
-                compiled.workspace.bind_out(
-                    self.program.stages[s].output,
-                    buffer.view(block),
-                )
-
-
-def _grid_boxes(box: Box, block_shape: Tuple[int, int, int]) -> List[Box]:
-    """Cover ``box`` with a grid of blocks of at most ``block_shape``."""
-    ranges = []
-    for axis in range(3):
-        axis_ranges = []
-        lo = box.lo[axis]
-        while lo < box.hi[axis]:
-            hi = min(lo + block_shape[axis], box.hi[axis])
-            axis_ranges.append((lo, hi))
-            lo = hi
-        ranges.append(axis_ranges)
-    return [
-        Box((i0, j0, k0), (i1, j1, k1))
-        for i0, i1 in ranges[0]
-        for j0, j1 in ranges[1]
-        for k0, k1 in ranges[2]
-    ]
-
-
 BACKENDS: Dict[str, Type[IslandBackend]] = {
     backend.key: backend
-    for backend in (FlatInterpreterBackend, NativeBackend, TiledBackend)
+    for backend in (FlatInterpreterBackend, NativeBackend)
 }
 
 

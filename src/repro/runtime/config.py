@@ -1,10 +1,9 @@
 """One engine configuration for the whole partitioned runtime.
 
 Three feature axes grew onto the runner in successive steps — backend
-selection (interpreter / native / tiled / procs, with an optional
-intra-island team), resilience policy (retry budget, backoff, injected
-faults) and observability (buffer reuse accounting, timing collection)
-— and each
+selection (interpreter / native / procs), resilience policy (retry
+budget, backoff, injected faults) and observability (buffer reuse
+accounting, timing collection) — and each
 grew its own copy of the kwarg list: once on
 :class:`~repro.runtime.island_exec.PartitionedRunner`, once on
 :class:`~repro.runtime.island_exec.MpdataIslandSolver`, and once more as
@@ -28,13 +27,17 @@ from .faults import FaultInjector, parse_fault_spec
 
 __all__ = [
     "BACKEND_KEYS",
+    "DTYPE_KEYS",
     "PROCS_INNER_KEYS",
     "EngineConfig",
     "resolve_engine_config",
 ]
 
 #: Registry keys of the execution backends (see :mod:`repro.runtime.backends`).
-BACKEND_KEYS = ("interpreter", "native", "tiled", "procs")
+BACKEND_KEYS = ("interpreter", "native", "procs")
+
+#: Element types every backend runs (the C emitter's ``real`` types).
+DTYPE_KEYS = ("float64", "float32")
 
 #: Stage executors a ``procs`` worker may run inside itself.
 PROCS_INNER_KEYS = ("interpreter", "native")
@@ -49,29 +52,24 @@ class EngineConfig:
     backend:
         Registry key of the execution backend: ``"interpreter"`` (stage
         graph walked per island; needs no C compiler), ``"native"``
-        (fused compiled-C stage kernels per island), ``"tiled"``
-        (per-block native steps, cache-resident (3+1)D sweep; requires
-        ``block_shape``) or ``"procs"`` (worker processes over shared
-        memory).  ``native``, ``tiled`` and ``procs`` with
-        ``procs_inner="native"`` require cffi and a system C compiler.
+        (one compiled-C call per island step, its stages pipelined over
+        i-planes) or ``"procs"`` (worker processes over shared memory).
+        ``native`` and ``procs`` with ``procs_inner="native"`` require
+        cffi and a system C compiler.
     boundary:
         Ghost-fill mode for all inputs (``"periodic"`` or ``"open"``).
     threads:
         Island-level work team: islands execute concurrently when > 1.
     dtype:
-        Element type, stored as a NumPy dtype *name* so the config
-        round-trips through JSON; see :attr:`numpy_dtype`.
+        Element type, ``"float64"`` or ``"float32"`` (:data:`DTYPE_KEYS`),
+        stored as a NumPy dtype *name* so the config round-trips through
+        JSON; see :attr:`numpy_dtype`.
     reuse_buffers:
         Steady-state mode (default): ghost buffers, arenas and workspaces
         persist across steps.  ``False`` re-allocates everything per step
         (the naive mode), bit-identically.
     reuse_output:
         Recycle the assembled output array across steps.
-    block_shape:
-        Nominal (3+1)D block extents; tiled backend only.
-    intra_threads:
-        Intra-island thread team sweeping each island's block list;
-        tiled backend only.
     max_retries, retry_backoff:
         Resilience policy: per-island retry budget within one step, and
         the base sleep before retry N (grows as ``backoff * 2**(N-1)``,
@@ -86,7 +84,7 @@ class EngineConfig:
         JSON-safe form of a :class:`~repro.runtime.faults.FaultInjector`
         (see :meth:`build_fault_injector`).
     collect_timings:
-        Record per-island / per-block / per-stage wall times into each
+        Record per-island and per-stage wall times into each
         step's :class:`~repro.runtime.telemetry.StepTimings`.
     halo:
         Inter-island halo policy: ``"recompute"`` (scenario 2 — each
@@ -141,8 +139,6 @@ class EngineConfig:
     dtype: str = "float64"
     reuse_buffers: bool = True
     reuse_output: bool = False
-    block_shape: Optional[Tuple[int, int, int]] = None
-    intra_threads: int = 1
     max_retries: int = 0
     retry_backoff: float = 0.0
     retry_backoff_max: float = 30.0
@@ -163,14 +159,12 @@ class EngineConfig:
         # configs built from e.g. np.float64 and "float64" compare equal.
         object.__setattr__(self, "dtype", str(np.dtype(self.dtype)))
         object.__setattr__(self, "threads", max(1, int(self.threads)))
-        object.__setattr__(
-            self, "intra_threads", max(1, int(self.intra_threads))
-        )
-        if self.block_shape is not None:
-            object.__setattr__(
-                self, "block_shape", tuple(int(b) for b in self.block_shape)
-            )
         object.__setattr__(self, "fault_specs", tuple(self.fault_specs))
+        if self.dtype not in DTYPE_KEYS:
+            raise ValueError(
+                f"unsupported dtype {self.dtype!r}; the engine runs "
+                f"{', '.join(DTYPE_KEYS)}"
+            )
         if self.backend not in BACKEND_KEYS:
             raise ValueError(
                 f"unknown backend {self.backend!r}; known: "
@@ -190,29 +184,6 @@ class EngineConfig:
         )
         if self.retry_backoff_max <= 0:
             raise ValueError("retry_backoff_max must be positive")
-        if self.intra_threads > 1 and self.backend != "tiled":
-            raise ValueError(
-                "intra_threads teams sweep (3+1)D blocks; pass block_shape"
-            )
-        if self.backend == "tiled":
-            if self.block_shape is None:
-                raise ValueError(
-                    "the tiled backend requires block_shape"
-                )
-            if len(self.block_shape) != 3:
-                raise ValueError(
-                    f"block_shape must have 3 extents, got {self.block_shape}"
-                )
-            if any(b < 1 for b in self.block_shape):
-                raise ValueError(
-                    f"block_shape extents must be positive, got "
-                    f"{self.block_shape}"
-                )
-        elif self.block_shape is not None:
-            raise ValueError(
-                f"block_shape is a tiled-backend option; got "
-                f"backend={self.backend!r}"
-            )
         for spec in self.fault_specs:
             parse_fault_spec(spec)  # raises ValueError on a malformed spec
         if self.halo not in HALO_POLICIES:
@@ -309,10 +280,6 @@ class EngineConfig:
             "dtype": self.dtype,
             "reuse_buffers": self.reuse_buffers,
             "reuse_output": self.reuse_output,
-            "block_shape": (
-                list(self.block_shape) if self.block_shape is not None else None
-            ),
-            "intra_threads": self.intra_threads,
             "max_retries": self.max_retries,
             "retry_backoff": self.retry_backoff,
             "retry_backoff_max": self.retry_backoff_max,
@@ -338,47 +305,19 @@ class EngineConfig:
                 f"known: {sorted(known)}"
             )
         values = dict(data)
-        if values.get("block_shape") is not None:
-            values["block_shape"] = tuple(values["block_shape"])
         if "fault_specs" in values:
             values["fault_specs"] = tuple(values["fault_specs"])
         return cls(**values)
 
     @classmethod
-    def from_cli_args(
-        cls,
-        args: Any,
-        block_shape: Optional[Tuple[int, int, int]] = None,
-    ) -> "EngineConfig":
+    def from_cli_args(cls, args: Any) -> "EngineConfig":
         """Build the engine configuration for ``python -m repro engine``.
 
         Reads the flags of the ``engine`` subcommand off the parsed
-        namespace.  ``block_shape`` overrides ``--block-shape`` (the
-        autotuner passes its winning shape here); with the tiled backend
-        requested but no shape given, the working-set cost model picks
-        one for ``--block-cache-kib``, mirroring the measurement harness.
-        The CLI always drives the steady-state engine, so both reuse
-        flags are on — the naive mode is derived by the harness, not
-        configured here.
+        namespace.  The CLI always drives the steady-state engine, so
+        both reuse flags are on — the naive mode is derived by the
+        harness, not configured here.
         """
-        if block_shape is None:
-            block_shape = getattr(args, "block_shape", None)
-        tiled = bool(
-            getattr(args, "tiled", False)
-            or getattr(args, "autotune_blocks", False)
-            or getattr(args, "backend", None) == "tiled"
-            or block_shape is not None
-        )
-        if tiled and block_shape is None:
-            from ..mpdata.stages import mpdata_program
-            from ..stencil.region import Box
-            from ..stencil.tiling import plan_blocks
-
-            block_shape = plan_blocks(
-                mpdata_program(),
-                Box((0, 0, 0), tuple(args.shape)),
-                getattr(args, "block_cache_kib", 2048) * 1024,
-            ).block_shape
         # Fault tolerance engages only when a fault flag was given, so a
         # plain steady run keeps the retry budget at zero even though
         # --retries carries a non-zero default.
@@ -387,16 +326,7 @@ class EngineConfig:
             or getattr(args, "checkpoint_every", None) is not None
             or getattr(args, "checkpoint_dir", None) is not None
         )
-        # --backend is the explicit selector; --tiled keeps working when
-        # it is absent.
-        backend = getattr(args, "backend", None)
-        if backend is None:
-            backend = "tiled" if tiled else "interpreter"
-        if backend != "tiled" and tiled:
-            raise ValueError(
-                f"--backend {backend} does not combine with "
-                "--tiled/--block-shape/--autotune-blocks"
-            )
+        backend = getattr(args, "backend", None) or "interpreter"
         procs = backend == "procs"
         # Supervision flags: absent/None keeps the config defaults; an
         # explicit 0 for --deadline-factor / --quarantine-after disables
@@ -423,8 +353,6 @@ class EngineConfig:
             threads=getattr(args, "threads", 1),
             reuse_buffers=True,
             reuse_output=True,
-            block_shape=tuple(block_shape) if tiled else None,
-            intra_threads=getattr(args, "intra_threads", 1) if tiled else 1,
             max_retries=getattr(args, "retries", 0) if faulty else 0,
             fault_specs=tuple(getattr(args, "faults", None) or ()),
             collect_timings=getattr(args, "timings", False),

@@ -11,8 +11,8 @@ checks.
 The runner is a thin composition of four explicit layers:
 
 * a **backend** (:mod:`repro.runtime.backends`) owning the per-island
-  compute resources — interpreter arenas, native plan workspaces, or
-  tiled block plans — behind one
+  compute resources — interpreter arenas or native plan workspaces —
+  behind one
   ``prepare``/``execute_island``/``refresh`` lifecycle;
 * a **resilience** layer (:mod:`repro.runtime.resilience`) wrapping every
   island sweep with fault injection, bounded retry and backoff;
@@ -73,7 +73,6 @@ def _merge_result(into: IslandResult, add: IslandResult) -> IslandResult:
     into.scratch_allocations += add.scratch_allocations
     into.reused += add.reused
     into.seconds += add.seconds
-    into.block_seconds = tuple(into.block_seconds) + tuple(add.block_seconds)
     if add.stage_seconds:
         merged = dict(into.stage_seconds or {})
         for name, seconds in add.stage_seconds.items():
@@ -140,8 +139,6 @@ class PartitionedRunner:
         self.reuse_output = config.reuse_output
         self.max_retries = config.max_retries
         self.retry_backoff = config.retry_backoff
-        self.block_shape = config.block_shape
-        self.intra_threads = config.intra_threads
         self.collect_timings = config.collect_timings
         self.halo = config.halo
         self.halo_threshold = config.halo_threshold
@@ -599,7 +596,6 @@ class PartitionedRunner:
                     merged[name] = merged.get(name, 0.0) + seconds
             timings = StepTimings(
                 island_seconds=tuple(r.seconds for r in results),
-                block_seconds=tuple(r.block_seconds for r in results),
                 stage_seconds=merged,
             )
         self.last_step_stats = StepStats(

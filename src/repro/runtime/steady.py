@@ -32,9 +32,7 @@ from .telemetry import InMemorySink, JsonlSink, TableSink, Telemetry
 
 __all__ = [
     "SteadyStateReport",
-    "TiledEngineReport",
     "measure_steady_state",
-    "measure_tiled_engine",
 ]
 
 
@@ -264,173 +262,4 @@ def measure_steady_state(
             print(table_sink.render())
             print()
     report.bit_identical = bool(np.array_equal(results["naive"], results["engine"]))
-    return report
-
-
-@dataclass
-class TiledEngineReport:
-    """Flat vs tiled (3+1)D engine measurements for one configuration.
-
-    All modes run native kernels in the steady-state engine; what varies
-    is the inner execution order — one flat sweep per island versus a
-    block-by-block sweep (optionally on an intra-island thread team).
-    Every mode must reproduce the flat trajectory bit-for-bit.
-    """
-
-    shape: Tuple[int, int, int]
-    islands: int
-    threads: int
-    steps: int
-    block_shape: Optional[Tuple[int, int, int]]
-    intra_threads: int
-    bit_identical: bool
-    #: mode name -> {"step_time_s", "allocations_per_step", "reused_per_step",
-    #:               "warmup_allocations", "blocks"}
-    modes: Dict[str, Dict[str, float]] = field(default_factory=dict)
-    #: Rendered timing breakdown of the last tiled step (when collected).
-    timing_report: Optional[str] = None
-
-    def speedup(self, mode: str) -> float:
-        """Flat step time over ``mode``'s (>1 means the mode is faster)."""
-        step = self.modes[mode]["step_time_s"]
-        return self.modes["flat"]["step_time_s"] / step if step else float("inf")
-
-    def to_dict(self) -> Dict[str, object]:
-        return {
-            "shape": list(self.shape),
-            "islands": self.islands,
-            "threads": self.threads,
-            "steps": self.steps,
-            "block_shape": list(self.block_shape) if self.block_shape else None,
-            "intra_threads": self.intra_threads,
-            "bit_identical": self.bit_identical,
-            "modes": self.modes,
-            "speedups": {
-                mode: self.speedup(mode) for mode in self.modes if mode != "flat"
-            },
-        }
-
-    def render(self) -> str:
-        ni, nj, nk = self.shape
-        block = (
-            "x".join(str(b) for b in self.block_shape)
-            if self.block_shape
-            else "auto"
-        )
-        lines = [
-            "Tiled (3+1)D execution engine "
-            f"({ni}x{nj}x{nk}, {self.islands} islands, block {block}, "
-            f"{self.intra_threads} intra-threads, {self.steps} steps)",
-            f"{'mode':<12} {'step time':>12} {'allocs/step':>12} "
-            f"{'blocks':>8} {'speedup':>9}",
-        ]
-        for mode, numbers in self.modes.items():
-            speed = "" if mode == "flat" else f"{self.speedup(mode):>8.2f}x"
-            lines.append(
-                f"{mode:<12} {numbers['step_time_s'] * 1e3:>10.2f} ms "
-                f"{numbers['allocations_per_step']:>12.1f} "
-                f"{numbers['blocks']:>8.0f} {speed:>9}"
-            )
-        lines.append(f"bit-identical (all modes vs flat): {self.bit_identical}")
-        if self.timing_report:
-            lines.append(self.timing_report)
-        return "\n".join(lines)
-
-
-def measure_tiled_engine(
-    shape: Tuple[int, int, int] = (128, 64, 16),
-    steps: int = 10,
-    islands: int = 4,
-    threads: int = 1,
-    block_shape: Optional[Tuple[int, int, int]] = None,
-    intra_threads: int = 1,
-    block_cache_bytes: int = 2 * 1024 * 1024,
-    boundary: str = "periodic",
-    seed: int = 0,
-    state=None,
-    collect_timings: bool = False,
-    telemetry_jsonl: Optional[str] = None,
-) -> TiledEngineReport:
-    """Measure the flat native engine against its tiled backend.
-
-    Runs ``flat`` (native, one sweep per island), ``tiled``
-    (block-by-block, serial sweep) and — when ``intra_threads > 1`` —
-    ``tiled+team`` (same blocks on an intra-island thread team).  All
-    modes advance ``1 + steps`` identical time steps from the same state;
-    bit-identity across modes is checked, not assumed.
-
-    ``block_shape=None`` lets :func:`~repro.stencil.tiling.plan_blocks`
-    pick a block fitting ``block_cache_bytes`` via the working-set model.
-    ``telemetry_jsonl`` streams the ``tiled`` mode's per-step events to a
-    JSON Lines file.
-    """
-    from ..stencil.region import Box
-    from ..stencil.tiling import plan_blocks
-
-    if state is None:
-        state = random_state(shape, seed=seed)
-    if block_shape is None:
-        from ..mpdata.stages import mpdata_program
-
-        block_plan = plan_blocks(
-            mpdata_program(), Box((0, 0, 0), tuple(shape)), block_cache_bytes
-        )
-        block_shape = block_plan.block_shape
-    configs = [("flat", None, 1), ("tiled", tuple(block_shape), 1)]
-    if intra_threads > 1:
-        configs.append(("tiled+team", tuple(block_shape), intra_threads))
-    report = TiledEngineReport(
-        shape=tuple(shape),
-        islands=islands,
-        threads=threads,
-        steps=steps,
-        block_shape=tuple(block_shape),
-        intra_threads=intra_threads,
-        bit_identical=False,
-    )
-    results = {}
-    for mode, blocks, intra in configs:
-        config = EngineConfig(
-            backend="native" if blocks is None else "tiled",
-            boundary=boundary,
-            threads=threads,
-            reuse_buffers=True,
-            reuse_output=True,
-            block_shape=blocks,
-            intra_threads=intra,
-            collect_timings=collect_timings and blocks is not None,
-        )
-        telemetry, sink = _mode_telemetry(
-            telemetry_jsonl if mode == "tiled" else None
-        )
-        with MpdataIslandSolver(
-            shape,
-            islands,
-            config=config,
-            telemetry=telemetry,
-        ) as solver:
-            final, numbers, _ = _run_mode(solver, state, steps, sink)
-            numbers["blocks"] = float(
-                sum(
-                    plan.block_count
-                    for plan in solver.runner.backend.plans.values()
-                )
-                if blocks is not None
-                else 0
-            )
-            if (
-                collect_timings
-                and blocks is not None
-                and solver.runner.last_step_stats.timings is not None
-            ):
-                report.timing_report = (
-                    solver.runner.last_step_stats.timings.render()
-                )
-        results[mode] = final
-        report.modes[mode] = numbers
-    report.bit_identical = all(
-        bool(np.array_equal(results["flat"], final))
-        for mode, final in results.items()
-        if mode != "flat"
-    )
     return report

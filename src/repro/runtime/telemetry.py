@@ -44,8 +44,8 @@ class StepTimings:
 
     Collected by :class:`~repro.runtime.island_exec.PartitionedRunner`
     when ``collect_timings`` is set, and the evidence that makes a
-    flat-vs-tiled comparison attributable: *which* stages got cheaper,
-    and how the block sweep inside each island spent its time.
+    kernel comparison attributable: *which* stages got cheaper, and
+    which island set the step's critical path.
 
     Attributes
     ----------
@@ -53,17 +53,13 @@ class StepTimings:
         Compute wall time of each island's sweep this step (faults and
         retries excluded).  The maximum is the step's parallel critical
         path; the sum is the serialized compute.
-    block_seconds:
-        Per island, the per-block sweep times (empty tuples for flat
-        execution, where an island is one undivided sweep).
     stage_seconds:
-        Wall seconds per stage name, summed over islands and blocks.
+        Wall seconds per stage name, summed over islands.
         Available from the native engines (timed plans) and the
         interpreter; empty when the backend cannot attribute stages.
     """
 
     island_seconds: Tuple[float, ...]
-    block_seconds: Tuple[Tuple[float, ...], ...] = ()
     stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
@@ -76,10 +72,6 @@ class StepTimings:
         """Sum of all island sweeps — the serialized compute time."""
         return sum(self.island_seconds)
 
-    @property
-    def blocks_swept(self) -> int:
-        return sum(len(times) for times in self.block_seconds)
-
     def top_stages(self, count: int = 5) -> Tuple[Tuple[str, float], ...]:
         """The ``count`` most expensive stages, descending."""
         ranked = sorted(
@@ -91,7 +83,6 @@ class StepTimings:
         """JSON-safe form for telemetry sinks."""
         return {
             "island_seconds": list(self.island_seconds),
-            "block_seconds": [list(times) for times in self.block_seconds],
             "stage_seconds": dict(self.stage_seconds),
         }
 
@@ -100,28 +91,10 @@ class StepTimings:
         lines = [
             f"islands: critical path {self.critical_path_seconds * 1e3:.2f} ms, "
             f"total compute {self.total_compute_seconds * 1e3:.2f} ms "
-            f"({len(self.island_seconds)} islands"
-            + (
-                f", {self.blocks_swept} blocks swept)"
-                if self.blocks_swept
-                else ")"
-            )
+            f"({len(self.island_seconds)} islands)"
         ]
         for index, seconds in enumerate(self.island_seconds):
-            blocks = (
-                self.block_seconds[index]
-                if index < len(self.block_seconds)
-                else ()
-            )
-            detail = ""
-            if blocks:
-                detail = (
-                    f"  [{len(blocks)} blocks, "
-                    f"max {max(blocks) * 1e3:.2f} ms]"
-                )
-            lines.append(
-                f"  island {index}: {seconds * 1e3:8.2f} ms{detail}"
-            )
+            lines.append(f"  island {index}: {seconds * 1e3:8.2f} ms")
         if self.stage_seconds:
             lines.append(f"top stages (of {len(self.stage_seconds)}):")
             for name, seconds in self.top_stages(top):
@@ -140,8 +113,7 @@ class StepStats:
 
     ``timings`` (populated when the runner was built with
     ``collect_timings``) attributes the step's wall time: per-island sweep
-    times, per-block times inside tiled islands, and per-stage seconds —
-    see :class:`StepTimings`.
+    times and per-stage seconds — see :class:`StepTimings`.
 
     The halo-policy counters make the paper's computation/communication
     identity observable per run: ``exchanged_bytes`` is what this step

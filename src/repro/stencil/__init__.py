@@ -12,7 +12,8 @@ together with the analyses the islands-of-cores approach rests on:
 * :mod:`repro.stencil.interpreter` — vectorized NumPy execution,
 * :mod:`repro.stencil.lowering` — backend-neutral kernel IR (three-address
   ops with slot liveness),
-* :mod:`repro.stencil.native` — fused compiled-C stage kernels over the IR,
+* :mod:`repro.stencil.native` — one compiled-C entry point per plan over
+  the IR, its fused stage kernels pipelined over i-planes,
 * :mod:`repro.stencil.plancache` — process-wide compiled-plan cache,
 * :mod:`repro.stencil.tiling` — (3+1)D cache blocking,
 * :mod:`repro.stencil.flops` — work accounting,
@@ -23,7 +24,6 @@ from .autotune import (
     TuningResult,
     autotune_blocks,
     candidate_shapes,
-    measured_objective,
 )
 from .codegen import CompiledPlan, Workspace
 from .expr import (
@@ -103,7 +103,6 @@ from .serialize import (
     program_to_dict,
 )
 from .stage import AxisExtent, Stage
-from .tiled_exec import BlockTask, TiledPlan, compile_plan_tiled
 from .tiling import (
     BlockPlan,
     plan_blocks,
@@ -128,7 +127,6 @@ __all__ = [
     "AxisExtent",
     "Binary",
     "BlockPlan",
-    "BlockTask",
     "Box",
     "CompiledPlan",
     "Const",
@@ -149,7 +147,6 @@ __all__ = [
     "StageSchedule",
     "Stage",
     "StencilProgram",
-    "TiledPlan",
     "TuningResult",
     "Unary",
     "Where",
@@ -160,7 +157,6 @@ __all__ = [
     "candidate_shapes",
     "clear_plan_cache",
     "compile_plan_native",
-    "compile_plan_tiled",
     "composed_step_plans",
     "dependency_levels",
     "describe_program",
@@ -183,7 +179,6 @@ __all__ = [
     "lint_program",
     "liveness_spans",
     "lower_plan",
-    "measured_objective",
     "native_available",
     "neg",
     "plan_blocks",

@@ -20,13 +20,12 @@ from typing import Callable, List, Optional, Tuple
 
 from .program import StencilProgram
 from .region import Box
-from .tiling import BlockPlan, plan_blocks, plan_blocks_exact
+from .tiling import BlockPlan, plan_blocks_exact
 
 __all__ = [
     "TuningResult",
     "candidate_shapes",
     "autotune_blocks",
-    "measured_objective",
 ]
 
 Shape = Tuple[int, int, int]
@@ -127,63 +126,3 @@ def autotune_blocks(
         ranking=ranking,
         evaluated=len(scored),
     )
-
-
-def measured_objective(
-    shape: Shape,
-    islands: int = 1,
-    steps: int = 3,
-    intra_threads: int = 1,
-    boundary: str = "periodic",
-    seed: int = 0,
-) -> Callable[[BlockPlan], float]:
-    """An :func:`autotune_blocks` objective that *times real tiled steps*.
-
-    The default objective scores candidates through the simulator's cost
-    model — cheap, but only as good as the model.  This one builds the
-    actual tiled engine for each candidate block shape and measures
-    wall-clock seconds per step on this machine (one warm-up step, then
-    ``steps`` timed), so the search optimizes what users actually run.
-    Each candidate costs ``(1 + steps)`` full MPDATA steps; keep
-    ``max_candidates`` small or the grid modest.
-
-    The same initial state (fixed ``seed``) is replayed for every
-    candidate, so scores are comparable across the search.
-    """
-    import time as _time
-
-    import numpy as np
-
-    from ..mpdata.fields import random_state
-    from ..mpdata.stages import FIELD_X
-
-    state = random_state(shape, seed=seed)
-
-    def score(plan: BlockPlan) -> float:
-        # Imported lazily: autotune is a stencil-layer module and must not
-        # pull the runtime layer (which imports stencil) at import time.
-        from ..runtime.config import EngineConfig
-        from ..runtime.island_exec import MpdataIslandSolver
-
-        with MpdataIslandSolver(
-            shape,
-            islands,
-            config=EngineConfig(
-                backend="tiled",
-                boundary=boundary,
-                block_shape=plan.block_shape,
-                intra_threads=intra_threads,
-            ),
-        ) as solver:
-            arrays = solver._arrays(state)
-            arrays[FIELD_X] = np.asarray(state.x, dtype=solver.runner.dtype)
-            arrays[FIELD_X] = solver.runner.step(arrays)  # warm-up
-            begin = _time.perf_counter()
-            for _ in range(steps):
-                arrays[FIELD_X] = solver.runner.step(
-                    arrays, changed={FIELD_X}
-                )
-            elapsed = _time.perf_counter() - begin
-        return elapsed / steps
-
-    return score

@@ -4,13 +4,14 @@ The interpreter (:mod:`repro.stencil.interpreter`) walks the expression tree
 for every stage of every step.  For a *fixed* halo plan all region geometry
 is known ahead of time, so a program can instead be compiled once: lowering
 to three-address form lives in :mod:`repro.stencil.lowering`, and the one
-emitter over that kernel IR, :mod:`repro.stencil.native`, turns every
-stage into a fused C loop nest (:func:`~repro.stencil.native
-.compile_plan_native`).  This module holds what a compiled plan is made of
-on the Python side:
+emitter over that kernel IR, :mod:`repro.stencil.native`, turns the plan
+into one C entry point that pipelines every stage's fused loop nest over
+the i-planes (:func:`~repro.stencil.native.compile_plan_native`).  This
+module holds what a compiled plan is made of on the Python side:
 
-* :class:`Workspace` — the buffer provider: per-stage output arrays,
-  persistent across calls or fresh per call;
+* :class:`Workspace` — the buffer provider: the ring arena the folded
+  temporaries live in plus one array per program output, persistent
+  across calls or fresh per call;
 * :class:`PlanBinding` — one call's validated inputs, reused while the
   same input regions come back;
 * :class:`CompiledPlan` — the callable plan itself, with the same inputs
@@ -19,7 +20,7 @@ on the Python side:
 By default every call uses a fresh workspace (results are independent
 arrays).  Compiling with ``reuse_buffers=True`` — or flipping
 :attr:`CompiledPlan.persistent` later — pins one persistent workspace to
-the plan: stage outputs then live across calls and a steady-state step
+the plan: its buffers then live across calls and a steady-state step
 performs **zero** array allocations.  The generated C source is kept on
 the plan for inspection:
 
@@ -34,7 +35,7 @@ the plan for inspection:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -51,47 +52,27 @@ __all__ = [
 
 
 class Workspace:
-    """Buffer provider for compiled plans: one output array per stage.
+    """Buffer provider for compiled plans.
 
-    A fused stage kernel keeps its intermediates in registers, so the
-    only arrays a plan asks for are the per-stage outputs (``out``).  One
-    workspace instance per call gives independent result arrays; a
+    A fused stage kernel keeps its intermediates in registers and the
+    plane pipeline folds every temporary into a ring of planes, so a plan
+    asks for one ring arena plus one array per program output (``out``).
+    One workspace instance per call gives independent result arrays; a
     workspace kept across calls recycles them and reports zero
     :attr:`allocations` in steady state.
-
-    ``max_elems`` turns the workspace into a *sized* workspace: every
-    request larger than the cap is refused, and an output slot whose
-    cached shape differs from the request raises instead of silently
-    reallocating.  The tiled executor sizes one workspace per (3+1)D
-    block this way, so a block-sized workspace can never end up backed
-    by a stale larger buffer (which would be numerically harmless but
-    would silently break the cache-residency the blocking exists for).
     """
 
-    __slots__ = (
-        "dtype", "_outputs", "allocations", "reuses", "max_elems", "epoch",
-    )
+    __slots__ = ("dtype", "_outputs", "allocations", "reuses", "epoch")
 
-    def __init__(
-        self, dtype: "np.dtype" = np.float64, max_elems: Optional[int] = None
-    ) -> None:
+    def __init__(self, dtype: "np.dtype" = np.float64) -> None:
         self.dtype = np.dtype(dtype)
         self._outputs: Dict[str, np.ndarray] = {}
         self.allocations = 0
         self.reuses = 0
-        self.max_elems = max_elems
-        #: Bumped whenever an output slot changes array (allocation,
+        #: Bumped whenever a slot changes array (allocation,
         #: :meth:`bind_out`, :meth:`reset`): a plan binding that captured
-        #: output arrays is only reused while the epoch it saw holds.
+        #: the arrays is only reused while the epoch it saw holds.
         self.epoch = 0
-
-    def _check_size(self, need: int, name: str) -> None:
-        if self.max_elems is not None and need > self.max_elems:
-            raise ValueError(
-                f"workspace output {name!r} needs {need} elements but this "
-                f"workspace is sized for {self.max_elems}; it belongs to a "
-                "smaller (block) plan"
-            )
 
     def reset(self) -> None:
         """Drop every cached buffer (counters stay cumulative).
@@ -103,32 +84,17 @@ class Workspace:
         self._outputs.clear()
         self.epoch += 1
 
-    def capacity_report(self) -> Dict[str, object]:
-        """What this workspace currently holds, for sizing diagnostics."""
-        outputs = {name: tuple(a.shape) for name, a in self._outputs.items()}
-        return {
-            "outputs": outputs,
-            "buffers": len(outputs),
-            "total_bytes": sum(a.nbytes for a in self._outputs.values()),
-            "max_elems": self.max_elems,
-        }
+    @property
+    def buffers(self) -> Dict[str, np.ndarray]:
+        """Every array the workspace holds, by slot name."""
+        return dict(self._outputs)
 
     def out(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
-        """The output array for stage field ``name`` (contents undefined)."""
+        """The array for slot ``name`` (contents undefined)."""
         cached = self._outputs.get(name)
         if cached is not None and cached.shape == shape:
             self.reuses += 1
             return cached
-        need = 1
-        for extent in shape:
-            need *= extent
-        self._check_size(need, name)
-        if cached is not None and self.max_elems is not None:
-            raise ValueError(
-                f"workspace output {name!r} was {cached.shape}, now "
-                f"requested as {shape}: a sized workspace is pinned to one "
-                "plan's shapes"
-            )
         array = np.empty(shape, dtype=self.dtype)
         self._outputs[name] = array
         self.allocations += 1
@@ -136,9 +102,9 @@ class Workspace:
         return array
 
     def bind_out(self, name: str, array: np.ndarray) -> None:
-        """Pin stage field ``name``'s output slot to a caller-owned array.
+        """Pin output field ``name``'s slot to a caller-owned array.
 
-        The stage kernel then writes directly into ``array``
+        The plan then writes directly into ``array``
         (typically a view into a larger persistent buffer) instead of a
         workspace-allocated one.  Bindings do not survive :meth:`reset` —
         rebind after resetting (or after re-enabling persistence on the
@@ -162,8 +128,8 @@ class PlanBinding:
     :class:`ArrayRegion` and its ``data`` and ``box`` — and the next call
     reuses the views while all of them are still the same objects
     (:meth:`holds`); anything else rebuilds with the full checks.  The
-    plan adds its pre-built stage launches (``stages``), which are tied
-    to the workspace they were built against in turn.
+    plan adds its pre-built launch (``stages``), which is tied to the
+    workspace it was built against in turn.
     """
 
     __slots__ = ("_sources", "arrays", "stages", "results")
@@ -176,9 +142,9 @@ class PlanBinding:
         self._sources = sources
         self.arrays = arrays
         self.stages: Optional[object] = None
-        #: ``(keep_temporaries, results)`` of the last call, returned again
-        #: while the produced arrays are the same objects.
-        self.results: Optional[Tuple[bool, Dict[str, ArrayRegion]]] = None
+        #: The results of the last call, returned again while the
+        #: produced arrays are the same objects.
+        self.results: Optional[Dict[str, ArrayRegion]] = None
 
     def holds(self, inputs: Mapping[str, ArrayRegion]) -> bool:
         """Whether ``inputs`` are the very objects this binding checked."""
@@ -193,7 +159,7 @@ class PlanBinding:
 
 @dataclass
 class CompiledPlan:
-    """A stencil program specialized to one halo plan, as fused C kernels.
+    """A stencil program specialized to one halo plan, as one C entry point.
 
     Built by :func:`~repro.stencil.native.compile_plan_native`.  Call it
     with the same inputs the interpreter takes; it returns the same
@@ -206,11 +172,11 @@ class CompiledPlan:
 
     Input validation happens once per :class:`PlanBinding`: a call with
     the same input regions as the previous one skips the coverage checks
-    and view slicing.  With a persistent workspace the stage launches
-    (each kernel's pointer and stride arguments) are bound once per
-    binding too, so a steady-state call is the kernel calls alone (plus
-    per-stage clock reads when timed).  Without one every call gets a
-    fresh workspace, so the launches are rebuilt per call.
+    and view slicing.  With a persistent workspace the launch (the entry
+    point's pointer and stride arguments) is bound once per binding too,
+    so a steady-state call is the one C call alone (which reads the
+    per-stage clock when timed).  Without one every call gets a fresh
+    workspace, so the launch is rebuilt per call.
     """
 
     program: StencilProgram
@@ -218,8 +184,8 @@ class CompiledPlan:
     source: str
     dtype: np.dtype
     _input_anchors: Dict[str, Box]
-    #: ``(input views, workspace) -> launches`` and ``launches -> produced
-    #: arrays``, built by the native compiler over its loaded kernels.
+    #: ``(input views, workspace) -> launch`` and ``launch -> produced
+    #: arrays``, built by the native compiler over its loaded module.
     _bind_stages: Callable[[Dict[str, np.ndarray], Workspace], Any] = field(
         repr=False, compare=False
     )
@@ -227,9 +193,9 @@ class CompiledPlan:
         repr=False, compare=False
     )
     _workspace: Optional[Workspace] = None
-    workspace_max_elems: Optional[int] = None
     _stage_names: Tuple[str, ...] = ()
-    _stage_seconds: Optional[List[float]] = None
+    #: Per-stage seconds the entry point adds to (timed plans only).
+    _stage_seconds: Optional[np.ndarray] = None
     _ephemeral: Optional[Workspace] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -244,25 +210,7 @@ class CompiledPlan:
 
     @persistent.setter
     def persistent(self, value: bool) -> None:
-        self._workspace = (
-            Workspace(self.dtype, self.workspace_max_elems) if value else None
-        )
-
-    def use_workspace(self, workspace: Workspace) -> None:
-        """Pin ``workspace`` as the persistent workspace for every call.
-
-        The tiled executor uses this to hand each block plan a *sized*
-        workspace (``max_elems`` = the block's largest stage box), which
-        also becomes the template for the fresh workspace installed when
-        :attr:`persistent` is re-set after a failure.
-        """
-        if workspace.dtype != self.dtype:
-            raise ValueError(
-                f"workspace dtype {workspace.dtype} does not match plan "
-                f"dtype {self.dtype}"
-            )
-        self.workspace_max_elems = workspace.max_elems
-        self._workspace = workspace
+        self._workspace = Workspace(self.dtype) if value else None
 
     @property
     def timed(self) -> bool:
@@ -280,7 +228,8 @@ class CompiledPlan:
         if self._stage_seconds is None:
             return None
         totals: Dict[str, float] = {}
-        for name, seconds in zip(self._stage_names, self._stage_seconds):
+        seconds_per_stage = self._stage_seconds.tolist()
+        for name, seconds in zip(self._stage_names, seconds_per_stage):
             totals[name] = totals.get(name, 0.0) + seconds
         return totals
 
@@ -295,28 +244,23 @@ class CompiledPlan:
         return self._workspace or self._ephemeral
 
     def __call__(
-        self, inputs: Mapping[str, ArrayRegion], keep_temporaries: bool = False
+        self, inputs: Mapping[str, ArrayRegion]
     ) -> Dict[str, ArrayRegion]:
         binding = self._binding
         if binding is None or not binding.holds(inputs):
             binding = self._binding = self._bind(inputs)
         raw = self._run(binding)
         cached = binding.results
-        if cached is not None and cached[0] == keep_temporaries and all(
-            region.data is raw[name] for name, region in cached[1].items()
+        if cached is not None and all(
+            region.data is raw[name] for name, region in cached.items()
         ):
-            return dict(cached[1])
-
-        field_map = self.program.field_map
-        results: Dict[str, ArrayRegion] = {}
-        for index, stage in enumerate(self.program.stages):
-            box = self.plan.stage_boxes[index]
-            if box.is_empty():
-                continue
-            produced = field_map[stage.output]
-            if produced.is_output or (keep_temporaries and produced.is_temporary):
-                results[stage.output] = ArrayRegion(raw[stage.output], box)
-        binding.results = (keep_temporaries, results)
+            return dict(cached)
+        boxes = self.plan.stage_boxes
+        results = {
+            name: ArrayRegion(array, boxes[self.program.producer_of(name)])
+            for name, array in raw.items()
+        }
+        binding.results = results
         return dict(results)
 
     def _bind(self, inputs: Mapping[str, ArrayRegion]) -> PlanBinding:
@@ -325,6 +269,13 @@ class CompiledPlan:
         arrays = {}
         for name, required_box in self._input_anchors.items():
             region = inputs[name]
+            # The entry point reads raw pointers: another dtype's bytes
+            # would be reinterpreted, not converted.
+            if region.data.dtype != self.dtype:
+                raise ValueError(
+                    f"input {name!r} has dtype {region.data.dtype}, the "
+                    f"plan was compiled for {self.dtype}"
+                )
             if not region.box.contains(required_box):
                 raise ValueError(
                     f"input {name!r} covers {region.box} but "
@@ -336,18 +287,16 @@ class CompiledPlan:
         return PlanBinding(tuple(sources), arrays)
 
     def _run(self, binding: PlanBinding) -> Dict[str, np.ndarray]:
-        """Launch every stage kernel over a binding's input views."""
+        """Run the entry point over a binding's input views."""
         workspace = self._workspace
         if workspace is None:
-            workspace = self._ephemeral = Workspace(
-                self.dtype, self.workspace_max_elems
-            )
+            workspace = self._ephemeral = Workspace(self.dtype)
             return self._launch(self._bind_stages(binding.arrays, workspace))
-        stages = binding.stages
-        if stages is None or not stages.holds(workspace):
-            stages = binding.stages = self._bind_stages(binding.arrays, workspace)
+        launch = binding.stages
+        if launch is None or not launch.holds(workspace):
+            launch = binding.stages = self._bind_stages(binding.arrays, workspace)
         else:
-            # The output slots a per-call sweep fetches again, counted the
-            # same way so workspace reuse counters keep their meaning.
-            workspace.reuses += len(stages.args)
-        return self._launch(stages)
+            # The slots a per-call launch fetches again, counted the same
+            # way so workspace reuse counters keep their meaning.
+            workspace.reuses += launch.slots
+        return self._launch(launch)

@@ -1,27 +1,37 @@
-"""Fused native-C kernels for stencil stages (cffi + system ``cc``).
+"""Pipelined native-C plans for stencil programs (cffi + system ``cc``).
 
 The interpreter executes a stage as a *chain* of whole-array ufunc
 sweeps: an op chain of depth N reads and writes stage-sized arrays N
 times, so every stage is bandwidth-bound no matter how arithmetic-heavy
 its expression is.  This module is the one emitter over the kernel IR
-(:mod:`repro.stencil.lowering`): it emits **one fused C loop nest per
-stage**, so the whole op chain runs per grid point in scalar registers
-and each point costs one read per input view and one write to the
-output — the transform that moves heterogeneous stages from the
-``stream`` regime toward the ``cached``/``team`` regimes of the cost
-model (Malas & Hager, arXiv:1510.04995).
+(:mod:`repro.stencil.lowering`).  It emits **one fused C loop nest per
+stage**, so the whole op chain runs per grid point in scalar registers —
+the transform that moves heterogeneous stages from the ``stream`` regime
+toward the ``cached``/``team`` regimes of the cost model (Malas & Hager,
+arXiv:1510.04995).
+
+The loop nests are per i-plane, and **one C entry point per plan** runs
+them as a pipeline: at every tick each stage computes one plane that lags
+the planes it reads (:func:`plane_schedule`).  That is the paper's
+(3+1)D reuse (Sect. 3.2) without redundancy: every temporary lives in a
+ring of a few planes instead of a full array, so the intermediates of all
+stages stay cache-resident while inputs and outputs stream through once,
+and every stage computes exactly its stage box, so no point is computed
+twice.
 
 Bit-identity with the interpreter is preserved by construction:
 
 * add/sub/mul/div/sqrt are IEEE-754 correctly rounded in both NumPy and
-  C (compiled with ``-O2 -ffp-contract=off``; no fast-math, no FMA
+  C (compiled with ``-ffp-contract=off``; no fast-math, no FMA
   contraction), so per-point scalar evaluation in the same op order
   yields the same bits as NumPy's array sweeps;
 * ``maximum``/``minimum`` use NumPy's exact selection rule
   ``(a > b || isnan(a)) ? a : b`` (ties — including signed zeros —
   return the *second* operand, NaNs propagate);
 * selection (``Where``) compiles to ``cond > 0 ? t : f`` per point,
-  elementwise identical to the interpreter's compare + masked copies.
+  elementwise identical to the interpreter's compare + masked copies;
+* a point's value depends only on its operand points, never on the order
+  in which planes are computed.
 
 A property test pins 50-step trajectories against the interpreter bit for
 bit.
@@ -31,9 +41,9 @@ generated C source (``REPRO_NATIVE_CACHE`` overrides the location), so
 re-runs — and worker processes of the procs pool rebuilding their inner
 backend after fork/spawn — reload the ``.so`` instead of invoking the
 compiler.  :func:`compile_plan_native` returns a
-:class:`~repro.stencil.codegen.CompiledPlan` whose stage launches call
-the loaded kernels; cffi releases the GIL for each call, so threads
-sweeping different islands or blocks run their kernels in parallel.
+:class:`~repro.stencil.codegen.CompiledPlan` whose call runs the loaded
+entry point; cffi releases the GIL for the call, so threads sweeping
+different islands run their kernels in parallel.
 """
 
 from __future__ import annotations
@@ -43,13 +53,14 @@ import getpass
 import hashlib
 import importlib.machinery
 import importlib.util
+import itertools
 import os
 import shutil
 import sysconfig
 import tempfile
 import threading
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -75,6 +86,8 @@ __all__ = [
     "native_unavailable_reason",
     "native_cache_dir",
     "emit_c_source",
+    "plane_schedule",
+    "PlaneSchedule",
     "compile_plan_native",
 ]
 
@@ -115,8 +128,16 @@ _C_TYPES = {"<f8": ("double", "fabs", "sqrt"), "<f4": ("float", "fabsf", "sqrtf"
 
 _PREAMBLE = """\
 #include <math.h>
+#include <time.h>
 
 typedef {ctype} real;
+
+/* Monotonic seconds: the per-stage clock of timed plans. */
+static double _now(void) {{
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}}
 
 /* NumPy's maximum/minimum selection rule: NaNs propagate, ties (incl.
    signed zeros) return the SECOND operand — required for bit-identity
@@ -170,43 +191,140 @@ def _stage_symbol(schedule: StageSchedule) -> str:
     return f"_stage_{schedule.index}"
 
 
-def _stage_fields(schedule: StageSchedule) -> Tuple[str, ...]:
-    """Fields a stage kernel takes as arguments, in sorted order."""
-    return tuple(sorted({view.field for view in schedule.views}))
+#: The one C entry point every plan module exports.
+ENTRY_SYMBOL = "_plan"
+
+#: Workspace slot of a plan's ring arena.  Field names never start with
+#: an underscore, so it cannot collide with an output slot.
+RING_ARENA = "_rings"
+
+
+@dataclass(frozen=True)
+class PlaneSchedule:
+    """How one plan's stages are pipelined over its i-planes.
+
+    Everything here is derived from the :class:`~repro.stencil.lowering
+    .KernelIR`.  Stage ``n`` (position in ``ir.stages``) computes plane
+    ``i`` at tick ``i + lags[n]``, and within a tick stages run in program
+    order.  Ticks run over ``range(*ticks)``.  A folded temporary lives in
+    ``rings[name] = (planes, offset, slot)``: ``planes`` slots of ``slot``
+    elements each (its stage box's full j x k extent), ``offset`` elements
+    into the ring arena.  Plane ``i`` sits in slot
+    ``(i - anchor.lo[0]) % planes``.  Program inputs and outputs stay full
+    arrays; ``outputs`` and ``inputs`` are the entry point's array
+    arguments, in order.
+    """
+
+    lags: Tuple[int, ...]
+    rings: Dict[str, Tuple[int, int, int]]
+    ring_elems: int
+    ticks: Tuple[int, int]
+    outputs: Tuple[Tuple[str, Tuple[int, int, int]], ...]
+    inputs: Tuple[str, ...]
+
+
+def plane_schedule(ir: KernelIR) -> PlaneSchedule:
+    """Lag every stage and fold every temporary into a ring of planes.
+
+    ``lag[s]`` is the largest ``lag[p] + d`` over the stage's reads of a
+    produced field ``p`` at i-offset ``d`` (0 without such reads): a plane
+    is computed once every plane it reads exists.  A temporary ``p`` needs
+    ``lag[c] - lag[p] - d + 1`` planes for each consumer ``c`` reading it
+    at i-offset ``d``, and at least one: a plane is overwritten only after
+    its last reader ran.
+    """
+    field_map = ir.program.field_map
+    position = {schedule.output: n for n, schedule in enumerate(ir.stages)}
+    lags: List[int] = []
+    for schedule in ir.stages:
+        lags.append(
+            max(
+                (
+                    lags[position[view.field]] + view.offset[0]
+                    for view in schedule.views
+                    if view.field in position
+                ),
+                default=0,
+            )
+        )
+    depth = {
+        schedule.output: 1
+        for schedule in ir.stages
+        if not field_map[schedule.output].is_output
+    }
+    for lag, schedule in zip(lags, ir.stages):
+        for view in schedule.views:
+            if view.field in depth:
+                need = lag - lags[position[view.field]] - view.offset[0] + 1
+                depth[view.field] = max(depth[view.field], need)
+    rings: Dict[str, Tuple[int, int, int]] = {}
+    ring_elems = 0
+    for schedule in ir.stages:
+        if schedule.output in depth:
+            _, nj, nk = schedule.shape
+            planes = depth[schedule.output]
+            rings[schedule.output] = (planes, ring_elems, nj * nk)
+            ring_elems += planes * nj * nk
+    firsts = [s.box.lo[0] + lag for lag, s in zip(lags, ir.stages)]
+    lasts = [s.box.hi[0] + lag for lag, s in zip(lags, ir.stages)]
+    return PlaneSchedule(
+        lags=tuple(lags),
+        rings=rings,
+        ring_elems=ring_elems,
+        ticks=(min(firsts, default=0), max(lasts, default=0)),
+        outputs=tuple(
+            (s.output, s.shape) for s in ir.stages if s.output not in rings
+        ),
+        inputs=tuple(sorted(ir.input_anchors)),
+    )
+
+
+def _plane_symbol(field_name: str, di: int) -> str:
+    """The plane-kernel parameter for ``field_name`` at i-offset ``di``."""
+    if di == 0:
+        return f"{field_name}_0"
+    return f"{field_name}_{'m' if di < 0 else 'p'}{abs(di)}"
+
+
+def _stage_planes(schedule: StageSchedule) -> List[Tuple[str, List[int]]]:
+    """Each field a stage reads with its sorted i-offsets, by field name.
+
+    The order of a plane call's arguments: per field, one pointer per
+    i-offset, then the field's j stride.
+    """
+    planes = sorted({(view.field, view.offset[0]) for view in schedule.views})
+    return [
+        (name, [di for _, di in group])
+        for name, group in itertools.groupby(planes, key=lambda plane: plane[0])
+    ]
 
 
 def _emit_stage(
     schedule: StageSchedule, anchors: Dict[str, Box], fabs: str, sqrt: str
-) -> Tuple[str, str]:
-    """Emit one fused loop nest; returns ``(definition, cdef)``."""
-    fields = _stage_fields(schedule)
-    params = ["real* restrict _out", "long _out_s0", "long _out_s1"]
-    for name in fields:
+) -> str:
+    """Emit one stage's fused loop nest over one i-plane."""
+    params = ["real* restrict _out", "long _out_s1"]
+    for name, offsets in _stage_planes(schedule):
         params += [
-            f"const real* restrict {name}",
-            f"long {name}_s0",
-            f"long {name}_s1",
+            f"const real* restrict {_plane_symbol(name, di)}" for di in offsets
         ]
-    symbol = _stage_symbol(schedule)
-    ni, nj, nk = schedule.shape
+        params.append(f"long {name}_s1")
+    _, nj, nk = schedule.shape
     lines: List[str] = []
     lines.append(f"/* stage {schedule.index + 1}: "
                  f"{schedule.name} -> {schedule.output} */")
-    lines.append(f"void {symbol}({', '.join(params)})")
+    lines.append(
+        f"static inline void {_stage_symbol(schedule)}({', '.join(params)})"
+    )
     lines.append("{")
-    lines.append(f"    for (long _i = 0; _i < {ni}; ++_i)")
     lines.append(f"    for (long _j = 0; _j < {nj}; ++_j)")
     lines.append(f"    for (long _k = 0; _k < {nk}; ++_k) {{")
     for view in schedule.views:
         anchor = anchors[view.field]
-        oi, oj, ok = (
-            view.read_box.lo[axis] - anchor.lo[axis] for axis in range(3)
-        )
-        index = (
-            f"(_i + {oi}) * {view.field}_s0 + "
-            f"(_j + {oj}) * {view.field}_s1 + (_k + {ok})"
-        )
-        lines.append(f"        const real {view.symbol} = {view.field}[{index}];")
+        oj, ok = (view.read_box.lo[axis] - anchor.lo[axis] for axis in (1, 2))
+        index = f"(_j + {oj}) * {view.field}_s1 + (_k + {ok})"
+        plane = _plane_symbol(view.field, view.offset[0])
+        lines.append(f"        const real {view.symbol} = {plane}[{index}];")
     for slot in schedule.float_slots:
         lines.append(f"        real _s{slot};")
     for slot in schedule.mask_slots:
@@ -236,18 +354,81 @@ def _emit_stage(
             )
         else:
             raise NativeBuildError(f"cannot emit kernel op {type(op).__name__}")
-    lines.append("        _out[_i * _out_s0 + _j * _out_s1 + _k] = _acc;")
+    lines.append("        _out[_j * _out_s1 + _k] = _acc;")
     lines.append("    }")
     lines.append("}")
-    cdef = f"void {symbol}({', '.join(p.replace(' restrict', '') for p in params)});"
-    return "\n".join(lines), cdef
+    return "\n".join(lines)
+
+
+def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
+    """Emit the entry point over the plane kernels; returns ``(definition, cdef)``.
+
+    Plane indices are counted from the first tick's plane, so the source
+    depends only on the plan's shapes and relative offsets, as the plane
+    kernels do: plans that differ by a translation (the islands of one
+    grid) share one module.
+    """
+    params: List[str] = []
+    for qualifier, names in (
+        ("", [name for name, _ in schedule.outputs]),
+        ("const ", schedule.inputs),
+    ):
+        for name in names:
+            params += [
+                f"{qualifier}real* restrict {name}",
+                f"long {name}_s0",
+                f"long {name}_s1",
+            ]
+    params += ["real* restrict _rings", "double* _clock"]
+
+    first, last = schedule.ticks
+
+    def plane(name: str, di: int) -> str:
+        """Pointer to plane ``_i + di`` of field ``name``."""
+        shift = first + di - ir.anchors[name].lo[0]
+        if name not in schedule.rings:
+            return f"{name} + (_i + {shift}) * {name}_s0"
+        planes, offset, slot = schedule.rings[name]
+        if planes == 1:
+            return f"_rings + {offset}"
+        return f"_rings + {offset} + ((_i + {shift}) % {planes}) * {slot}"
+
+    def j_stride(name: str) -> str:
+        """A ring slot spans its stage box's full j x k extent."""
+        if name in schedule.rings:
+            return str(ir.anchors[name].shape[2])
+        return f"{name}_s1"
+
+    lines = [f"void {ENTRY_SYMBOL}({', '.join(params)})", "{"]
+    lines.append(f"    for (long _t = 0; _t < {last - first}; ++_t) {{")
+    lines.append("        long _i;")
+    lines.append("        double _c = 0.0;")
+    for n, (lag, stage) in enumerate(zip(schedule.lags, ir.stages)):
+        args = [plane(stage.output, 0), j_stride(stage.output)]
+        for name, offsets in _stage_planes(stage):
+            args += [plane(name, di) for di in offsets]
+            args.append(j_stride(name))
+        lines.append(f"        /* stage {stage.index + 1}, lag {lag} */")
+        lines.append(f"        _i = _t - {lag};")
+        lo, hi = stage.box.lo[0] - first, stage.box.hi[0] - first
+        lines.append(f"        if (_i >= {lo} && _i < {hi}) {{")
+        lines.append("            if (_clock) _c = _now();")
+        lines.append(f"            {_stage_symbol(stage)}({', '.join(args)});")
+        lines.append(f"            if (_clock) _clock[{n}] += _now() - _c;")
+        lines.append("        }")
+    lines.append("    }")
+    lines.append("}")
+    declared = ", ".join(p.replace(" restrict", "") for p in params)
+    return "\n".join(lines), f"void {ENTRY_SYMBOL}({declared});"
 
 
 def emit_c_source(ir: KernelIR, dtype: np.dtype = np.float64) -> Tuple[str, str]:
     """Render a kernel IR to a C translation unit.
 
-    Returns ``(csource, cdef)``: the compilable source (one fused loop
-    nest per non-empty stage) and the matching cffi declaration block.
+    Returns ``(csource, cdef)``: the compilable source (one static plane
+    kernel per non-empty stage, plus the :data:`ENTRY_SYMBOL` entry point that
+    pipelines them over the plan's i-planes) and the matching cffi
+    declaration of the entry point.
     """
     key = np.dtype(dtype).str
     if key not in _C_TYPES:
@@ -256,12 +437,11 @@ def emit_c_source(ir: KernelIR, dtype: np.dtype = np.float64) -> Tuple[str, str]
         )
     ctype, fabs, sqrt = _C_TYPES[key]
     chunks = [_PREAMBLE.format(ctype=ctype)]
-    cdefs: List[str] = [f"typedef {ctype} real;"]
     for schedule in ir.stages:
-        definition, cdef = _emit_stage(schedule, ir.anchors, fabs, sqrt)
-        chunks.append(definition)
-        cdefs.append(cdef)
-    return "\n\n".join(chunks) + "\n", "\n".join(cdefs)
+        chunks.append(_emit_stage(schedule, ir.anchors, fabs, sqrt))
+    definition, cdef = _emit_entry(ir, plane_schedule(ir))
+    chunks.append(definition)
+    return "\n\n".join(chunks) + "\n", f"typedef {ctype} real;\n{cdef}"
 
 
 # ----------------------------------------------------------------------
@@ -373,6 +553,20 @@ def _build_shared_object(modname: str, csource: str, cdef: str, sopath: str) -> 
         shutil.rmtree(builddir, ignore_errors=True)
 
 
+def _import_extension(modname: str, sopath: str) -> object:
+    """Load the extension module at ``sopath``.
+
+    The ``dlopen`` happens in ``module_from_spec``, so a truncated or
+    corrupt file raises :class:`ImportError` here.
+    """
+    spec = importlib.util.spec_from_file_location(modname, sopath)
+    if spec is None or spec.loader is None:
+        raise NativeBuildError(f"cannot load native module at {sopath}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 def _load_native_module(csource: str, cdef: str) -> object:
     """The compiled extension module for ``csource`` (building if needed)."""
     modname = _module_name(csource, cdef)
@@ -386,18 +580,13 @@ def _load_native_module(csource: str, cdef: str) -> object:
         sopath = os.path.join(native_cache_dir(), modname + _ext_suffix())
         if not os.path.exists(sopath):
             _build_shared_object(modname, csource, cdef, sopath)
-        spec = importlib.util.spec_from_file_location(modname, sopath)
-        if spec is None or spec.loader is None:
-            raise NativeBuildError(f"cannot load native module at {sopath}")
-        module = importlib.util.module_from_spec(spec)
         try:
-            spec.loader.exec_module(module)
+            module = _import_extension(modname, sopath)
         except ImportError as error:
-            # A stale or truncated cache entry: rebuild once.
+            # A stale, truncated or corrupt cache entry: rebuild once.
             _build_shared_object(modname, csource, cdef, sopath)
-            module = importlib.util.module_from_spec(spec)
             try:
-                spec.loader.exec_module(module)
+                module = _import_extension(modname, sopath)
             except ImportError:
                 raise NativeBuildError(
                     f"cannot import rebuilt native module {modname}: {error}"
@@ -411,35 +600,31 @@ def _load_native_module(csource: str, cdef: str) -> object:
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class _StageCall:
-    """Everything the Python driver needs to invoke one stage kernel."""
+class _Launch:
+    """The entry point's argument tuple, built against one workspace.
 
-    symbol: str
-    name: str
-    output: str
-    shape: Tuple[int, int, int]
-    fields: Tuple[str, ...]
-
-
-@dataclass(frozen=True)
-class _StageLaunches:
-    """Every stage kernel's argument tuple, built against one workspace.
-
-    Building them is the per-call set-up of a native step: fetch each
-    stage's output slot, check unit innermost strides, cast pointers.
-    The tuples stay valid while the workspace is the same object at the
-    same :attr:`Workspace.epoch` (no output slot changed array since) and
-    the owning :class:`~repro.stencil.codegen.PlanBinding` holds its
-    inputs; ``produced`` keeps every array a pointer refers to alive.
+    Building it is the per-call set-up of a native step: fetch the output
+    arrays and the ring arena, check unit innermost strides, cast
+    pointers.  The tuple stays valid while the workspace is the same
+    object at the same :attr:`Workspace.epoch` (no slot changed array
+    since) and the owning :class:`~repro.stencil.codegen.PlanBinding`
+    holds its inputs; ``produced`` and ``rings`` keep every array a
+    pointer refers to alive.
     """
 
     workspace: Workspace
     epoch: int
-    args: Tuple[tuple, ...]
+    args: tuple
     produced: Dict[str, np.ndarray]
+    rings: Optional[np.ndarray]
 
     def holds(self, workspace: Workspace) -> bool:
         return workspace is self.workspace and workspace.epoch == self.epoch
+
+    @property
+    def slots(self) -> int:
+        """Workspace slots the launch fetched."""
+        return len(self.produced) + (self.rings is not None)
 
 
 def _strides_in_elements(array: np.ndarray, label: str) -> Tuple[int, int]:
@@ -459,21 +644,24 @@ def compile_plan_native(
     dtype: np.dtype = np.float64,
     reuse_buffers: bool = False,
     timed: bool = False,
-    workspace_max_elems: Optional[int] = None,
 ) -> CompiledPlan:
-    """Compile one halo plan to fused native-C stage kernels.
+    """Compile one halo plan to one pipelined native-C entry point.
 
-    Each stage executes as a single compiled loop nest, bit-identical to
-    the interpreter.  With ``reuse_buffers`` the plan starts with a
-    persistent :class:`~repro.stencil.codegen.Workspace`, making repeat
-    calls allocation-free.  ``timed`` reads the clock between stage
-    kernels so :attr:`CompiledPlan.stage_seconds` accumulates per-stage
-    wall time; ``workspace_max_elems`` sizes every workspace the plan
-    creates.  Raises :class:`NativeBuildError` when cffi or a C compiler
-    is missing (the runtime's backends check this once, at construction,
-    and report it as a configuration error rather than degrading).
+    The entry point walks the plan's i-planes and runs every stage's
+    fused loop nest on a plane that lags its inputs
+    (:func:`plane_schedule`), so temporaries live in rings of a few
+    planes, no point is computed twice, and the result is bit-identical
+    to the interpreter.  With ``reuse_buffers`` the plan starts with a
+    persistent :class:`~repro.stencil.codegen.Workspace` (the ring arena
+    plus one array per program output), making repeat calls
+    allocation-free.  ``timed`` hands the entry point a per-stage clock,
+    so :attr:`CompiledPlan.stage_seconds` accumulates each stage's wall
+    time plane by plane.  Raises :class:`NativeBuildError` when cffi or a
+    C compiler is missing (the runtime's backends check this once, at
+    construction, and report it as a configuration error rather than
+    degrading).
 
-    Generated C and the stage call table are served from the process-wide
+    Generated C and the plane schedule are served from the process-wide
     plan cache; compiled shared objects are additionally cached on disk,
     so forked/spawned procs workers reload instead of recompiling.  Each
     call still returns its own plan object, so cached plans never share
@@ -489,87 +677,59 @@ def compile_plan_native(
     def _build():
         ir = lower_plan(program, plan)
         csource, cdef = emit_c_source(ir, dtype)
-        calls = tuple(
-            _StageCall(
-                symbol=_stage_symbol(schedule),
-                name=schedule.name,
-                output=schedule.output,
-                shape=schedule.shape,
-                fields=_stage_fields(schedule),
-            )
-            for schedule in ir.stages
-        )
-        return csource, cdef, calls, dict(ir.input_anchors)
+        names = tuple(stage.name for stage in ir.stages)
+        return csource, cdef, plane_schedule(ir), names, dict(ir.input_anchors)
 
-    (csource, cdef, calls, input_anchors), _ = PLAN_CACHE.get_or_build(
+    (csource, cdef, schedule, names, input_anchors), _ = PLAN_CACHE.get_or_build(
         cache_key, _build
     )
-    input_anchors = dict(input_anchors)
     module = _load_native_module(csource, cdef)
     ffi = module.ffi  # type: ignore[attr-defined]
-    lib = module.lib  # type: ignore[attr-defined]
+    entry = getattr(module.lib, ENTRY_SYMBOL)  # type: ignore[attr-defined]
     ctype, _, _ = _C_TYPES[dtype.str]
     ptr_type = f"{ctype} *"
-    stage_functions: Tuple[Callable, ...] = tuple(
-        getattr(lib, call.symbol) for call in calls
-    )
-
-    stage_seconds: Optional[List[float]] = None
-    clock = None
-    if timed:
-        import time
-
-        clock = time.perf_counter
-        stage_seconds = [0.0] * len(calls)
-
     cast = ffi.cast
+
+    stage_seconds: Optional[np.ndarray] = None
+    clock = ffi.NULL
+    if timed:
+        stage_seconds = np.zeros(len(names))
+        clock = cast("double *", stage_seconds.ctypes.data)
 
     def _bind_stages(
         arrays: Dict[str, np.ndarray], workspace: Workspace
-    ) -> _StageLaunches:
+    ) -> _Launch:
+        args: List[object] = []
         produced: Dict[str, np.ndarray] = {}
-        launches: List[tuple] = []
-        for call in calls:
-            out = workspace.out(call.output, call.shape)
-            s0, s1 = _strides_in_elements(out, call.output)
-            args: List[object] = [cast(ptr_type, out.ctypes.data), s0, s1]
-            for field_name in call.fields:
-                source = (
-                    produced[field_name]
-                    if field_name in produced
-                    else arrays[field_name]
-                )
-                f0, f1 = _strides_in_elements(source, field_name)
-                args += [cast(ptr_type, source.ctypes.data), f0, f1]
-            launches.append(tuple(args))
-            produced[call.output] = out
-        return _StageLaunches(workspace, workspace.epoch, tuple(launches), produced)
+        for name, shape in schedule.outputs:
+            out = produced[name] = workspace.out(name, shape)
+            s0, s1 = _strides_in_elements(out, name)
+            args += [cast(ptr_type, out.ctypes.data), s0, s1]
+        for name in schedule.inputs:
+            source = arrays[name]
+            s0, s1 = _strides_in_elements(source, name)
+            args += [cast(ptr_type, source.ctypes.data), s0, s1]
+        rings = None
+        ring_pointer = ffi.NULL
+        if schedule.ring_elems:
+            rings = workspace.out(RING_ARENA, (schedule.ring_elems,))
+            ring_pointer = cast(ptr_type, rings.ctypes.data)
+        args += [ring_pointer, clock]
+        return _Launch(workspace, workspace.epoch, tuple(args), produced, rings)
 
-    def _launch(stages: _StageLaunches) -> Dict[str, np.ndarray]:
-        if stage_seconds is None:
-            for function, args in zip(stage_functions, stages.args):
-                function(*args)
-        else:
-            mark = clock()
-            for position, args in enumerate(stages.args):
-                stage_functions[position](*args)
-                now = clock()
-                stage_seconds[position] += now - mark
-                mark = now
-        return stages.produced
+    def _launch(launch: _Launch) -> Dict[str, np.ndarray]:
+        entry(*launch.args)
+        return launch.produced
 
     return CompiledPlan(
         program=program,
         plan=plan,
         source=csource,
         dtype=dtype,
-        _input_anchors=input_anchors,
+        _input_anchors=dict(input_anchors),
         _bind_stages=_bind_stages,
         _launch=_launch,
-        _workspace=(
-            Workspace(dtype, workspace_max_elems) if reuse_buffers else None
-        ),
-        workspace_max_elems=workspace_max_elems,
-        _stage_names=tuple(call.name for call in calls),
+        _workspace=Workspace(dtype) if reuse_buffers else None,
+        _stage_names=names,
         _stage_seconds=stage_seconds,
     )

@@ -1,14 +1,14 @@
 """Process-wide cache of compiled stencil plans.
 
-Runner construction compiles one plan per island (and per tiled block,
-and — under the exchange policy — per stage).  The emitted
+Runner construction compiles one plan per island (and — under the
+exchange policy — one per island and stage).  The emitted
 artifact depends only on (program, plan geometry, dtype), so repeated
 runner construction with the same :class:`~repro.runtime.config
 .EngineConfig` — retries, benchmark sweeps — can reuse it instead of
 re-lowering and re-emitting.
 
 :func:`repro.stencil.native.compile_plan_native` caches the generated C
-source, its cffi declarations and the stage call table here; a hit skips
+source, its cffi declarations and the plane schedule here; a hit skips
 lowering and C emission, and the on-disk shared-object cache (see
 :mod:`repro.stencil.native`) skips the ``cc`` invocation as well.  Each
 hit still gets its own plan object and workspace, so cached plans never
@@ -69,10 +69,10 @@ def plan_geometry_key(plan: HaloPlan) -> Tuple[Any, ...]:
 class PlanCache:
     """A small thread-safe LRU mapping plan keys to compiled artifacts.
 
-    ``capacity`` bounds the entry count (an MPDATA islands run compiles a
-    few plans per island; tiled runs compile one per block — 256 entries
-    comfortably covers every configuration the benchmarks sweep while
-    bounding memory for adversarial workloads).
+    ``capacity`` bounds the entry count (an MPDATA islands run compiles
+    one plan per island, or one per island and stage under the exchange
+    policy — 256 entries comfortably covers every configuration the
+    benchmarks sweep while bounding memory for adversarial workloads).
     """
 
     def __init__(self, capacity: int = 256) -> None:

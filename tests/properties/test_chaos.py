@@ -42,11 +42,6 @@ BACKENDS = [
         EngineConfig(backend="native"), id="native", marks=needs_native
     ),
     pytest.param(
-        EngineConfig(backend="tiled", block_shape=(8, 12, 8)),
-        id="tiled",
-        marks=needs_native,
-    ),
-    pytest.param(
         EngineConfig(backend="procs", step_deadline=2.0), id="procs"
     ),
     pytest.param(

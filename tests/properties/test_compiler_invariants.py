@@ -25,10 +25,12 @@ from repro.stencil import (
     inline_all_temporaries,
     load_program,
     dump_program,
+    lower_plan,
     native_available,
     required_regions,
     schedule_by_levels,
 )
+from repro.stencil.native import plane_schedule
 
 offsets = st.tuples(
     st.integers(-2, 2), st.integers(-2, 2), st.integers(-1, 1)
@@ -98,6 +100,41 @@ def test_codegen_bit_exact_for_random_programs(program, seed):
     np.testing.assert_array_equal(
         actual[output].data, expected[output].data
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(program=programs(), depth=st.integers(1, 9))
+def test_plane_schedule_reads_only_live_planes(program, depth):
+    """Replaying the native pipeline's schedule: every plane a stage reads
+    was computed earlier (an earlier tick, or earlier in the same tick)
+    and still sits in its ring slot, and every stage computes each plane
+    of its stage box exactly once, for any program and target depth."""
+    ir = lower_plan(program, required_regions(program, Box((0, 0, 0), (depth, 3, 2))))
+    schedule = plane_schedule(ir)
+
+    def slot(name, plane):
+        return (plane - ir.anchors[name].lo[0]) % schedule.rings[name][0]
+
+    computed = {stage.output: set() for stage in ir.stages}
+    held = {name: {} for name in schedule.rings}  # ring slot -> plane
+    for tick in range(*schedule.ticks):
+        for lag, stage in zip(schedule.lags, ir.stages):
+            i = tick - lag
+            if not stage.box.lo[0] <= i < stage.box.hi[0]:
+                continue
+            for view in stage.views:
+                if view.field not in computed:
+                    continue  # a program input, a full array
+                plane = i + view.offset[0]
+                assert plane in computed[view.field]
+                if view.field in schedule.rings:
+                    assert held[view.field][slot(view.field, plane)] == plane
+            assert i not in computed[stage.output]
+            computed[stage.output].add(i)
+            if stage.output in schedule.rings:
+                held[stage.output][slot(stage.output, i)] = i
+    for stage in ir.stages:
+        assert computed[stage.output] == set(range(stage.box.lo[0], stage.box.hi[0]))
 
 
 @settings(max_examples=30, deadline=None)

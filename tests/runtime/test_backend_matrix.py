@@ -32,7 +32,6 @@ needs_native = pytest.mark.skipif(
 
 BACKENDS = [
     "interpreter",
-    pytest.param("tiled", marks=needs_native),
     "procs",
     pytest.param("procs-native", marks=needs_native),
     pytest.param("native", marks=needs_native),
@@ -43,8 +42,6 @@ HALOS = ["recompute", "exchange", "hybrid"]
 def _config(backend, halo, **kwargs):
     if halo == "hybrid":
         kwargs.setdefault("halo_threshold", 64)
-    if backend == "tiled":
-        kwargs.setdefault("block_shape", (8, 8, 8))
     if backend == "procs-native":  # procs workers running native kernels
         backend = "procs"
         kwargs.setdefault("procs_inner", "native")

@@ -64,13 +64,14 @@ class TestEngineConfigValidation:
         assert EngineConfig(sync_every=1) == EngineConfig()
         assert "sync_every" not in EngineConfig().to_dict()
 
-    def test_removed_compiled_key_names_the_remaining_keys(self):
+    @pytest.mark.parametrize("key", ["compiled", "tiled"])
+    def test_removed_backend_key_names_the_remaining_keys(self, key):
         with pytest.raises(
-            ValueError, match="known: interpreter, native, tiled, procs"
+            ValueError, match="known: interpreter, native, procs"
         ):
-            EngineConfig(backend="compiled")
+            EngineConfig(backend=key)
         with pytest.raises(ValueError, match="known: interpreter, native$"):
-            EngineConfig(backend="procs", procs_inner="compiled")
+            EngineConfig(backend="procs", procs_inner=key)
 
     def test_unknown_boundary_rejected(self):
         with pytest.raises(ValueError, match="boundary"):
@@ -84,17 +85,34 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError, match="retry_backoff"):
             EngineConfig(retry_backoff=-0.5)
 
-    def test_intra_threads_require_tiled_backend(self):
-        with pytest.raises(ValueError, match="intra_threads"):
-            EngineConfig(backend="native", intra_threads=2)
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {"dtype": "int32"},
+            {"backend": "procs", "procs_inner": "native", "dtype": "float16"},
+            {"backend": "native", "dtype": "float16"},
+        ],
+        ids=["int32", "procs-native-float16", "native-float16"],
+    )
+    def test_unsupported_dtype_rejected_at_construction(self, kwargs):
+        with pytest.raises(ValueError, match="float64, float32"):
+            EngineConfig(**kwargs)
 
-    def test_tiled_requires_block_shape(self):
-        with pytest.raises(ValueError, match="block_shape"):
-            EngineConfig(backend="tiled")
+    def test_accepted_dtypes_are_the_c_emitter_types(self):
+        from repro.runtime.config import DTYPE_KEYS
+        from repro.stencil.native import _C_TYPES
 
-    def test_block_shape_requires_tiled(self):
-        with pytest.raises(ValueError, match="block_shape"):
-            EngineConfig(backend="native", block_shape=(8, 8, 8))
+        assert {np.dtype(key).str for key in DTYPE_KEYS} == set(_C_TYPES)
+        assert EngineConfig(dtype=np.float32).dtype == "float32"
+
+    @needs_native
+    def test_float32_bit_identical_on_interpreter_and_native(self):
+        finals = [
+            _trajectory(EngineConfig(backend=key, dtype="float32"), steps=5)
+            for key in ("interpreter", "native")
+        ]
+        assert finals[0].dtype == np.float32
+        np.testing.assert_array_equal(finals[0], finals[1])
 
     def test_bad_fault_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -109,11 +127,10 @@ class TestEngineConfigValidation:
 class TestEngineConfigRoundTrip:
     def test_to_dict_from_dict_identity(self):
         config = EngineConfig(
-            backend="tiled",
+            backend="native",
             boundary="open",
             threads=2,
-            block_shape=(8, 6, 8),
-            intra_threads=2,
+            dtype="float32",
             max_retries=3,
             retry_backoff=0.25,
             fault_specs=("crash@island=0,step=1",),
@@ -122,7 +139,7 @@ class TestEngineConfigRoundTrip:
         assert EngineConfig.from_dict(config.to_dict()) == config
 
     def test_to_dict_is_json_safe(self):
-        config = EngineConfig(backend="tiled", block_shape=(8, 8, 8))
+        config = EngineConfig(backend="procs", workers=2, halo="exchange")
         assert EngineConfig.from_dict(
             json.loads(json.dumps(config.to_dict()))
         ) == config
@@ -130,6 +147,18 @@ class TestEngineConfigRoundTrip:
     def test_from_dict_rejects_unknown_keys(self):
         with pytest.raises((TypeError, ValueError)):
             EngineConfig.from_dict({"backend": "interpreter", "gpu": True})
+
+    @pytest.mark.parametrize(
+        "key, value", [("block_shape", [8, 8, 8]), ("intra_threads", 2)]
+    )
+    def test_removed_tiled_fields_are_refused_by_name(self, key, value):
+        """Dicts written while the tiled backend existed always carried
+        both keys; they are refused loudly, never half-applied."""
+        with pytest.raises(TypeError, match=key):
+            EngineConfig(**{key: value})
+        saved = dict(EngineConfig().to_dict(), **{key: value})
+        with pytest.raises(ValueError, match=key):
+            EngineConfig.from_dict(saved)
 
     @needs_native
     def test_cli_args_round_trip_same_behaviour(self):
@@ -169,13 +198,12 @@ class TestBackendRegistryBitIdentical:
     def test_all_backends_bit_identical_over_50_steps(self):
         configs = {
             "interpreter": EngineConfig(backend="interpreter"),
-            "tiled": EngineConfig(backend="tiled", block_shape=(8, 6, 8)),
             "procs": EngineConfig(backend="procs", workers=2),
             "native": EngineConfig(backend="native"),
         }
         assert set(configs) == set(BACKEND_KEYS)
         if not native_available():
-            del configs["native"], configs["tiled"]
+            del configs["native"]
         finals = {key: _trajectory(cfg) for key, cfg in configs.items()}
         reference = finals["interpreter"]
         for key in finals:
@@ -183,12 +211,9 @@ class TestBackendRegistryBitIdentical:
 
     def test_steady_state_allocation_free_for_every_backend(self):
         for key in BACKEND_KEYS:
-            if key in ("native", "tiled") and not native_available():
+            if key == "native" and not native_available():
                 continue
-            block = (8, 6, 8) if key == "tiled" else None
-            config = EngineConfig(
-                backend=key, block_shape=block, reuse_output=True
-            )
+            config = EngineConfig(backend=key, reuse_output=True)
             state = random_state(SHAPE, seed=7)
             with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
                 arrays = solver._arrays(state)

@@ -155,7 +155,8 @@ class TestPerIslandRetry:
         assert stats.retry_successes == 1
         assert stats.islands_failed == 0
 
-    def test_two_islands_faulted_same_step(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_two_islands_faulted_same_step(self, state, backend):
         expected = MpdataSolver(SHAPE).run(state, 4)
         injector = FaultInjector([
             FaultSpec("crash", island=0, step=2),
@@ -165,13 +166,16 @@ class TestPerIslandRetry:
             SHAPE,
             4,
             fault_injector=injector,
-            config=EngineConfig(threads=4, reuse_output=True, max_retries=1),
+            config=EngineConfig(
+                backend=backend, threads=4, reuse_output=True, max_retries=1
+            ),
         ) as solver:
             actual = solver.run(state, 4)
         np.testing.assert_array_equal(actual, expected)
         assert solver.runner.fault_stats.retry_successes == 2
 
-    def test_retry_budget_exhaustion_raises_island_failure(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_retry_budget_exhaustion_raises_island_failure(self, state, backend):
         injector = FaultInjector(
             [FaultSpec("crash", island=1, step=0, attempts=99)]
         )
@@ -180,7 +184,7 @@ class TestPerIslandRetry:
             SHAPE,
             islands=3,
             fault_injector=injector,
-            config=EngineConfig(max_retries=2),
+            config=EngineConfig(backend=backend, max_retries=2),
         ) as runner:
             with pytest.raises(IslandFailure) as excinfo:
                 runner.step(_arrays(state))
@@ -227,22 +231,26 @@ class TestPerIslandRetry:
 
 
 class TestSlowAndCorruptFaults:
-    def test_slow_island_completes_and_is_counted(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_slow_island_completes_and_is_counted(self, state, backend):
         expected = MpdataSolver(SHAPE).run(state, 2)
         injector = FaultInjector(
             [FaultSpec("slow", island=0, step=1, delay=0.001)]
         )
+        config = EngineConfig(backend=backend, reuse_output=True)
         with MpdataIslandSolver(
-            SHAPE, 2, fault_injector=injector, config=EngineConfig(reuse_output=True)
+            SHAPE, 2, fault_injector=injector, config=config
         ) as solver:
             actual = solver.run(state, 2)
         np.testing.assert_array_equal(actual, expected)
         assert solver.runner.fault_stats.injected_slowdowns == 1
 
-    def test_corruption_poisons_output_without_guards(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_corruption_poisons_output_without_guards(self, state, backend):
         injector = FaultInjector([FaultSpec("corrupt", island=1, step=0)])
         with PartitionedRunner(
             mpdata_program(), SHAPE, islands=3, fault_injector=injector,
+            config=EngineConfig(backend=backend),
         ) as runner:
             out = runner.step(_arrays(state))
         assert not np.isfinite(out).all()
@@ -252,14 +260,17 @@ class TestSlowAndCorruptFaults:
 class TestPartialFailureInvalidation:
     """Satellite: a failed step must never look like a successful one."""
 
-    def test_stats_not_published_on_failure(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_stats_not_published_on_failure(self, state, backend):
         injector = FaultInjector([FaultSpec("crash", island=1, step=1)])
         with PartitionedRunner(
             mpdata_program(),
             SHAPE,
             islands=2,
             fault_injector=injector,
-            config=EngineConfig(reuse_buffers=True, reuse_output=True),
+            config=EngineConfig(
+                backend=backend, reuse_buffers=True, reuse_output=True
+            ),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)
@@ -268,7 +279,8 @@ class TestPartialFailureInvalidation:
                 runner.step(arrays, changed={"x"})
             assert runner.last_step_stats is None
 
-    def test_persistent_output_buffer_poisoned_and_dropped(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_persistent_output_buffer_poisoned_and_dropped(self, state, backend):
         # Island 1 fails *after* island 0 already wrote its part: the
         # persistent buffer is half-new, half-old.  It must come back
         # unambiguously invalid (NaN), and the runner must not hand the
@@ -281,7 +293,9 @@ class TestPartialFailureInvalidation:
             SHAPE,
             islands=2,
             fault_injector=injector,
-            config=EngineConfig(reuse_buffers=True, reuse_output=True),
+            config=EngineConfig(
+                backend=backend, reuse_buffers=True, reuse_output=True
+            ),
         ) as runner:
             arrays = _arrays(state)
             first = runner.step(arrays)
@@ -292,7 +306,8 @@ class TestPartialFailureInvalidation:
             assert np.isnan(held).all()
             assert runner._out is None
 
-    def test_failed_then_clean_step_recovers(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_failed_then_clean_step_recovers(self, state, backend):
         """After a failed step the runner still produces correct output."""
         expected_1 = MpdataSolver(SHAPE).run(state, 1)
         injector = FaultInjector([FaultSpec("crash", island=0, step=0)])
@@ -301,7 +316,9 @@ class TestPartialFailureInvalidation:
             SHAPE,
             islands=2,
             fault_injector=injector,
-            config=EngineConfig(reuse_buffers=True, reuse_output=True),
+            config=EngineConfig(
+                backend=backend, reuse_buffers=True, reuse_output=True
+            ),
         ) as runner:
             arrays = _arrays(state)
             with pytest.raises(IslandFailure):
@@ -310,14 +327,15 @@ class TestPartialFailureInvalidation:
             np.testing.assert_array_equal(out, expected_1)
             assert runner.last_step_stats is not None
 
-    def test_naive_mode_failure_also_unpublishes_stats(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_naive_mode_failure_also_unpublishes_stats(self, state, backend):
         injector = FaultInjector([FaultSpec("crash", island=0, step=0)])
         with PartitionedRunner(
             mpdata_program(),
             SHAPE,
             islands=2,
             fault_injector=injector,
-            config=EngineConfig(reuse_buffers=False),
+            config=EngineConfig(backend=backend, reuse_buffers=False),
         ) as runner:
             with pytest.raises(IslandFailure):
                 runner.step(_arrays(state))
@@ -449,7 +467,8 @@ class TestGracefulDegradation:
 
 
 class TestSteadyStateWithFaultMachinery:
-    def test_zero_allocations_with_injector_and_retry_armed(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_zero_allocations_with_injector_and_retry_armed(self, state, backend):
         """The fault-tolerance machinery is free when nothing fails."""
         injector = FaultInjector([])  # armed, never fires
         with PartitionedRunner(
@@ -457,7 +476,10 @@ class TestSteadyStateWithFaultMachinery:
             SHAPE,
             islands=3,
             fault_injector=injector,
-            config=EngineConfig(reuse_buffers=True, reuse_output=True, max_retries=2),
+            config=EngineConfig(
+                backend=backend, reuse_buffers=True, reuse_output=True,
+                max_retries=2,
+            ),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)  # warm-up
@@ -466,7 +488,10 @@ class TestSteadyStateWithFaultMachinery:
                 assert runner.last_step_stats.allocations == 0
         assert runner.fault_stats == FaultStats()
 
-    def test_retry_after_warmup_keeps_later_steps_allocation_free(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_retry_after_warmup_keeps_later_steps_allocation_free(
+        self, state, backend
+    ):
         """A retried step pays for its fresh arena; the next steps do not."""
         injector = FaultInjector([FaultSpec("crash", island=1, step=2)])
         with PartitionedRunner(
@@ -474,7 +499,10 @@ class TestSteadyStateWithFaultMachinery:
             SHAPE,
             islands=3,
             fault_injector=injector,
-            config=EngineConfig(reuse_buffers=True, reuse_output=True, max_retries=2),
+            config=EngineConfig(
+                backend=backend, reuse_buffers=True, reuse_output=True,
+                max_retries=2,
+            ),
         ) as runner:
             arrays = _arrays(state)
             arrays["x"] = runner.step(arrays)

@@ -30,11 +30,10 @@ ISLANDS = 3
 needs_native = pytest.mark.skipif(
     not native_available(), reason="needs cffi and a system C compiler"
 )
-#: The reference kernels plus the two backends that run native kernels.
+#: The reference kernels plus the backend that runs native kernels.
 KERNEL_BACKENDS = (
     "interpreter",
     pytest.param("native", marks=needs_native),
-    pytest.param("tiled", marks=needs_native),
 )
 
 
@@ -67,7 +66,6 @@ class TestBitIdentity:
             backend=backend,
             halo=halo,
             halo_threshold=threshold,
-            block_shape=(8, 8, 8) if backend == "tiled" else None,
         )
         np.testing.assert_array_equal(_run(config, steps=50), reference_50)
 
@@ -99,7 +97,6 @@ class TestSteadyState:
             halo="exchange",
             reuse_buffers=True,
             reuse_output=True,
-            block_shape=(8, 8, 8) if backend == "tiled" else None,
         )
         state = random_state(SHAPE, seed=3)
         with MpdataIslandSolver(SHAPE, ISLANDS, config=config) as solver:

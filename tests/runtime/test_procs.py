@@ -548,16 +548,6 @@ class TestProcsConfig:
         with pytest.raises(SystemExit):
             _validate_engine_args(parser, args)
 
-    def test_cli_procs_with_tiled_rejected(self):
-        from repro.cli import _validate_engine_args
-
-        parser = build_parser()
-        args = parser.parse_args(
-            ["engine", "--backend", "procs", "--tiled"]
-        )
-        with pytest.raises(SystemExit):
-            _validate_engine_args(parser, args)
-
     def test_workers_clamped_to_island_count(self):
         config = EngineConfig(backend="procs", workers=64)
         with MpdataIslandSolver(SHAPE, 2, config=config) as solver:

@@ -18,11 +18,24 @@ from repro.runtime import (
     RecoveryPolicy,
     UnrecoverableRunError,
     check_step_health,
+    native_available,
     run_with_recovery,
 )
 
 SHAPE = (16, 12, 8)
 REUSE_OUTPUT = EngineConfig(reuse_output=True)
+
+#: Kernel backends under test: the reference and the native fast path,
+#: which writes each island's part straight into the output buffer.
+KERNEL_BACKENDS = (
+    "interpreter",
+    pytest.param(
+        "native",
+        marks=pytest.mark.skipif(
+            not native_available(), reason="needs cffi and a system C compiler"
+        ),
+    ),
+)
 
 
 @pytest.fixture()
@@ -77,11 +90,13 @@ class TestRecoveryPolicyValidation:
 
 
 class TestRollbackAndReplay:
-    def test_corruption_rolled_back_bit_identical(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_corruption_rolled_back_bit_identical(self, state, backend):
         expected = MpdataSolver(SHAPE).run(state, 8)
         injector = FaultInjector([FaultSpec("corrupt", island=1, step=5)])
+        config = EngineConfig(backend=backend, reuse_output=True)
         with MpdataIslandSolver(
-            SHAPE, 3, fault_injector=injector, config=REUSE_OUTPUT
+            SHAPE, 3, fault_injector=injector, config=config
         ) as solver:
             actual = solver.run(
                 state, 8, recovery=RecoveryPolicy(checkpoint_every=3)
@@ -95,7 +110,8 @@ class TestRollbackAndReplay:
         assert report.replayed_steps == 2
         assert report.completed_steps == 8
 
-    def test_exhausted_island_rolled_back(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_exhausted_island_rolled_back(self, state, backend):
         """A fault outliving the retry budget is caught one level up."""
         expected = MpdataSolver(SHAPE).run(state, 6)
         injector = FaultInjector(
@@ -105,7 +121,9 @@ class TestRollbackAndReplay:
             SHAPE,
             2,
             fault_injector=injector,
-            config=EngineConfig(reuse_output=True, max_retries=1),
+            config=EngineConfig(
+                backend=backend, reuse_output=True, max_retries=1
+            ),
         ) as solver:
             actual = solver.run(
                 state, 6, recovery=RecoveryPolicy(checkpoint_every=2)
@@ -115,15 +133,17 @@ class TestRollbackAndReplay:
         assert report.fault_stats.islands_failed == 1
         assert report.rollbacks == 1
 
-    def test_mass_drift_guard_trips_and_recovers(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_mass_drift_guard_trips_and_recovers(self, state, backend):
         # An injected finite-but-wrong value slips past the NaN check;
         # the mass guard catches it.
         expected = MpdataSolver(SHAPE).run(state, 5)
         injector = FaultInjector(
             [FaultSpec("corrupt", island=0, step=2, value=1e9)]
         )
+        config = EngineConfig(backend=backend, reuse_output=True)
         with MpdataIslandSolver(
-            SHAPE, 2, fault_injector=injector, config=REUSE_OUTPUT
+            SHAPE, 2, fault_injector=injector, config=config
         ) as solver:
             actual = solver.run(
                 state,
@@ -136,7 +156,8 @@ class TestRollbackAndReplay:
         np.testing.assert_array_equal(actual, expected)
         assert report.guard_trips == 1
 
-    def test_rollback_budget_exhaustion_raises(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_rollback_budget_exhaustion_raises(self, state, backend):
         injector = FaultInjector(
             [FaultSpec("crash", island=0, step=3, attempts=999)]
         )
@@ -144,7 +165,9 @@ class TestRollbackAndReplay:
             SHAPE,
             2,
             fault_injector=injector,
-            config=EngineConfig(reuse_output=True, max_retries=1),
+            config=EngineConfig(
+                backend=backend, reuse_output=True, max_retries=1
+            ),
         ) as solver:
             with pytest.raises(UnrecoverableRunError) as excinfo:
                 solver.run(
@@ -171,11 +194,11 @@ class TestRollbackAndReplay:
         assert report.clean
         assert "clean run" in report.render()
 
-    def test_clean_run_with_guards_stays_allocation_free(self, state):
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_clean_run_with_guards_stays_allocation_free(self, state, backend):
         """Guards and checkpoints never touch the runner's zero-alloc path."""
-        with MpdataIslandSolver(
-            SHAPE, 3, config=EngineConfig(reuse_output=True, max_retries=2)
-        ) as solver:
+        config = EngineConfig(backend=backend, reuse_output=True, max_retries=2)
+        with MpdataIslandSolver(SHAPE, 3, config=config) as solver:
             solver.run(
                 state, 5, recovery=RecoveryPolicy(checkpoint_every=2)
             )

@@ -59,14 +59,6 @@ class TestCompileChain:
         assert "void _stage_2(" in compiled.source
         assert "/* stage 3: s3 -> y */" in compiled.source
 
-    def test_keep_temporaries(self, chain_program):
-        rng = np.random.default_rng(1)
-        x = rng.standard_normal((14, 4, 4))
-        inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
-        compiled = _compile(chain_program, Box((0, 0, 0), (8, 4, 4)))
-        results = compiled(inputs, keep_temporaries=True)
-        assert set(results) == {"a", "b", "y"}
-
     def test_insufficient_input_rejected(self, chain_program):
         compiled = _compile(chain_program, Box((0, 0, 0), (8, 4, 4)))
         small = {"x": ArrayRegion.wrap(np.zeros((8, 4, 4)))}
@@ -131,41 +123,10 @@ class TestWorkspaceGuards:
         ws.out("b", (8,))
         assert ws.allocations == 2
         ws.reset()
-        report = ws.capacity_report()
-        assert report["buffers"] == 0
-        assert report["total_bytes"] == 0
+        assert ws.buffers == {}
         assert ws.allocations == 2  # cumulative across resets
         ws.out("a", (4, 4))
         assert ws.allocations == 3  # fresh allocation, not a stale reuse
-
-    def test_capacity_report_contents(self):
-        ws = Workspace(max_elems=64)
-        ws.out("y", (2, 3, 4))
-        ws.out("z", (10,))
-        report = ws.capacity_report()
-        assert report["outputs"] == {"y": (2, 3, 4), "z": (10,)}
-        assert report["buffers"] == 2
-        assert report["total_bytes"] == (24 + 10) * 8
-        assert report["max_elems"] == 64
-
-    def test_sized_workspace_refuses_oversized_requests(self):
-        ws = Workspace(max_elems=10)
-        ws.out("a", (2, 5))  # exactly at the cap: fine
-        with pytest.raises(ValueError, match="sized for 10"):
-            ws.out("b", (11,))
-        with pytest.raises(ValueError, match="sized for 10"):
-            ws.out("c", (4, 4))
-
-    def test_sized_workspace_pins_output_shapes(self):
-        """A block-sized workspace must never silently hand back a stale
-        buffer for a differently-shaped request — that is the aliasing
-        bug the sizing exists to prevent."""
-        ws = Workspace(max_elems=100)
-        first = ws.out("y", (4, 5))
-        again = ws.out("y", (4, 5))
-        assert again is first
-        with pytest.raises(ValueError, match="pinned"):
-            ws.out("y", (5, 4))
 
     def test_unsized_workspace_still_reallocates_freely(self):
         ws = Workspace()
@@ -174,13 +135,26 @@ class TestWorkspaceGuards:
         assert second.shape == (5, 4)
         assert second is not first
 
-    @needs_native
-    def test_compiled_plan_rejects_mismatched_workspace_dtype(self, chain_program):
-        compiled = _compile(
-            chain_program, Box((0, 0, 0), (8, 4, 4)), dtype=np.float32
-        )
+    def test_epoch_moves_whenever_a_slot_changes_array(self):
+        """A bound launch is reused only while the epoch it saw holds, so
+        every way a slot can change array moves it, and a reuse does not."""
+        ws = Workspace()
+        epochs = [ws.epoch]
+        first = ws.out("y", (4, 5))
+        epochs.append(ws.epoch)
+        assert ws.out("y", (4, 5)) is first
+        assert ws.epoch == epochs[-1]
+        ws.bind_out("y", np.zeros((4, 5)))
+        epochs.append(ws.epoch)
+        ws.reset()
+        epochs.append(ws.epoch)
+        assert len(set(epochs)) == len(epochs)
+
+    def test_bound_output_of_another_dtype_rejected(self):
+        ws = Workspace(np.float32)
         with pytest.raises(ValueError, match="dtype"):
-            compiled.use_workspace(Workspace(np.float64))
+            ws.bind_out("y", np.zeros((4, 5)))
+        assert ws.buffers == {}
 
     @needs_native
     def test_stage_seconds_accumulate_when_timed(self, chain_program):
@@ -340,3 +314,23 @@ class TestPlanBinding:
         second = compiled(inputs)["y"].data
         assert first is not second
         np.testing.assert_array_equal(first, second)
+
+    @pytest.mark.parametrize(
+        "plan_dtype, input_dtype",
+        [(np.float32, np.float64), (np.float64, np.float32)],
+        ids=["float32-plan", "float64-plan"],
+    )
+    def test_input_of_another_dtype_rejected(
+        self, chain_program, plan_dtype, input_dtype
+    ):
+        """The entry point reads raw bytes, so an input of another dtype
+        is refused instead of reinterpreted."""
+        plan, compiled = self._plan(chain_program, dtype=plan_dtype)
+        x = _chain_inputs(8)["x"].data
+        with pytest.raises(ValueError, match="compiled for"):
+            compiled({"x": ArrayRegion.wrap(x.astype(input_dtype), lo=(-3, 0, 0))})
+        matching = {"x": ArrayRegion.wrap(x.astype(plan_dtype), lo=(-3, 0, 0))}
+        expected, _ = execute_plan(chain_program, plan, matching, dtype=plan_dtype)
+        np.testing.assert_array_equal(
+            compiled(matching)["y"].data, expected["y"].data
+        )

@@ -57,22 +57,14 @@ class TestParser:
         assert args.faults is None
         assert args.checkpoint_every is None
         assert args.checkpoint_dir is None
-        assert not args.tiled
-        assert not args.autotune_blocks
+        assert not args.timings
 
-    def test_engine_tiled_options(self):
-        args = build_parser().parse_args(
-            [
-                "engine", "--tiled", "--block-shape", "16", "8", "8",
-                "--intra-threads", "4", "--block-cache-kib", "1024",
-                "--timings",
-            ]
-        )
-        assert args.tiled
-        assert tuple(args.block_shape) == (16, 8, 8)
-        assert args.intra_threads == 4
-        assert args.block_cache_kib == 1024
+    def test_engine_timings_option(self):
+        from repro.runtime import EngineConfig
+
+        args = build_parser().parse_args(["engine", "--timings"])
         assert args.timings
+        assert EngineConfig.from_cli_args(args).collect_timings
 
     def test_engine_telemetry_table_option(self):
         assert not build_parser().parse_args(["engine"]).telemetry_table
@@ -89,43 +81,6 @@ class TestEngineValidation:
         assert excinfo.value.code == 2
         return capsys.readouterr().err
 
-    def test_block_shape_requires_tiled(self, capsys):
-        err = self._error(
-            capsys, ["engine", "--block-shape", "8", "8", "8"]
-        )
-        assert "--tiled" in err
-
-    def test_intra_threads_require_tiled(self, capsys):
-        err = self._error(capsys, ["engine", "--intra-threads", "2"])
-        assert "blocks" in err
-
-    def test_block_shape_must_fit_island_part(self, capsys):
-        err = self._error(
-            capsys,
-            [
-                "engine", "--tiled", "--shape", "32", "16", "8",
-                "--islands", "2", "--block-shape", "64", "8", "8",
-            ],
-        )
-        assert "exceeds the island part" in err
-
-    def test_block_shape_extents_positive(self, capsys):
-        err = self._error(
-            capsys, ["engine", "--tiled", "--block-shape", "8", "0", "8"]
-        )
-        assert "positive" in err
-
-    def test_faults_conflict_with_tiled(self, capsys):
-        err = self._error(
-            capsys,
-            ["engine", "--tiled", "--faults", "crash@island=0,step=1"],
-        )
-        assert "fault-tolerant" in err
-
-    def test_telemetry_table_conflicts_with_tiled(self, capsys):
-        err = self._error(capsys, ["engine", "--tiled", "--telemetry-table"])
-        assert "--telemetry-table" in err
-
     def test_islands_must_be_positive(self, capsys):
         err = self._error(capsys, ["engine", "--islands", "0"])
         assert "--islands" in err
@@ -133,6 +88,21 @@ class TestEngineValidation:
     def test_sync_every_flag_is_gone(self, capsys):
         err = self._error(capsys, ["engine", "--sync-every", "2"])
         assert "unrecognized arguments: --sync-every" in err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--tiled"],
+            ["--block-shape", "8", "8", "8"],
+            ["--intra-threads", "2"],
+            ["--block-cache-kib", "1024"],
+            ["--autotune-blocks"],
+        ],
+        ids=lambda flag: flag[0],
+    )
+    def test_removed_blocking_flags_are_gone(self, capsys, flag):
+        err = self._error(capsys, ["engine", *flag])
+        assert f"unrecognized arguments: {flag[0]}" in err
 
     @pytest.mark.parametrize(
         "flags,expected",
@@ -242,26 +212,19 @@ class TestCommands:
     @pytest.mark.skipif(
         not native_available(), reason="needs cffi and a system C compiler"
     )
-    def test_engine_tiled_run_bit_identical(self, capsys, tmp_path):
-        json_path = tmp_path / "tiled.json"
+    def test_engine_fault_run_prints_step_timings(self, capsys):
         code = main(
             [
-                "engine", "--tiled", "--shape", "16", "12", "8",
-                "--steps", "2", "--islands", "2",
-                "--block-shape", "5", "4", "8", "--intra-threads", "2",
-                "--timings", "--json", str(json_path),
+                "engine", "--shape", "16", "12", "8", "--steps", "2",
+                "--islands", "2", "--backend", "native", "--timings",
+                "--checkpoint-every", "1", "--no-guards",
             ]
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "bit-identical (all modes vs flat): True" in out
-        assert "tiled+team" in out
+        assert "bit-identical to fault-free run: True" in out
         assert "critical path" in out
-        import json
-
-        written = json.loads(json_path.read_text())
-        assert written["bit_identical"] is True
-        assert set(written["modes"]) == {"flat", "tiled", "tiled+team"}
+        assert "top stages (of 17)" in out
 
     def test_engine_fault_run_unrecoverable_exit_code(self, capsys):
         code = main(
