@@ -458,6 +458,11 @@ def _validate_engine_args(parser, args) -> None:
         )
     if args.halo_threshold is not None and args.halo_threshold < 0:
         parser.error("--halo-threshold must be non-negative")
+    if args.timings and not fault_flags:
+        parser.error(
+            "--timings reports on the fault-tolerant run; add --faults, "
+            "--checkpoint-every or --checkpoint-dir"
+        )
     if args.variant != "A" and fault_flags:
         parser.error(
             "the fault-tolerant run partitions with variant A; "

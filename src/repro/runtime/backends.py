@@ -15,7 +15,9 @@ the shared output array.  What varies is *how* the sweep runs:
     (:func:`~repro.stencil.native.compile_plan_native`): the (3+1)D
     sweep, every stage pipelined over the island's i-planes with its
     temporaries folded into rings of planes, writing the island's part
-    straight into the output array.
+    straight into the output array.  In-process it reads the caller's
+    inputs without ghost layers and applies the boundary itself
+    (:attr:`IslandBackend.raw_inputs`).
 ``procs`` (:class:`~repro.runtime.procs.ProcsBackend`)
     True multi-core islands: each island runs in a persistent worker
     *process* over shared-memory arenas, sidestepping the GIL entirely
@@ -60,7 +62,6 @@ import numpy as np
 from ..core import IslandDecomposition
 from ..core.halo import HaloLedger
 from ..stencil import execute_plan, required_regions
-from ..stencil.codegen import Workspace
 from ..stencil.expr import EvalArena
 from ..stencil.field import Field, FieldRole
 from ..stencil.interpreter import ArrayRegion, StageArena
@@ -147,6 +148,10 @@ class IslandBackend:
     """
 
     key: ClassVar[str]
+    #: Whether :meth:`execute_island` takes the caller's inputs as bare
+    #: domain arrays (regions anchored at the domain) and applies the
+    #: boundary itself; otherwise the runner ghost-extends them first.
+    raw_inputs: bool = False
 
     def __init__(
         self,
@@ -355,15 +360,26 @@ class IslandBackend:
     def stage_view(
         self, island_index: int, stage_index: int
     ) -> Optional[np.ndarray]:
-        """View of the slab one island *computes* for one stage.
-
-        This is where post-attempt fault corruption lands in exchange
-        mode — the freshly written points, not the received halo.
-        """
+        """View of the slab one island *computes* for one stage."""
         comp = self._ledger.compute_boxes[island_index][stage_index]
         if comp.is_empty():
             return None
         return self._stage_buffers[island_index][stage_index].view(comp)
+
+    def owned_stage_view(self, island, stage_index: int) -> Optional[np.ndarray]:
+        """View of the points of one stage an island computes *and* owns.
+
+        The computed slab within the island's part: where post-attempt
+        fault corruption lands in exchange mode.  A point there is read
+        on the way to the island's part of the output, so a ``corrupt``
+        fault reaches the output as it does under recompute — unlike the
+        slab's j/k ghost corners, which nothing reads.
+        """
+        comp = self._ledger.compute_boxes[island.index][stage_index]
+        owned = comp.intersect(island.part)
+        if owned.is_empty():
+            return None
+        return self._stage_buffers[island.index][stage_index].view(owned)
 
     def execute_island_stage(
         self,
@@ -523,12 +539,18 @@ class NativeBackend(IslandBackend):
     hybrid policies — is compiled by
     :func:`~repro.stencil.native.compile_plan_native`.  A whole step then
     streams the island's inputs and output once, keeping every
-    intermediate in a ring of planes (MODEL.md §8, §15).  With a
-    persistent workspace the plan's output is bound to the island's part
-    of the runner's output array, so the step writes it in place.  There
-    is deliberately no silent fallback to the interpreter: a quietly
-    degraded backend would invalidate any performance measurement taken
-    through it.
+    intermediate in a ring of planes (MODEL.md §8, §15).  Built from a
+    config (in-process), its whole-step plans are *gathered*: they copy
+    each input plane into a ring as the pipeline needs it, folding
+    coordinates outside the domain by ``boundary``, so the runner hands
+    over bare domain arrays and fills no ghost layers
+    (:attr:`raw_inputs`).  Constructed directly — as the procs workers
+    construct it, over parent-filled ghost buffers — it has no
+    ``boundary`` and reads ghost-extended inputs.  With a persistent workspace the plan's output
+    is bound to the island's part of the runner's output array, so the
+    step writes it in place.  There is deliberately no silent fallback to
+    the interpreter: a quietly degraded backend would invalidate any
+    performance measurement taken through it.
     """
 
     key = "native"
@@ -536,11 +558,24 @@ class NativeBackend(IslandBackend):
     def __init__(self, *args, **kwargs) -> None:
         require_native("the 'native' backend")
         super().__init__(*args, **kwargs)
+        #: The boundary condition whole-step plans apply as they gather
+        #: their inputs; ``None`` keeps ghost-extended inputs.
+        self.boundary: Optional[str] = None
+
+    @classmethod
+    def from_config(cls, config: EngineConfig, *args, **kwargs) -> "NativeBackend":
+        backend = super().from_config(config, *args, **kwargs)
+        backend.boundary = config.boundary
+        return backend
 
     def prepare(self) -> None:
         output_stage = self.program.producer_of(self.output_field)
         for island in self.decomposition.islands:
             assert island.halo_plan.stage_boxes[output_stage] == island.part
+        boundary = None
+        if self.boundary is not None:
+            boundary = (self.boundary, self.decomposition.partition.domain)
+        self.raw_inputs = boundary is not None
         self.plans = {
             island.index: compile_plan_native(
                 self.program,
@@ -548,24 +583,30 @@ class NativeBackend(IslandBackend):
                 dtype=self.dtype,
                 reuse_buffers=self.reuse_buffers,
                 timed=self.timed,
+                boundary=boundary,
             )
             for island in self.decomposition.islands
         }
-        #: Per island, the ``(workspace, out)`` its output slot is bound to.
-        self._bound: Dict[int, Tuple[Workspace, np.ndarray]] = {}
+        #: Per island, its part of the last two output arrays as
+        #: ``(out, view)``: rebinding the same view keeps the plan's
+        #: launch for that array valid.
+        self._parts: Dict[int, List[Tuple[np.ndarray, np.ndarray]]] = {}
+
+    def _part_view(self, island, out: np.ndarray) -> np.ndarray:
+        parts = self._parts.setdefault(island.index, [])
+        for array, view in parts:
+            if array is out:
+                return view
+        view = out[island.part.slices()]
+        parts.insert(0, (out, view))
+        del parts[2:]
+        return view
 
     def execute_island(self, island, inputs, out) -> IslandResult:
         compiled = self.plans[island.index]
         workspace = compiled.workspace
         if workspace is not None:
-            # Rebind only for a new workspace (a refresh) or a new output
-            # array (after a failed step, or without reuse_output).
-            bound = self._bound.get(island.index)
-            if bound is None or bound[0] is not workspace or bound[1] is not out:
-                workspace.bind_out(
-                    self.output_field, out[island.part.slices()]
-                )
-                self._bound[island.index] = (workspace, out)
+            workspace.bind_out(self.output_field, self._part_view(island, out))
         before = (
             (workspace.allocations, workspace.reuses)
             if workspace is not None

@@ -343,9 +343,12 @@ def apply_post_faults(
     stats: FaultStats,
     out_view: np.ndarray,
 ) -> None:
-    """Apply ``corrupt`` faults to an island's freshly written output."""
+    """Apply ``corrupt`` faults to an island's freshly written output.
+
+    The first point of ``out_view`` is overwritten in place (indexing,
+    not ``reshape``, which would write into a copy of a strided view).
+    """
     for spec in fired:
         if spec.kind == "corrupt":
             stats.injected_corruptions += 1
-            flat = out_view.reshape(-1)
-            flat[0] = spec.value
+            out_view[(0,) * out_view.ndim] = spec.value

@@ -22,9 +22,12 @@ The runner is a thin composition of four explicit layers:
   .EngineConfig`) selecting all of the above.
 
 What stays in the runner is exactly what no layer can own alone: the
-ghost-extended input buffers shared by all islands, the assembled output
-array, the island-level work team (thread pool) with its degradation
-path, and step-level invariants — a failed step is never observable as a
+inputs shared by all islands — ghost-extended buffers, or the caller's
+bare arrays for a backend that applies the boundary itself
+(:attr:`~repro.runtime.backends.IslandBackend.raw_inputs`) — the
+assembled output array (two of them, alternating, for such a backend),
+the island-level work team (thread pool) with its degradation path, and
+step-level invariants — a failed step is never observable as a
 successful one.
 
 The runner remains a **steady-state execution engine**: resources that
@@ -210,7 +213,15 @@ class PartitionedRunner:
         )
         # Persistent resources, materialized lazily on first use.
         self._ghost: Dict[str, ArrayRegion] = {}
+        # Raw-input backends: per input, the regions of its last two
+        # arrays (so alternating buffers keep their plan bindings), and
+        # the staged copies of inputs the kernels cannot read as given.
+        self._raw: Dict[str, List[ArrayRegion]] = {}
+        self._staged: Dict[str, ArrayRegion] = {}
+        # The output buffer, plus the second one a raw-input backend
+        # alternates with (it reads one as ``x`` while writing the other).
         self._out: Optional[np.ndarray] = None
+        self._spare: Optional[np.ndarray] = None
         self._pool: Optional[ThreadPoolExecutor] = None
         # Exchange-mode boundary copies as view pairs (_exchange_copies).
         self._copies: Optional[Dict[int, Tuple[tuple, int]]] = None
@@ -267,19 +278,21 @@ class PartitionedRunner:
         static fields — MPDATA's velocities and density — skip the
         copy-and-fill entirely.  Ghost filling is deterministic, so
         skipping an unchanged field is bit-identical to refilling it.
+
+        A backend with :attr:`~repro.runtime.backends.IslandBackend
+        .raw_inputs` applies the boundary itself, so nothing is extended:
+        each input is handed over as a region anchored at the domain
+        (:meth:`_raw_inputs`).
         """
+        if self.backend.raw_inputs:
+            return self._raw_inputs(arrays, changed)
         extended: Dict[str, ArrayRegion] = {}
         ghost_allocations = 0
         ghost_reused = 0
         for field in self.program.input_fields:
-            if field.name not in arrays:
-                raise KeyError(f"missing input array {field.name!r}")
-            arr = np.asarray(arrays[field.name], dtype=self.dtype)
-            if arr.shape != self.shape:
-                raise ValueError(
-                    f"input {field.name!r} has shape {arr.shape}, expected "
-                    f"{self.shape}"
-                )
+            arr = np.asarray(
+                self._input_array(arrays, field.name), dtype=self.dtype
+            )
             if not self.reuse_buffers:
                 extended[field.name] = extend_array(
                     arr, self.ghosts.lo, self.ghosts.hi, self.boundary
@@ -313,15 +326,97 @@ class PartitionedRunner:
         self._last_ghost_counts = (ghost_allocations, ghost_reused)
         return extended
 
-    def _output_array(self) -> Tuple[np.ndarray, int]:
+    def _input_array(
+        self, arrays: Mapping[str, np.ndarray], name: str
+    ) -> np.ndarray:
+        if name not in arrays:
+            raise KeyError(f"missing input array {name!r}")
+        arr = np.asarray(arrays[name])
+        if arr.shape != self.shape:
+            raise ValueError(
+                f"input {name!r} has shape {arr.shape}, expected {self.shape}"
+            )
+        return arr
+
+    def _raw_inputs(
+        self,
+        arrays: Mapping[str, np.ndarray],
+        changed: Optional[Set[str]],
+    ) -> Dict[str, ArrayRegion]:
+        """Each input as a region anchored at the domain, no ghosts.
+
+        An array is handed over as it is unless its dtype differs from
+        the engine's or its innermost stride is not unit; then it is
+        copied into a persistent array, refilled only when ``changed``
+        names it (the staged copies count as ghost buffers in
+        :class:`StepStats`).  Regions are kept per input for its last two
+        arrays, so a double-buffered field and the static fields come
+        back as the same region objects and the backend's plan bindings
+        hold.
+        """
+        regions: Dict[str, ArrayRegion] = {}
+        allocations = 0
+        reused = 0
+        for field in self.program.input_fields:
+            name = field.name
+            arr = self._input_array(arrays, name)
+            if arr.dtype != self.dtype or arr.strides[-1] != arr.itemsize:
+                staged = self._staged.get(name) if self.reuse_buffers else None
+                if staged is None:
+                    staged = ArrayRegion(np.array(arr, dtype=self.dtype), self.domain)
+                    allocations += 1
+                    if self.reuse_buffers:
+                        self._staged[name] = staged
+                else:
+                    if changed is None or name in changed:
+                        np.copyto(staged.data, arr, casting="unsafe")
+                    reused += 1
+                regions[name] = staged
+                continue
+            recent = self._raw.setdefault(name, [])
+            for region in recent:
+                if region.data is arr:
+                    break
+            else:
+                region = ArrayRegion(arr, self.domain)
+                recent.insert(0, region)
+                del recent[2:]
+            regions[name] = region
+        self._last_ghost_counts = (allocations, reused)
+        return regions
+
+    def _output_array(
+        self, inputs: Mapping[str, ArrayRegion]
+    ) -> Tuple[np.ndarray, int]:
+        """The array this step writes, and how many buffers it allocated.
+
+        A raw-input backend reads the caller's arrays while it writes, so
+        the output must not be one of them: the runner keeps two buffers,
+        allocated together on the first step, and writes whichever shares
+        no memory with any input — the one not holding the previous
+        step's ``x`` when the caller feeds the output back.
+        """
         if not self.reuse_output:
             return np.empty(self.shape, dtype=self.dtype), 1
+        allocations = 0
         if self._out is None:
             self._out = self.backend.allocate_output()
             if self._out is None:
                 self._out = np.empty(self.shape, dtype=self.dtype)
-            return self._out, 1
-        return self._out, 0
+            allocations += 1
+        if not self.backend.raw_inputs:
+            return self._out, allocations
+        if self._spare is None:
+            self._spare = np.empty(self.shape, dtype=self.dtype)
+            allocations += 1
+        for buffer in (self._out, self._spare):
+            if not any(
+                np.may_share_memory(buffer, region.data)
+                for region in inputs.values()
+            ):
+                return buffer, allocations
+        # The caller passed both buffers in as inputs: write a fresh one.
+        return np.empty(self.shape, dtype=self.dtype), allocations + 1
 
     @property
     def degraded(self) -> bool:
@@ -345,12 +440,20 @@ class PartitionedRunner:
         stale values.  It is poisoned with NaN — a caller still holding
         the persistent buffer sees unambiguous garbage, never a plausible
         field — and dropped from reuse so the next step starts clean.
+        Only the buffer the step was writing: with two alternating
+        buffers, the one holding the step's input stays intact.
         ``last_step_stats`` is reset for the same reason.
         """
         self.last_step_stats = None
-        if self.reuse_output and self._out is not None:
+        if not self.reuse_output:
+            return
+        if out is self._out:
             self._out = None
-            out.fill(np.nan)
+        elif out is self._spare:
+            self._spare = None
+        else:
+            return
+        out.fill(np.nan)
 
     def _fan_out(
         self, count: int, task: Callable[[int], None]
@@ -516,7 +619,10 @@ class PartitionedRunner:
         input names whose contents differ from the previous step to skip
         refilling static fields (ignored in non-reuse mode, where every
         step re-extends everything).  With ``reuse_output`` the returned
-        array is the runner's persistent buffer, overwritten next step.
+        array is one of the runner's persistent buffers: overwritten by
+        the next step, or — with a raw-input backend, which alternates
+        two buffers so it can read one as ``x`` while writing the other —
+        by the step after next.  Copy anything kept longer.
 
         ``step_index`` is the logical time-step number, used to key
         injected faults; drivers that replay steps after a rollback pass
@@ -526,9 +632,10 @@ class PartitionedRunner:
         index.
 
         On an island failure that survives the retry budget the step
-        raises :class:`IslandFailure` with the output buffer invalidated
-        and ``last_step_stats`` reset — a failed step is never
-        observable as a successful one.  Successful steps are recorded
+        raises :class:`IslandFailure` with the buffer it was writing
+        invalidated (NaN-poisoned and dropped; a buffer holding its input
+        stays intact) and ``last_step_stats`` reset — a failed step is
+        never observable as a successful one.  Successful steps are recorded
         into :attr:`telemetry` (when it has sinks) as
         :class:`~repro.runtime.telemetry.StepEvent` records.
         """
@@ -540,7 +647,7 @@ class PartitionedRunner:
         self._last_ghost_counts = (0, 0)
         inputs = self.extend_inputs(arrays, changed=changed)
         ghost_allocations, ghost_reused = self._last_ghost_counts
-        out, output_allocations = self._output_array()
+        out, output_allocations = self._output_array(inputs)
 
         islands = self.decomposition.islands
         # Per-island results and fault records, filled by index position
@@ -712,7 +819,9 @@ class MpdataIslandSolver:
         The state is validated **once**; the loop then steps on raw
         arrays, telling the runner that only the scalar field changes
         between steps — the velocities and density are static, so their
-        ghost-extended buffers are filled exactly once.
+        ghost-extended buffers (if the backend needs any) are filled
+        exactly once.  The returned field is the runner's output buffer
+        when ``reuse_output`` is set (see :meth:`PartitionedRunner.step`).
 
         With a :class:`~repro.runtime.recovery.RecoveryPolicy` as
         ``recovery`` the run adds periodic checkpoints, per-step

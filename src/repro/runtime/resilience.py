@@ -188,7 +188,7 @@ class ResilientExecutor:
         if self.backend.timed:
             result.seconds = time.perf_counter() - begin
         if fired:
-            view = self.backend.stage_view(island.index, stage_index)
+            view = self.backend.owned_stage_view(island, stage_index)
             if view is not None:
                 apply_post_faults(fired, fault_stats(), view)
         return result

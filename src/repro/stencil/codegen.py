@@ -62,17 +62,13 @@ class Workspace:
     :attr:`allocations` in steady state.
     """
 
-    __slots__ = ("dtype", "_outputs", "allocations", "reuses", "epoch")
+    __slots__ = ("dtype", "_outputs", "allocations", "reuses")
 
     def __init__(self, dtype: "np.dtype" = np.float64) -> None:
         self.dtype = np.dtype(dtype)
         self._outputs: Dict[str, np.ndarray] = {}
         self.allocations = 0
         self.reuses = 0
-        #: Bumped whenever a slot changes array (allocation,
-        #: :meth:`bind_out`, :meth:`reset`): a plan binding that captured
-        #: the arrays is only reused while the epoch it saw holds.
-        self.epoch = 0
 
     def reset(self) -> None:
         """Drop every cached buffer (counters stay cumulative).
@@ -82,12 +78,16 @@ class Workspace:
         workspace object (and whatever holds a reference to it).
         """
         self._outputs.clear()
-        self.epoch += 1
 
     @property
     def buffers(self) -> Dict[str, np.ndarray]:
         """Every array the workspace holds, by slot name."""
         return dict(self._outputs)
+
+    def holds(self, name: str, array: np.ndarray) -> bool:
+        """Whether slot ``name`` is still ``array`` (a plan launch that
+        captured the array is only reused while this holds)."""
+        return self._outputs.get(name) is array
 
     def out(self, name: str, shape: Tuple[int, ...]) -> np.ndarray:
         """The array for slot ``name`` (contents undefined)."""
@@ -98,7 +98,6 @@ class Workspace:
         array = np.empty(shape, dtype=self.dtype)
         self._outputs[name] = array
         self.allocations += 1
-        self.epoch += 1
         return array
 
     def bind_out(self, name: str, array: np.ndarray) -> None:
@@ -108,7 +107,9 @@ class Workspace:
         (typically a view into a larger persistent buffer) instead of a
         workspace-allocated one.  Bindings do not survive :meth:`reset` —
         rebind after resetting (or after re-enabling persistence on the
-        owning plan).
+        owning plan).  Rebinding the array a launch was built against
+        makes that launch valid again, so a caller alternating between
+        two output arrays keeps one launch per array.
         """
         if array.dtype != self.dtype:
             raise ValueError(
@@ -116,31 +117,34 @@ class Workspace:
                 f"expects {self.dtype}"
             )
         self._outputs[name] = array
-        self.epoch += 1
 
 
 class PlanBinding:
     """One call's validated set-up, reused while its sources stay put.
 
     Binding a plan to its inputs checks that every input region covers
-    the plan's required box and re-anchors a view on it.  The binding
-    remembers every object that answer came from — each input
-    :class:`ArrayRegion` and its ``data`` and ``box`` — and the next call
-    reuses the views while all of them are still the same objects
-    (:meth:`holds`); anything else rebuilds with the full checks.  The
-    plan adds its pre-built launch (``stages``), which is tied to the
+    the plan's required box and re-anchors a view on it — or, for a
+    gathered plan, builds each input's boundary map over the whole
+    region.  The binding remembers every object that answer came from —
+    each input :class:`ArrayRegion` and its ``data`` and ``box`` — and a
+    later call reuses the views while all of them are still the same
+    objects (:meth:`holds`); anything else rebuilds with the full checks.
+    The plan adds its pre-built launch (``stages``), which is tied to the
     workspace it was built against in turn.
     """
 
-    __slots__ = ("_sources", "arrays", "stages", "results")
+    __slots__ = ("_sources", "arrays", "maps", "stages", "results")
 
     def __init__(
         self,
         sources: Tuple[Tuple[str, ArrayRegion, np.ndarray, Box], ...],
         arrays: Dict[str, np.ndarray],
+        maps: Dict[str, np.ndarray],
     ) -> None:
         self._sources = sources
         self.arrays = arrays
+        #: Gathered plans only: each input's boundary map.
+        self.maps = maps
         self.stages: Optional[object] = None
         #: The results of the last call, returned again while the
         #: produced arrays are the same objects.
@@ -168,15 +172,19 @@ class CompiledPlan:
     (or ``compile_plan_native(..., reuse_buffers=True)``) all result
     arrays are owned by one long-lived :class:`Workspace` and are
     **overwritten by the next call** — callers must copy anything they
-    keep.
+    keep.  A *gathered* plan (compiled with a ``boundary``) also accepts
+    inputs without ghost layers, such as bare domain arrays: it applies
+    the boundary as it reads them.
 
-    Input validation happens once per :class:`PlanBinding`: a call with
-    the same input regions as the previous one skips the coverage checks
-    and view slicing.  With a persistent workspace the launch (the entry
-    point's pointer and stride arguments) is bound once per binding too,
-    so a steady-state call is the one C call alone (which reads the
-    per-stage clock when timed).  Without one every call gets a fresh
-    workspace, so the launch is rebuilt per call.
+    Input validation happens once per :class:`PlanBinding`, and the plan
+    keeps the bindings of its last two distinct input sets, so a caller
+    alternating between two (a double-buffered field) skips the coverage
+    checks, view slicing and boundary maps after both were seen.  With a
+    persistent workspace the launch (the entry point's pointer and stride
+    arguments) is bound once per binding too, so a steady-state call is
+    the one C call alone (which reads the per-stage clock when timed).
+    Without one every call gets a fresh workspace, so the launch is
+    rebuilt per call.
     """
 
     program: StencilProgram
@@ -184,11 +192,12 @@ class CompiledPlan:
     source: str
     dtype: np.dtype
     _input_anchors: Dict[str, Box]
-    #: ``(input views, workspace) -> launch`` and ``launch -> produced
-    #: arrays``, built by the native compiler over its loaded module.
-    _bind_stages: Callable[[Dict[str, np.ndarray], Workspace], Any] = field(
-        repr=False, compare=False
-    )
+    #: ``(input arrays, boundary maps, workspace) -> launch`` and ``launch
+    #: -> produced arrays``, built by the native compiler over its loaded
+    #: module.
+    _bind_stages: Callable[
+        [Dict[str, np.ndarray], Dict[str, np.ndarray], Workspace], Any
+    ] = field(repr=False, compare=False)
     _launch: Callable[[Any], Dict[str, np.ndarray]] = field(
         repr=False, compare=False
     )
@@ -196,10 +205,18 @@ class CompiledPlan:
     _stage_names: Tuple[str, ...] = ()
     #: Per-stage seconds the entry point adds to (timed plans only).
     _stage_seconds: Optional[np.ndarray] = None
+    #: Gathered plans only: ``(input name, region) -> boundary map``.
+    _gather_map: Optional[Callable[[str, ArrayRegion], np.ndarray]] = field(
+        default=None, repr=False, compare=False
+    )
     _ephemeral: Optional[Workspace] = field(
         default=None, init=False, repr=False, compare=False
     )
+    #: The binding of the latest call and the one before it.
     _binding: Optional[PlanBinding] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    _previous: Optional[PlanBinding] = field(
         default=None, init=False, repr=False, compare=False
     )
 
@@ -211,6 +228,11 @@ class CompiledPlan:
     @persistent.setter
     def persistent(self, value: bool) -> None:
         self._workspace = Workspace(self.dtype) if value else None
+
+    @property
+    def gathered(self) -> bool:
+        """Whether the plan applies the boundary as it reads its inputs."""
+        return self._gather_map is not None
 
     @property
     def timed(self) -> bool:
@@ -248,7 +270,13 @@ class CompiledPlan:
     ) -> Dict[str, ArrayRegion]:
         binding = self._binding
         if binding is None or not binding.holds(inputs):
-            binding = self._binding = self._bind(inputs)
+            previous = self._previous
+            if previous is not None and previous.holds(inputs):
+                self._binding, self._previous = previous, binding
+                binding = previous
+            else:
+                self._previous = binding
+                binding = self._binding = self._bind(inputs)
         raw = self._run(binding)
         cached = binding.results
         if cached is not None and all(
@@ -264,9 +292,11 @@ class CompiledPlan:
         return dict(results)
 
     def _bind(self, inputs: Mapping[str, ArrayRegion]) -> PlanBinding:
-        """Check input coverage and re-anchor the input views."""
+        """Check input coverage and re-anchor the input views (or, for a
+        gathered plan, build the boundary maps)."""
         sources = []
         arrays = {}
+        maps = {}
         for name, required_box in self._input_anchors.items():
             region = inputs[name]
             # The entry point reads raw pointers: another dtype's bytes
@@ -276,25 +306,33 @@ class CompiledPlan:
                     f"input {name!r} has dtype {region.data.dtype}, the "
                     f"plan was compiled for {self.dtype}"
                 )
-            if not region.box.contains(required_box):
+            if self._gather_map is not None:
+                maps[name] = self._gather_map(name, region)
+                arrays[name] = region.data
+            elif not region.box.contains(required_box):
                 raise ValueError(
                     f"input {name!r} covers {region.box} but "
                     f"{required_box} is required"
                 )
-            # Re-anchor so the kernels' constant offsets line up.
-            arrays[name] = region.view(required_box)
+            else:
+                # Re-anchor so the kernels' constant offsets line up.
+                arrays[name] = region.view(required_box)
             sources.append((name, region, region.data, region.box))
-        return PlanBinding(tuple(sources), arrays)
+        return PlanBinding(tuple(sources), arrays, maps)
 
     def _run(self, binding: PlanBinding) -> Dict[str, np.ndarray]:
-        """Run the entry point over a binding's input views."""
+        """Run the entry point over a binding's inputs."""
         workspace = self._workspace
         if workspace is None:
             workspace = self._ephemeral = Workspace(self.dtype)
-            return self._launch(self._bind_stages(binding.arrays, workspace))
+            return self._launch(
+                self._bind_stages(binding.arrays, binding.maps, workspace)
+            )
         launch = binding.stages
         if launch is None or not launch.holds(workspace):
-            launch = binding.stages = self._bind_stages(binding.arrays, workspace)
+            launch = binding.stages = self._bind_stages(
+                binding.arrays, binding.maps, workspace
+            )
         else:
             # The slots a per-call launch fetches again, counted the same
             # way so workspace reuse counters keep their meaning.

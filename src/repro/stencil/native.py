@@ -59,13 +59,14 @@ import shutil
 import sysconfig
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from .codegen import CompiledPlan, Workspace
 from .halo import HaloPlan
+from .interpreter import ArrayRegion
 from .lowering import (
     BinaryOp,
     CopyOp,
@@ -88,6 +89,7 @@ __all__ = [
     "emit_c_source",
     "plane_schedule",
     "PlaneSchedule",
+    "boundary_map",
     "compile_plan_native",
 ]
 
@@ -141,12 +143,34 @@ static double _now(void) {{
 
 /* NumPy's maximum/minimum selection rule: NaNs propagate, ties (incl.
    signed zeros) return the SECOND operand — required for bit-identity
-   with the interpreter's ufunc loops. */
+   with the interpreter's ufunc loops.  Written as a NaN test around a
+   plain compare-and-select, gcc emits one max/min, one unordered
+   compare and one blend per vector. */
 static inline real _np_fmax(real a, real b) {{
-    return (a > b || isnan(a)) ? a : b;
+    return isnan(a) ? a : (a > b ? a : b);
 }}
 static inline real _np_fmin(real a, real b) {{
-    return (a < b || isnan(a)) ? a : b;
+    return isnan(a) ? a : (a < b ? a : b);
+}}
+
+/* Copy one input plane into a ring slot of nj rows of nk elements.  Row
+   j comes from source row rows[j] of the plane; its k extent is three
+   runs (lo, hi, src, step): step 1 copies src.. into [lo, hi), step 0
+   repeats element src there (a clamped boundary). */
+static inline void _gather(real* restrict dst, const real* restrict plane,
+                           const long* restrict rows,
+                           const long* restrict runs, long nj, long nk) {{
+    for (long j = 0; j < nj; ++j) {{
+        const real* restrict src = plane + rows[j];
+        real* restrict row = dst + j * nk;
+        for (int r = 0; r < 12; r += 4) {{
+            const long lo = runs[r], hi = runs[r + 1], from = runs[r + 2];
+            if (runs[r + 3])
+                for (long k = lo; k < hi; ++k) row[k] = src[from + k - lo];
+            else
+                for (long k = lo; k < hi; ++k) row[k] = src[from];
+        }}
+    }}
 }}
 """
 
@@ -208,11 +232,17 @@ class PlaneSchedule:
     ``i`` at tick ``i + lags[n]``, and within a tick stages run in program
     order.  Ticks run over ``range(*ticks)``.  A folded temporary lives in
     ``rings[name] = (planes, offset, slot)``: ``planes`` slots of ``slot``
-    elements each (its stage box's full j x k extent), ``offset`` elements
+    elements each (its anchor box's full j x k extent), ``offset`` elements
     into the ring arena.  Plane ``i`` sits in slot
-    ``(i - anchor.lo[0]) % planes``.  Program inputs and outputs stay full
-    arrays; ``outputs`` and ``inputs`` are the entry point's array
-    arguments, in order.
+    ``(i - anchor.lo[0]) % planes``.  Program outputs stay full arrays;
+    ``outputs`` and ``inputs`` are the entry point's array arguments, in
+    order.
+
+    In a ``gathered`` plan every program input has a ring too, filled
+    from the input array through its boundary map (:func:`boundary_map`):
+    ``gathers[name] = (newest, reader)`` says that tick ``t`` copies plane
+    ``t + newest`` just before stage ``reader``, the first stage in program
+    order that reads the input.  Otherwise inputs are full arrays.
     """
 
     lags: Tuple[int, ...]
@@ -221,9 +251,11 @@ class PlaneSchedule:
     ticks: Tuple[int, int]
     outputs: Tuple[Tuple[str, Tuple[int, int, int]], ...]
     inputs: Tuple[str, ...]
+    gathered: bool = False
+    gathers: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
-def plane_schedule(ir: KernelIR) -> PlaneSchedule:
+def plane_schedule(ir: KernelIR, gather: bool = False) -> PlaneSchedule:
     """Lag every stage and fold every temporary into a ring of planes.
 
     ``lag[s]`` is the largest ``lag[p] + d`` over the stage's reads of a
@@ -232,6 +264,11 @@ def plane_schedule(ir: KernelIR) -> PlaneSchedule:
     ``lag[c] - lag[p] - d + 1`` planes for each consumer ``c`` reading it
     at i-offset ``d``, and at least one: a plane is overwritten only after
     its last reader ran.
+
+    With ``gather`` every program input gets a ring as well.  Tick ``t``
+    reads input plane ``t + d - lag`` for each read at i-offset ``d`` by a
+    stage at lag ``lag``, so the ring holds ``max(d - lag) - min(d - lag)
+    + 1`` planes, and each tick copies in the newest one.
     """
     field_map = ir.program.field_map
     position = {schedule.output: n for n, schedule in enumerate(ir.stages)}
@@ -257,13 +294,29 @@ def plane_schedule(ir: KernelIR) -> PlaneSchedule:
             if view.field in depth:
                 need = lag - lags[position[view.field]] - view.offset[0] + 1
                 depth[view.field] = max(depth[view.field], need)
+    folded = [schedule.output for schedule in ir.stages]
+    gathers: Dict[str, Tuple[int, int]] = {}
+    if gather:
+        for name in sorted(ir.input_anchors):
+            reads = [
+                (view.offset[0] - lag, n)
+                for n, (lag, schedule) in enumerate(zip(lags, ir.stages))
+                for view in schedule.views
+                if view.field == name
+            ]
+            if not reads:
+                continue
+            shifts = [shift for shift, _ in reads]
+            depth[name] = max(shifts) - min(shifts) + 1
+            gathers[name] = (max(shifts), min(n for _, n in reads))
+            folded.append(name)
     rings: Dict[str, Tuple[int, int, int]] = {}
     ring_elems = 0
-    for schedule in ir.stages:
-        if schedule.output in depth:
-            _, nj, nk = schedule.shape
-            planes = depth[schedule.output]
-            rings[schedule.output] = (planes, ring_elems, nj * nk)
+    for name in folded:
+        if name in depth:
+            _, nj, nk = ir.anchors[name].shape
+            planes = depth[name]
+            rings[name] = (planes, ring_elems, nj * nk)
             ring_elems += planes * nj * nk
     firsts = [s.box.lo[0] + lag for lag, s in zip(lags, ir.stages)]
     lasts = [s.box.hi[0] + lag for lag, s in zip(lags, ir.stages)]
@@ -276,6 +329,8 @@ def plane_schedule(ir: KernelIR) -> PlaneSchedule:
             (s.output, s.shape) for s in ir.stages if s.output not in rings
         ),
         inputs=tuple(sorted(ir.input_anchors)),
+        gathered=gather,
+        gathers=gathers,
     )
 
 
@@ -366,19 +421,18 @@ def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
     Plane indices are counted from the first tick's plane, so the source
     depends only on the plan's shapes and relative offsets, as the plane
     kernels do: plans that differ by a translation (the islands of one
-    grid) share one module.
+    grid) share one module.  A gathered input is passed as its array and
+    its boundary map, both run-time arguments, so the same holds for it.
     """
     params: List[str] = []
-    for qualifier, names in (
-        ("", [name for name, _ in schedule.outputs]),
-        ("const ", schedule.inputs),
-    ):
-        for name in names:
-            params += [
-                f"{qualifier}real* restrict {name}",
-                f"long {name}_s0",
-                f"long {name}_s1",
-            ]
+    for name, _ in schedule.outputs:
+        params += [f"real* restrict {name}", f"long {name}_s0", f"long {name}_s1"]
+    for name in schedule.inputs:
+        params.append(f"const real* restrict {name}")
+        if schedule.gathered:
+            params.append(f"const long* restrict {name}_map")
+        else:
+            params += [f"long {name}_s0", f"long {name}_s1"]
     params += ["real* restrict _rings", "double* _clock"]
 
     first, last = schedule.ticks
@@ -394,41 +448,92 @@ def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
         return f"_rings + {offset} + ((_i + {shift}) % {planes}) * {slot}"
 
     def j_stride(name: str) -> str:
-        """A ring slot spans its stage box's full j x k extent."""
+        """A ring slot spans its anchor box's full j x k extent."""
         if name in schedule.rings:
             return str(ir.anchors[name].shape[2])
         return f"{name}_s1"
 
+    def gather(name: str, index: str) -> str:
+        """Copy plane ``index`` of input ``name``'s anchor (counted from
+        the anchor's first plane) into its ring slot."""
+        planes, offset, slot = schedule.rings[name]
+        ni, nj, nk = ir.anchors[name].shape
+        return (
+            f"_gather(_rings + {offset} + (({index}) % {planes}) * {slot}, "
+            f"{name} + {name}_map[{index}], {name}_map + {ni}, "
+            f"{name}_map + {ni + nj}, {nj}, {nk});"
+        )
+
+    readers: Dict[int, List[str]] = {}
+    for name, (_, reader) in schedule.gathers.items():
+        readers.setdefault(reader, []).append(name)
+
     lines = [f"void {ENTRY_SYMBOL}({', '.join(params)})", "{"]
+    lines.append("    long _i;")
+    lines.append("    double _c = 0.0;")
+    # The planes tick 0 reads besides its newest, charged to the reader.
+    for n, names in sorted(readers.items()):
+        fills = []
+        for name in names:
+            newest, _ = schedule.gathers[name]
+            planes = schedule.rings[name][0]
+            anchor = ir.anchors[name]
+            for shift in range(newest - planes + 1, newest):
+                index = first + shift - anchor.lo[0]
+                if 0 <= index < anchor.shape[0]:
+                    fills.append(f"    {gather(name, str(index))}")
+        if fills:
+            lines.append("    if (_clock) _c = _now();")
+            lines += fills
+            lines.append(f"    if (_clock) _clock[{n}] += _now() - _c;")
     lines.append(f"    for (long _t = 0; _t < {last - first}; ++_t) {{")
-    lines.append("        long _i;")
-    lines.append("        double _c = 0.0;")
     for n, (lag, stage) in enumerate(zip(schedule.lags, ir.stages)):
         args = [plane(stage.output, 0), j_stride(stage.output)]
         for name, offsets in _stage_planes(stage):
             args += [plane(name, di) for di in offsets]
             args.append(j_stride(name))
         lines.append(f"        /* stage {stage.index + 1}, lag {lag} */")
+        # A stage that first reads a gathered input copies the input's
+        # newest plane in, whether or not it computes a plane this tick,
+        # and its clock covers the copy.
+        gathered = readers.get(n, [])
+        if gathered:
+            lines.append("        if (_clock) _c = _now();")
+        for name in gathered:
+            newest, _ = schedule.gathers[name]
+            anchor = ir.anchors[name]
+            shift = first + newest - anchor.lo[0]
+            lines.append(
+                f"        if (_t >= {-shift} && _t < {anchor.shape[0] - shift})"
+            )
+            lines.append(f"            {gather(name, f'_t + {shift}')}")
         lines.append(f"        _i = _t - {lag};")
         lo, hi = stage.box.lo[0] - first, stage.box.hi[0] - first
         lines.append(f"        if (_i >= {lo} && _i < {hi}) {{")
-        lines.append("            if (_clock) _c = _now();")
+        if not gathered:
+            lines.append("            if (_clock) _c = _now();")
         lines.append(f"            {_stage_symbol(stage)}({', '.join(args)});")
-        lines.append(f"            if (_clock) _clock[{n}] += _now() - _c;")
+        if not gathered:
+            lines.append(f"            if (_clock) _clock[{n}] += _now() - _c;")
         lines.append("        }")
+        if gathered:
+            lines.append(f"        if (_clock) _clock[{n}] += _now() - _c;")
     lines.append("    }")
     lines.append("}")
     declared = ", ".join(p.replace(" restrict", "") for p in params)
     return "\n".join(lines), f"void {ENTRY_SYMBOL}({declared});"
 
 
-def emit_c_source(ir: KernelIR, dtype: np.dtype = np.float64) -> Tuple[str, str]:
+def emit_c_source(
+    ir: KernelIR, dtype: np.dtype = np.float64, gather: bool = False
+) -> Tuple[str, str]:
     """Render a kernel IR to a C translation unit.
 
     Returns ``(csource, cdef)``: the compilable source (one static plane
     kernel per non-empty stage, plus the :data:`ENTRY_SYMBOL` entry point that
     pipelines them over the plan's i-planes) and the matching cffi
-    declaration of the entry point.
+    declaration of the entry point.  ``gather`` makes the entry point copy
+    its inputs plane by plane into rings (:func:`plane_schedule`).
     """
     key = np.dtype(dtype).str
     if key not in _C_TYPES:
@@ -439,7 +544,7 @@ def emit_c_source(ir: KernelIR, dtype: np.dtype = np.float64) -> Tuple[str, str]
     chunks = [_PREAMBLE.format(ctype=ctype)]
     for schedule in ir.stages:
         chunks.append(_emit_stage(schedule, ir.anchors, fabs, sqrt))
-    definition, cdef = _emit_entry(ir, plane_schedule(ir))
+    definition, cdef = _emit_entry(ir, plane_schedule(ir, gather))
     chunks.append(definition)
     return "\n\n".join(chunks) + "\n", f"typedef {ctype} real;\n{cdef}"
 
@@ -606,20 +711,24 @@ class _Launch:
     Building it is the per-call set-up of a native step: fetch the output
     arrays and the ring arena, check unit innermost strides, cast
     pointers.  The tuple stays valid while the workspace is the same
-    object at the same :attr:`Workspace.epoch` (no slot changed array
-    since) and the owning :class:`~repro.stencil.codegen.PlanBinding`
-    holds its inputs; ``produced`` and ``rings`` keep every array a
-    pointer refers to alive.
+    object and still holds every array the launch points into (no slot
+    was reallocated, reset or bound to another array since), and the
+    owning :class:`~repro.stencil.codegen.PlanBinding` holds its inputs;
+    ``produced`` and ``rings`` keep every such array alive.
     """
 
     workspace: Workspace
-    epoch: int
     args: tuple
     produced: Dict[str, np.ndarray]
     rings: Optional[np.ndarray]
 
     def holds(self, workspace: Workspace) -> bool:
-        return workspace is self.workspace and workspace.epoch == self.epoch
+        if workspace is not self.workspace:
+            return False
+        for name, array in self.produced.items():
+            if not workspace.holds(name, array):
+                return False
+        return self.rings is None or workspace.holds(RING_ARENA, self.rings)
 
     @property
     def slots(self) -> int:
@@ -638,20 +747,90 @@ def _strides_in_elements(array: np.ndarray, label: str) -> Tuple[int, int]:
     return s0 // itemsize, s1 // itemsize
 
 
+def _fold_axis(
+    anchor: Box, region: Box, domain: Box, mode: str, axis: int, label: str
+) -> np.ndarray:
+    """Each anchor coordinate on ``axis`` as an index into ``region``.
+
+    A coordinate inside the region maps to itself; one outside is folded
+    into the domain by the boundary condition (``g mod n`` for periodic, a
+    clamp to ``[0, n)`` for open), and the region must hold the result.
+    """
+    lo, hi = region.lo[axis], region.hi[axis]
+    start, n = domain.lo[axis], domain.shape[axis]
+    coords = np.arange(anchor.lo[axis], anchor.hi[axis])
+    if mode == "periodic":
+        folded = start + (coords - start) % n
+    else:
+        folded = np.clip(coords, start, start + n - 1)
+    coords = np.where((coords >= lo) & (coords < hi), coords, folded)
+    if coords.size and (coords.min() < lo or coords.max() >= hi):
+        raise ValueError(
+            f"input {label!r} covers {region}, which neither covers the "
+            f"required {anchor} nor holds its {mode} boundary image in "
+            f"the domain {domain}"
+        )
+    return coords - lo
+
+
+#: Length of one input's k runs in a boundary map: three (lo, hi, src,
+#: step) quadruples.
+_RUN_WORDS = 12
+
+
+def boundary_map(
+    anchor: Box, region: ArrayRegion, domain: Box, mode: str, label: str
+) -> np.ndarray:
+    """The gather map of one input: where each anchor point's value lives.
+
+    A gathered plan reads anchor point ``(i, j, k)`` of an input from
+    ``region.data`` through this ``int64`` array: one element offset per
+    anchor plane, one per anchor row, then the k extent as at most three
+    runs ``(lo, hi, src, step)`` (:data:`_RUN_WORDS`).  Coordinates are
+    folded by :func:`_fold_axis`, so a ghost-extended region binds with
+    identity maps and a bare domain array with the boundary's own.
+    Raises :class:`ValueError` when ``region`` can supply neither.
+    """
+    if mode not in ("periodic", "open"):
+        raise ValueError(f"unknown boundary mode {mode!r}")
+    s0, s1 = _strides_in_elements(region.data, label)
+    box = region.box
+    planes = _fold_axis(anchor, box, domain, mode, 0, label) * s0
+    rows = _fold_axis(anchor, box, domain, mode, 1, label) * s1
+    ks = _fold_axis(anchor, box, domain, mode, 2, label).tolist()
+    runs: List[int] = []
+    k = 0
+    while k < len(ks):
+        step = int(k + 1 < len(ks) and ks[k + 1] == ks[k] + 1)
+        end = k + 1
+        while end < len(ks) and ks[end] == ks[k] + step * (end - k):
+            end += 1
+        runs += [k, end, ks[k], step]
+        k = end
+    if len(runs) > _RUN_WORDS:
+        raise ValueError(
+            f"input {label!r}: the k boundary of {anchor} needs "
+            f"{len(runs) // 4} runs, more than {_RUN_WORDS // 4}"
+        )
+    runs += [0, 0, 0, 1] * ((_RUN_WORDS - len(runs)) // 4)
+    return np.concatenate([planes, rows, runs]).astype(np.int64)
+
+
 def compile_plan_native(
     program: StencilProgram,
     plan: HaloPlan,
     dtype: np.dtype = np.float64,
     reuse_buffers: bool = False,
     timed: bool = False,
+    boundary: Optional[Tuple[str, Box]] = None,
 ) -> CompiledPlan:
     """Compile one halo plan to one pipelined native-C entry point.
 
     The entry point walks the plan's i-planes and runs every stage's
     fused loop nest on a plane that lags its inputs
-    (:func:`plane_schedule`), so temporaries live in rings of a few
-    planes, no point is computed twice, and the result is bit-identical
-    to the interpreter.  With ``reuse_buffers`` the plan starts with a
+    (:func:`plane_schedule`), so temporaries live in rings of planes, no
+    point is computed twice, and the result is bit-identical to the
+    interpreter.  With ``reuse_buffers`` the plan starts with a
     persistent :class:`~repro.stencil.codegen.Workspace` (the ring arena
     plus one array per program output), making repeat calls
     allocation-free.  ``timed`` hands the entry point a per-stage clock,
@@ -661,6 +840,14 @@ def compile_plan_native(
     construction, and report it as a configuration error rather than
     degrading).
 
+    ``boundary`` — ``(mode, domain box)`` — makes a *gathered* plan: its
+    inputs need no ghost layers.  The entry point copies each input plane
+    into a ring as the pipeline first needs it, folding coordinates
+    outside the bound region into the domain by the boundary condition
+    (:func:`boundary_map`), so the plan binds a bare domain array and a
+    ghost-extended one alike.  Each copy is charged to the clock of the
+    first stage that reads the input.
+
     Generated C and the plane schedule are served from the process-wide
     plan cache; compiled shared objects are additionally cached on disk,
     so forked/spawned procs workers reload instead of recompiling.  Each
@@ -668,17 +855,22 @@ def compile_plan_native(
     buffers.
     """
     dtype = np.dtype(dtype)
+    gather = boundary is not None
     cache_key = (
         program_fingerprint(program),
         plan_geometry_key(plan),
         dtype.str,
+        gather,
     )
 
     def _build():
         ir = lower_plan(program, plan)
-        csource, cdef = emit_c_source(ir, dtype)
+        csource, cdef = emit_c_source(ir, dtype, gather)
         names = tuple(stage.name for stage in ir.stages)
-        return csource, cdef, plane_schedule(ir), names, dict(ir.input_anchors)
+        return (
+            csource, cdef, plane_schedule(ir, gather), names,
+            dict(ir.input_anchors),
+        )
 
     (csource, cdef, schedule, names, input_anchors), _ = PLAN_CACHE.get_or_build(
         cache_key, _build
@@ -696,8 +888,26 @@ def compile_plan_native(
         stage_seconds = np.zeros(len(names))
         clock = cast("double *", stage_seconds.ctypes.data)
 
+    gather_map = None
+    if boundary is not None:
+        mode, domain = boundary
+        # A map depends only on the region's box and strides, so a new
+        # array in an old geometry (a fresh output fed back) reuses it.
+        maps: Dict[tuple, np.ndarray] = {}
+
+        def gather_map(name: str, region: ArrayRegion) -> np.ndarray:
+            key = (name, region.box, region.data.strides)
+            found = maps.get(key)
+            if found is None:
+                found = maps[key] = boundary_map(
+                    input_anchors[name], region, domain, mode, name
+                )
+            return found
+
     def _bind_stages(
-        arrays: Dict[str, np.ndarray], workspace: Workspace
+        arrays: Dict[str, np.ndarray],
+        maps: Dict[str, np.ndarray],
+        workspace: Workspace,
     ) -> _Launch:
         args: List[object] = []
         produced: Dict[str, np.ndarray] = {}
@@ -707,15 +917,18 @@ def compile_plan_native(
             args += [cast(ptr_type, out.ctypes.data), s0, s1]
         for name in schedule.inputs:
             source = arrays[name]
-            s0, s1 = _strides_in_elements(source, name)
-            args += [cast(ptr_type, source.ctypes.data), s0, s1]
+            args.append(cast(ptr_type, source.ctypes.data))
+            if schedule.gathered:
+                args.append(cast("long *", maps[name].ctypes.data))
+            else:
+                args += _strides_in_elements(source, name)
         rings = None
         ring_pointer = ffi.NULL
         if schedule.ring_elems:
             rings = workspace.out(RING_ARENA, (schedule.ring_elems,))
             ring_pointer = cast(ptr_type, rings.ctypes.data)
         args += [ring_pointer, clock]
-        return _Launch(workspace, workspace.epoch, tuple(args), produced, rings)
+        return _Launch(workspace, tuple(args), produced, rings)
 
     def _launch(launch: _Launch) -> Dict[str, np.ndarray]:
         entry(*launch.args)
@@ -732,4 +945,5 @@ def compile_plan_native(
         _workspace=Workspace(dtype) if reuse_buffers else None,
         _stage_names=names,
         _stage_seconds=stage_seconds,
+        _gather_map=gather_map,
     )

@@ -42,6 +42,11 @@ BACKENDS = [
         EngineConfig(backend="native"), id="native", marks=needs_native
     ),
     pytest.param(
+        EngineConfig(backend="native", halo="exchange"),
+        id="native-exchange",
+        marks=needs_native,
+    ),
+    pytest.param(
         EngineConfig(backend="procs", step_deadline=2.0), id="procs"
     ),
     pytest.param(

@@ -30,6 +30,7 @@ from repro.stencil import (
     required_regions,
     schedule_by_levels,
 )
+from repro.mpdata.boundary import BOUNDARY_MODES, extend_array
 from repro.stencil.native import plane_schedule
 
 offsets = st.tuples(
@@ -103,29 +104,46 @@ def test_codegen_bit_exact_for_random_programs(program, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(program=programs(), depth=st.integers(1, 9))
-def test_plane_schedule_reads_only_live_planes(program, depth):
+@given(program=programs(), depth=st.integers(1, 9), gather=st.booleans())
+def test_plane_schedule_reads_only_live_planes(program, depth, gather):
     """Replaying the native pipeline's schedule: every plane a stage reads
     was computed earlier (an earlier tick, or earlier in the same tick)
     and still sits in its ring slot, and every stage computes each plane
-    of its stage box exactly once, for any program and target depth."""
+    of its stage box exactly once, for any program and target depth.  In
+    a gathered schedule every input plane read was copied into its ring
+    (before the loop, or by this or an earlier tick) and not yet
+    overwritten."""
     ir = lower_plan(program, required_regions(program, Box((0, 0, 0), (depth, 3, 2))))
-    schedule = plane_schedule(ir)
+    schedule = plane_schedule(ir, gather)
 
     def slot(name, plane):
         return (plane - ir.anchors[name].lo[0]) % schedule.rings[name][0]
 
+    def copy_in(name, plane):
+        anchor = ir.anchors[name]
+        if anchor.lo[0] <= plane < anchor.hi[0]:
+            held[name][slot(name, plane)] = plane
+
     computed = {stage.output: set() for stage in ir.stages}
     held = {name: {} for name in schedule.rings}  # ring slot -> plane
+    first = schedule.ticks[0]
+    for name, (newest, _) in schedule.gathers.items():
+        for shift in range(newest - schedule.rings[name][0] + 1, newest):
+            copy_in(name, first + shift)
     for tick in range(*schedule.ticks):
-        for lag, stage in zip(schedule.lags, ir.stages):
+        for n, (lag, stage) in enumerate(zip(schedule.lags, ir.stages)):
+            for name, (newest, reader) in schedule.gathers.items():
+                if reader == n:
+                    copy_in(name, tick + newest)
             i = tick - lag
             if not stage.box.lo[0] <= i < stage.box.hi[0]:
                 continue
             for view in stage.views:
-                if view.field not in computed:
-                    continue  # a program input, a full array
                 plane = i + view.offset[0]
+                if view.field in schedule.gathers:
+                    assert held[view.field][slot(view.field, plane)] == plane
+                if view.field not in computed:
+                    continue  # a program input
                 assert plane in computed[view.field]
                 if view.field in schedule.rings:
                     assert held[view.field][slot(view.field, plane)] == plane
@@ -135,6 +153,46 @@ def test_plane_schedule_reads_only_live_planes(program, depth):
                 held[stage.output][slot(stage.output, i)] = i
     for stage in ir.stages:
         assert computed[stage.output] == set(range(stage.box.lo[0], stage.box.hi[0]))
+    assert set(schedule.gathers) == (set(ir.input_anchors) if gather else set())
+
+
+@pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
+@settings(max_examples=20, deadline=None)
+@given(
+    program=programs(),
+    lo=st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 5)),
+    extent=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6)),
+    mode=st.sampled_from(BOUNDARY_MODES),
+    seed=st.integers(0, 1000),
+)
+def test_gathered_plans_bit_exact_on_domain_arrays(program, lo, extent, mode, seed):
+    """A gathered plan bound to bare domain arrays computes the bits the
+    interpreter computes from ghost-extended copies of them, for any
+    program, target inside the domain and boundary condition."""
+    shape = (12, 12, 6)
+    domain = Box((0, 0, 0), shape)
+    target = Box(lo, tuple(min(a + n, s) for a, n, s in zip(lo, extent, shape)))
+    plan = required_regions(program, target)
+    rng = np.random.default_rng(seed)
+    arrays = {
+        field.name: rng.standard_normal(shape) for field in program.input_fields
+    }
+    ghosted = {}
+    for name, box in plan.input_boxes.items():
+        if box.is_empty():
+            continue
+        ghosts_lo = tuple(max(0, d - b) for b, d in zip(box.lo, domain.lo))
+        ghosts_hi = tuple(max(0, b - d) for b, d in zip(box.hi, domain.hi))
+        ghosted[name] = extend_array(arrays[name], ghosts_lo, ghosts_hi, mode)
+    expected, _ = execute_plan(program, plan, ghosted)
+    compiled = compile_plan_native(program, plan, boundary=(mode, domain))
+    actual = compiled(
+        {name: ArrayRegion(array, domain) for name, array in arrays.items()}
+    )
+    output = program.output_fields[0].name
+    np.testing.assert_array_equal(actual[output].data, expected[output].data)
 
 
 @settings(max_examples=30, deadline=None)

@@ -301,6 +301,19 @@ class TestPartialFailureInvalidation:
             first = runner.step(arrays)
             held = first  # caller keeps the persistent buffer
             arrays["x"] = first
+            if backend == "native":
+                # Native reads the bare input arrays, so the runner keeps
+                # two buffers: the failed step was writing the other one,
+                # while this one held its x and must survive intact.
+                kept = held.copy()
+                written = runner._spare
+                with pytest.raises(IslandFailure):
+                    runner.step(arrays, changed={"x"})
+                assert np.isnan(written).all()
+                assert runner._spare is None
+                np.testing.assert_array_equal(held, kept)
+                assert runner._out is held
+                return
             with pytest.raises(IslandFailure):
                 runner.step(arrays, changed={"x"})
             assert np.isnan(held).all()

@@ -19,6 +19,7 @@ from repro.runtime import (
     EngineConfig,
     InMemorySink,
     MpdataIslandSolver,
+    RecoveryPolicy,
     Telemetry,
 )
 from repro.stencil import Box, full_box, native_available
@@ -184,7 +185,6 @@ class TestFaultsUnderExchange:
     @pytest.mark.parametrize(
         "spec",
         (
-            "corrupt@island=1,step=2",
             "crash@island=0,step=1,attempts=1",
             "slow@island=2,step=3,delay=0.001",
         ),
@@ -194,6 +194,32 @@ class TestFaultsUnderExchange:
         the healed run is still bit-identical to the fault-free one."""
         config = EngineConfig(halo="exchange", fault_specs=(spec,), max_retries=2)
         result = _run(config, steps=50)
+        np.testing.assert_array_equal(result, reference_50)
+
+    @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
+    def test_corruption_reaches_the_output_and_is_rolled_back(
+        self, reference_50, backend
+    ):
+        """A stage-level corruption lands on a point the island owns, so
+        it reaches the output as it does under recompute: the guard trips
+        once, one rollback replays from the checkpoint, and the run ends
+        bit-identical to the fault-free one."""
+        config = EngineConfig(
+            backend=backend, halo="exchange",
+            fault_specs=("corrupt@island=1,step=2",), max_retries=2,
+        )
+        state = random_state(SHAPE, seed=2017)
+        with MpdataIslandSolver(SHAPE, ISLANDS, config=config) as solver:
+            result = np.array(
+                solver.run(
+                    state, 50, recovery=RecoveryPolicy(checkpoint_every=5)
+                ),
+                copy=True,
+            )
+            report = solver.last_recovery_report
+        assert report.fault_stats.injected_corruptions == 1
+        assert report.guard_trips == 1
+        assert report.rollbacks == 1
         np.testing.assert_array_equal(result, reference_50)
 
     def test_fault_stats_record_stage_retries(self):

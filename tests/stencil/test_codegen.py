@@ -135,20 +135,24 @@ class TestWorkspaceGuards:
         assert second.shape == (5, 4)
         assert second is not first
 
-    def test_epoch_moves_whenever_a_slot_changes_array(self):
-        """A bound launch is reused only while the epoch it saw holds, so
-        every way a slot can change array moves it, and a reuse does not."""
+    def test_holds_tracks_every_way_a_slot_changes_array(self):
+        """A bound launch is reused only while the workspace still holds
+        every array it captured: a reuse keeps that, every way a slot can
+        change array breaks it, and rebinding the captured array (an
+        alternating output buffer coming back) restores it."""
         ws = Workspace()
-        epochs = [ws.epoch]
         first = ws.out("y", (4, 5))
-        epochs.append(ws.epoch)
+        assert ws.holds("y", first)
         assert ws.out("y", (4, 5)) is first
-        assert ws.epoch == epochs[-1]
-        ws.bind_out("y", np.zeros((4, 5)))
-        epochs.append(ws.epoch)
+        assert ws.holds("y", first)
+        other = np.zeros((4, 5))
+        ws.bind_out("y", other)
+        assert not ws.holds("y", first)
+        assert ws.holds("y", other)
+        ws.bind_out("y", first)
+        assert ws.holds("y", first)
         ws.reset()
-        epochs.append(ws.epoch)
-        assert len(set(epochs)) == len(epochs)
+        assert not ws.holds("y", first)
 
     def test_bound_output_of_another_dtype_rejected(self):
         ws = Workspace(np.float32)

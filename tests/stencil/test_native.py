@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core import Variant, partition_grid_2d
-from repro.mpdata import MpdataSolver, mpdata_program, random_state
+from repro.mpdata import BOUNDARY_MODES, MpdataSolver, mpdata_program, random_state
 from repro.mpdata.reference import MpdataState
 from repro.mpdata.stages import FIELD_X
 from repro.runtime import (
@@ -46,6 +46,8 @@ from repro.stencil import (
     smoother_chain,
 )
 from repro.stencil import native as native_module
+from repro.stencil.codegen import CompiledPlan
+from repro.stencil.expr import fmax, fmin, neg, pos
 from repro.stencil.native import (
     ENTRY_SYMBOL,
     RING_ARENA,
@@ -843,3 +845,242 @@ class TestModuleSharing:
                     for island in islands[1:-1]
                 }
                 assert len(stage_sources) == 1
+
+
+#: Twelve special values: NaNs with distinct payloads and signs, a
+#: signalling NaN, signed zeros, infinities, a subnormal and plain
+#: numbers (every value meets itself, so every pair of ties is covered).
+_SPECIAL_BITS = (
+    0x7FF8000000000000,  # the default quiet NaN
+    0x7FF8000000000123,  # a quiet NaN with another payload
+    0xFFF8000000000456,  # a negative quiet NaN
+    0x7FF0000000000001,  # a signalling NaN
+    0x0000000000000000,  # +0
+    0x8000000000000000,  # -0
+    0x7FF0000000000000,  # +inf
+    0xFFF0000000000000,  # -inf
+    0x3FF0000000000000,  # 1.0
+    0xBFF0000000000000,  # -1.0
+    0x0000000000000001,  # the smallest subnormal
+    0x4004000000000000,  # 2.5
+)
+
+
+@needs_native
+class TestSelectLowering:
+    """``max``/``min`` and the ``pos``/``neg_part`` selectors keep NumPy's
+    selection rule bit for bit: NaNs propagate with their payload, ties
+    (signed zeros included) return the second operand."""
+
+    @pytest.mark.parametrize("op", ["max", "min", "pos", "neg_part"])
+    def test_special_values_match_the_interpreter(self, op):
+        values = np.array(_SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+        n = len(values)
+        a, b = Access("a"), Access("b")
+        binary = op in ("max", "min")
+        expr = {"max": fmax, "min": fmin}[op](a, b) if binary else (
+            pos(a) if op == "pos" else neg(a)
+        )
+        names = ("a", "b") if binary else ("a",)
+        program = StencilProgram.build(
+            op,
+            inputs=tuple(Field(name, FieldRole.INPUT) for name in names),
+            stages=(Stage("s", "y", expr),),
+            outputs=("y",),
+        )
+        # Every ordered pair: a[i, j] = values[i], b[i, j] = values[j].
+        arrays = {
+            "a": np.repeat(values, n).reshape(n, n, 1),
+            "b": np.tile(values, n).reshape(n, n, 1),
+        }
+        inputs = {name: ArrayRegion.wrap(arrays[name]) for name in names}
+        plan = required_regions(program, Box((0, 0, 0), (n, n, 1)))
+        reference, _ = execute_plan(program, plan, inputs)
+        native = compile_plan_native(program, plan)(inputs)
+        np.testing.assert_array_equal(
+            native["y"].data.view(np.uint64),
+            reference["y"].data.view(np.uint64),
+        )
+
+
+def _raw_domain_inputs(solver, state):
+    """The state's five fields as bare regions anchored at the domain."""
+    return {
+        name: ArrayRegion(
+            np.ascontiguousarray(region.view(solver.domain)), solver.domain
+        )
+        for name, region in solver.prepare_inputs(state).items()
+    }
+
+
+@needs_native
+class TestGatheredPlans:
+    """Plans compiled with a boundary read bare domain arrays, applying
+    the boundary as they gather input planes, and match the interpreter
+    over ghost-extended inputs bit for bit."""
+
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    def test_domain_arrays_and_ghost_regions_bind_alike(self, mode):
+        program = mpdata_program()
+        solver = MpdataSolver(SHAPE, boundary=mode)
+        state = random_state(SHAPE, seed=14)
+        ghosted = solver.prepare_inputs(state)
+        plan = required_regions(
+            program, solver.domain, domain=solver.extended_domain
+        )
+        reference, _ = execute_plan(program, plan, ghosted)
+        compiled = compile_plan_native(
+            program, plan, boundary=(mode, solver.domain)
+        )
+        assert compiled.gathered
+        for inputs in (_raw_domain_inputs(solver, state), ghosted):
+            np.testing.assert_array_equal(
+                compiled(inputs)["x_out"].data, reference["x_out"].data
+            )
+
+    def test_region_without_the_domain_or_the_anchor_raises(self):
+        program = mpdata_program()
+        solver = MpdataSolver(SHAPE)
+        plan = required_regions(
+            program, solver.domain, domain=solver.extended_domain
+        )
+        compiled = compile_plan_native(
+            program, plan, boundary=("periodic", solver.domain)
+        )
+        inputs = _raw_domain_inputs(solver, random_state(SHAPE, seed=2))
+        short = Box((1, 0, 0), SHAPE)
+        inputs["u2"] = ArrayRegion(inputs["u2"].view(short), short)
+        with pytest.raises(ValueError, match="neither covers"):
+            compiled(inputs)
+
+    def test_stage_clocks_sum_to_wall_time(self):
+        """Each plane's gather is charged to the first stage reading the
+        input, so the 17 stage clocks still add up to the plan's wall."""
+        shape = (48, 40, 24)
+        program = mpdata_program()
+        solver = MpdataSolver(shape)
+        plan = required_regions(
+            program, solver.domain, domain=solver.extended_domain
+        )
+        compiled = compile_plan_native(
+            program, plan, reuse_buffers=True, timed=True,
+            boundary=("periodic", solver.domain),
+        )
+        inputs = _raw_domain_inputs(solver, random_state(shape, seed=3))
+        compiled(inputs)  # warm-up
+        before = compiled.stage_seconds
+        begin = time.perf_counter()
+        for _ in range(5):
+            compiled(inputs)
+        wall = time.perf_counter() - begin
+        after = compiled.stage_seconds
+        spent = {name: after[name] - before[name] for name in after}
+        assert set(spent) == {stage.name for stage in program.stages}
+        assert all(seconds > 0.0 for seconds in spent.values())
+        assert sum(spent.values()) == pytest.approx(wall, rel=0.10)
+
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    @pytest.mark.parametrize(
+        "geometry",
+        ["variant-a", "variant-b", "grid-2x2", "one-plane", "float32", "dims-2"],
+    )
+    def test_runner_geometries(self, mode, geometry):
+        """The runner hands bare arrays to gathered island plans: no
+        ghost buffers, and the whole-domain solver's trajectory."""
+        shape, islands, program = SHAPE, 2, None
+        kwargs = {}
+        dtype = "float64"
+        state = random_state(SHAPE, seed=16)
+        if geometry == "variant-b":
+            islands, kwargs = 3, {"variant": Variant.B}
+        elif geometry == "grid-2x2":
+            islands = 4
+            kwargs = {"partition": partition_grid_2d(full_box(SHAPE), 2, 2)}
+        elif geometry == "one-plane":
+            islands = SHAPE[0]
+        elif geometry == "float32":
+            dtype = "float32"
+        elif geometry == "dims-2":
+            shape, islands, program = (20, 16, 1), 3, mpdata_program(dims=2)
+            rng = np.random.default_rng(5)
+            state = MpdataState(
+                rng.random(shape),
+                rng.uniform(-0.08, 0.08, shape),
+                rng.uniform(-0.08, 0.08, shape),
+                np.zeros(shape),
+                rng.uniform(0.8, 1.25, shape),
+            )
+        config = EngineConfig(
+            backend="native", boundary=mode, dtype=dtype, threads=2,
+            reuse_output=True,
+        )
+        whole = MpdataSolver(
+            shape, boundary=mode, program=program, dtype=config.numpy_dtype
+        ).run(state, 3)
+        with MpdataIslandSolver(
+            shape, islands, config=config, program=program, **kwargs
+        ) as solver:
+            split = np.array(solver.run(state, 3), copy=True)
+            assert solver.runner.backend.raw_inputs
+            assert solver.runner._ghost == {}
+        assert split.dtype == whole.dtype
+        np.testing.assert_array_equal(split, whole)
+
+    def test_float32_run_from_a_float64_state_allocates_nothing(self):
+        config = EngineConfig(backend="native", dtype="float32", reuse_output=True)
+        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+            runner = solver.runner
+            arrays = solver._arrays(random_state(SHAPE, seed=15))
+            arrays[FIELD_X] = runner.step(arrays)
+            # All five float64 fields were staged as float32 copies.
+            assert runner.last_step_stats.ghost_allocations == 5
+            for _ in range(3):
+                arrays[FIELD_X] = runner.step(arrays, changed={FIELD_X})
+                assert runner.last_step_stats.allocations == 0
+
+    @pytest.mark.parametrize("threads", (1, 2))
+    def test_steady_steps_bind_nothing(self, monkeypatch, threads):
+        """Bind-once on the gathered path: after warm-up — the caller's
+        ``x``, then each of the two output buffers as ``x`` — a step
+        calls neither the input binding nor the launch builder, and each
+        plan keeps one launch per output buffer."""
+        config = EngineConfig(backend="native", reuse_output=True, threads=threads)
+        state = random_state(SHAPE, seed=17)
+        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+            runner = solver.runner
+            arrays = solver._arrays(state)
+            changed = None
+            for _ in range(3):
+                arrays[FIELD_X] = runner.step(arrays, changed=changed)
+                changed = {FIELD_X}
+            calls = {"bind": 0, "launch": 0}
+            bind = CompiledPlan._bind
+
+            def counting_bind(plan, inputs):
+                calls["bind"] += 1
+                return bind(plan, inputs)
+
+            monkeypatch.setattr(CompiledPlan, "_bind", counting_bind)
+            plans = list(runner.backend.plans.values())
+            for compiled in plans:
+                build = compiled._bind_stages
+
+                def counting_build(*args, _build=build):
+                    calls["launch"] += 1
+                    return _build(*args)
+
+                monkeypatch.setattr(compiled, "_bind_stages", counting_build)
+            for _ in range(4):
+                arrays[FIELD_X] = runner.step(arrays, changed={FIELD_X})
+                assert runner.last_step_stats.allocations == 0
+            monkeypatch.undo()
+            for compiled in plans:
+                outputs = {
+                    binding.stages.produced[FIELD_X + "_out"].ctypes.data
+                    for binding in (compiled._binding, compiled._previous)
+                }
+                assert len(outputs) == 2
+        assert calls == {"bind": 0, "launch": 0}
+        np.testing.assert_array_equal(
+            arrays[FIELD_X], MpdataSolver(SHAPE).run(state, 7)
+        )

@@ -130,6 +130,18 @@ class TestEngineValidation:
         assert expected in err
         assert "Traceback" not in err
 
+    def test_timings_without_a_fault_tolerant_run_is_rejected(self, capsys):
+        """The steady-state run never reads ``--timings``; accepting it
+        there would silently print nothing."""
+        err = self._error(
+            capsys,
+            ["engine", "--backend", "native", "--timings", "--shape", "16",
+             "12", "8", "--steps", "2", "--islands", "2"],
+        )
+        assert "--timings" in err
+        for flag in ("--faults", "--checkpoint-every", "--checkpoint-dir"):
+            assert flag in err
+
     def test_verify_islands_must_be_positive(self, capsys):
         err = self._error(capsys, ["verify", "--islands", "0"])
         assert "--islands must be at least 1" in err
