@@ -56,7 +56,7 @@ def run(smoke: bool = False, json_path=None, repeats=5):
     shape = SMOKE_SHAPE if smoke else FULL_SHAPE
     steps = SMOKE_STEPS if smoke else FULL_STEPS
     state = random_state(shape, seed=0)
-    config = EngineConfig(reuse_buffers=True, reuse_output=True, max_retries=2)
+    config = EngineConfig(reuse_output=True, max_retries=2)
 
     def solver():
         return MpdataIslandSolver(shape, ISLANDS, config=config)

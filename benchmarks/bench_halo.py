@@ -42,7 +42,7 @@ DEFAULT_JSON = common.default_json_path("BENCH_halo.json")
 
 def run(smoke: bool = False, json_path=None):
     """Measure both policies per island count; returns the payload dict."""
-    from repro.runtime import measure_steady_state
+    from repro.runtime import EngineConfig, measure_steady_state
 
     shape = SMOKE_SHAPE if smoke else FULL_SHAPE
     steps = SMOKE_STEPS if smoke else FULL_STEPS
@@ -50,19 +50,16 @@ def run(smoke: bool = False, json_path=None):
     for islands in SMOKE_ISLANDS if smoke else FULL_ISLANDS:
         row = {"islands": islands, "policies": {}}
         for policy in POLICIES:
-            report = measure_steady_state(
-                shape=shape,
-                steps=steps,
-                islands=islands,
-                backend="native",
-                halo=policy,
+            config = EngineConfig(
+                backend="native", halo=policy, reuse_output=True
             )
-            engine = report.modes["engine"]
+            # One warm-up step, then ``steps`` steady-state ones.
+            report = measure_steady_state(config, shape, steps + 1, islands)
             row["policies"][policy] = {
-                "step_time_s": engine["step_time_s"],
-                "allocations_per_step": engine["allocations_per_step"],
-                "exchanged_bytes_per_step": engine["exchanged_bytes_per_step"],
-                "stage_syncs": engine["stage_syncs"],
+                "step_time_s": report.step_time_s,
+                "allocations_per_step": report.allocations_per_step,
+                "exchanged_bytes_per_step": report.exchanged_bytes_per_step,
+                "stage_syncs": report.stage_syncs,
                 "bit_identical": report.bit_identical,
             }
         row["model_check"] = _model_check(shape, islands)

@@ -87,9 +87,7 @@ def _stage_kernel_rows(shape, reps):
                 )
         return best
 
-    native_best = best_of(
-        compile_plan_native(program, plan, reuse_buffers=True, timed=True)
-    )
+    native_best = best_of(compile_plan_native(program, plan, timed=True))
     rows = []
     for stage in program.stages:
         name = stage.name

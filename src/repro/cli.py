@@ -95,8 +95,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     engine = sub.add_parser(
         "engine",
-        help="steady-state engine: allocation / reuse counters, naive vs "
-        "engine; with --faults / --checkpoint-every, a fault-tolerant run",
+        help="one engine run: steady-state allocation and step-time "
+        "counters, checked bit for bit against the whole-domain solver; "
+        "--faults / --checkpoint-every add faults and recovery",
     )
     engine.add_argument(
         "--shape", type=int, nargs=3, default=(128, 64, 16), metavar="N"
@@ -188,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     engine.add_argument(
         "--json", metavar="PATH", default=None,
-        help="also write the report as JSON (e.g. BENCH_steady_state.json)",
+        help="also write the run's report (counters, config, bit-identity) "
+        "as JSON",
     )
     engine.add_argument(
         "--telemetry-jsonl", metavar="PATH", default=None,
@@ -203,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
     engine.add_argument(
         "--timings", action="store_true",
         help="collect per-island and per-stage wall times into each "
-        "step's stats (EngineConfig.collect_timings) in the "
-        "fault-tolerant run",
+        "step's stats (EngineConfig.collect_timings) and print the last "
+        "step's",
     )
     faults = engine.add_argument_group(
         "fault tolerance",
         "inject deterministic faults and run with retry, numerical guards "
-        "and checkpointed rollback; the run is compared bit-for-bit "
-        "against a fault-free reference",
+        "and checkpointed rollback; the result is still compared bit for "
+        "bit against the whole-domain solver",
     )
     faults.add_argument(
         "--faults", nargs="+", default=None, metavar="SPEC",
@@ -220,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     faults.add_argument(
         "--checkpoint-every", type=int, default=None, metavar="N",
-        help="checkpoint interval in steps (enables the fault-tolerant run)",
+        help="checkpoint interval in steps (enables recovery; default 10 "
+        "with any fault flag)",
     )
     faults.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -407,15 +410,9 @@ def _validate_verify_args(parser, args) -> None:
 def _validate_engine_args(parser, args) -> None:
     """Reject inconsistent ``engine`` flag combinations up front.
 
-    The engine subcommand multiplexes two modes (steady-state,
-    fault-tolerant); these checks turn silently-ignored or late-failing
-    flag mixes into immediate, actionable parser errors.
+    These checks turn silently-ignored or late-failing flag mixes into
+    immediate, actionable parser errors.
     """
-    fault_flags = (
-        args.faults is not None
-        or args.checkpoint_every is not None
-        or args.checkpoint_dir is not None
-    )
     if args.grid is not None:
         pi, pj = args.grid
         if pi < 1 or pj < 1:
@@ -458,16 +455,6 @@ def _validate_engine_args(parser, args) -> None:
         )
     if args.halo_threshold is not None and args.halo_threshold < 0:
         parser.error("--halo-threshold must be non-negative")
-    if args.timings and not fault_flags:
-        parser.error(
-            "--timings reports on the fault-tolerant run; add --faults, "
-            "--checkpoint-every or --checkpoint-dir"
-        )
-    if args.variant != "A" and fault_flags:
-        parser.error(
-            "the fault-tolerant run partitions with variant A; "
-            "drop --variant/--grid or the fault flags"
-        )
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     if args.backend != "procs":
@@ -495,99 +482,57 @@ def _validate_engine_args(parser, args) -> None:
 
 
 def _run_engine(args) -> int:
+    """One engine run, checked bit for bit against the whole-domain solver."""
     from .core import Variant
-    from .runtime import measure_steady_state
-
-    report = measure_steady_state(
-        shape=tuple(args.shape),
-        steps=args.steps,
-        islands=args.islands,
-        threads=args.threads,
-        telemetry_jsonl=args.telemetry_jsonl,
-        halo=args.halo,
-        halo_threshold=args.halo_threshold,
-        variant=Variant(args.variant),
-        partition_grid=tuple(args.grid) if args.grid else None,
-        backend=args.backend or "interpreter",
-        workers=args.workers,
-        pin_workers=args.pin_workers,
-        step_deadline=args.step_deadline,
-        deadline_factor=args.deadline_factor,
-        quarantine_after=args.quarantine_after,
-        telemetry_table=args.telemetry_table,
-    )
-    json_path = args.json
-    print(report.render())
-    if json_path:
-        import json
-
-        with open(json_path, "w") as handle:
-            json.dump(report.to_dict(), handle, indent=2)
-        print(f"\nwrote {json_path}")
-    return 0 if report.bit_identical else 1
-
-
-def _run_engine_faults(args) -> int:
-    """Fault-tolerant run vs fault-free reference, bit-compared."""
-    from dataclasses import replace
-
-    import numpy as np
-
-    from .mpdata import random_state
     from .runtime import (
         EngineConfig,
-        MpdataIslandSolver,
+        JsonlSink,
         RecoveryPolicy,
-        UnrecoverableRunError,
+        TableSink,
+        measure_steady_state,
     )
 
-    shape = tuple(args.shape)
-    state = random_state(shape, seed=2017)
-    config = EngineConfig.from_cli_args(args)
-    reference_config = replace(config, fault_specs=(), max_retries=0)
-    with MpdataIslandSolver(
-        shape, args.islands, config=reference_config
-    ) as reference:
-        expected = np.array(reference.run(state, args.steps), copy=True)
-
-    policy = RecoveryPolicy(
-        checkpoint_every=args.checkpoint_every or 10,
-        checkpoint_dir=args.checkpoint_dir,
-        check_finite=not args.no_guards,
-        mass_drift_limit=args.mass_drift_limit,
-        max_rollbacks=args.rollbacks,
+    recovery = None
+    if (
+        args.faults is not None
+        or args.checkpoint_every is not None
+        or args.checkpoint_dir is not None
+    ):
+        recovery = RecoveryPolicy(
+            checkpoint_every=args.checkpoint_every or 10,
+            checkpoint_dir=args.checkpoint_dir,
+            check_finite=not args.no_guards,
+            mass_drift_limit=args.mass_drift_limit,
+            max_rollbacks=args.rollbacks,
+        )
+    sinks = []
+    if args.telemetry_jsonl is not None:
+        sinks.append(JsonlSink(args.telemetry_jsonl))
+    table = TableSink() if args.telemetry_table else None
+    if table is not None:
+        sinks.append(table)
+    report = measure_steady_state(
+        EngineConfig.from_cli_args(args),
+        tuple(args.shape),
+        args.steps,
+        args.islands,
+        variant=Variant(args.variant),
+        partition_grid=tuple(args.grid) if args.grid else None,
+        recovery=recovery,
+        sinks=sinks,
     )
-    table_sink = None
-    telemetry = None
-    if args.telemetry_table:
-        from .runtime import TableSink, Telemetry
-
-        table_sink = TableSink()
-        telemetry = Telemetry([table_sink])
-    with MpdataIslandSolver(
-        shape, args.islands, config=config, telemetry=telemetry
-    ) as solver:
-        try:
-            final = solver.run(state, args.steps, recovery=policy)
-        except UnrecoverableRunError as error:
-            if solver.last_recovery_report is not None:
-                print(solver.last_recovery_report.render())
-            print(f"\nUNRECOVERABLE: {error}")
-            return 1
-        report = solver.last_recovery_report
-        stats = solver.runner.last_step_stats
-
-    if table_sink is not None and table_sink.rows:
+    if table is not None and table.rows:
         print("per-step telemetry:")
-        print(table_sink.render())
+        print(table.render())
         print()
     print(report.render())
-    if stats is not None and stats.timings is not None:
-        print("\nlast step timings:")
-        print(stats.timings.render())
-    identical = bool(np.array_equal(final, expected))
-    print(f"bit-identical to fault-free run: {identical}")
-    return 0 if identical else 1
+    if args.json:
+        import json
+
+        with open(args.json, "w") as handle:
+            json.dump(report.to_dict(), handle, indent=2)
+        print(f"\nwrote {args.json}")
+    return 0 if report.bit_identical else 1
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -612,12 +557,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "engine":
         _validate_engine_args(parser, args)
-        if (
-            args.faults is not None
-            or args.checkpoint_every is not None
-            or args.checkpoint_dir is not None
-        ):
-            return _run_engine_faults(args)
         return _run_engine(args)
     _run_tables(args.command)
     return 0

@@ -7,9 +7,8 @@ the shared output array.  What varies is *how* the sweep runs:
 
 ``interpreter`` (:class:`FlatInterpreterBackend`)
     Walk the stage graph per island with :func:`~repro.stencil
-    .interpreter.execute_plan`, on persistent stage/scratch arenas in
-    steady-state mode.  The reference, and the path that needs no C
-    compiler.
+    .interpreter.execute_plan`, on persistent stage/scratch arenas.  The
+    reference, and the path that needs no C compiler.
 ``native`` (:class:`NativeBackend`)
     One C call per island step
     (:func:`~repro.stencil.native.compile_plan_native`): the (3+1)D
@@ -161,7 +160,6 @@ class IslandBackend:
         clip_domain: Box,
         output_field: str,
         dtype: np.dtype,
-        reuse_buffers: bool,
         timed: bool,
     ) -> None:
         self.program = program
@@ -169,7 +167,6 @@ class IslandBackend:
         self.clip_domain = clip_domain
         self.output_field = output_field
         self.dtype = np.dtype(dtype)
-        self.reuse_buffers = reuse_buffers
         self.timed = timed
         self.plans: Dict[int, object] = {}
         self._ledger: Optional[HaloLedger] = None
@@ -193,7 +190,6 @@ class IslandBackend:
             clip_domain=clip_domain,
             output_field=output_field,
             dtype=config.numpy_dtype,
-            reuse_buffers=config.reuse_buffers,
             timed=config.collect_timings,
         )
 
@@ -469,10 +465,8 @@ class FlatInterpreterBackend(IslandBackend):
     def prepare(self) -> None:
         self._arenas: Dict[int, StageArena] = {}
         self._scratch: Dict[int, EvalArena] = {}
-        if self.reuse_buffers:
-            for island in self.decomposition.islands:
-                self._arenas[island.index] = StageArena(self.dtype)
-                self._scratch[island.index] = EvalArena(self.dtype)
+        for island in self.decomposition.islands:
+            self._refresh_plan(island.index)
 
     def execute_island(self, island, inputs, out) -> IslandResult:
         results, stats = execute_plan(
@@ -480,8 +474,8 @@ class FlatInterpreterBackend(IslandBackend):
             island.halo_plan,
             inputs,
             dtype=self.dtype,
-            arena=self._arenas.get(island.index),
-            scratch=self._scratch.get(island.index),
+            arena=self._arenas[island.index],
+            scratch=self._scratch[island.index],
             collect_timing=self.timed,
         )
         out[island.part.slices()] = results[self.output_field].view(island.part)
@@ -493,16 +487,14 @@ class FlatInterpreterBackend(IslandBackend):
         )
 
     def _refresh_plan(self, island_index: int) -> None:
-        if self.reuse_buffers:
-            self._arenas[island_index] = StageArena(self.dtype)
-            self._scratch[island_index] = EvalArena(self.dtype)
+        self._arenas[island_index] = StageArena(self.dtype)
+        self._scratch[island_index] = EvalArena(self.dtype)
 
     # -- stage-granular path (exchange / hybrid) ------------------------
     def _prepare_stage_state(self) -> None:
         self._stage_scratch: Dict[int, EvalArena] = {}
-        if self.reuse_buffers:
-            for island in self.decomposition.islands:
-                self._stage_scratch[island.index] = EvalArena(self.dtype)
+        for island in self.decomposition.islands:
+            self._refresh_stage_state(island.index)
 
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
         stage = self.program.stages[stage_index]
@@ -513,9 +505,7 @@ class FlatInterpreterBackend(IslandBackend):
         def resolve(field_name: str, offset) -> np.ndarray:
             return resolved[field_name].view(comp.shift(offset))
 
-        scratch = self._stage_scratch.get(island.index)
-        if scratch is None:
-            scratch = EvalArena(self.dtype)
+        scratch = self._stage_scratch[island.index]
         before = (scratch.allocations, scratch.reuses)
         start = perf_counter() if self.timed else 0.0
         stage.expr.evaluate(resolve, out=out_view, scratch=scratch)
@@ -528,8 +518,7 @@ class FlatInterpreterBackend(IslandBackend):
         return result
 
     def _refresh_stage_state(self, island_index: int) -> None:
-        if self.reuse_buffers:
-            self._stage_scratch[island_index] = EvalArena(self.dtype)
+        self._stage_scratch[island_index] = EvalArena(self.dtype)
 
 
 class NativeBackend(IslandBackend):
@@ -546,9 +535,9 @@ class NativeBackend(IslandBackend):
     over bare domain arrays and fills no ghost layers
     (:attr:`raw_inputs`).  Constructed directly — as the procs workers
     construct it, over parent-filled ghost buffers — it has no
-    ``boundary`` and reads ghost-extended inputs.  With a persistent workspace the plan's output
-    is bound to the island's part of the runner's output array, so the
-    step writes it in place.  There is deliberately no silent fallback to
+    ``boundary`` and reads ghost-extended inputs.  Each plan's output is
+    bound to the island's part of the runner's output array, so the step
+    writes it in place.  There is deliberately no silent fallback to
     the interpreter: a quietly degraded backend would invalidate any
     performance measurement taken through it.
     """
@@ -581,7 +570,6 @@ class NativeBackend(IslandBackend):
                 self.program,
                 island.halo_plan,
                 dtype=self.dtype,
-                reuse_buffers=self.reuse_buffers,
                 timed=self.timed,
                 boundary=boundary,
             )
@@ -602,23 +590,12 @@ class NativeBackend(IslandBackend):
         del parts[2:]
         return view
 
-    def execute_island(self, island, inputs, out) -> IslandResult:
-        compiled = self.plans[island.index]
+    def _call(self, compiled, inputs) -> IslandResult:
+        """Run one plan; report its workspace traffic (and stage clock)."""
         workspace = compiled.workspace
-        if workspace is not None:
-            workspace.bind_out(self.output_field, self._part_view(island, out))
-        before = (
-            (workspace.allocations, workspace.reuses)
-            if workspace is not None
-            else (0, 0)
-        )
+        before = (workspace.allocations, workspace.reuses)
         stage_before = compiled.stage_seconds if self.timed else None
-        results = compiled(inputs)
-        if workspace is None:
-            out[island.part.slices()] = results[self.output_field].view(
-                island.part
-            )
-        workspace = compiled.last_workspace
+        compiled(inputs)
         result = IslandResult(
             stage_allocations=workspace.allocations - before[0],
             reused=workspace.reuses - before[1],
@@ -629,10 +606,15 @@ class NativeBackend(IslandBackend):
             )
         return result
 
+    def execute_island(self, island, inputs, out) -> IslandResult:
+        compiled = self.plans[island.index]
+        compiled.workspace.bind_out(
+            self.output_field, self._part_view(island, out)
+        )
+        return self._call(compiled, inputs)
+
     def _refresh_plan(self, island_index: int) -> None:
-        compiled = self.plans[island_index]
-        if compiled.persistent:
-            compiled.persistent = True  # installs a fresh Workspace
+        self.plans[island_index].workspace.reset()
 
     # -- stage-granular path (exchange / hybrid) ------------------------
     def _prepare_stage_state(self) -> None:
@@ -649,7 +631,6 @@ class NativeBackend(IslandBackend):
                     sub,
                     required_regions(sub, comp),
                     dtype=self.dtype,
-                    reuse_buffers=True,
                     timed=self.timed,
                 )
                 compiled.workspace.bind_out(
@@ -658,26 +639,16 @@ class NativeBackend(IslandBackend):
                 self._stage_plans[(q, s)] = compiled
 
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
-        compiled = self._stage_plans[(island.index, stage_index)]
-        workspace = compiled.workspace
-        before = (workspace.allocations, workspace.reuses)
-        stage_before = compiled.stage_seconds if self.timed else None
-        compiled(self._stage_inputs(island.index, stage_index, inputs))
-        result = IslandResult(
-            stage_allocations=workspace.allocations - before[0],
-            reused=workspace.reuses - before[1],
+        return self._call(
+            self._stage_plans[(island.index, stage_index)],
+            self._stage_inputs(island.index, stage_index, inputs),
         )
-        if self.timed:
-            result.stage_seconds = stage_delta(
-                compiled.stage_seconds, stage_before
-            )
-        return result
 
     def _refresh_stage_state(self, island_index: int) -> None:
         for (q, s), compiled in self._stage_plans.items():
             if q != island_index:
                 continue
-            compiled.persistent = True  # installs a fresh Workspace
+            compiled.workspace.reset()
             comp = self._ledger.compute_boxes[q][s]
             compiled.workspace.bind_out(
                 self.program.stages[s].output,

@@ -64,10 +64,6 @@ class EngineConfig:
         Element type, ``"float64"`` or ``"float32"`` (:data:`DTYPE_KEYS`),
         stored as a NumPy dtype *name* so the config round-trips through
         JSON; see :attr:`numpy_dtype`.
-    reuse_buffers:
-        Steady-state mode (default): ghost buffers, arenas and workspaces
-        persist across steps.  ``False`` re-allocates everything per step
-        (the naive mode), bit-identically.
     reuse_output:
         Recycle the assembled output array across steps.
     max_retries, retry_backoff:
@@ -137,7 +133,6 @@ class EngineConfig:
     boundary: str = "periodic"
     threads: int = 1
     dtype: str = "float64"
-    reuse_buffers: bool = True
     reuse_output: bool = False
     max_retries: int = 0
     retry_backoff: float = 0.0
@@ -278,7 +273,6 @@ class EngineConfig:
             "boundary": self.boundary,
             "threads": self.threads,
             "dtype": self.dtype,
-            "reuse_buffers": self.reuse_buffers,
             "reuse_output": self.reuse_output,
             "max_retries": self.max_retries,
             "retry_backoff": self.retry_backoff,
@@ -314,12 +308,11 @@ class EngineConfig:
         """Build the engine configuration for ``python -m repro engine``.
 
         Reads the flags of the ``engine`` subcommand off the parsed
-        namespace.  The CLI always drives the steady-state engine, so
-        both reuse flags are on — the naive mode is derived by the
-        harness, not configured here.
+        namespace.  The output buffer is recycled across steps, so the
+        steady state allocates nothing.
         """
         # Fault tolerance engages only when a fault flag was given, so a
-        # plain steady run keeps the retry budget at zero even though
+        # run without one keeps the retry budget at zero even though
         # --retries carries a non-zero default.
         faulty = (
             getattr(args, "faults", None) is not None
@@ -351,7 +344,6 @@ class EngineConfig:
             ),
             **supervision,
             threads=getattr(args, "threads", 1),
-            reuse_buffers=True,
             reuse_output=True,
             max_retries=getattr(args, "retries", 0) if faulty else 0,
             fault_specs=tuple(getattr(args, "faults", None) or ()),

@@ -87,9 +87,10 @@ class WorkerHung(RuntimeError):
 
     Raised by the parent-side watchdog of a supervised backend (the
     ``procs`` backend's deadline-driven dispatch) after it SIGKILLed the
-    wedged worker: the command was sent, no reply arrived within
-    ``deadline`` seconds, and the process was still alive — a hang, not
-    a crash.  ``waited`` is the detection latency actually paid.  The
+    wedged worker: no reply arrived within ``deadline`` seconds of the
+    command (or, for a freshly forked worker, no ready report within the
+    warm-up grace), and the process was still alive — a hang, not a
+    crash.  ``waited`` is the detection latency actually paid.  The
     resilience layer treats it like any island fault: retry triggers a
     respawn and the step replays bit-identically.
 

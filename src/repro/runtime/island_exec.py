@@ -30,14 +30,13 @@ the island-level work team (thread pool) with its degradation path, and
 step-level invariants — a failed step is never observable as a
 successful one.
 
-The runner remains a **steady-state execution engine**: resources that
-the paper's per-step overhead analysis says must not be paid every
+The runner is a **steady-state execution engine**: resources that the
+paper's per-step overhead analysis says must not be paid every
 iteration — the work-team, ghost buffers, stage storage, ufunc scratch —
-are created once and recycled across time steps.  With ``reuse_buffers``
-(default) and ``reuse_output`` enabled, a warmed-up
-:meth:`PartitionedRunner.step` performs **zero** array allocations; the
-naive behaviour (fresh everything per step) remains available and is
-bit-identical.  Per-step counters are reported via :class:`StepStats`.
+are created once and recycled across time steps.  With ``reuse_output``
+enabled, a warmed-up :meth:`PartitionedRunner.step` performs **zero**
+array allocations.  Per-step counters are reported via
+:class:`StepStats`.
 """
 
 from __future__ import annotations
@@ -97,7 +96,7 @@ class PartitionedRunner:
         Partitioning, as in :func:`repro.core.decompose`.
     config:
         The :class:`~repro.runtime.config.EngineConfig` selecting the
-        execution backend, buffer reuse, resilience policy and timing
+        execution backend, output reuse, resilience policy and timing
         collection.  Defaults to ``EngineConfig()`` — the interpreted
         steady-state engine.
     fault_injector:
@@ -138,13 +137,9 @@ class PartitionedRunner:
         self.boundary = config.boundary
         self.threads = config.threads
         self.dtype = config.numpy_dtype
-        self.reuse_buffers = config.reuse_buffers
         self.reuse_output = config.reuse_output
-        self.max_retries = config.max_retries
-        self.retry_backoff = config.retry_backoff
         self.collect_timings = config.collect_timings
         self.halo = config.halo
-        self.halo_threshold = config.halo_threshold
         self.fault_injector = (
             fault_injector
             if fault_injector is not None
@@ -272,11 +267,11 @@ class PartitionedRunner:
         """Ghost-extend the shared inputs (paper phase 1: all islands share
         all input data).
 
-        In steady-state mode the extended buffers persist across calls and
-        are refilled in place; ``changed`` (when given) names the input
-        fields whose interiors differ from the previous call, letting
-        static fields — MPDATA's velocities and density — skip the
-        copy-and-fill entirely.  Ghost filling is deterministic, so
+        The extended buffers persist across calls and are refilled in
+        place; ``changed`` (when given) names the input fields whose
+        interiors differ from the previous call, letting static fields —
+        MPDATA's velocities and density — skip the copy-and-fill
+        entirely.  Ghost filling is deterministic, so
         skipping an unchanged field is bit-identical to refilling it.
 
         A backend with :attr:`~repro.runtime.backends.IslandBackend
@@ -293,12 +288,6 @@ class PartitionedRunner:
             arr = np.asarray(
                 self._input_array(arrays, field.name), dtype=self.dtype
             )
-            if not self.reuse_buffers:
-                extended[field.name] = extend_array(
-                    arr, self.ghosts.lo, self.ghosts.hi, self.boundary
-                )
-                ghost_allocations += 1
-                continue
             region = self._ghost.get(field.name)
             if region is None:
                 # A shared-memory backend supplies the storage (workers
@@ -361,12 +350,12 @@ class PartitionedRunner:
             name = field.name
             arr = self._input_array(arrays, name)
             if arr.dtype != self.dtype or arr.strides[-1] != arr.itemsize:
-                staged = self._staged.get(name) if self.reuse_buffers else None
+                staged = self._staged.get(name)
                 if staged is None:
-                    staged = ArrayRegion(np.array(arr, dtype=self.dtype), self.domain)
+                    staged = self._staged[name] = ArrayRegion(
+                        np.array(arr, dtype=self.dtype), self.domain
+                    )
                     allocations += 1
-                    if self.reuse_buffers:
-                        self._staged[name] = staged
                 else:
                     if changed is None or name in changed:
                         np.copyto(staged.data, arr, casting="unsafe")
@@ -617,8 +606,7 @@ class PartitionedRunner:
 
         ``changed`` is forwarded to :meth:`extend_inputs`; pass the set of
         input names whose contents differ from the previous step to skip
-        refilling static fields (ignored in non-reuse mode, where every
-        step re-extends everything).  With ``reuse_output`` the returned
+        refilling static fields.  With ``reuse_output`` the returned
         array is one of the runner's persistent buffers: overwritten by
         the next step, or — with a raw-input backend, which alternates
         two buffers so it can read one as ``x`` while writing the other —
@@ -747,7 +735,7 @@ class MpdataIslandSolver:
     concurrently.  Output is bit-identical to the whole-domain solver.
 
     The solver is a context manager (closing releases the runner's thread
-    pool).  The engine — backend, buffer reuse, resilience policy, timing
+    pool).  The engine — backend, output reuse, resilience policy, timing
     collection — is selected by one :class:`~repro.runtime.config
     .EngineConfig`.  Checkpointed rollback-and-replay is enabled per run
     via :meth:`run`'s ``recovery`` policy.

@@ -45,10 +45,13 @@ The pool is *deadline-supervised*: every parent-side dispatch waits for
 its reply with ``poll(timeout)`` against a per-command deadline — either
 explicit (``step_deadline``) or adaptive (:class:`DeadlineClock`: an
 EWMA of recent command durations times ``deadline_factor``, with a
-warm-up grace for freshly forked workers, whose first command also pays
-for rebuilding compute state).  A worker that misses its deadline while
-still alive is *hung*, not crashed — wedged in a syscall, spinning, or
-silently dropping its reply — and the watchdog SIGKILLs it and raises
+warm-up deadline before the first sample).  A freshly forked worker
+first rebuilds its compute state — compiling kernels on a cold cache —
+and then reports ready; the parent waits for that within the warm-up
+grace before it sends a command, so a deadline covers the command
+alone.  A worker that misses its deadline while still alive is *hung*,
+not crashed — wedged in a syscall, spinning, or silently dropping its
+reply — and the watchdog SIGKILLs it and raises
 :class:`~repro.runtime.faults.WorkerHung`; the resilience layer retries,
 :meth:`ProcsBackend.refresh` respawns, and the replay is bit-identical.
 A per-worker health ledger counts consecutive failures: a worker that
@@ -70,7 +73,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -246,8 +249,8 @@ class WorkerCrashed(RuntimeError):
 DEADLINE_FLOOR = 1.0
 
 #: Deadline before any duration sample exists, and the grace a freshly
-#: forked worker gets for its first command (which also pays for
-#: rebuilding per-island compute state — compilation included).
+#: forked worker gets to rebuild its per-island compute state —
+#: compilation included — and report ready.
 WARMUP_DEADLINE = 60.0
 
 #: EWMA smoothing factor for observed command durations.
@@ -260,12 +263,12 @@ class DeadlineClock:
     ``explicit`` (seconds) wins outright when set.  Otherwise, with a
     ``factor``, the deadline adapts: an EWMA of observed command
     durations times ``factor``, floored at :data:`DEADLINE_FLOOR`, and
-    :data:`WARMUP_DEADLINE` while no sample exists yet or the target
-    worker is freshly forked (its first command rebuilds compute state
-    and must not be mistaken for a hang — otherwise a tight adapted
-    deadline would kill every respawn forever).  With neither set there
-    is no deadline: :meth:`current` returns ``None`` and dispatch
-    blocks unbounded, exactly the pre-supervision behaviour.
+    :data:`WARMUP_DEADLINE` while no sample exists yet.  No deadline
+    covers a fresh worker's rebuild of its compute state: the worker
+    reports ready first, within :attr:`warmup` (see
+    :meth:`ProcsBackend._await_ready`).  With neither set there is no
+    deadline: :meth:`current` returns ``None`` and dispatch blocks
+    unbounded, exactly the pre-supervision behaviour.
     """
 
     def __init__(
@@ -292,7 +295,7 @@ class DeadlineClock:
         with self._lock:
             return self._ewma
 
-    def current(self, fresh: bool = False) -> Optional[float]:
+    def current(self) -> Optional[float]:
         """The deadline for the next command (``None``: unsupervised)."""
         if self.explicit is not None:
             return self.explicit
@@ -300,7 +303,7 @@ class DeadlineClock:
             return None
         with self._lock:
             ewma = self._ewma
-        if ewma is None or fresh:
+        if ewma is None:
             return self.warmup
         return max(self.floor, ewma * self.factor)
 
@@ -335,8 +338,7 @@ class _WorkerHandle:
     ``lock`` serializes every use of the pipe *and* respawning, so two
     islands multiplexed onto one worker never interleave their commands
     and never race a respawn.  ``fresh`` marks a just-forked worker
-    whose first command still has to rebuild compute state: supervised
-    dispatch grants it the warm-up deadline instead of the adapted one.
+    whose ``("ready",)`` the parent has not read yet.
     """
 
     def __init__(self, worker_id: int, islands: Tuple[int, ...]) -> None:
@@ -378,7 +380,6 @@ class ProcsBackend(IslandBackend):
         clip_domain: Box,
         output_field: str,
         dtype: np.dtype,
-        reuse_buffers: bool,
         timed: bool,
         workers: Optional[int] = None,
         pin_workers: bool = False,
@@ -407,7 +408,6 @@ class ProcsBackend(IslandBackend):
             clip_domain=clip_domain,
             output_field=output_field,
             dtype=dtype,
-            reuse_buffers=reuse_buffers,
             timed=timed,
         )
         count = decomposition.count
@@ -461,7 +461,6 @@ class ProcsBackend(IslandBackend):
             clip_domain=clip_domain,
             output_field=output_field,
             dtype=config.numpy_dtype,
-            reuse_buffers=config.reuse_buffers,
             timed=config.collect_timings,
             workers=config.workers,
             pin_workers=config.pin_workers,
@@ -584,18 +583,38 @@ class ProcsBackend(IslandBackend):
         with handle.lock:
             if handle.process is not None and handle.process.is_alive():
                 try:
-                    handle.conn.send(("refresh", island_index))
-                    deadline = self._clock.current(fresh=handle.fresh)
-                    timeout = 5.0 if deadline is None else deadline
-                    if handle.conn.poll(timeout):
-                        reply = handle.conn.recv()
-                        if reply[0] == "ok":
-                            return
-                    # timeout (wedged mid-refresh) or a protocol error:
-                    # fall through to respawn
+                    if self._await_ready(handle, self._clock.warmup):
+                        handle.conn.send(("refresh", island_index))
+                        deadline = self._clock.current()
+                        timeout = 5.0 if deadline is None else deadline
+                        if handle.conn.poll(timeout):
+                            reply = handle.conn.recv()
+                            if reply[0] == "ok":
+                                return
+                    # never ready, timeout (wedged mid-refresh) or a
+                    # protocol error: fall through to respawn
                 except (EOFError, OSError):
                     pass  # died under us; fall through to respawn
             self._respawn_locked(handle)
+
+    def _await_ready(
+        self, handle: _WorkerHandle, timeout: Optional[float]
+    ) -> bool:
+        """Read a fresh worker's ``("ready",)`` (handle lock held).
+
+        A forked worker rebuilds its inner backend — compiling kernels on
+        a cold cache — before it reads any command, then says so.  Every
+        path that talks to a worker consumes that message first, waiting
+        at most ``timeout`` seconds (``None``: unbounded), so the deadline
+        of the command that follows covers the command alone.  Returns
+        whether the worker is ready; a dead pipe raises ``EOFError``.
+        """
+        if handle.fresh:
+            if timeout is not None and not handle.conn.poll(timeout):
+                return False
+            handle.conn.recv()
+            handle.fresh = False
+        return True
 
     def _respawn_locked(self, handle: _WorkerHandle) -> None:
         process = handle.process
@@ -695,20 +714,20 @@ class ProcsBackend(IslandBackend):
         """Make one surviving worker cover one more island, bounded.
 
         The adopt command rebuilds the worker's inner backend (compute
-        state for the adopted island included), so it gets the warm-up
-        deadline; an adopter that dies or wedges during the handover is
-        simply respawned — its island tuple already includes the orphan,
-        so the fresh fork covers it.
+        state for the adopted island included) before it replies, so it
+        gets the warm-up deadline; an adopter that dies or wedges during
+        the handover is simply respawned — its island tuple already
+        includes the orphan, so the fresh fork covers it.
         """
         with handle.lock:
             if handle.process is not None and handle.process.is_alive():
                 try:
-                    handle.conn.send(("adopt", island_index))
-                    if handle.conn.poll(self._clock.warmup):
-                        reply = handle.conn.recv()
-                        if reply[0] == "ok":
-                            handle.fresh = True  # cold state for the orphan
-                            return
+                    if self._await_ready(handle, self._clock.warmup):
+                        handle.conn.send(("adopt", island_index))
+                        if handle.conn.poll(self._clock.warmup):
+                            reply = handle.conn.recv()
+                            if reply[0] == "ok":
+                                return
                 except (EOFError, OSError):
                     pass
             self._respawn_locked(handle)
@@ -738,7 +757,6 @@ class ProcsBackend(IslandBackend):
                     clip_domain=self.clip_domain,
                     output_field=self.output_field,
                     dtype=self.dtype,
-                    reuse_buffers=True,
                     timed=self.timed,
                 )
                 if self._ledger is not None:
@@ -860,7 +878,9 @@ class ProcsBackend(IslandBackend):
         expiry with the process still alive — a *hang*: the watchdog
         SIGKILLs the worker and raises
         :class:`~repro.runtime.faults.WorkerHung` carrying the detection
-        latency actually paid.  An unsupervised pool (no deadline)
+        latency actually paid.  A fresh worker gets the warm-up grace to
+        report ready (:meth:`_await_ready`) before the command is sent
+        and its deadline starts.  An unsupervised pool (no deadline)
         blocks in ``recv`` exactly as before.
         """
         handle = self._by_island[island_index]
@@ -871,28 +891,17 @@ class ProcsBackend(IslandBackend):
                 raise WorkerCrashed(
                     island_index, handle.worker_id, None, None
                 )
-            deadline = self._clock.current(fresh=handle.fresh)
-            begin = time.perf_counter()
             try:
+                grace = self._clock.warmup if self._clock.supervised else None
+                begin = time.perf_counter()
+                if not self._await_ready(handle, grace):
+                    self._hang(handle, island_index, begin, grace)
+                deadline = self._clock.current()
+                begin = time.perf_counter()
                 handle.conn.send(command)
-                if deadline is None:
-                    reply = handle.conn.recv()
-                else:
-                    if not handle.conn.poll(deadline):
-                        waited = time.perf_counter() - begin
-                        process = handle.process
-                        pid = None if process is None else process.pid
-                        if process is not None and process.is_alive():
-                            process.kill()
-                        self._record_failure(handle, hang=True)
-                        raise WorkerHung(
-                            island_index,
-                            handle.worker_id,
-                            pid,
-                            waited,
-                            deadline,
-                        )
-                    reply = handle.conn.recv()
+                if deadline is not None and not handle.conn.poll(deadline):
+                    self._hang(handle, island_index, begin, deadline)
+                reply = handle.conn.recv()
             except (EOFError, OSError) as error:
                 self._record_failure(handle, hang=False)
                 process = handle.process
@@ -903,7 +912,6 @@ class ProcsBackend(IslandBackend):
                     None if process is None else process.exitcode,
                 ) from error
             self._clock.observe(time.perf_counter() - begin)
-            handle.fresh = False
         self._record_success(handle)
         if reply[0] != "ok":
             raise RuntimeError(
@@ -911,6 +919,25 @@ class ProcsBackend(IslandBackend):
                 f"{handle.worker_id}: {reply[1]}"
             )
         return reply[1]
+
+    def _hang(
+        self,
+        handle: _WorkerHandle,
+        island_index: int,
+        begin: float,
+        deadline: float,
+    ) -> NoReturn:
+        """SIGKILL a live worker that missed ``deadline``; raise
+        :class:`~repro.runtime.faults.WorkerHung`."""
+        waited = time.perf_counter() - begin
+        process = handle.process
+        pid = None if process is None else process.pid
+        if process is not None and process.is_alive():
+            process.kill()
+        self._record_failure(handle, hang=True)
+        raise WorkerHung(
+            island_index, handle.worker_id, pid, waited, deadline
+        )
 
     def execute_island(self, island, inputs, out) -> IslandResult:
         self._sync_inputs(inputs)
@@ -999,7 +1026,6 @@ class ProcsBackend(IslandBackend):
                 clip_domain=self.clip_domain,
                 output_field=self.output_field,
                 dtype=self.dtype,
-                reuse_buffers=True,
                 timed=self.timed,
             )
             if self._ledger is not None:
@@ -1012,6 +1038,7 @@ class ProcsBackend(IslandBackend):
 
         mine = list(islands)
         inner = build_inner(tuple(mine))
+        conn.send(("ready",))
         inputs = self._input_regions
         out = self._output
         while True:

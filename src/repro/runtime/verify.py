@@ -16,7 +16,7 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import Partition, Variant
+from ..core import Variant
 from ..mpdata.reference import MpdataState
 from ..mpdata.solver import MpdataSolver
 from ..stencil import StencilProgram
@@ -50,15 +50,13 @@ def verify_islands(
     threads: int = 1,
     program: Optional[StencilProgram] = None,
     backend: str = "interpreter",
-    reuse_buffers: bool = True,
     reuse_output: bool = False,
 ) -> VerificationResult:
     """Compare an islands run to the whole-domain run, bit for bit.
 
-    ``backend`` / ``reuse_buffers`` / ``reuse_output`` select the
-    steady-state engine configuration under test (see
-    :class:`~repro.runtime.island_exec.PartitionedRunner`); every
-    combination must reproduce the whole-domain reference exactly.
+    ``backend`` / ``reuse_output`` select the engine configuration under
+    test (see :class:`~repro.runtime.island_exec.PartitionedRunner`);
+    every combination must reproduce the whole-domain reference exactly.
     """
     whole = MpdataSolver(shape, boundary=boundary, program=program)
     expected = whole.run(state, steps)
@@ -66,7 +64,6 @@ def verify_islands(
         backend=backend,
         boundary=boundary,
         threads=threads,
-        reuse_buffers=reuse_buffers,
         reuse_output=reuse_output,
     )
     with MpdataIslandSolver(

@@ -10,19 +10,17 @@ the i-planes (:func:`~repro.stencil.native.compile_plan_native`).  This
 module holds what a compiled plan is made of on the Python side:
 
 * :class:`Workspace` — the buffer provider: the ring arena the folded
-  temporaries live in plus one array per program output, persistent
-  across calls or fresh per call;
+  temporaries live in plus one array per program output, kept across
+  calls;
 * :class:`PlanBinding` — one call's validated inputs, reused while the
   same input regions come back;
 * :class:`CompiledPlan` — the callable plan itself, with the same inputs
   and outputs as the interpreter, bit for bit.
 
-By default every call uses a fresh workspace (results are independent
-arrays).  Compiling with ``reuse_buffers=True`` — or flipping
-:attr:`CompiledPlan.persistent` later — pins one persistent workspace to
-the plan: its buffers then live across calls and a steady-state step
-performs **zero** array allocations.  The generated C source is kept on
-the plan for inspection:
+Every plan owns one workspace: its buffers live across calls, so a
+steady-state call performs **zero** array allocations, and each call
+overwrites the arrays the last one returned.  The generated C source is
+kept on the plan for inspection:
 
 >>> from repro.mpdata import mpdata_program
 >>> from repro.stencil import full_box, required_regions, compile_plan_native
@@ -57,8 +55,7 @@ class Workspace:
     A fused stage kernel keeps its intermediates in registers and the
     plane pipeline folds every temporary into a ring of planes, so a plan
     asks for one ring arena plus one array per program output (``out``).
-    One workspace instance per call gives independent result arrays; a
-    workspace kept across calls recycles them and reports zero
+    Kept across calls, the workspace recycles them and reports zero
     :attr:`allocations` in steady state.
     """
 
@@ -106,10 +103,9 @@ class Workspace:
         The plan then writes directly into ``array``
         (typically a view into a larger persistent buffer) instead of a
         workspace-allocated one.  Bindings do not survive :meth:`reset` —
-        rebind after resetting (or after re-enabling persistence on the
-        owning plan).  Rebinding the array a launch was built against
-        makes that launch valid again, so a caller alternating between
-        two output arrays keeps one launch per array.
+        rebind after resetting.  Rebinding the array a launch was built
+        against makes that launch valid again, so a caller alternating
+        between two output arrays keeps one launch per array.
         """
         if array.dtype != self.dtype:
             raise ValueError(
@@ -168,9 +164,8 @@ class CompiledPlan:
     Built by :func:`~repro.stencil.native.compile_plan_native`.  Call it
     with the same inputs the interpreter takes; it returns the same
     outputs (``ArrayRegion`` per output field), bit for bit.  ``source``
-    holds the generated C translation unit.  With :attr:`persistent` set
-    (or ``compile_plan_native(..., reuse_buffers=True)``) all result
-    arrays are owned by one long-lived :class:`Workspace` and are
+    holds the generated C translation unit.  All result arrays are owned
+    by the plan's one long-lived :class:`Workspace` and are
     **overwritten by the next call** — callers must copy anything they
     keep.  A *gathered* plan (compiled with a ``boundary``) also accepts
     inputs without ghost layers, such as bare domain arrays: it applies
@@ -179,12 +174,10 @@ class CompiledPlan:
     Input validation happens once per :class:`PlanBinding`, and the plan
     keeps the bindings of its last two distinct input sets, so a caller
     alternating between two (a double-buffered field) skips the coverage
-    checks, view slicing and boundary maps after both were seen.  With a
-    persistent workspace the launch (the entry point's pointer and stride
-    arguments) is bound once per binding too, so a steady-state call is
-    the one C call alone (which reads the per-stage clock when timed).
-    Without one every call gets a fresh workspace, so the launch is
-    rebuilt per call.
+    checks, view slicing and boundary maps after both were seen.  The
+    launch (the entry point's pointer and stride arguments) is bound once
+    per binding too, so a steady-state call is the one C call alone
+    (which reads the per-stage clock when timed).
     """
 
     program: StencilProgram
@@ -201,16 +194,14 @@ class CompiledPlan:
     _launch: Callable[[Any], Dict[str, np.ndarray]] = field(
         repr=False, compare=False
     )
-    _workspace: Optional[Workspace] = None
+    #: The buffers every call writes.
+    workspace: Workspace = field(repr=False, compare=False)
     _stage_names: Tuple[str, ...] = ()
     #: Per-stage seconds the entry point adds to (timed plans only).
     _stage_seconds: Optional[np.ndarray] = None
     #: Gathered plans only: ``(input name, region) -> boundary map``.
     _gather_map: Optional[Callable[[str, ArrayRegion], np.ndarray]] = field(
         default=None, repr=False, compare=False
-    )
-    _ephemeral: Optional[Workspace] = field(
-        default=None, init=False, repr=False, compare=False
     )
     #: The binding of the latest call and the one before it.
     _binding: Optional[PlanBinding] = field(
@@ -219,15 +210,6 @@ class CompiledPlan:
     _previous: Optional[PlanBinding] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    @property
-    def persistent(self) -> bool:
-        """Whether calls reuse one long-lived workspace."""
-        return self._workspace is not None
-
-    @persistent.setter
-    def persistent(self, value: bool) -> None:
-        self._workspace = Workspace(self.dtype) if value else None
 
     @property
     def gathered(self) -> bool:
@@ -254,16 +236,6 @@ class CompiledPlan:
         for name, seconds in zip(self._stage_names, seconds_per_stage):
             totals[name] = totals.get(name, 0.0) + seconds
         return totals
-
-    @property
-    def workspace(self) -> Optional[Workspace]:
-        """The persistent workspace, when :attr:`persistent` is set."""
-        return self._workspace
-
-    @property
-    def last_workspace(self) -> Optional[Workspace]:
-        """The workspace the most recent call used (for its counters)."""
-        return self._workspace or self._ephemeral
 
     def __call__(
         self, inputs: Mapping[str, ArrayRegion]
@@ -322,19 +294,13 @@ class CompiledPlan:
 
     def _run(self, binding: PlanBinding) -> Dict[str, np.ndarray]:
         """Run the entry point over a binding's inputs."""
-        workspace = self._workspace
-        if workspace is None:
-            workspace = self._ephemeral = Workspace(self.dtype)
-            return self._launch(
-                self._bind_stages(binding.arrays, binding.maps, workspace)
-            )
         launch = binding.stages
-        if launch is None or not launch.holds(workspace):
+        if launch is None or not launch.holds():
             launch = binding.stages = self._bind_stages(
-                binding.arrays, binding.maps, workspace
+                binding.arrays, binding.maps, self.workspace
             )
         else:
-            # The slots a per-call launch fetches again, counted the same
-            # way so workspace reuse counters keep their meaning.
-            workspace.reuses += launch.slots
+            # The slots a rebuilt launch would fetch again, counted the
+            # same way so workspace reuse counters keep their meaning.
+            self.workspace.reuses += launch.slots
         return self._launch(launch)

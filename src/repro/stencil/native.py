@@ -706,14 +706,14 @@ def _load_native_module(csource: str, cdef: str) -> object:
 
 @dataclass(frozen=True)
 class _Launch:
-    """The entry point's argument tuple, built against one workspace.
+    """The entry point's argument tuple, built against the plan's workspace.
 
     Building it is the per-call set-up of a native step: fetch the output
     arrays and the ring arena, check unit innermost strides, cast
-    pointers.  The tuple stays valid while the workspace is the same
-    object and still holds every array the launch points into (no slot
-    was reallocated, reset or bound to another array since), and the
-    owning :class:`~repro.stencil.codegen.PlanBinding` holds its inputs;
+    pointers.  The tuple stays valid while the workspace still holds
+    every array the launch points into (no slot was reallocated, reset or
+    bound to another array since), and the owning
+    :class:`~repro.stencil.codegen.PlanBinding` holds its inputs;
     ``produced`` and ``rings`` keep every such array alive.
     """
 
@@ -722,9 +722,8 @@ class _Launch:
     produced: Dict[str, np.ndarray]
     rings: Optional[np.ndarray]
 
-    def holds(self, workspace: Workspace) -> bool:
-        if workspace is not self.workspace:
-            return False
+    def holds(self) -> bool:
+        workspace = self.workspace
         for name, array in self.produced.items():
             if not workspace.holds(name, array):
                 return False
@@ -820,7 +819,6 @@ def compile_plan_native(
     program: StencilProgram,
     plan: HaloPlan,
     dtype: np.dtype = np.float64,
-    reuse_buffers: bool = False,
     timed: bool = False,
     boundary: Optional[Tuple[str, Box]] = None,
 ) -> CompiledPlan:
@@ -830,11 +828,12 @@ def compile_plan_native(
     fused loop nest on a plane that lags its inputs
     (:func:`plane_schedule`), so temporaries live in rings of planes, no
     point is computed twice, and the result is bit-identical to the
-    interpreter.  With ``reuse_buffers`` the plan starts with a
-    persistent :class:`~repro.stencil.codegen.Workspace` (the ring arena
-    plus one array per program output), making repeat calls
-    allocation-free.  ``timed`` hands the entry point a per-stage clock,
-    so :attr:`CompiledPlan.stage_seconds` accumulates each stage's wall
+    interpreter.  The plan owns one
+    :class:`~repro.stencil.codegen.Workspace` (the ring arena plus one
+    array per program output), so repeat calls are allocation-free and
+    overwrite the arrays the previous call returned.  ``timed`` hands
+    the entry point a per-stage clock, so
+    :attr:`CompiledPlan.stage_seconds` accumulates each stage's wall
     time plane by plane.  Raises :class:`NativeBuildError` when cffi or a
     C compiler is missing (the runtime's backends check this once, at
     construction, and report it as a configuration error rather than
@@ -942,7 +941,7 @@ def compile_plan_native(
         _input_anchors=dict(input_anchors),
         _bind_stages=_bind_stages,
         _launch=_launch,
-        _workspace=Workspace(dtype) if reuse_buffers else None,
+        workspace=Workspace(dtype),
         _stage_names=names,
         _stage_seconds=stage_seconds,
         _gather_map=gather_map,

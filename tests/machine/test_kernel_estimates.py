@@ -176,9 +176,7 @@ class TestNativeRankValidation:
         plan = required_regions(
             program, solver.domain, domain=solver.extended_domain
         )
-        compiled = compile_plan_native(
-            program, plan, reuse_buffers=True, timed=True
-        )
+        compiled = compile_plan_native(program, plan, timed=True)
         for _ in range(3):  # warm-up: page faults, branch history
             compiled(inputs)
         before = dict(compiled.stage_seconds)

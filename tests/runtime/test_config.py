@@ -149,11 +149,17 @@ class TestEngineConfigRoundTrip:
             EngineConfig.from_dict({"backend": "interpreter", "gpu": True})
 
     @pytest.mark.parametrize(
-        "key, value", [("block_shape", [8, 8, 8]), ("intra_threads", 2)]
+        "key, value",
+        [
+            ("block_shape", [8, 8, 8]),
+            ("intra_threads", 2),
+            ("reuse_buffers", True),
+        ],
     )
-    def test_removed_tiled_fields_are_refused_by_name(self, key, value):
-        """Dicts written while the tiled backend existed always carried
-        both keys; they are refused loudly, never half-applied."""
+    def test_removed_fields_are_refused_by_name(self, key, value):
+        """Dicts written while the tiled backend and the naive mode
+        existed always carried these keys; they are refused loudly,
+        never half-applied."""
         with pytest.raises(TypeError, match=key):
             EngineConfig(**{key: value})
         saved = dict(EngineConfig().to_dict(), **{key: value})

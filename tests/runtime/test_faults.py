@@ -269,7 +269,7 @@ class TestPartialFailureInvalidation:
             islands=2,
             fault_injector=injector,
             config=EngineConfig(
-                backend=backend, reuse_buffers=True, reuse_output=True
+                backend=backend, reuse_output=True
             ),
         ) as runner:
             arrays = _arrays(state)
@@ -294,7 +294,7 @@ class TestPartialFailureInvalidation:
             islands=2,
             fault_injector=injector,
             config=EngineConfig(
-                backend=backend, reuse_buffers=True, reuse_output=True
+                backend=backend, reuse_output=True
             ),
         ) as runner:
             arrays = _arrays(state)
@@ -330,7 +330,7 @@ class TestPartialFailureInvalidation:
             islands=2,
             fault_injector=injector,
             config=EngineConfig(
-                backend=backend, reuse_buffers=True, reuse_output=True
+                backend=backend, reuse_output=True
             ),
         ) as runner:
             arrays = _arrays(state)
@@ -341,14 +341,14 @@ class TestPartialFailureInvalidation:
             assert runner.last_step_stats is not None
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    def test_naive_mode_failure_also_unpublishes_stats(self, state, backend):
+    def test_fresh_output_failure_also_unpublishes_stats(self, state, backend):
         injector = FaultInjector([FaultSpec("crash", island=0, step=0)])
         with PartitionedRunner(
             mpdata_program(),
             SHAPE,
             islands=2,
             fault_injector=injector,
-            config=EngineConfig(backend=backend, reuse_buffers=False),
+            config=EngineConfig(backend=backend, reuse_output=False),
         ) as runner:
             with pytest.raises(IslandFailure):
                 runner.step(_arrays(state))
@@ -389,7 +389,7 @@ class TestGracefulDegradation:
             mpdata_program(),
             SHAPE,
             islands=3,
-            config=EngineConfig(threads=3, reuse_buffers=True, reuse_output=True),
+            config=EngineConfig(threads=3, reuse_output=True),
         ) as runner:
             runner._pool = BrokenPool()
             arrays = _arrays(state)
@@ -408,7 +408,7 @@ class TestGracefulDegradation:
             mpdata_program(),
             SHAPE,
             islands=3,
-            config=EngineConfig(threads=3, reuse_buffers=True, reuse_output=True),
+            config=EngineConfig(threads=3, reuse_output=True),
         ) as runner:
             runner._pool = HalfBrokenPool()
             out = runner.step(_arrays(state))
@@ -490,7 +490,7 @@ class TestSteadyStateWithFaultMachinery:
             islands=3,
             fault_injector=injector,
             config=EngineConfig(
-                backend=backend, reuse_buffers=True, reuse_output=True,
+                backend=backend, reuse_output=True,
                 max_retries=2,
             ),
         ) as runner:
@@ -513,7 +513,7 @@ class TestSteadyStateWithFaultMachinery:
             islands=3,
             fault_injector=injector,
             config=EngineConfig(
-                backend=backend, reuse_buffers=True, reuse_output=True,
+                backend=backend, reuse_output=True,
                 max_retries=2,
             ),
         ) as runner:

@@ -96,7 +96,6 @@ class TestSteadyState:
         config = EngineConfig(
             backend=backend,
             halo="exchange",
-            reuse_buffers=True,
             reuse_output=True,
         )
         state = random_state(SHAPE, seed=3)
@@ -327,16 +326,15 @@ class TestBindOnceDispatch:
         assert retries >= 1
         np.testing.assert_array_equal(result, reference)
         if self.BACKEND == "native":
-            # Each refreshed plan got a fresh workspace; its launches were
-            # rebuilt against it rather than kept from the old one.
+            # Each refreshed plan's workspace was reset; its launches were
+            # rebuilt over the new buffers rather than kept from the old.
             for plan in plans.values():
-                stages = plan._binding.stages
-                assert stages.workspace is plan.workspace
+                assert plan._binding.stages.holds()
 
     def test_fresh_buffers_every_step_rebind(self, reference):
         config = EngineConfig(
             backend=self.BACKEND, halo="exchange", threads=2,
-            reuse_buffers=False, reuse_output=False,
+            reuse_output=False,
         )
         result = _run(
             config, steps=6, shape=self.SHAPE, islands=self.ISLANDS
@@ -375,14 +373,12 @@ class TestSteadyReport:
     def test_measure_steady_state_reports_exchange(self):
         from repro.runtime import measure_steady_state
 
-        report = measure_steady_state(
-            shape=SHAPE, steps=2, islands=ISLANDS, halo="exchange"
-        )
+        config = EngineConfig(halo="exchange", reuse_output=True)
+        report = measure_steady_state(config, SHAPE, steps=3, islands=ISLANDS)
         assert report.bit_identical
-        assert report.halo == "exchange"
-        engine = report.modes["engine"]
-        assert engine["exchanged_bytes_per_step"] > 0
-        assert engine["stage_syncs"] > 1
-        assert engine["allocations_per_step"] == 0
+        assert report.config is config
+        assert report.exchanged_bytes_per_step > 0
+        assert report.stage_syncs > 1
+        assert report.allocations_per_step == 0
         assert "halo exchange:" in report.render()
-        assert report.to_dict()["halo"] == "exchange"
+        assert report.to_dict()["config"]["halo"] == "exchange"

@@ -142,9 +142,7 @@ class TestProcsBitIdentity:
 
     def test_non_reuse_mode_bit_identical(self, reference):
         final, _ = _trajectory(
-            EngineConfig(
-                backend="procs", reuse_buffers=False, reuse_output=False
-            ),
+            EngineConfig(backend="procs", reuse_output=False),
             steps=5,
         )
         ref5, _ = _trajectory(EngineConfig(), steps=5)
@@ -384,21 +382,22 @@ class TestSharedMemoryTeardown:
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
         env["PYTHONPATH"] = os.path.abspath(src)
-        proc = subprocess.Popen(
+        # The with block closes the stdout pipe on every path out.
+        with subprocess.Popen(
             [sys.executable, str(script)],
             stdout=subprocess.PIPE,
             stderr=subprocess.DEVNULL,
             env=env,
             text=True,
-        )
-        try:
-            assert proc.stdout.readline().strip() == "READY"
-            proc.send_signal(signal.SIGINT)
-            proc.wait(timeout=30)
-        finally:
-            if proc.poll() is None:
-                proc.kill()
-                proc.wait()
+        ) as proc:
+            try:
+                assert proc.stdout.readline().strip() == "READY"
+                proc.send_signal(signal.SIGINT)
+                proc.wait(timeout=30)
+            finally:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait()
         assert not _shm_segments()
 
     @pytest.mark.skipif(

@@ -23,11 +23,12 @@ import numpy as np
 import pytest
 
 from repro.cli import _validate_engine_args, build_parser
-from repro.mpdata import random_state
+from repro.mpdata import MpdataSolver, random_state
 from repro.runtime import (
     DeadlineClock,
     EngineConfig,
     FaultStats,
+    FlatInterpreterBackend,
     InMemorySink,
     MpdataIslandSolver,
     RecoveryPolicy,
@@ -77,18 +78,18 @@ class TestDeadlineClock:
         assert clock.current() == 2.5
         clock.observe(100.0)
         assert clock.current() == 2.5
-        assert clock.current(fresh=True) == 2.5
 
     def test_unsupervised_when_both_none(self):
         clock = DeadlineClock(None, None)
         assert not clock.supervised
         assert clock.current() is None
-        assert clock.current(fresh=True) is None
 
     def test_warmup_before_any_sample(self):
         clock = DeadlineClock(None, 8.0, warmup=60.0)
         assert clock.supervised
         assert clock.current() == 60.0
+        clock.observe(0.01)
+        assert clock.current() == 1.0  # adapted, at the floor
 
     def test_adaptive_tracks_ewma_with_floor(self):
         clock = DeadlineClock(None, 4.0, floor=1.0)
@@ -104,12 +105,6 @@ class TestDeadlineClock:
         clock.observe(1.0)
         clock.observe(3.0)  # ewma = 1 + 0.25 * 2 = 1.5
         assert clock.ewma == pytest.approx(1.5)
-
-    def test_fresh_worker_gets_warmup_grace(self):
-        clock = DeadlineClock(None, 8.0, warmup=60.0)
-        clock.observe(0.01)
-        assert clock.current(fresh=True) == 60.0
-        assert clock.current(fresh=False) < 60.0
 
 
 class TestBackoffCap:
@@ -172,6 +167,23 @@ class TestHangDetection:
         assert stats.retry_successes == 1
         assert elapsed < 60.0  # never waits out the warm-up deadline
         assert np.array_equal(final, reference)
+
+    def test_worker_build_is_not_charged_to_a_command(self, monkeypatch):
+        """A worker reports ready once its inner backend is built; the
+        wait for that is not the first command's deadline."""
+        prepare = FlatInterpreterBackend.prepare
+
+        def slow_prepare(self):
+            time.sleep(1.5)  # a cold kernel build, say
+            prepare(self)
+
+        # Patched before the backend forks, so the workers inherit it.
+        monkeypatch.setattr(FlatInterpreterBackend, "prepare", slow_prepare)
+        config = EngineConfig(backend="procs", step_deadline=0.5)
+        final, stats = _trajectory(config, steps=3)
+        assert stats.hangs_detected == 0
+        expected = MpdataSolver(SHAPE).run(random_state(SHAPE, seed=7), 3)
+        np.testing.assert_array_equal(final, expected)
 
     def test_worker_pid_changes_after_hang(self):
         config = EngineConfig(

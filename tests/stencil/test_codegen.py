@@ -217,9 +217,7 @@ class TestPlanBinding:
 
     def _plan(self, program, **kwargs):
         plan = required_regions(program, self.TARGET)
-        return plan, compile_plan_native(
-            program, plan, reuse_buffers=True, **kwargs
-        )
+        return plan, compile_plan_native(program, plan, **kwargs)
 
     def test_steady_call_skips_input_validation(
         self, chain_program, monkeypatch
@@ -307,17 +305,6 @@ class TestPlanBinding:
         result = compiled(inputs)
         assert compiled.workspace.allocations > allocations
         np.testing.assert_array_equal(result["y"].data, expected["y"].data)
-
-    def test_ephemeral_workspace_keeps_results_independent(
-        self, chain_program
-    ):
-        plan = required_regions(chain_program, self.TARGET)
-        compiled = compile_plan_native(chain_program, plan)
-        inputs = _chain_inputs(7)
-        first = compiled(inputs)["y"].data
-        second = compiled(inputs)["y"].data
-        assert first is not second
-        np.testing.assert_array_equal(first, second)
 
     @pytest.mark.parametrize(
         "plan_dtype, input_dtype",

@@ -205,9 +205,9 @@ class TestNativePlanBitIdentity:
 class TestNativePlanRuntime:
     def test_steady_state_allocates_nothing(self):
         program, plan, inputs = _mpdata_setup()
-        compiled = compile_plan_native(program, plan, reuse_buffers=True)
+        compiled = compile_plan_native(program, plan)
         compiled(inputs)  # warm-up builds the workspace
-        workspace = compiled.last_workspace
+        workspace = compiled.workspace
         allocations = workspace.allocations
         for _ in range(3):
             compiled(inputs)
@@ -446,7 +446,7 @@ class TestPlanePipeline:
     @staticmethod
     def _assert_matches_interpreter(program, plan, inputs):
         reference, _ = execute_plan(program, plan, inputs)
-        native = compile_plan_native(program, plan, reuse_buffers=True)
+        native = compile_plan_native(program, plan)
         for _ in range(2):  # the second call runs on the bound launch
             results = native(inputs)
             assert set(results) == set(reference)
@@ -540,9 +540,7 @@ class TestPlanePipeline:
 
     def test_timed_plan_clocks_every_stage(self):
         program, plan, inputs = _mpdata_setup(shape=(48, 40, 24))
-        compiled = compile_plan_native(
-            program, plan, reuse_buffers=True, timed=True
-        )
+        compiled = compile_plan_native(program, plan, timed=True)
         compiled(inputs)  # warm-up
         before = compiled.stage_seconds
         begin = time.perf_counter()
@@ -680,9 +678,10 @@ class TestIslandOutput:
             runner = solver.runner
             arrays = solver._arrays(state)
             arrays[FIELD_X] = runner.step(arrays)
-            stale = runner.backend.plans[0].workspace
+            workspace = runner.backend.plans[0].workspace
             runner.backend.refresh(0)  # what a retry does first
-            assert runner.backend.plans[0].workspace is not stale
+            assert runner.backend.plans[0].workspace is workspace
+            assert not workspace.buffers  # reset in place
             out = runner.step(arrays, changed={FIELD_X})
             assert _writes_in_place(runner, out)
         np.testing.assert_array_equal(out, MpdataSolver(SHAPE).run(state, 2))
@@ -704,15 +703,6 @@ class TestIslandOutput:
             np.testing.assert_array_equal(
                 out, MpdataSolver(SHAPE).run(state, steps)
             )
-
-    def test_plans_without_a_workspace_copy_the_output(self):
-        state = random_state(SHAPE, seed=10)
-        config = EngineConfig(backend="native", reuse_buffers=False)
-        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
-            final = np.array(solver.run(state, 3), copy=True)
-            plans = solver.runner.backend.plans.values()
-            assert not any(compiled.persistent for compiled in plans)
-        np.testing.assert_array_equal(final, MpdataSolver(SHAPE).run(state, 3))
 
 
 def _chain_cache_entry(cache_dir, chain_program):
@@ -963,8 +953,7 @@ class TestGatheredPlans:
             program, solver.domain, domain=solver.extended_domain
         )
         compiled = compile_plan_native(
-            program, plan, reuse_buffers=True, timed=True,
-            boundary=("periodic", solver.domain),
+            program, plan, timed=True, boundary=("periodic", solver.domain)
         )
         inputs = _raw_domain_inputs(solver, random_state(shape, seed=3))
         compiled(inputs)  # warm-up

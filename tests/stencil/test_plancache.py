@@ -111,8 +111,8 @@ class TestCompilePlanCaching:
 
         inputs = {"x": ArrayRegion.wrap(x, lo=(-3, 0, 0))}
         plan = required_regions(chain_program, Box((0, 0, 0), (8, 4, 4)))
-        one = compile_plan_native(chain_program, plan, reuse_buffers=True)
-        two = compile_plan_native(chain_program, plan, reuse_buffers=True)
+        one = compile_plan_native(chain_program, plan)
+        two = compile_plan_native(chain_program, plan)
         one(inputs)
         two(inputs)
         assert one.workspace is not two.workspace

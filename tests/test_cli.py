@@ -130,18 +130,6 @@ class TestEngineValidation:
         assert expected in err
         assert "Traceback" not in err
 
-    def test_timings_without_a_fault_tolerant_run_is_rejected(self, capsys):
-        """The steady-state run never reads ``--timings``; accepting it
-        there would silently print nothing."""
-        err = self._error(
-            capsys,
-            ["engine", "--backend", "native", "--timings", "--shape", "16",
-             "12", "8", "--steps", "2", "--islands", "2"],
-        )
-        assert "--timings" in err
-        for flag in ("--faults", "--checkpoint-every", "--checkpoint-dir"):
-            assert flag in err
-
     def test_verify_islands_must_be_positive(self, capsys):
         err = self._error(capsys, ["verify", "--islands", "0"])
         assert "--islands must be at least 1" in err
@@ -157,22 +145,45 @@ class TestEngineValidation:
 
 class TestCommands:
     @pytest.mark.parametrize(
-        "flags,steps",
-        [([], 4), (["--faults", "crash@island=1,step=1"], 3)],
+        "flags",
+        [[], ["--faults", "crash@island=1,step=1"]],
         ids=["steady", "faults"],
     )
     def test_engine_telemetry_table_counts_one_sync_per_step(
-        self, capsys, flags, steps
+        self, capsys, flags
     ):
-        """The steady-state run tables its warm-up step too."""
+        """``--steps 3`` is three steps, warm-up included, in every run."""
         argv = ["engine", "--shape", "16", "12", "8", "--steps", "3",
                 "--islands", "2", "--telemetry-table", *flags]
         assert main(argv) == 0
         out = capsys.readouterr().out
         assert "per-step telemetry:" in out
-        assert (
-            f"total: {steps} steps, {steps} syncs (1.000 syncs/step)" in out
-        )
+        assert "total: 3 steps, 3 syncs (1.000 syncs/step)" in out
+
+    @pytest.mark.parametrize(
+        "flags, printed",
+        [
+            (["--islands", "2", "--timings"], "last step timings:"),
+            (
+                ["--islands", "2", "--faults", "crash@island=1,step=1",
+                 "--variant", "B"],
+                "Recovery report: 3/3 steps completed",
+            ),
+            (
+                ["--faults", "crash@island=1,step=1", "--variant", "2D",
+                 "--grid", "2", "2"],
+                "Recovery report: 3/3 steps completed",
+            ),
+        ],
+        ids=["timings", "faults-variant-B", "faults-2D-grid"],
+    )
+    def test_engine_runs_every_flag_set(self, capsys, flags, printed):
+        """Timings and faults combine with every partition: one run."""
+        argv = ["engine", "--shape", "16", "12", "8", "--steps", "3", *flags]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert printed in out
+        assert "bit-identical to the whole-domain solver: True" in out
 
     def test_table2_output(self, capsys):
         assert main(["table2"]) == 0
@@ -218,7 +229,7 @@ class TestCommands:
         out = capsys.readouterr().out
         assert code == 0
         assert "Recovery report: 8/8 steps completed" in out
-        assert "bit-identical to fault-free run: True" in out
+        assert "bit-identical to the whole-domain solver: True" in out
         assert list(tmp_path.glob("*.npz"))  # checkpoints really landed
 
     @pytest.mark.skipif(
@@ -234,7 +245,7 @@ class TestCommands:
         )
         out = capsys.readouterr().out
         assert code == 0
-        assert "bit-identical to fault-free run: True" in out
+        assert "bit-identical to the whole-domain solver: True" in out
         assert "critical path" in out
         assert "top stages (of 17)" in out
 
