@@ -8,11 +8,13 @@ and the measurement harness behind ``python -m repro engine``.
 import numpy as np
 import pytest
 
+from repro.core import Variant
 from repro.mpdata import MpdataSolver, random_state
 from repro.runtime import (
     EngineConfig,
     MpdataIslandSolver,
     PartitionedRunner,
+    RecoveryPolicy,
     measure_steady_state,
     native_available,
     verify_islands,
@@ -186,3 +188,42 @@ class TestMeasureSteadyState:
         )
         report = measure_steady_state(EngineConfig(), SHAPE, 2, 2)
         assert not report.bit_identical
+
+    def test_a_recovery_policy_heals_an_injected_crash(self):
+        config = EngineConfig(fault_specs=("crash@island=1,step=2",))
+        report = measure_steady_state(
+            config, SHAPE, 4, 2, recovery=RecoveryPolicy(checkpoint_every=2)
+        )
+        assert report.error is None
+        assert report.bit_identical
+        assert report.recovery.completed_steps == 4
+        assert report.recovery.fault_stats.injected_crashes == 1
+        assert "Recovery report: 4/4 steps completed" in report.render()
+
+    def test_an_unrecoverable_run_is_reported_not_raised(self):
+        config = EngineConfig(
+            max_retries=1,
+            fault_specs=("crash@island=0,step=3,attempts=99",),
+        )
+        recovery = RecoveryPolicy(checkpoint_every=2, max_rollbacks=0)
+        report = measure_steady_state(config, SHAPE, 6, 2, recovery=recovery)
+        assert report.error is not None
+        assert not report.bit_identical
+        assert report.recovery.completed_steps < 6
+        assert "UNRECOVERABLE" in report.render()
+
+    def test_a_partition_grid_sets_the_island_count(self):
+        report = measure_steady_state(
+            EngineConfig(), SHAPE, 2, 1,
+            variant=Variant.GRID_2D, partition_grid=(2, 2),
+        )
+        assert report.islands == 4
+        assert report.bit_identical
+
+    @pytest.mark.parametrize("collect", [False, True])
+    def test_timings_are_the_last_steps_when_collected(self, collect):
+        config = EngineConfig(collect_timings=collect)
+        report = measure_steady_state(config, SHAPE, 2, 2)
+        assert (report.timings is not None) == collect
+        assert ("last step timings:" in report.render()) == collect
+        assert report.bit_identical

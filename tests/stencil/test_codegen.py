@@ -306,6 +306,18 @@ class TestPlanBinding:
         assert compiled.workspace.allocations > allocations
         np.testing.assert_array_equal(result["y"].data, expected["y"].data)
 
+    def test_plan_keeps_one_workspace_across_calls(self, chain_program):
+        plan, compiled = self._plan(chain_program)
+        workspace = compiled.workspace
+        first = compiled(_chain_inputs(7))["y"].data
+        inputs = _chain_inputs(8)
+        expected, _ = execute_plan(chain_program, plan, inputs)
+        second = compiled(inputs)["y"].data
+        # One output slot: the second call overwrites the first's result.
+        assert compiled.workspace is workspace
+        assert second is first
+        np.testing.assert_array_equal(second, expected["y"].data)
+
     @pytest.mark.parametrize(
         "plan_dtype, input_dtype",
         [(np.float32, np.float64), (np.float64, np.float32)],
