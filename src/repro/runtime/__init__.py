@@ -38,6 +38,7 @@ from .diagnostics import (
     RunRecorder,
     StepDiagnostics,
     check_step_health,
+    field_mass,
 )
 from .faults import (
     FAULT_KINDS,
@@ -125,6 +126,7 @@ __all__ = [
     "WorkerHung",
     "check_step_health",
     "create_backend",
+    "field_mass",
     "measure_steady_state",
     "native_available",
     "parse_fault_spec",

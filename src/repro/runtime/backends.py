@@ -16,7 +16,8 @@ the shared output array.  What varies is *how* the sweep runs:
     temporaries folded into rings of planes, writing the island's part
     straight into the output array.  In-process it reads the caller's
     inputs without ghost layers and applies the boundary itself
-    (:attr:`IslandBackend.raw_inputs`).
+    (:attr:`IslandBackend.raw_inputs`); procs workers do the same for the
+    time-varying input alone.
 ``procs`` (:class:`~repro.runtime.procs.ProcsBackend`)
     True multi-core islands: each island runs in a persistent worker
     *process* over shared-memory arenas, sidestepping the GIL entirely
@@ -54,7 +55,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from time import perf_counter
-from typing import ClassVar, Dict, List, Mapping, Optional, Tuple, Type
+from typing import (
+    ClassVar,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+)
 
 import numpy as np
 
@@ -147,10 +157,10 @@ class IslandBackend:
     """
 
     key: ClassVar[str]
-    #: Whether :meth:`execute_island` takes the caller's inputs as bare
-    #: domain arrays (regions anchored at the domain) and applies the
-    #: boundary itself; otherwise the runner ghost-extends them first.
-    raw_inputs: bool = False
+    #: The inputs :meth:`execute_island` takes as bare domain arrays
+    #: (regions anchored at the domain), applying the boundary itself;
+    #: the runner ghost-extends the others first.
+    raw_inputs: FrozenSet[str] = frozenset()
 
     def __init__(
         self,
@@ -244,8 +254,12 @@ class IslandBackend:
         """Backend-owned storage for the assembled output, or ``None``.
 
         Same contract as :meth:`allocate_ghost`: the ``procs`` backend
-        hands out its shared-memory output arena so worker processes
-        publish their parts without any cross-process copy.
+        hands out its shared-memory output buffers so worker processes
+        publish their parts without any cross-process copy.  A backend
+        that owns the output reads its :attr:`raw_inputs` only from
+        those buffers, so it has two, handed out in turn: the runner
+        alternates them and stages any other array into the one a step
+        does not write.
         """
         return None
 
@@ -533,9 +547,11 @@ class NativeBackend(IslandBackend):
     each input plane into a ring as the pipeline needs it, folding
     coordinates outside the domain by ``boundary``, so the runner hands
     over bare domain arrays and fills no ghost layers
-    (:attr:`raw_inputs`).  Constructed directly — as the procs workers
-    construct it, over parent-filled ghost buffers — it has no
-    ``boundary`` and reads ghost-extended inputs.  Each plan's output is
+    (:attr:`raw_inputs`).  ``gather`` narrows that to some inputs: procs
+    workers gather the time-varying input from shared memory and read
+    the static ones from parent-filled ghost buffers.  Constructed
+    directly it has no ``boundary`` and reads ghost-extended inputs
+    only.  Each plan's output is
     bound to the island's part of the runner's output array, so the step
     writes it in place.  There is deliberately no silent fallback to
     the interpreter: a quietly degraded backend would invalidate any
@@ -550,6 +566,9 @@ class NativeBackend(IslandBackend):
         #: The boundary condition whole-step plans apply as they gather
         #: their inputs; ``None`` keeps ghost-extended inputs.
         self.boundary: Optional[str] = None
+        #: The inputs whole-step plans gather under ``boundary`` (``None``:
+        #: every input).
+        self.gather: Optional[FrozenSet[str]] = None
 
     @classmethod
     def from_config(cls, config: EngineConfig, *args, **kwargs) -> "NativeBackend":
@@ -564,7 +583,11 @@ class NativeBackend(IslandBackend):
         boundary = None
         if self.boundary is not None:
             boundary = (self.boundary, self.decomposition.partition.domain)
-        self.raw_inputs = boundary is not None
+            self.raw_inputs = frozenset(
+                field.name
+                for field in self.program.input_fields
+                if self.gather is None or field.name in self.gather
+            )
         self.plans = {
             island.index: compile_plan_native(
                 self.program,
@@ -572,6 +595,7 @@ class NativeBackend(IslandBackend):
                 dtype=self.dtype,
                 timed=self.timed,
                 boundary=boundary,
+                gather=self.gather,
             )
             for island in self.decomposition.islands
         }

@@ -23,7 +23,7 @@ The runner is a thin composition of four explicit layers:
 
 What stays in the runner is exactly what no layer can own alone: the
 inputs shared by all islands — ghost-extended buffers, or the caller's
-bare arrays for a backend that applies the boundary itself
+bare arrays for the inputs a backend applies the boundary to itself
 (:attr:`~repro.runtime.backends.IslandBackend.raw_inputs`) — the
 assembled output array (two of them, alternating, for such a backend),
 the island-level work team (thread pool) with its degradation path, and
@@ -217,6 +217,12 @@ class PartitionedRunner:
         # alternates with (it reads one as ``x`` while writing the other).
         self._out: Optional[np.ndarray] = None
         self._spare: Optional[np.ndarray] = None
+        # Whether the backend owns the output storage (``allocate_output``
+        # handed out a buffer; ``None`` until asked).  Such a backend —
+        # procs, in shared memory — reads its raw inputs only from its two
+        # buffers, and ``_shared`` holds their regions.
+        self._owned: Optional[bool] = None
+        self._shared: Tuple[ArrayRegion, ...] = ()
         self._pool: Optional[ThreadPoolExecutor] = None
         # Exchange-mode boundary copies as view pairs (_exchange_copies).
         self._copies: Optional[Dict[int, Tuple[tuple, int]]] = None
@@ -274,17 +280,24 @@ class PartitionedRunner:
         entirely.  Ghost filling is deterministic, so
         skipping an unchanged field is bit-identical to refilling it.
 
-        A backend with :attr:`~repro.runtime.backends.IslandBackend
-        .raw_inputs` applies the boundary itself, so nothing is extended:
-        each input is handed over as a region anchored at the domain
-        (:meth:`_raw_inputs`).
+        The inputs a backend names in :attr:`~repro.runtime.backends
+        .IslandBackend.raw_inputs` it applies the boundary to itself, so
+        they are not extended: each is handed over as a region anchored
+        at the domain (:meth:`_raw_input`).
         """
-        if self.backend.raw_inputs:
-            return self._raw_inputs(arrays, changed)
+        raw = self.backend.raw_inputs
         extended: Dict[str, ArrayRegion] = {}
         ghost_allocations = 0
         ghost_reused = 0
         for field in self.program.input_fields:
+            if field.name in raw:
+                region, allocated, reused = self._raw_input(
+                    arrays, field.name, changed
+                )
+                extended[field.name] = region
+                ghost_allocations += allocated
+                ghost_reused += reused
+                continue
             arr = np.asarray(
                 self._input_array(arrays, field.name), dtype=self.dtype
             )
@@ -327,52 +340,93 @@ class PartitionedRunner:
             )
         return arr
 
-    def _raw_inputs(
+    def _raw_input(
         self,
         arrays: Mapping[str, np.ndarray],
+        name: str,
         changed: Optional[Set[str]],
-    ) -> Dict[str, ArrayRegion]:
-        """Each input as a region anchored at the domain, no ghosts.
+    ) -> Tuple[ArrayRegion, int, int]:
+        """One input as a region anchored at the domain, no ghosts.
 
-        An array is handed over as it is unless its dtype differs from
-        the engine's or its innermost stride is not unit; then it is
-        copied into a persistent array, refilled only when ``changed``
-        names it (the staged copies count as ghost buffers in
-        :class:`StepStats`).  Regions are kept per input for its last two
+        Returns the region and the buffers allocated and reused for it
+        (counted as ghost buffers in :class:`StepStats`).  A backend that
+        owns the output storage reads the input only from its two output
+        buffers: the previous step's output comes back as its buffer's
+        region, and any other array is staged into the spare buffer,
+        which the step then does not write (:meth:`_output_array`).
+        Otherwise an array is handed over as it is unless its dtype
+        differs from the engine's or its innermost stride is not unit;
+        then it is copied into a persistent array, refilled only when
+        ``changed`` names it.  Regions are kept per input for its last two
         arrays, so a double-buffered field and the static fields come
         back as the same region objects and the backend's plan bindings
         hold.
         """
-        regions: Dict[str, ArrayRegion] = {}
-        allocations = 0
-        reused = 0
-        for field in self.program.input_fields:
-            name = field.name
-            arr = self._input_array(arrays, name)
-            if arr.dtype != self.dtype or arr.strides[-1] != arr.itemsize:
-                staged = self._staged.get(name)
-                if staged is None:
-                    staged = self._staged[name] = ArrayRegion(
-                        np.array(arr, dtype=self.dtype), self.domain
-                    )
-                    allocations += 1
-                else:
-                    if changed is None or name in changed:
-                        np.copyto(staged.data, arr, casting="unsafe")
-                    reused += 1
-                regions[name] = staged
-                continue
-            recent = self._raw.setdefault(name, [])
-            for region in recent:
+        arr = self._input_array(arrays, name)
+        if self._owned is None:  # called before any step
+            self._output_buffers()
+        if self._owned:
+            for region in self._shared:
                 if region.data is arr:
-                    break
-            else:
-                region = ArrayRegion(arr, self.domain)
-                recent.insert(0, region)
-                del recent[2:]
-            regions[name] = region
-        self._last_ghost_counts = (allocations, reused)
-        return regions
+                    return region, 0, 0
+            spare = self._shared[1]
+            np.copyto(spare.data, arr, casting="unsafe")
+            return spare, 0, 1
+        if arr.dtype != self.dtype or arr.strides[-1] != arr.itemsize:
+            staged = self._staged.get(name)
+            if staged is None:
+                staged = self._staged[name] = ArrayRegion(
+                    np.array(arr, dtype=self.dtype), self.domain
+                )
+                return staged, 1, 0
+            if changed is None or name in changed:
+                np.copyto(staged.data, arr, casting="unsafe")
+            return staged, 0, 1
+        recent = self._raw.setdefault(name, [])
+        for region in recent:
+            if region.data is arr:
+                return region, 0, 0
+        region = ArrayRegion(arr, self.domain)
+        recent.insert(0, region)
+        del recent[2:]
+        return region, 0, 0
+
+    def _new_buffer(self) -> np.ndarray:
+        if self._owned:
+            return self.backend.allocate_output()
+        return np.empty(self.shape, dtype=self.dtype)
+
+    def _output_buffers(self) -> int:
+        """Materialize the persistent output buffers; returns how many.
+
+        Runs first in every step.  The first call asks the backend
+        whether it owns the output storage (``allocate_output``).  The
+        runner then keeps ``_out`` under ``reuse_output``, plus ``_spare``
+        for a raw-input backend, both from ``allocate_output`` when the
+        backend owns them.  A backend that owns them gets both whenever
+        it has raw inputs, with or without ``reuse_output``: they are
+        where those inputs live.
+        """
+        allocations = 0
+        if self._owned is None:
+            buffer = self.backend.allocate_output()
+            self._owned = buffer is not None
+            if buffer is not None:
+                self._out = buffer
+                allocations += 1
+        keep = self.reuse_output or self._owned
+        if keep and self._out is None:
+            self._out = self._new_buffer()
+            allocations += 1
+        if keep and self.backend.raw_inputs and self._spare is None:
+            self._spare = self._new_buffer()
+            allocations += 1
+            if self._owned:
+                self._shared = (
+                    ArrayRegion(self._out, self.domain),
+                    ArrayRegion(self._spare, self.domain),
+                )
+        return allocations
 
     def _output_array(
         self, inputs: Mapping[str, ArrayRegion]
@@ -383,29 +437,21 @@ class PartitionedRunner:
         the output must not be one of them: the runner keeps two buffers,
         allocated together on the first step, and writes whichever shares
         no memory with any input — the one not holding the previous
-        step's ``x`` when the caller feeds the output back.
+        step's ``x`` when the caller feeds the output back, or the staged
+        copy of a foreign ``x``.
         """
         if not self.reuse_output:
             return np.empty(self.shape, dtype=self.dtype), 1
-        allocations = 0
-        if self._out is None:
-            self._out = self.backend.allocate_output()
-            if self._out is None:
-                self._out = np.empty(self.shape, dtype=self.dtype)
-            allocations += 1
         if not self.backend.raw_inputs:
-            return self._out, allocations
-        if self._spare is None:
-            self._spare = np.empty(self.shape, dtype=self.dtype)
-            allocations += 1
+            return self._out, 0
         for buffer in (self._out, self._spare):
             if not any(
                 np.may_share_memory(buffer, region.data)
                 for region in inputs.values()
             ):
-                return buffer, allocations
+                return buffer, 0
         # The caller passed both buffers in as inputs: write a fresh one.
-        return np.empty(self.shape, dtype=self.dtype), allocations + 1
+        return np.empty(self.shape, dtype=self.dtype), 1
 
     @property
     def degraded(self) -> bool:
@@ -430,19 +476,23 @@ class PartitionedRunner:
         the persistent buffer sees unambiguous garbage, never a plausible
         field — and dropped from reuse so the next step starts clean.
         Only the buffer the step was writing: with two alternating
-        buffers, the one holding the step's input stays intact.
-        ``last_step_stats`` is reset for the same reason.
+        buffers, the one holding the step's input stays intact.  A
+        buffer the backend owns is poisoned but kept: it is the only
+        storage the backend's workers write.  ``last_step_stats`` is
+        reset for the same reason.
         """
         self.last_step_stats = None
-        if not self.reuse_output:
+        if not self.reuse_output or (
+            out is not self._out and out is not self._spare
+        ):
+            return
+        out.fill(np.nan)
+        if self._owned:
             return
         if out is self._out:
             self._out = None
-        elif out is self._spare:
-            self._spare = None
         else:
-            return
-        out.fill(np.nan)
+            self._spare = None
 
     def _fan_out(
         self, count: int, task: Callable[[int], None]
@@ -610,7 +660,9 @@ class PartitionedRunner:
         array is one of the runner's persistent buffers: overwritten by
         the next step, or — with a raw-input backend, which alternates
         two buffers so it can read one as ``x`` while writing the other —
-        by the step after next.  Copy anything kept longer.
+        by the step after next, unless that step's ``x`` is not the
+        previous output (a procs backend then stages it into the other
+        buffer).  Copy anything kept longer.
 
         ``step_index`` is the logical time-step number, used to key
         injected faults; drivers that replay steps after a rollback pass
@@ -633,9 +685,11 @@ class PartitionedRunner:
         step_begin = time.perf_counter() if observing else 0.0
         faults_before = replace(self.fault_stats) if observing else None
         self._last_ghost_counts = (0, 0)
+        output_allocations = self._output_buffers()
         inputs = self.extend_inputs(arrays, changed=changed)
         ghost_allocations, ghost_reused = self._last_ghost_counts
-        out, output_allocations = self._output_array(inputs)
+        out, fresh = self._output_array(inputs)
+        output_allocations += fresh
 
         islands = self.decomposition.islands
         # Per-island results and fault records, filled by index position

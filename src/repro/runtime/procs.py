@@ -11,10 +11,17 @@ alike:
 
 * the **ghost-extended inputs** — the runner fills them in place through
   :meth:`~repro.runtime.backends.IslandBackend.allocate_ghost`, workers
-  read them zero-copy;
+  read them zero-copy.  Native workers under ``recompute`` keep ghost
+  buffers for the static inputs only, filled once per run: they gather
+  the time-varying input (MPDATA's ``x``) straight from the output
+  buffer that holds it, applying the boundary as they read;
 * the **assembled output** — workers publish their parts directly
   through :meth:`~repro.runtime.backends.IslandBackend.allocate_output`,
-  no cross-process copy on the hot path;
+  no cross-process copy on the hot path.  Workers that gather ``x`` get
+  two output buffers, which the runner alternates: each step reads one
+  and writes the other, and a foreign ``x`` (the first step's, or one
+  restored by a rollback) is staged into the one the step does not
+  write;
 * in exchange/hybrid halo mode, the **per-stage buffers** — the parent's
   existing :class:`~repro.core.halo.HaloLedger` boundary-copy loop works
   on the very same bytes the workers compute into.
@@ -26,9 +33,11 @@ in its own address space, the first-touch-style per-island initialization
 of Wittmann/Hager (arXiv 0912.4506).  The step protocol is the paper's
 one-barrier-per-step: the parent issues one command per island, the
 pipe joins are the barrier, and under exchange mode the same join runs
-once per stage.  The interpreter/native stage executors run inside the
-workers unchanged, so every trajectory is bit-identical to the
-single-process backends.
+once per stage.  A worker's commands queue up on its pipe — every island
+sends as soon as it can, and replies are read in the order sent — so a
+worker that owns several islands runs them back to back.  The
+interpreter/native stage executors run inside the workers unchanged, so
+every trajectory is bit-identical to the single-process backends.
 
 Failure semantics are *real*: a worker that dies (SIGKILL, OOM, a
 ``kill`` fault) surfaces as :class:`WorkerCrashed` on the parent's pipe,
@@ -45,7 +54,8 @@ The pool is *deadline-supervised*: every parent-side dispatch waits for
 its reply with ``poll(timeout)`` against a per-command deadline — either
 explicit (``step_deadline``) or adaptive (:class:`DeadlineClock`: an
 EWMA of recent command durations times ``deadline_factor``, with a
-warm-up deadline before the first sample).  A freshly forked worker
+warm-up deadline before the first sample).  A queued command's deadline
+starts when its reply is next in line to be read.  A freshly forked worker
 first rebuilds its compute state — compiling kernels on a cold cache —
 and then reports ready; the parent waits for that within the warm-up
 grace before it sends a command, so a deadline covers the command
@@ -54,8 +64,12 @@ not crashed — wedged in a syscall, spinning, or silently dropping its
 reply — and the watchdog SIGKILLs it and raises
 :class:`~repro.runtime.faults.WorkerHung`; the resilience layer retries,
 :meth:`ProcsBackend.refresh` respawns, and the replay is bit-identical.
-A per-worker health ledger counts consecutive failures: a worker that
-keeps failing is **quarantined** — killed for good, its islands remapped
+A respawn or a quarantine opens a new pipe *generation*: a command still
+queued on the old pipe fails as :class:`WorkerCrashed` and is retried,
+and never reads the new pipe.  A per-worker health ledger counts
+consecutive failures (one per pipe generation: a death that also fails
+the commands queued behind it counts once), and a worker that keeps
+failing is **quarantined** — killed for good, its islands remapped
 round-robin onto surviving workers (which ``adopt`` the extra compute
 state) — and when no worker survives, the pool degrades to
 **serial-in-parent**: the parent builds its own inner backend over the
@@ -73,7 +87,16 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass, replace
-from typing import Dict, List, Mapping, NoReturn, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    NoReturn,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
@@ -335,10 +358,18 @@ class _WorkerHealth:
 class _WorkerHandle:
     """Parent-side state of one worker process.
 
-    ``lock`` serializes every use of the pipe *and* respawning, so two
-    islands multiplexed onto one worker never interleave their commands
-    and never race a respawn.  ``fresh`` marks a just-forked worker
-    whose ``("ready",)`` the parent has not read yet.
+    Commands queue up on the pipe.  ``send_lock`` serializes every write
+    to it, and respawning, so two islands multiplexed onto one worker
+    never interleave their bytes and never race a respawn.  Replies are
+    read in the order the commands were sent, each by the thread that
+    sent it: under ``turn``, ``sent`` counts the commands sent in this
+    pipe ``generation`` and ``read`` the replies read, and ``reading``
+    marks the reader currently in the pipe.  A respawn or a quarantine
+    starts a new generation.  ``failed_generation`` is the last
+    generation whose failure the health ledger counted, and ``failed``
+    maps each island whose command failed at the pipe to the generation
+    it failed in.  ``fresh`` marks a just-forked worker whose
+    ``("ready",)`` the parent has not read yet.
     """
 
     def __init__(self, worker_id: int, islands: Tuple[int, ...]) -> None:
@@ -346,7 +377,14 @@ class _WorkerHandle:
         self.islands = islands
         self.process = None
         self.conn = None
-        self.lock = threading.Lock()
+        self.send_lock = threading.Lock()
+        self.turn = threading.Condition(threading.Lock())
+        self.generation = 0
+        self.sent = 0
+        self.read = 0
+        self.reading = False
+        self.failed_generation = -1
+        self.failed: Dict[int, int] = {}
         self.fresh = True
 
 
@@ -384,6 +422,7 @@ class ProcsBackend(IslandBackend):
         workers: Optional[int] = None,
         pin_workers: bool = False,
         inner: str = "interpreter",
+        boundary: Optional[str] = None,
         step_deadline: Optional[float] = None,
         deadline_factor: Optional[float] = 8.0,
         quarantine_after: Optional[int] = 3,
@@ -414,11 +453,21 @@ class ProcsBackend(IslandBackend):
         self.workers = count if workers is None else max(1, min(workers, count))
         self.pin_workers = pin_workers
         self.inner = inner
+        #: The boundary condition native workers apply as they gather the
+        #: time-varying input (``None``: every input from ghost buffers).
+        self.boundary = boundary
         self.quarantine_after = quarantine_after
         self._ctx = multiprocessing.get_context("fork")
         self._arena = SharedArena(f"{SEGMENT_PREFIX}-{os.getpid()}-{id(self):x}")
+        # Ghost buffers of the inputs not in raw_inputs, the output
+        # buffers, and per output buffer the inputs a step reading it
+        # takes (the ghost regions plus a region over that buffer for a
+        # gathered input).  Built before the fork, so parent and workers
+        # hold the same region objects and plan bindings stay put.
         self._input_regions: Dict[str, ArrayRegion] = {}
-        self._output: Optional[np.ndarray] = None
+        self._outputs: List[np.ndarray] = []
+        self._step_inputs: List[Dict[str, ArrayRegion]] = []
+        self._handed_out = 0
         self._handles: List[_WorkerHandle] = []
         self._by_island: Dict[int, _WorkerHandle] = {}
         self._pending_kill: set = set()
@@ -428,7 +477,7 @@ class ProcsBackend(IslandBackend):
         self._health: Dict[int, _WorkerHealth] = {}
         self._health_lock = threading.Lock()
         # _remap_lock serializes quarantine decisions and island remaps;
-        # it nests *outside* handle locks and dispatch never takes it.
+        # it nests *outside* send locks and dispatch never takes it.
         self._remap_lock = threading.Lock()
         self._quarantine_events = 0
         self._remap_events = 0
@@ -465,6 +514,7 @@ class ProcsBackend(IslandBackend):
             workers=config.workers,
             pin_workers=config.pin_workers,
             inner=config.procs_inner,
+            boundary=config.boundary,
             step_deadline=config.step_deadline,
             deadline_factor=config.deadline_factor,
             quarantine_after=config.quarantine_after,
@@ -474,14 +524,35 @@ class ProcsBackend(IslandBackend):
     # Shared-memory layout
     # ------------------------------------------------------------------
     def _allocate_shared_io(self) -> None:
-        """Carve the input and output arenas the runner will adopt."""
+        """Carve the input and output arenas the runner will adopt.
+
+        Every input the workers do not gather gets a ghost buffer.  A
+        gathered input lives in the output buffers instead: there are
+        two, and a step reads it from one and writes the other.
+        """
         for field in self.program.input_fields:
-            self._input_regions[field.name] = ArrayRegion(
-                self._arena.allocate(self.clip_domain.shape, self.dtype),
-                self.clip_domain,
-            )
+            if field.name not in self.raw_inputs:
+                self._input_regions[field.name] = ArrayRegion(
+                    self._arena.allocate(self.clip_domain.shape, self.dtype),
+                    self.clip_domain,
+                )
         domain = self.decomposition.partition.domain
-        self._output = self._arena.allocate(domain.shape, self.dtype)
+        for _ in range(2 if self.raw_inputs else 1):
+            buffer = self._arena.allocate(domain.shape, self.dtype)
+            self._outputs.append(buffer)
+            step_inputs = dict(self._input_regions)
+            for name in self.raw_inputs:
+                step_inputs[name] = ArrayRegion(buffer, domain)
+            self._step_inputs.append(step_inputs)
+
+    def _gathered_inputs(self) -> FrozenSet[str]:
+        """What native workers gather under ``recompute``: the program's
+        time-varying input, when it has exactly one (the input the output
+        is fed back into) and a boundary is set; otherwise nothing."""
+        if self.inner != "native" or self.boundary is None:
+            return frozenset()
+        varying = [f.name for f in self.program.input_fields if f.time_varying]
+        return frozenset(varying) if len(varying) == 1 else frozenset()
 
     def _allocate_stage_array(
         self, island_index: int, stage_index: int, box: Box
@@ -494,25 +565,56 @@ class ProcsBackend(IslandBackend):
         return self._input_regions.get(field_name)
 
     def allocate_output(self) -> Optional[np.ndarray]:
-        return self._output
+        """The shared output buffers, handed out in turn."""
+        buffer = self._outputs[self._handed_out % len(self._outputs)]
+        self._handed_out += 1
+        return buffer
 
-    def _sync_inputs(self, inputs: Mapping[str, ArrayRegion]) -> None:
-        """Make the shared input arenas hold the caller's data.
+    def _buffer_index(self, array: np.ndarray) -> Optional[int]:
+        for index, buffer in enumerate(self._outputs):
+            if array is buffer:
+                return index
+        return None
 
-        Through the runner this is free: the runner ghost-fills our
-        arenas in place (``allocate_ghost``), so every region *is* ours
-        and the identity check short-circuits.  A direct caller passing
-        foreign regions pays one copy into shared memory instead.
+    def _sync_inputs(
+        self, inputs: Mapping[str, ArrayRegion], out: Optional[np.ndarray]
+    ) -> Tuple[int, int]:
+        """Make shared memory hold the caller's data; name the buffers.
+
+        Returns ``(source, target)``: the output buffer a gathered input
+        is read from (its ``_step_inputs`` entry) and the one the step
+        writes.  Through the runner this is free: the runner ghost-fills
+        our input arenas in place (``allocate_ghost``) and hands over our
+        output buffers, staging a foreign gathered input itself, so every
+        identity check short-circuits.  A direct caller passing foreign
+        regions or a foreign ``out`` pays one copy into shared memory per
+        call, and the step's part is copied out to its ``out``.
         """
         for name, region in self._input_regions.items():
             given = inputs.get(name)
             if given is not None and given is not region:
                 region.data[...] = given.view(region.box)
+        if not self.raw_inputs:
+            return 0, 0
+        target = None if out is None else self._buffer_index(out)
+        (name,) = self.raw_inputs
+        given = inputs[name]
+        source = self._buffer_index(given.data)
+        if source is None:
+            source = 0 if target == 1 else 1
+            domain = self.decomposition.partition.domain
+            np.copyto(
+                self._outputs[source], given.view(domain), casting="unsafe"
+            )
+        if target is None or target == source:
+            target = 1 - source
+        return source, target
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
     def prepare(self) -> None:
+        self.raw_inputs = self._gathered_inputs()
         self._allocate_shared_io()
         self._spawn_all()
 
@@ -560,11 +662,12 @@ class ProcsBackend(IslandBackend):
         consecutive-failure count crossed ``quarantine_after`` is
         quarantined and its islands remapped onto survivors (or the pool
         degrades to serial when none remain); a live worker refreshes the
-        island's inner arenas in place — awaited with a bounded ``poll``,
-        so a worker wedged *during refresh* falls through to respawn
-        instead of deadlocking the retry path; a dead or unresponsive
-        worker is reaped and re-forked, which rebinds its shared-memory
-        views and rebuilds all of its islands' state from scratch.
+        island's inner arenas in place once its command queue is empty —
+        awaited with a bounded ``poll``, so a worker wedged *during
+        refresh* falls through to respawn instead of deadlocking the retry
+        path; a dead or unresponsive worker is reaped and re-forked, which
+        rebinds its shared-memory views and rebuilds all of its islands'
+        state from scratch.
         """
         if self._serial:
             self._ensure_parent_inner().refresh(island_index)
@@ -580,34 +683,61 @@ class ProcsBackend(IslandBackend):
                     self._ensure_parent_inner().refresh(island_index)
                 return
         handle = self._by_island[island_index]
-        with handle.lock:
-            if handle.process is not None and handle.process.is_alive():
-                try:
-                    if self._await_ready(handle, self._clock.warmup):
-                        handle.conn.send(("refresh", island_index))
-                        deadline = self._clock.current()
-                        timeout = 5.0 if deadline is None else deadline
-                        if handle.conn.poll(timeout):
-                            reply = handle.conn.recv()
-                            if reply[0] == "ok":
-                                return
-                    # never ready, timeout (wedged mid-refresh) or a
-                    # protocol error: fall through to respawn
-                except (EOFError, OSError):
-                    pass  # died under us; fall through to respawn
-            self._respawn_locked(handle)
+        deadline = self._clock.current()
+        with handle.send_lock:
+            failed = handle.failed.pop(island_index, handle.generation)
+            if handle.conn is None or failed < handle.generation:
+                # Quarantined, or respawned since the island failed (a
+                # sibling's retry got there first): an adopter or a
+                # fresh fork built the island's state from scratch.
+                return
+            if not self._control(
+                handle,
+                ("refresh", island_index),
+                5.0 if deadline is None else deadline,
+            ):
+                self._respawn_locked(handle)
+
+    def _control(
+        self, handle: _WorkerHandle, command: tuple, timeout: float
+    ) -> bool:
+        """Run a refresh or adopt command alone (send lock held).
+
+        Waits until every queued command's reply has been read, so the
+        worker's pipe holds nothing but this command and its reply, then
+        sends it and awaits the reply for at most ``timeout`` seconds.
+        Returns whether the worker answered ``ok``; a dead, never-ready
+        or wedged worker, or a protocol error, returns ``False`` and the
+        caller respawns it.
+        """
+        process = handle.process
+        if process is None or not process.is_alive():
+            return False
+        with handle.turn:
+            while handle.read != handle.sent:
+                handle.turn.wait()
+        try:
+            if self._await_ready(handle, self._clock.warmup):
+                handle.conn.send(command)
+                if handle.conn.poll(timeout):
+                    return handle.conn.recv()[0] == "ok"
+        except (EOFError, OSError):
+            pass  # died under us
+        return False
 
     def _await_ready(
         self, handle: _WorkerHandle, timeout: Optional[float]
     ) -> bool:
-        """Read a fresh worker's ``("ready",)`` (handle lock held).
+        """Read a fresh worker's ``("ready",)`` (send lock held).
 
         A forked worker rebuilds its inner backend — compiling kernels on
         a cold cache — before it reads any command, then says so.  Every
         path that talks to a worker consumes that message first, waiting
         at most ``timeout`` seconds (``None``: unbounded), so the deadline
-        of the command that follows covers the command alone.  Returns
-        whether the worker is ready; a dead pipe raises ``EOFError``.
+        of the command that follows covers the command alone.  A fresh
+        worker has no command queued yet, so nothing else reads its pipe.
+        Returns whether the worker is ready; a dead pipe raises
+        ``EOFError``.
         """
         if handle.fresh:
             if timeout is not None and not handle.conn.poll(timeout):
@@ -617,23 +747,50 @@ class ProcsBackend(IslandBackend):
         return True
 
     def _respawn_locked(self, handle: _WorkerHandle) -> None:
+        self._retire_locked(handle)
+        self._start_worker(handle)
+
+    def _retire_locked(self, handle: _WorkerHandle) -> None:
+        """Kill and reap the worker and close its pipe (send lock held).
+
+        Opens a new pipe generation first: queued commands of the old one
+        fail without reading, and the pipe is closed only after the reply
+        reader in it — if any — has left, which the kill makes prompt (a
+        dead worker's pipe reads as EOF).  So no waiter ever reads the
+        next worker's pipe.
+        """
         process = handle.process
         if process is not None:
             if process.is_alive():  # wedged rather than dead
                 process.kill()
             process.join(timeout=5.0)
+        with handle.turn:
+            handle.generation += 1
+            handle.sent = handle.read = 0
+            handle.turn.notify_all()
+            while handle.reading:
+                handle.turn.wait()
         if handle.conn is not None:
             try:
                 handle.conn.close()
             except OSError:  # pragma: no cover
                 pass
-        self._start_worker(handle)
 
     # ------------------------------------------------------------------
     # Health ledger, quarantine and degraded modes
     # ------------------------------------------------------------------
-    def _record_failure(self, handle: _WorkerHandle, *, hang: bool) -> None:
+    def _record_failure(
+        self, handle: _WorkerHandle, generation: int, *, hang: bool
+    ) -> None:
+        """Count one failure of a pipe generation, once.
+
+        A worker that dies or wedges also fails every command queued
+        behind the one it was running; those count as the same failure.
+        """
         with self._health_lock:
+            if handle.failed_generation == generation:
+                return
+            handle.failed_generation = generation
             health = self._health[handle.worker_id]
             if hang:
                 health.hangs += 1
@@ -679,19 +836,10 @@ class ProcsBackend(IslandBackend):
         with self._health_lock:
             self._health[handle.worker_id].quarantined = True
         self._quarantine_events += 1
-        with handle.lock:
-            process = handle.process
-            if process is not None:
-                if process.is_alive():
-                    process.kill()
-                process.join(timeout=5.0)
-                handle.process = None
-            if handle.conn is not None:
-                try:
-                    handle.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
-                handle.conn = None
+        with handle.send_lock:
+            self._retire_locked(handle)
+            handle.process = None
+            handle.conn = None
         orphans = handle.islands
         handle.islands = ()
         with self._health_lock:
@@ -715,22 +863,16 @@ class ProcsBackend(IslandBackend):
 
         The adopt command rebuilds the worker's inner backend (compute
         state for the adopted island included) before it replies, so it
-        gets the warm-up deadline; an adopter that dies or wedges during
+        gets the warm-up deadline, and like a refresh it waits for the
+        worker's queue to empty; an adopter that dies or wedges during
         the handover is simply respawned — its island tuple already
         includes the orphan, so the fresh fork covers it.
         """
-        with handle.lock:
-            if handle.process is not None and handle.process.is_alive():
-                try:
-                    if self._await_ready(handle, self._clock.warmup):
-                        handle.conn.send(("adopt", island_index))
-                        if handle.conn.poll(self._clock.warmup):
-                            reply = handle.conn.recv()
-                            if reply[0] == "ok":
-                                return
-                except (EOFError, OSError):
-                    pass
-            self._respawn_locked(handle)
+        with handle.send_lock:
+            if not self._control(
+                handle, ("adopt", island_index), self._clock.warmup
+            ):
+                self._respawn_locked(handle)
 
     def _enter_serial_locked(self) -> None:
         """Last resort: no worker left — the parent computes everything."""
@@ -744,28 +886,38 @@ class ProcsBackend(IslandBackend):
 
         Built lazily on first use (entering serial mode is rare), bound
         to the same shared buffers the workers used: ghost inputs and the
-        output arena are read/written directly, and in exchange mode the
+        output buffers are read/written directly, and in exchange mode the
         parent inner *adopts* the existing shared stage buffers, so the
         halo-copy loop and trajectory stay bit-identical.
         """
         with self._serial_lock:
-            inner = self._parent_inner
-            if inner is None:
-                inner = BACKENDS[self.inner](
-                    self.program,
-                    self.decomposition,
-                    clip_domain=self.clip_domain,
-                    output_field=self.output_field,
-                    dtype=self.dtype,
-                    timed=self.timed,
-                )
-                if self._ledger is not None:
-                    inner.adopt_exchange_state(
-                        self._ledger, self._stage_buffers
-                    )
-                else:
-                    inner.prepare()
-                self._parent_inner = inner
+            if self._parent_inner is None:
+                self._parent_inner = self._build_inner(self.decomposition)
+        return self._parent_inner
+
+    def _build_inner(self, decomposition: IslandDecomposition) -> IslandBackend:
+        """An in-process inner backend over the shared buffers.
+
+        Native workers under ``recompute`` gather :attr:`raw_inputs` from
+        the output buffers, applying the boundary as they read; every
+        other input is read from its ghost buffer.  In exchange mode the
+        inner backend adopts the shared stage buffers.
+        """
+        inner = BACKENDS[self.inner](
+            self.program,
+            decomposition,
+            clip_domain=self.clip_domain,
+            output_field=self.output_field,
+            dtype=self.dtype,
+            timed=self.timed,
+        )
+        if self._ledger is not None:
+            inner.adopt_exchange_state(self._ledger, self._stage_buffers)
+            return inner
+        if self.raw_inputs:
+            inner.boundary = self.boundary
+            inner.gather = self.raw_inputs
+        inner.prepare()
         return inner
 
     def health_events(self) -> Tuple[int, int]:
@@ -799,7 +951,7 @@ class ProcsBackend(IslandBackend):
             return
         self._closed = True
         for handle in self._handles:
-            with handle.lock:
+            with handle.send_lock:
                 if handle.conn is not None:
                     try:
                         handle.conn.send(("close",))
@@ -807,7 +959,7 @@ class ProcsBackend(IslandBackend):
                         pass
         grace_until = time.monotonic() + self._close_grace
         for handle in self._handles:
-            with handle.lock:
+            with handle.send_lock:
                 process = handle.process
                 if process is not None:
                     process.join(
@@ -870,21 +1022,18 @@ class ProcsBackend(IslandBackend):
     # Dispatch (parent side)
     # ------------------------------------------------------------------
     def _dispatch(self, island_index: int, command: tuple) -> IslandResult:
-        """Send one command and await its reply under the deadline.
+        """Queue one command on the island's worker and await its reply.
 
-        Three outcomes: a reply in time (success — the duration feeds
-        the adaptive clock); a dead pipe (``poll`` returns instantly on
-        EOF, ``recv`` raises — :class:`WorkerCrashed`); or deadline
-        expiry with the process still alive — a *hang*: the watchdog
-        SIGKILLs the worker and raises
-        :class:`~repro.runtime.faults.WorkerHung` carrying the detection
-        latency actually paid.  A fresh worker gets the warm-up grace to
-        report ready (:meth:`_await_ready`) before the command is sent
-        and its deadline starts.  An unsupervised pool (no deadline)
-        blocks in ``recv`` exactly as before.
+        The command is sent as soon as the send lock is free, so islands
+        multiplexed onto one worker queue up on its pipe and it runs them
+        back to back; replies are read in the order sent
+        (:meth:`_await_reply`).  A fresh worker gets the warm-up grace to
+        report ready (:meth:`_await_ready`) before the first command of
+        its generation is sent.
         """
         handle = self._by_island[island_index]
-        with handle.lock:
+        with handle.send_lock:
+            generation = handle.generation
             if handle.conn is None:
                 # Quarantined between our lookup and the lock: surface a
                 # crash so the retry path re-resolves the remapped owner.
@@ -895,24 +1044,15 @@ class ProcsBackend(IslandBackend):
                 grace = self._clock.warmup if self._clock.supervised else None
                 begin = time.perf_counter()
                 if not self._await_ready(handle, grace):
-                    self._hang(handle, island_index, begin, grace)
-                deadline = self._clock.current()
-                begin = time.perf_counter()
+                    self._hang(handle, generation, island_index, begin, grace)
                 handle.conn.send(command)
-                if deadline is not None and not handle.conn.poll(deadline):
-                    self._hang(handle, island_index, begin, deadline)
-                reply = handle.conn.recv()
             except (EOFError, OSError) as error:
-                self._record_failure(handle, hang=False)
-                process = handle.process
-                raise WorkerCrashed(
-                    island_index,
-                    handle.worker_id,
-                    None if process is None else process.pid,
-                    None if process is None else process.exitcode,
-                ) from error
-            self._clock.observe(time.perf_counter() - begin)
-        self._record_success(handle)
+                raise self._crashed(handle, generation, island_index) from error
+            with handle.turn:
+                ticket = handle.sent
+                handle.sent += 1
+            conn = handle.conn
+        reply = self._await_reply(handle, generation, ticket, conn, island_index)
         if reply[0] != "ok":
             raise RuntimeError(
                 f"island {island_index} failed in worker "
@@ -920,9 +1060,71 @@ class ProcsBackend(IslandBackend):
             )
         return reply[1]
 
+    def _await_reply(
+        self,
+        handle: _WorkerHandle,
+        generation: int,
+        ticket: int,
+        conn,
+        island_index: int,
+    ) -> tuple:
+        """Wait until this command's reply is next in line, then read it.
+
+        The deadline starts when the reply is next in line, so a command
+        queued behind a sibling's is not charged for the sibling's work.
+        Three outcomes: a reply in time (success — the duration feeds the
+        adaptive clock); a dead pipe (``poll`` returns instantly on EOF,
+        ``recv`` raises — :class:`WorkerCrashed`); or deadline expiry
+        with the process still alive — a *hang*: the watchdog SIGKILLs
+        the worker and raises :class:`~repro.runtime.faults.WorkerHung`
+        carrying the detection latency actually paid.  Either failure
+        also fails the commands queued behind it, which then read EOF; a
+        command whose generation was retired while it waited fails
+        without reading.  An unsupervised pool (no deadline) blocks in
+        ``recv`` exactly as before.
+        """
+        with handle.turn:
+            while handle.generation == generation and handle.read != ticket:
+                handle.turn.wait()
+            if handle.generation != generation:
+                raise self._crashed(handle, generation, island_index)
+            handle.reading = True
+        try:
+            deadline = self._clock.current()
+            begin = time.perf_counter()
+            if deadline is not None and not conn.poll(deadline):
+                self._hang(handle, generation, island_index, begin, deadline)
+            reply = conn.recv()
+            self._clock.observe(time.perf_counter() - begin)
+            self._record_success(handle)
+        except (EOFError, OSError) as error:
+            raise self._crashed(handle, generation, island_index) from error
+        finally:
+            with handle.turn:
+                handle.reading = False
+                if handle.generation == generation:
+                    handle.read += 1
+                handle.turn.notify_all()
+        return reply
+
+    def _crashed(
+        self, handle: _WorkerHandle, generation: int, island_index: int
+    ) -> WorkerCrashed:
+        """Record a dead pipe and build the :class:`WorkerCrashed`."""
+        self._record_failure(handle, generation, hang=False)
+        handle.failed[island_index] = generation
+        process = handle.process if handle.generation == generation else None
+        return WorkerCrashed(
+            island_index,
+            handle.worker_id,
+            None if process is None else process.pid,
+            None if process is None else process.exitcode,
+        )
+
     def _hang(
         self,
         handle: _WorkerHandle,
+        generation: int,
         island_index: int,
         begin: float,
         deadline: float,
@@ -934,38 +1136,44 @@ class ProcsBackend(IslandBackend):
         pid = None if process is None else process.pid
         if process is not None and process.is_alive():
             process.kill()
-        self._record_failure(handle, hang=True)
+        self._record_failure(handle, generation, hang=True)
+        handle.failed[island_index] = generation
         raise WorkerHung(
             island_index, handle.worker_id, pid, waited, deadline
         )
 
     def execute_island(self, island, inputs, out) -> IslandResult:
-        self._sync_inputs(inputs)
+        source, target = self._sync_inputs(inputs, out)
         if self._serial:
             self._take_kill(island.index)  # stale arms are void in serial
             self._take_hang(island.index)
-            inner = self._ensure_parent_inner()
-            return inner.execute_island(island, inputs, out)
-        result = self._dispatch(
-            island.index,
-            (
-                "step",
+            result = self._ensure_parent_inner().execute_island(
+                island, self._step_inputs[source], self._outputs[target]
+            )
+        else:
+            result = self._dispatch(
                 island.index,
-                self._take_kill(island.index),
-                self._take_hang(island.index),
-            ),
-        )
-        if out is not self._output:  # direct caller with a foreign buffer
-            out[island.part.slices()] = self._output[island.part.slices()]
+                (
+                    "step",
+                    island.index,
+                    self._take_kill(island.index),
+                    self._take_hang(island.index),
+                    source,
+                    target,
+                ),
+            )
+        written = self._outputs[target]
+        if out is not written:  # direct caller with a foreign buffer
+            out[island.part.slices()] = written[island.part.slices()]
         return result
 
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
-        self._sync_inputs(inputs)
+        self._sync_inputs(inputs, None)
         if self._serial:
             self._take_kill(island.index)
             self._take_hang(island.index)
             inner = self._ensure_parent_inner()
-            return inner._execute_stage(island, stage_index, inputs)
+            return inner._execute_stage(island, stage_index, self._input_regions)
         return self._dispatch(
             island.index,
             (
@@ -1014,33 +1222,22 @@ class ProcsBackend(IslandBackend):
         by_index = {
             island.index: island for island in self.decomposition.islands
         }
-        inner_cls = BACKENDS[self.inner]
 
         def build_inner(island_ids: Tuple[int, ...]):
-            built = inner_cls(
-                self.program,
+            # First-touch-style: this worker builds its own compute state
+            # over the shared buffers inherited at fork.
+            return self._build_inner(
                 replace(
                     self.decomposition,
                     islands=tuple(by_index[q] for q in island_ids),
-                ),
-                clip_domain=self.clip_domain,
-                output_field=self.output_field,
-                dtype=self.dtype,
-                timed=self.timed,
+                )
             )
-            if self._ledger is not None:
-                # First-touch-style: this worker binds its own compute
-                # state to the shared stage buffers inherited at fork.
-                built.adopt_exchange_state(self._ledger, self._stage_buffers)
-            else:
-                built.prepare()
-            return built
 
         mine = list(islands)
         inner = build_inner(tuple(mine))
         conn.send(("ready",))
-        inputs = self._input_regions
-        out = self._output
+        step_inputs = self._step_inputs
+        outputs = self._outputs
         while True:
             command = conn.recv()
             op = command[0]
@@ -1058,14 +1255,16 @@ class ProcsBackend(IslandBackend):
                     inner = build_inner(tuple(mine))
                 conn.send(("ok", None))
             elif op == "step":
-                _, q, die, wedge = command
+                _, q, die, wedge, source, target = command
                 if die:
                     os.kill(os.getpid(), signal.SIGKILL)
                 if wedge:
                     while True:  # hung, not dead: the pipe stays open
                         time.sleep(3600.0)
                 try:
-                    result = inner.execute_island(by_index[q], inputs, out)
+                    result = inner.execute_island(
+                        by_index[q], step_inputs[source], outputs[target]
+                    )
                 except Exception as error:
                     conn.send(("err", f"{type(error).__name__}: {error}"))
                 else:
@@ -1079,7 +1278,7 @@ class ProcsBackend(IslandBackend):
                         time.sleep(3600.0)
                 try:
                     result = inner.execute_island_stage(
-                        by_index[q], stage_index, inputs
+                        by_index[q], stage_index, self._input_regions
                     )
                 except Exception as error:
                     conn.send(("err", f"{type(error).__name__}: {error}"))

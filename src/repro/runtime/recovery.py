@@ -32,7 +32,7 @@ import numpy as np
 from ..mpdata.checkpoint import save_checkpoint
 from ..mpdata.reference import MpdataState
 from ..mpdata.stages import FIELD_X
-from .diagnostics import check_step_health
+from .diagnostics import check_step_health, field_mass
 from .faults import FaultStats
 from .island_exec import IslandFailure
 
@@ -257,7 +257,7 @@ def run_with_recovery(
     fault_base = replace(runner.fault_stats)  # report only this run's activity
     initial_mass: Optional[float] = None
     if policy.mass_drift_limit is not None:
-        initial_mass = float((state.h * x0).sum())
+        initial_mass = field_mass(x0, state.h)
 
     # The last known-good scalar field, always a private copy — never an
     # alias of the runner's recycled output buffer.

@@ -33,7 +33,7 @@ kept on the plan for inspection:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Mapping, Optional, Tuple
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -119,8 +119,8 @@ class PlanBinding:
     """One call's validated set-up, reused while its sources stay put.
 
     Binding a plan to its inputs checks that every input region covers
-    the plan's required box and re-anchors a view on it — or, for a
-    gathered plan, builds each input's boundary map over the whole
+    the plan's required box and re-anchors a view on it — or, for an
+    input the plan gathers, builds its boundary map over the whole
     region.  The binding remembers every object that answer came from —
     each input :class:`ArrayRegion` and its ``data`` and ``box`` — and a
     later call reuses the views while all of them are still the same
@@ -139,7 +139,7 @@ class PlanBinding:
     ) -> None:
         self._sources = sources
         self.arrays = arrays
-        #: Gathered plans only: each input's boundary map.
+        #: Each gathered input's boundary map.
         self.maps = maps
         self.stages: Optional[object] = None
         #: The results of the last call, returned again while the
@@ -168,8 +168,8 @@ class CompiledPlan:
     by the plan's one long-lived :class:`Workspace` and are
     **overwritten by the next call** — callers must copy anything they
     keep.  A *gathered* plan (compiled with a ``boundary``) also accepts
-    inputs without ghost layers, such as bare domain arrays: it applies
-    the boundary as it reads them.
+    its gathered inputs without ghost layers, such as bare domain arrays:
+    it applies the boundary as it reads them.
 
     Input validation happens once per :class:`PlanBinding`, and the plan
     keeps the bindings of its last two distinct input sets, so a caller
@@ -199,6 +199,8 @@ class CompiledPlan:
     _stage_names: Tuple[str, ...] = ()
     #: Per-stage seconds the entry point adds to (timed plans only).
     _stage_seconds: Optional[np.ndarray] = None
+    #: The inputs the entry point gathers through boundary maps.
+    _gathered: FrozenSet[str] = frozenset()
     #: Gathered plans only: ``(input name, region) -> boundary map``.
     _gather_map: Optional[Callable[[str, ArrayRegion], np.ndarray]] = field(
         default=None, repr=False, compare=False
@@ -212,9 +214,10 @@ class CompiledPlan:
     )
 
     @property
-    def gathered(self) -> bool:
-        """Whether the plan applies the boundary as it reads its inputs."""
-        return self._gather_map is not None
+    def gathered(self) -> FrozenSet[str]:
+        """The inputs the plan applies the boundary to as it reads them
+        (empty for a plan that reads ghost-extended inputs only)."""
+        return self._gathered
 
     @property
     def timed(self) -> bool:
@@ -265,7 +268,7 @@ class CompiledPlan:
 
     def _bind(self, inputs: Mapping[str, ArrayRegion]) -> PlanBinding:
         """Check input coverage and re-anchor the input views (or, for a
-        gathered plan, build the boundary maps)."""
+        gathered input, build its boundary map)."""
         sources = []
         arrays = {}
         maps = {}
@@ -278,7 +281,7 @@ class CompiledPlan:
                     f"input {name!r} has dtype {region.data.dtype}, the "
                     f"plan was compiled for {self.dtype}"
                 )
-            if self._gather_map is not None:
+            if name in self._gathered:
                 maps[name] = self._gather_map(name, region)
                 arrays[name] = region.data
             elif not region.box.contains(required_box):

@@ -60,7 +60,7 @@ import sysconfig
 import tempfile
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -193,10 +193,13 @@ def _c_unary(op: UnaryOp, fabs: str, sqrt: str) -> str:
         return f"{fabs}({a})"
     if op.op == "sqrt":
         return f"{sqrt}({a})"
+    # NumPy's maximum(a, 0)/minimum(a, 0): a NaN stays a (the compare is
+    # false), and ±0 gives the second operand, +0.  One compare-and-select
+    # with a constant arm needs no NaN test.
     if op.op == "pos":
-        return f"_np_fmax({a}, (real)0.0)"
+        return f"({a}) <= (real)0.0 ? (real)0.0 : ({a})"
     if op.op == "neg_part":
-        return f"_np_fmin({a}, (real)0.0)"
+        return f"({a}) >= (real)0.0 ? (real)0.0 : ({a})"
     raise NativeBuildError(f"no C lowering for unary op {op.op!r}")
 
 
@@ -238,11 +241,11 @@ class PlaneSchedule:
     ``outputs`` and ``inputs`` are the entry point's array arguments, in
     order.
 
-    In a ``gathered`` plan every program input has a ring too, filled
-    from the input array through its boundary map (:func:`boundary_map`):
-    ``gathers[name] = (newest, reader)`` says that tick ``t`` copies plane
-    ``t + newest`` just before stage ``reader``, the first stage in program
-    order that reads the input.  Otherwise inputs are full arrays.
+    Each ``gathered`` input has a ring too, filled from the input array
+    through its boundary map (:func:`boundary_map`): ``gathers[name] =
+    (newest, reader)`` says that tick ``t`` copies plane ``t + newest``
+    just before stage ``reader``, the first stage in program order that
+    reads the input.  The other inputs are full arrays.
     """
 
     lags: Tuple[int, ...]
@@ -251,11 +254,11 @@ class PlaneSchedule:
     ticks: Tuple[int, int]
     outputs: Tuple[Tuple[str, Tuple[int, int, int]], ...]
     inputs: Tuple[str, ...]
-    gathered: bool = False
+    gathered: FrozenSet[str] = frozenset()
     gathers: Dict[str, Tuple[int, int]] = field(default_factory=dict)
 
 
-def plane_schedule(ir: KernelIR, gather: bool = False) -> PlaneSchedule:
+def plane_schedule(ir: KernelIR, gather: Iterable[str] = ()) -> PlaneSchedule:
     """Lag every stage and fold every temporary into a ring of planes.
 
     ``lag[s]`` is the largest ``lag[p] + d`` over the stage's reads of a
@@ -265,10 +268,10 @@ def plane_schedule(ir: KernelIR, gather: bool = False) -> PlaneSchedule:
     at i-offset ``d``, and at least one: a plane is overwritten only after
     its last reader ran.
 
-    With ``gather`` every program input gets a ring as well.  Tick ``t``
-    reads input plane ``t + d - lag`` for each read at i-offset ``d`` by a
-    stage at lag ``lag``, so the ring holds ``max(d - lag) - min(d - lag)
-    + 1`` planes, and each tick copies in the newest one.
+    Every program input named in ``gather`` gets a ring as well.  Tick
+    ``t`` reads input plane ``t + d - lag`` for each read at i-offset ``d``
+    by a stage at lag ``lag``, so the ring holds ``max(d - lag) - min(d -
+    lag) + 1`` planes, and each tick copies in the newest one.
     """
     field_map = ir.program.field_map
     position = {schedule.output: n for n, schedule in enumerate(ir.stages)}
@@ -295,21 +298,21 @@ def plane_schedule(ir: KernelIR, gather: bool = False) -> PlaneSchedule:
                 need = lag - lags[position[view.field]] - view.offset[0] + 1
                 depth[view.field] = max(depth[view.field], need)
     folded = [schedule.output for schedule in ir.stages]
+    gathered = frozenset(gather) & frozenset(ir.input_anchors)
     gathers: Dict[str, Tuple[int, int]] = {}
-    if gather:
-        for name in sorted(ir.input_anchors):
-            reads = [
-                (view.offset[0] - lag, n)
-                for n, (lag, schedule) in enumerate(zip(lags, ir.stages))
-                for view in schedule.views
-                if view.field == name
-            ]
-            if not reads:
-                continue
-            shifts = [shift for shift, _ in reads]
-            depth[name] = max(shifts) - min(shifts) + 1
-            gathers[name] = (max(shifts), min(n for _, n in reads))
-            folded.append(name)
+    for name in sorted(gathered):
+        reads = [
+            (view.offset[0] - lag, n)
+            for n, (lag, schedule) in enumerate(zip(lags, ir.stages))
+            for view in schedule.views
+            if view.field == name
+        ]
+        if not reads:
+            continue
+        shifts = [shift for shift, _ in reads]
+        depth[name] = max(shifts) - min(shifts) + 1
+        gathers[name] = (max(shifts), min(n for _, n in reads))
+        folded.append(name)
     rings: Dict[str, Tuple[int, int, int]] = {}
     ring_elems = 0
     for name in folded:
@@ -329,7 +332,7 @@ def plane_schedule(ir: KernelIR, gather: bool = False) -> PlaneSchedule:
             (s.output, s.shape) for s in ir.stages if s.output not in rings
         ),
         inputs=tuple(sorted(ir.input_anchors)),
-        gathered=gather,
+        gathered=gathered,
         gathers=gathers,
     )
 
@@ -422,14 +425,15 @@ def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
     depends only on the plan's shapes and relative offsets, as the plane
     kernels do: plans that differ by a translation (the islands of one
     grid) share one module.  A gathered input is passed as its array and
-    its boundary map, both run-time arguments, so the same holds for it.
+    its boundary map, both run-time arguments, so the same holds for it;
+    every other input as its array and strides, like an output.
     """
     params: List[str] = []
     for name, _ in schedule.outputs:
         params += [f"real* restrict {name}", f"long {name}_s0", f"long {name}_s1"]
     for name in schedule.inputs:
         params.append(f"const real* restrict {name}")
-        if schedule.gathered:
+        if name in schedule.gathered:
             params.append(f"const long* restrict {name}_map")
         else:
             params += [f"long {name}_s0", f"long {name}_s1"]
@@ -525,15 +529,15 @@ def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
 
 
 def emit_c_source(
-    ir: KernelIR, dtype: np.dtype = np.float64, gather: bool = False
+    ir: KernelIR, dtype: np.dtype = np.float64, gather: Iterable[str] = ()
 ) -> Tuple[str, str]:
     """Render a kernel IR to a C translation unit.
 
     Returns ``(csource, cdef)``: the compilable source (one static plane
     kernel per non-empty stage, plus the :data:`ENTRY_SYMBOL` entry point that
     pipelines them over the plan's i-planes) and the matching cffi
-    declaration of the entry point.  ``gather`` makes the entry point copy
-    its inputs plane by plane into rings (:func:`plane_schedule`).
+    declaration of the entry point.  ``gather`` names the inputs the entry
+    point copies plane by plane into rings (:func:`plane_schedule`).
     """
     key = np.dtype(dtype).str
     if key not in _C_TYPES:
@@ -821,6 +825,7 @@ def compile_plan_native(
     dtype: np.dtype = np.float64,
     timed: bool = False,
     boundary: Optional[Tuple[str, Box]] = None,
+    gather: Optional[Iterable[str]] = None,
 ) -> CompiledPlan:
     """Compile one halo plan to one pipelined native-C entry point.
 
@@ -839,13 +844,16 @@ def compile_plan_native(
     construction, and report it as a configuration error rather than
     degrading).
 
-    ``boundary`` — ``(mode, domain box)`` — makes a *gathered* plan: its
-    inputs need no ghost layers.  The entry point copies each input plane
-    into a ring as the pipeline first needs it, folding coordinates
-    outside the bound region into the domain by the boundary condition
+    ``boundary`` — ``(mode, domain box)`` — makes a *gathered* plan: the
+    inputs named in ``gather`` (every input by default) need no ghost
+    layers.  The entry point copies each of their planes into a ring as
+    the pipeline first needs it, folding coordinates outside the bound
+    region into the domain by the boundary condition
     (:func:`boundary_map`), so the plan binds a bare domain array and a
     ghost-extended one alike.  Each copy is charged to the clock of the
-    first stage that reads the input.
+    first stage that reads the input.  The other inputs are read from
+    regions covering their required boxes, as a plan without a boundary
+    reads every input.
 
     Generated C and the plane schedule are served from the process-wide
     plan cache; compiled shared objects are additionally cached on disk,
@@ -854,20 +862,31 @@ def compile_plan_native(
     buffers.
     """
     dtype = np.dtype(dtype)
-    gather = boundary is not None
+    inputs = frozenset(field.name for field in program.input_fields)
+    if boundary is None:
+        if gather:
+            raise ValueError("gathering inputs needs a boundary")
+        gathered: FrozenSet[str] = frozenset()
+    else:
+        gathered = inputs if gather is None else frozenset(gather)
+        if not gathered <= inputs:
+            raise ValueError(
+                f"cannot gather {sorted(gathered - inputs)}: not inputs of "
+                f"{program.name!r}"
+            )
     cache_key = (
         program_fingerprint(program),
         plan_geometry_key(plan),
         dtype.str,
-        gather,
+        tuple(sorted(gathered)),
     )
 
     def _build():
         ir = lower_plan(program, plan)
-        csource, cdef = emit_c_source(ir, dtype, gather)
+        csource, cdef = emit_c_source(ir, dtype, gathered)
         names = tuple(stage.name for stage in ir.stages)
         return (
-            csource, cdef, plane_schedule(ir, gather), names,
+            csource, cdef, plane_schedule(ir, gathered), names,
             dict(ir.input_anchors),
         )
 
@@ -917,7 +936,7 @@ def compile_plan_native(
         for name in schedule.inputs:
             source = arrays[name]
             args.append(cast(ptr_type, source.ctypes.data))
-            if schedule.gathered:
+            if name in schedule.gathered:
                 args.append(cast("long *", maps[name].ctypes.data))
             else:
                 args += _strides_in_elements(source, name)
@@ -944,5 +963,6 @@ def compile_plan_native(
         workspace=Workspace(dtype),
         _stage_names=names,
         _stage_seconds=stage_seconds,
+        _gathered=schedule.gathered,
         _gather_map=gather_map,
     )

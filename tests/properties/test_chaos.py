@@ -24,6 +24,7 @@ from repro.mpdata import random_state
 from repro.runtime import (
     EngineConfig,
     MpdataIslandSolver,
+    ProcsBackend,
     RecoveryPolicy,
     native_available,
 )
@@ -114,6 +115,66 @@ def test_chaos_trajectory_bit_identical(base, seed, reference):
     # ... and was recovered by the documented path for this backend.
     assert stats.hangs_detected == (1 if supervised else 0)
     assert stats.retries == (3 if procs else 2)  # crash + kill (+ hang)
+    assert stats.retry_successes == stats.retries
+    assert stats.islands_failed == 0
+    assert report.guard_trips == 1
+    assert report.rollbacks == 1
+    assert report.completed_steps == STEPS
+
+    assert np.array_equal(final, reference)
+
+
+@pytest.mark.parametrize("seed", [11, 23])
+@pytest.mark.parametrize(
+    "inner", ["interpreter", pytest.param("native", marks=needs_native)]
+)
+def test_chaos_on_one_worker_bit_identical(inner, seed, reference, monkeypatch):
+    """Both islands on one worker, so their commands queue up on its
+    pipe.  A ``kill`` or ``hang`` also fails the sibling command queued
+    behind the faulted one, when it was; those extra failures are
+    counted at the dispatch and retried like any other."""
+    failures = []
+    dispatch = ProcsBackend._dispatch
+
+    def counted(backend, island_index, command):
+        try:
+            return dispatch(backend, island_index, command)
+        except Exception as error:
+            failures.append((island_index, type(error).__name__))
+            raise
+
+    monkeypatch.setattr(ProcsBackend, "_dispatch", counted)
+    config = EngineConfig(
+        backend="procs",
+        procs_inner=inner,
+        workers=1,
+        step_deadline=2.0,
+        max_retries=4,
+        fault_specs=_chaos_schedule(seed),
+    )
+    state = random_state(SHAPE, seed=3)
+    with MpdataIslandSolver(SHAPE, ISLANDS, config=config) as solver:
+        final = np.array(
+            solver.run(
+                state,
+                STEPS,
+                recovery=RecoveryPolicy(checkpoint_every=5, max_rollbacks=20),
+            ),
+            copy=True,
+        )
+        report = solver.last_recovery_report
+        assert not solver.runner.backend.serial_fallback
+
+    stats = report.fault_stats
+    assert stats.injected_crashes == stats.injected_kills == 1
+    assert stats.injected_slowdowns == stats.injected_corruptions == 1
+    assert stats.injected_hangs == stats.hangs_detected == 1
+    # The crash raises in the parent, before its dispatch; the kill and
+    # the hang fail theirs, and each may take the queued sibling along.
+    assert sorted(kind for _, kind in failures).count("WorkerHung") == 1
+    siblings = len(failures) - 2
+    assert 0 <= siblings <= 2
+    assert stats.retries == 3 + siblings
     assert stats.retry_successes == stats.retries
     assert stats.islands_failed == 0
     assert report.guard_trips == 1

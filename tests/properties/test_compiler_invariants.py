@@ -104,16 +104,19 @@ def test_codegen_bit_exact_for_random_programs(program, seed):
 
 
 @settings(max_examples=60, deadline=None)
-@given(program=programs(), depth=st.integers(1, 9), gather=st.booleans())
-def test_plane_schedule_reads_only_live_planes(program, depth, gather):
+@given(program=programs(), depth=st.integers(1, 9), data=st.data())
+def test_plane_schedule_reads_only_live_planes(program, depth, data):
     """Replaying the native pipeline's schedule: every plane a stage reads
     was computed earlier (an earlier tick, or earlier in the same tick)
     and still sits in its ring slot, and every stage computes each plane
-    of its stage box exactly once, for any program and target depth.  In
-    a gathered schedule every input plane read was copied into its ring
-    (before the loop, or by this or an earlier tick) and not yet
-    overwritten."""
+    of its stage box exactly once, for any program and target depth.
+    Every input plane read of a gathered input — any subset of the
+    inputs is gathered — was copied into its ring (before the loop, or
+    by this or an earlier tick) and not yet overwritten; the other
+    inputs get no ring."""
     ir = lower_plan(program, required_regions(program, Box((0, 0, 0), (depth, 3, 2))))
+    names = sorted(field.name for field in program.input_fields)
+    gather = data.draw(st.sets(st.sampled_from(names)))
     schedule = plane_schedule(ir, gather)
 
     def slot(name, plane):
@@ -153,7 +156,9 @@ def test_plane_schedule_reads_only_live_planes(program, depth, gather):
                 held[stage.output][slot(stage.output, i)] = i
     for stage in ir.stages:
         assert computed[stage.output] == set(range(stage.box.lo[0], stage.box.hi[0]))
-    assert set(schedule.gathers) == (set(ir.input_anchors) if gather else set())
+    assert set(schedule.gathers) == set(ir.input_anchors) & gather
+    assert schedule.gathered == set(ir.input_anchors) & gather
+    assert not set(ir.input_anchors) - gather & set(schedule.rings)
 
 
 @pytest.mark.skipif(
@@ -166,11 +171,15 @@ def test_plane_schedule_reads_only_live_planes(program, depth, gather):
     extent=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6)),
     mode=st.sampled_from(BOUNDARY_MODES),
     seed=st.integers(0, 1000),
+    data=st.data(),
 )
-def test_gathered_plans_bit_exact_on_domain_arrays(program, lo, extent, mode, seed):
+def test_gathered_plans_bit_exact_on_domain_arrays(
+    program, lo, extent, mode, seed, data
+):
     """A gathered plan bound to bare domain arrays computes the bits the
     interpreter computes from ghost-extended copies of them, for any
-    program, target inside the domain and boundary condition."""
+    program, target inside the domain, boundary condition and set of
+    gathered inputs (the others bound as their ghost-extended copies)."""
     shape = (12, 12, 6)
     domain = Box((0, 0, 0), shape)
     target = Box(lo, tuple(min(a + n, s) for a, n, s in zip(lo, extent, shape)))
@@ -187,10 +196,16 @@ def test_gathered_plans_bit_exact_on_domain_arrays(program, lo, extent, mode, se
         ghosts_hi = tuple(max(0, b - d) for b, d in zip(box.hi, domain.hi))
         ghosted[name] = extend_array(arrays[name], ghosts_lo, ghosts_hi, mode)
     expected, _ = execute_plan(program, plan, ghosted)
-    compiled = compile_plan_native(program, plan, boundary=(mode, domain))
-    actual = compiled(
-        {name: ArrayRegion(array, domain) for name, array in arrays.items()}
+    names = sorted(arrays)
+    gather = data.draw(st.sets(st.sampled_from(names), min_size=1))
+    compiled = compile_plan_native(
+        program, plan, boundary=(mode, domain), gather=gather
     )
+    inputs = dict(ghosted)
+    inputs.update(
+        (name, ArrayRegion(arrays[name], domain)) for name in gather
+    )
+    actual = compiled(inputs)
     output = program.output_fields[0].name
     np.testing.assert_array_equal(actual[output].data, expected[output].data)
 

@@ -34,6 +34,8 @@ BACKENDS = [
     "interpreter",
     "procs",
     pytest.param("procs-native", marks=needs_native),
+    # Both islands on one worker: their commands queue up on its pipe.
+    pytest.param("procs-native-queued", marks=needs_native),
     pytest.param("native", marks=needs_native),
 ]
 HALOS = ["recompute", "exchange", "hybrid"]
@@ -42,6 +44,9 @@ HALOS = ["recompute", "exchange", "hybrid"]
 def _config(backend, halo, **kwargs):
     if halo == "hybrid":
         kwargs.setdefault("halo_threshold", 64)
+    if backend == "procs-native-queued":
+        backend = "procs-native"
+        kwargs.setdefault("workers", 1)
     if backend == "procs-native":  # procs workers running native kernels
         backend = "procs"
         kwargs.setdefault("procs_inner", "native")

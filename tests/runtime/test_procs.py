@@ -24,7 +24,8 @@ import numpy as np
 import pytest
 
 from repro.cli import build_parser
-from repro.mpdata import random_state
+from repro.core import Variant
+from repro.mpdata import BOUNDARY_MODES, MpdataSolver, random_state
 from repro.mpdata.stages import FIELD_X
 from repro.runtime import (
     BACKENDS,
@@ -36,6 +37,7 @@ from repro.runtime import (
     JsonlSink,
     MpdataIslandSolver,
     ProcsBackend,
+    RecoveryPolicy,
     SharedArena,
     Telemetry,
     native_available,
@@ -50,7 +52,9 @@ needs_native = pytest.mark.skipif(
 
 
 def _shm_segments():
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
+    """This process's procs segments: the arena tags every segment name
+    with the pid of the process that created it."""
+    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-*")
 
 
 def _trajectory(config, steps=50, islands=2, telemetry=None, injector=None):
@@ -69,7 +73,7 @@ def _trajectory(config, steps=50, islands=2, telemetry=None, injector=None):
 
 @pytest.fixture(autouse=True)
 def _no_leaked_segments():
-    """Every test must leave /dev/shm clean of procs segments."""
+    """Every test must leave /dev/shm clean of this process's segments."""
     before = set(_shm_segments())
     yield
     leaked = set(_shm_segments()) - before
@@ -147,6 +151,116 @@ class TestProcsBitIdentity:
         )
         ref5, _ = _trajectory(EngineConfig(), steps=5)
         assert np.array_equal(final, ref5)
+
+
+@needs_native
+class TestGatheredInputs:
+    """Native procs workers under ``recompute`` gather ``x`` from the
+    shared output buffer that holds it; the static inputs keep their
+    ghost buffers, filled once per run."""
+
+    GRID = (32, 16, 8)
+
+    def _run(self, config, steps=50, variant=Variant.A, recovery=None):
+        state = random_state(self.GRID, seed=11)
+        with MpdataIslandSolver(
+            self.GRID, 4, variant, config=config
+        ) as solver:
+            final = np.array(
+                solver.run(state, steps, recovery=recovery), copy=True
+            )
+            runner = solver.runner
+            assert runner.backend.raw_inputs == {FIELD_X}
+            assert FIELD_X not in runner._ghost
+            report = solver.last_recovery_report
+        return final, report
+
+    @pytest.mark.parametrize("variant", [Variant.A, Variant.B])
+    @pytest.mark.parametrize("boundary", BOUNDARY_MODES)
+    def test_matches_the_whole_domain_solver(self, boundary, variant):
+        config = EngineConfig(
+            backend="procs", procs_inner="native", workers=2,
+            boundary=boundary,
+        )
+        final, _ = self._run(config, variant=variant)
+        expected = MpdataSolver(self.GRID, boundary=boundary).run(
+            random_state(self.GRID, seed=11), 50
+        )
+        np.testing.assert_array_equal(final, expected)
+
+    def test_without_output_reuse(self):
+        config = EngineConfig(
+            backend="procs", procs_inner="native", workers=2,
+            reuse_output=False,
+        )
+        final, _ = self._run(config, steps=10)
+        expected = MpdataSolver(self.GRID).run(
+            random_state(self.GRID, seed=11), 10
+        )
+        np.testing.assert_array_equal(final, expected)
+
+    def test_rollback_restages_x(self):
+        """A corrupted step trips the guard; the rollback feeds the
+        checkpointed ``x``, a foreign array, which is staged again."""
+        config = EngineConfig(
+            backend="procs", procs_inner="native", workers=2,
+            fault_specs=("corrupt@island=1,step=7",),
+        )
+        final, report = self._run(
+            config, steps=12, recovery=RecoveryPolicy(checkpoint_every=5)
+        )
+        assert report.guard_trips == 1 and report.rollbacks == 1
+        expected = MpdataSolver(self.GRID).run(
+            random_state(self.GRID, seed=11), 12
+        )
+        np.testing.assert_array_equal(final, expected)
+
+    def test_steady_steps_read_x_in_place(self):
+        """After the first step the previous output is handed over as it
+        is: nothing copies ``x`` or refills a ghost buffer."""
+        config = EngineConfig(
+            backend="procs", procs_inner="native", workers=2,
+            reuse_output=True,
+        )
+        state = random_state(self.GRID, seed=11)
+        with MpdataIslandSolver(self.GRID, 4, config=config) as solver:
+            runner = solver.runner
+            arrays = solver._arrays(state)
+            arrays[FIELD_X] = runner.step(arrays)
+            first = arrays[FIELD_X]
+            for _ in range(4):
+                inputs = runner.extend_inputs(arrays, changed={FIELD_X})
+                assert inputs[FIELD_X].data is arrays[FIELD_X]
+                assert runner._last_ghost_counts == (0, 4)
+                arrays[FIELD_X] = runner.step(arrays, changed={FIELD_X})
+                assert runner.last_step_stats.allocations == 0
+            assert arrays[FIELD_X] is first  # two buffers alternate
+
+    def test_direct_backend_calls_with_foreign_buffers(self):
+        """A caller driving the backend itself, with its own ghost-extended
+        inputs and output array, gets the whole-domain step."""
+        config = EngineConfig(backend="procs", procs_inner="native", workers=2)
+        state = random_state(self.GRID, seed=11)
+        expected = MpdataSolver(self.GRID).run(state, 1)
+        inputs = MpdataSolver(self.GRID).prepare_inputs(state)
+        with MpdataIslandSolver(self.GRID, 4, config=config) as solver:
+            backend = solver.runner.backend
+            out = np.zeros(self.GRID)
+            for island in solver.decomposition.islands:
+                backend.execute_island(island, inputs, out)
+        np.testing.assert_array_equal(out, expected)
+
+    def test_serial_fallback_reads_the_shared_buffers(self):
+        config = EngineConfig(
+            backend="procs", procs_inner="native", workers=1,
+            max_retries=4, step_deadline=2.0, quarantine_after=1,
+            fault_specs=("hang@island=0,step=2",),
+        )
+        final, _ = self._run(config, steps=6)
+        expected = MpdataSolver(self.GRID).run(
+            random_state(self.GRID, seed=11), 6
+        )
+        np.testing.assert_array_equal(final, expected)
 
 
 class TestProcsSteadyState:
@@ -311,7 +425,7 @@ class TestSharedMemoryTeardown:
         assert not _shm_segments()
 
     def test_arena_close_survives_live_views(self):
-        arena = SharedArena(f"{SEGMENT_PREFIX}-test-{os.getpid()}")
+        arena = SharedArena(f"{SEGMENT_PREFIX}-{os.getpid()}-test")
         array = arena.allocate((4, 4), np.float64)
         array[...] = 1.0
         arena.close()  # view still alive: unlink must happen anyway
@@ -336,9 +450,11 @@ class TestSharedMemoryTeardown:
             "solver = MpdataIslandSolver(shape, 2, config=config)\n"
             "final = solver.run(random_state(shape, seed=7), 3)\n"
             "copy = np.array(final, copy=True)\n"
+            "names = live_segment_names()\n"
             "solver.close()\n"
             "print(bool(np.array_equal(final, copy)), final.sum() > 0)\n"
             "print(len(live_segment_names()))\n"
+            "print(*names)\n"
         )
         env = dict(os.environ)
         src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
@@ -351,9 +467,13 @@ class TestSharedMemoryTeardown:
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["True", "True", "0"]
+        verdict, count, names = proc.stdout.splitlines()
+        assert verdict.split() + count.split() == ["True", "True", "0"]
         assert "Exception ignored" not in proc.stderr
-        assert not _shm_segments()
+        assert names.split()
+        assert not [
+            name for name in names.split() if os.path.exists(f"/dev/shm/{name}")
+        ]
 
     def test_segments_cleaned_after_crash_recovery(self):
         config = EngineConfig(
@@ -371,12 +491,13 @@ class TestSharedMemoryTeardown:
             "import signal, sys\n"
             "from repro.mpdata import random_state\n"
             "from repro.runtime import EngineConfig, MpdataIslandSolver\n"
+            "from repro.runtime.procs import live_segment_names\n"
             "shape = (16, 12, 8)\n"
             "solver = MpdataIslandSolver(\n"
             "    shape, 2, config=EngineConfig(backend='procs'))\n"
             "state = random_state(shape, seed=7)\n"
             "solver.run(state, 1)\n"
-            "print('READY', flush=True)\n"
+            "print('READY', *live_segment_names(), flush=True)\n"
             "solver.run(state, 10_000)\n"
         )
         env = dict(os.environ)
@@ -391,14 +512,17 @@ class TestSharedMemoryTeardown:
             text=True,
         ) as proc:
             try:
-                assert proc.stdout.readline().strip() == "READY"
+                ready, *names = proc.stdout.readline().split()
+                assert ready == "READY" and names
                 proc.send_signal(signal.SIGINT)
                 proc.wait(timeout=30)
             finally:
                 if proc.poll() is None:
                     proc.kill()
                     proc.wait()
-        assert not _shm_segments()
+        assert not [
+            name for name in names if os.path.exists(f"/dev/shm/{name}")
+        ]
 
     @pytest.mark.skipif(
         not os.path.exists("/proc/self/stat"), reason="needs Linux /proc"
@@ -616,8 +740,6 @@ class TestProcsRecoveryIntegration:
     """Rollback-and-replay (checkpointed recovery) over worker processes."""
 
     def test_corrupt_fault_rolls_back_over_procs(self):
-        from repro.runtime import RecoveryPolicy
-
         state = random_state(SHAPE, seed=7)
         with MpdataIslandSolver(
             SHAPE, 2, config=EngineConfig(backend="interpreter")

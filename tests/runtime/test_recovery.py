@@ -18,6 +18,7 @@ from repro.runtime import (
     RecoveryPolicy,
     UnrecoverableRunError,
     check_step_health,
+    field_mass,
     native_available,
     run_with_recovery,
 )
@@ -72,6 +73,55 @@ class TestCheckStepHealth:
     def test_mass_guard_requires_h_and_initial_mass(self):
         with pytest.raises(ValueError, match="requires"):
             check_step_health(np.ones(3), mass_drift_limit=1e-9)
+
+    @pytest.mark.parametrize("shape", [(4, 5), (4, 5, 3)])
+    @pytest.mark.parametrize("poison", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("limit", [None, 1e-9])
+    def test_one_pass_guard_finds_every_non_finite_value(
+        self, shape, poison, limit
+    ):
+        """The guard sums the field once and scans it only when the sum
+        is not finite; every poison value, with or without a mass limit,
+        still trips it with the same message."""
+        h = np.full(shape, 0.5)
+        h.flat[-1] = 0.0  # 0 * inf is nan: a zero weight hides nothing
+        for index in (0, h.size // 2, h.size - 1):
+            x = np.ones(shape)
+            x.flat[index] = poison
+            x.flat[1] = -poison  # inf - inf is nan: no cancelling either
+            assert check_step_health(
+                x, h=h, initial_mass=float((h * np.ones(shape)).sum()),
+                mass_drift_limit=limit,
+            ) == "non-finite value in field"
+
+    def test_mass_limit_without_the_finite_check(self):
+        x = np.ones((4, 5, 3))
+        h = np.ones((4, 5, 3))
+        kwargs = dict(h=h, check_finite=False, mass_drift_limit=1e-9)
+        assert check_step_health(x, initial_mass=60.0, **kwargs) is None
+        reason = check_step_health(x, initial_mass=59.0, **kwargs)
+        assert reason == "mass drift 1.000000e+00 exceeds limit 1.000000e-09"
+        x[1, 2, 0] = np.nan  # unchecked: a nan drift trips nothing
+        assert check_step_health(x, initial_mass=60.0, **kwargs) is None
+
+    def test_overflowing_mass_of_a_finite_field_reports_drift(self):
+        """Every value finite, the sum not: the exact scan clears the
+        field, and the mass drift is what trips."""
+        x = np.full((2, 3, 2), 1e308)
+        h = np.full((2, 3, 2), 4.0)
+        assert check_step_health(x) is None
+        reason = check_step_health(
+            x, h=h, initial_mass=1.0, mass_drift_limit=1e-9
+        )
+        assert reason == "mass drift inf exceeds limit 1.000000e-09"
+
+    def test_field_mass_matches_the_elementwise_sum(self):
+        rng = np.random.default_rng(3)
+        x, h = rng.random((6, 5, 4)), rng.random((6, 5, 4))
+        assert field_mass(x, h) == pytest.approx(float((h * x).sum()), rel=1e-14)
+        assert field_mass(x[:, ::2], h[:, ::2]) == pytest.approx(
+            float((h[:, ::2] * x[:, ::2]).sum()), rel=1e-14
+        )
 
 
 class TestRecoveryPolicyValidation:

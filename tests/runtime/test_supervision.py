@@ -16,8 +16,10 @@ import importlib.util
 import os
 import pathlib
 import signal
+import sys
 import time
 from dataclasses import replace
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -43,7 +45,9 @@ SHAPE = (16, 12, 8)
 
 
 def _shm_segments():
-    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")
+    """This process's procs segments: the arena tags every segment name
+    with the pid of the process that created it."""
+    return glob.glob(f"/dev/shm/{SEGMENT_PREFIX}-{os.getpid()}-*")
 
 
 def _trajectory(config, steps=50, islands=2, telemetry=None):
@@ -58,7 +62,7 @@ def _trajectory(config, steps=50, islands=2, telemetry=None):
 
 @pytest.fixture(autouse=True)
 def _no_leaked_segments():
-    """Every test must leave /dev/shm clean of procs segments."""
+    """Every test must leave /dev/shm clean of this process's segments."""
     before = set(_shm_segments())
     yield
     leaked = set(_shm_segments()) - before
@@ -278,6 +282,205 @@ class TestHangDetection:
         final, stats = _trajectory(config)
         assert stats == FaultStats()
         assert np.array_equal(final, reference)
+
+
+@pytest.fixture()
+def pipe_log(monkeypatch):
+    """Every message the parent sends to or reads from a worker pipe, in
+    order: ``("send", command)`` and ``("recv", reply kind)``."""
+    log = []
+    parent = os.getpid()
+    send, recv = Connection.send, Connection.recv
+
+    def logged_send(conn, message):
+        send(conn, message)
+        if os.getpid() == parent:
+            log.append(("send", message))
+
+    def logged_recv(conn):
+        message = recv(conn)
+        if os.getpid() == parent:
+            log.append(("recv", message[0]))
+        return message
+
+    monkeypatch.setattr(Connection, "send", logged_send)
+    monkeypatch.setattr(Connection, "recv", logged_recv)
+    return log
+
+
+def _slow_sweep(monkeypatch, seconds, island=None):
+    """Slow the interpreter's island sweep (of one island, or of all).
+    Patched before the backend forks, so the workers inherit it."""
+    execute = FlatInterpreterBackend.execute_island
+
+    def slow(self, target, inputs, out):
+        if island is None or target.index == island:
+            time.sleep(seconds)
+        return execute(self, target, inputs, out)
+
+    monkeypatch.setattr(FlatInterpreterBackend, "execute_island", slow)
+
+
+def _step_traffic(log):
+    """``"send"`` per step command and ``"recv"`` per reply, in order."""
+    return [
+        kind
+        for kind, message in log
+        if (kind == "send" and message[0] == "step")
+        or (kind == "recv" and message in ("ok", "err"))
+    ]
+
+
+class TestQueuedCommands:
+    """Both islands on one worker: each island's command is sent as soon
+    as it is issued, the worker runs them back to back, and the replies
+    are read in the order sent."""
+
+    def _reference(self, steps):
+        return MpdataSolver(SHAPE).run(random_state(SHAPE, seed=7), steps)
+
+    def test_second_command_is_sent_before_the_first_reply(
+        self, monkeypatch, pipe_log
+    ):
+        _slow_sweep(monkeypatch, 0.2)
+        config = EngineConfig(backend="procs", workers=1)
+        final, stats = _trajectory(config, steps=4)
+        assert _step_traffic(pipe_log) == ["send", "send", "recv", "recv"] * 4
+        assert stats == FaultStats()
+        np.testing.assert_array_equal(final, self._reference(4))
+
+    def test_kill_on_the_island_queued_behind_its_sibling(
+        self, monkeypatch, pipe_log
+    ):
+        """Island 1's command waits behind island 0's slow sweep; the
+        worker dies when it reads it.  Island 0's reply was read first,
+        so only island 1 fails, is retried on a fresh worker, and the
+        run stays bit-identical."""
+        _slow_sweep(monkeypatch, 0.3, island=0)
+        config = EngineConfig(
+            backend="procs",
+            workers=1,
+            max_retries=2,
+            step_deadline=5.0,
+            fault_specs=(
+                "kill@island=1,step=2",
+                "slow@island=1,step=2,delay=0.1",
+            ),
+        )
+        state = random_state(SHAPE, seed=7)
+        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+            backend = solver.runner.backend
+            pid = backend._handles[0].process.pid
+            final = np.array(solver.run(state, 4), copy=True)
+            stats = replace(solver.runner.fault_stats)
+            assert backend._handles[0].process.pid != pid
+            assert backend.worker_health(0).crashes == 1
+        sends = [message for kind, message in pipe_log if kind == "send"]
+        killed = next(m for m in sends if m[0] == "step" and m[2])
+        position = pipe_log.index(("send", killed))
+        # Sent right behind island 0's command, before its reply.
+        assert pipe_log[position - 1][0] == "send"
+        assert pipe_log[position - 1][1][:2] == ("step", 0)
+        assert stats.injected_kills == 1
+        assert stats.retries == stats.retry_successes == 1
+        assert stats.hangs_detected == 0
+        np.testing.assert_array_equal(final, self._reference(4))
+
+    def test_hang_fails_the_queued_sibling_once(self, pipe_log):
+        """Island 0 wedges with island 1's command queued behind it: one
+        hang is detected, the sibling reads EOF and is retried, and the
+        worker's ledger counts one failure.  One respawn serves both
+        retries: the fresh fork rebuilt the sibling's state, so no
+        in-place refresh is sent."""
+        config = EngineConfig(
+            backend="procs",
+            workers=1,
+            max_retries=2,
+            step_deadline=1.0,
+            fault_specs=(
+                "hang@island=0,step=2",
+                "slow@island=1,step=2,delay=0.1",
+            ),
+        )
+        state = random_state(SHAPE, seed=7)
+        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+            final = np.array(solver.run(state, 5), copy=True)
+            stats = replace(solver.runner.fault_stats)
+            health = solver.runner.backend.worker_health(0)
+        assert stats.hangs_detected == 1
+        assert 1.0 <= stats.hang_detect_seconds <= 2.0
+        assert stats.retries == stats.retry_successes == 2
+        assert (health.hangs, health.crashes) == (1, 0)
+        assert health.consecutive_failures == 0
+        assert not [m for kind, m in pipe_log if kind == "send" and m[0] == "refresh"]
+        np.testing.assert_array_equal(final, self._reference(5))
+
+    def test_parent_crash_refresh_waits_for_the_queue(
+        self, monkeypatch, pipe_log
+    ):
+        """Island 1 crashes in the parent while island 0's command is in
+        flight.  Its in-place refresh is sent only once the worker's
+        queue is empty, so every reply goes to the command that asked
+        for it (a misrouted one would break the timed results) and
+        nothing is mistaken for a hang."""
+        _slow_sweep(monkeypatch, 0.3, island=0)
+        config = EngineConfig(
+            backend="procs",
+            workers=1,
+            max_retries=2,
+            step_deadline=2.0,
+            collect_timings=True,
+            fault_specs=(
+                "crash@island=1,step=2",
+                "slow@island=1,step=2,delay=0.1",
+            ),
+        )
+        state = random_state(SHAPE, seed=7)
+        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+            backend = solver.runner.backend
+            pid = backend._handles[0].process.pid
+            final = np.array(solver.run(state, 4), copy=True)
+            stats = replace(solver.runner.fault_stats)
+            timings = solver.last_step_stats.timings
+            assert backend._handles[0].process.pid == pid  # refreshed in place
+        sent = read = 0
+        refreshes = 0
+        for kind, message in pipe_log:
+            if kind == "send" and message[0] == "step":
+                sent += 1
+            elif kind == "recv" and message != "ready":
+                read += 1
+            elif kind == "send" and message[0] == "refresh":
+                assert sent == read  # the queue was empty
+                refreshes += 1
+                sent += 1
+        assert refreshes == 1
+        assert stats.injected_crashes == 1
+        assert stats.retries == stats.retry_successes == 1
+        assert stats.hangs_detected == 0
+        assert len(timings.island_seconds) == 2
+        np.testing.assert_array_equal(final, self._reference(4))
+
+    def test_eight_islands_on_one_worker_under_fast_thread_switching(self):
+        """Eight dispatch threads share one worker's queue while the
+        interpreter switches threads every few microseconds.  A reply
+        read by the wrong command would end a step before its island
+        was done and break the trajectory; every reply is read and the
+        queue ends empty."""
+        config = EngineConfig(backend="procs", workers=1, step_deadline=5.0)
+        state = random_state(SHAPE, seed=7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with MpdataIslandSolver(SHAPE, 8, config=config) as solver:
+                final = np.array(solver.run(state, 10), copy=True)
+                handle = solver.runner.backend._handles[0]
+                assert handle.sent == handle.read == 8 * 10
+                stats = replace(solver.runner.fault_stats)
+        finally:
+            sys.setswitchinterval(interval)
+        assert stats == FaultStats()
+        np.testing.assert_array_equal(final, self._reference(10))
 
 
 class TestQuarantineAndRemap:

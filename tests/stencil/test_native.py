@@ -928,6 +928,43 @@ class TestGatheredPlans:
                 compiled(inputs)["x_out"].data, reference["x_out"].data
             )
 
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    def test_a_subset_gathers_and_the_rest_reads_ghost_regions(self, mode):
+        """``gather={"x"}``: ``x`` binds as a bare domain array and the
+        static inputs as ghost-extended regions, bit for bit."""
+        program = mpdata_program()
+        solver = MpdataSolver(SHAPE, boundary=mode)
+        state = random_state(SHAPE, seed=18)
+        ghosted = solver.prepare_inputs(state)
+        plan = required_regions(
+            program, solver.domain, domain=solver.extended_domain
+        )
+        reference, _ = execute_plan(program, plan, ghosted)
+        compiled = compile_plan_native(
+            program, plan, boundary=(mode, solver.domain), gather={"x"}
+        )
+        assert compiled.gathered == {"x"}
+        inputs = dict(ghosted)
+        inputs["x"] = _raw_domain_inputs(solver, state)["x"]
+        np.testing.assert_array_equal(
+            compiled(inputs)["x_out"].data, reference["x_out"].data
+        )
+        # A static input without its ghost layers is refused, not folded.
+        inputs["u1"] = _raw_domain_inputs(solver, state)["u1"]
+        with pytest.raises(ValueError, match="is required"):
+            compiled(inputs)
+
+    def test_gather_needs_a_boundary_and_known_inputs(self):
+        program = mpdata_program()
+        plan = required_regions(program, full_box(SHAPE))
+        with pytest.raises(ValueError, match="needs a boundary"):
+            compile_plan_native(program, plan, gather={"x"})
+        with pytest.raises(ValueError, match="not inputs"):
+            compile_plan_native(
+                program, plan, boundary=("periodic", full_box(SHAPE)),
+                gather={"x", "x_out"},
+            )
+
     def test_region_without_the_domain_or_the_anchor_raises(self):
         program = mpdata_program()
         solver = MpdataSolver(SHAPE)
