@@ -36,7 +36,8 @@ them, :meth:`refresh` replaces one island's after a failed attempt,
 :meth:`close` releases them.
 Backends know nothing about retries, faults or telemetry — that is the
 resilience layer's job (:mod:`repro.runtime.resilience`) — and they
-never read clocks: wall-time attribution happens around them.
+never read clocks in Python: wall-time attribution happens around them,
+except inside a team step, whose C driver times each task itself.
 
 Besides the whole-step :meth:`IslandBackend.execute_island` used by the
 ``recompute`` halo policy, every backend also supports *stage-granular*
@@ -48,11 +49,15 @@ the island's owned slab into a persistent per-stage buffer, and the
 runner copies boundary planes between those buffers before the next
 stage.  Stage buffers always persist across steps (halo copies target
 them), so exchange-mode steps are allocation-free after warm-up in
-every backend.
+every backend.  The in-process ``native`` backend can also run such a
+step whole, as one C call per team member (:meth:`IslandBackend
+.team_step`, :class:`TeamStep`): the members run every stage kernel,
+halo copy and barrier of their islands below the interpreter.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import (
@@ -75,9 +80,12 @@ from ..stencil.expr import EvalArena
 from ..stencil.field import Field, FieldRole
 from ..stencil.interpreter import ArrayRegion, StageArena
 from ..stencil.native import (
+    TEAM_SYNC_WORDS,
     NativeBuildError,
+    TeamProgram,
     compile_plan_native,
     native_unavailable_reason,
+    team_driver,
 )
 from ..stencil.program import StencilProgram
 from ..stencil.region import Box
@@ -90,6 +98,7 @@ __all__ = [
     "IslandBackend",
     "IslandResult",
     "NativeBackend",
+    "TeamStep",
     "create_backend",
     "require_native",
     "stage_delta",
@@ -470,6 +479,150 @@ class IslandBackend:
     def _refresh_stage_state(self, island_index: int) -> None:
         """Hook: replace one island's per-stage state before a retry."""
 
+    def team_step(
+        self, size: int, inputs: Mapping[str, ArrayRegion], out: np.ndarray
+    ) -> Optional["TeamStep"]:
+        """A whole exchange step as one call per team member, or ``None``.
+
+        Backends that can run every stage, halo copy and barrier of a
+        step below the interpreter return a :class:`TeamStep` of ``size``
+        members over ``inputs`` and ``out``; the rest (the default) keep
+        the runner's stage-by-stage path.
+        """
+        return None
+
+
+#: How long a team member waiting at a barrier keeps its CPU (spinning,
+#: then yielding) before it blocks, when every member has a CPU of its
+#: own.  Per-stage imbalance is well under this, and a blocked member's
+#: CPU goes idle: waking it again (on a virtual machine, the host
+#: rescheduling the virtual CPU) can take longer than a stage.  Members
+#: that share CPUs block at once, so the member they wait for can run.
+TEAM_KEEP_SECONDS = 2e-3
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # not every platform has affinity masks
+        return os.cpu_count() or 1
+
+
+class TeamStep:
+    """One exchange step as one native call per team member.
+
+    Built by :meth:`NativeBackend.team_step`.  Member ``m`` runs the
+    islands ``q`` with ``q % size == m``: per active stage it copies in
+    the previous stage's flows whose destination is one of its islands,
+    runs its islands' stage plans and waits at the barrier; after the
+    last stage it copies in the last flows and its islands' parts of the
+    output.  Each member copies only into its own islands, and a flow
+    reads only its source island's computed box of a finished stage, so
+    one barrier per stage orders every copy.
+
+    :meth:`run` releases the GIL for the member's whole program and
+    returns 0, or 1 once the step was aborted.  :meth:`abort` releases
+    every member wherever it waits, so a caller that cannot start every
+    member can still collect the ones it started.
+    """
+
+    def __init__(
+        self,
+        size: int,
+        programs: List[TeamProgram],
+        inputs: Tuple[Tuple[str, ArrayRegion], ...],
+        out: np.ndarray,
+        outputs: List[Tuple[TeamProgram, int, Box, np.ndarray]],
+        launches: List[object],
+        results: List[IslandResult],
+        stage_names: List[List[Tuple[int, str]]],
+        clocks: int,
+    ) -> None:
+        driver = team_driver()
+        ffi = driver.ffi  # type: ignore[attr-defined]
+        self._run = driver.lib._team_run  # type: ignore[attr-defined]
+        self._abort = driver.lib._team_abort  # type: ignore[attr-defined]
+        self.size = size
+        self.out = out
+        self._inputs = inputs
+        self._outputs = outputs
+        self._programs = programs
+        self._pointers = [
+            ffi.cast("long *", program.words.ctypes.data) for program in programs
+        ]
+        #: The launches whose argument vectors the programs point into,
+        #: kept alive with everything they point into in turn.
+        self._launches = launches
+        self._sync = np.zeros(TEAM_SYNC_WORDS, dtype=np.int32)
+        self._sync_pointer = ffi.cast("int *", self._sync.ctypes.data)
+        #: Seconds a member keeps its CPU at a barrier before it blocks.
+        self.keep = TEAM_KEEP_SECONDS if size <= _usable_cpus() else 0.0
+        self._results = results
+        self._stage_names = stage_names
+        #: Per island, ``clocks`` seconds the team driver adds to: one
+        #: kernel clock per active stage, then the island's wall time
+        #: (none when untimed).
+        self._seconds: Optional[np.ndarray] = None
+        self._seconds_pointer = ffi.NULL
+        if clocks:
+            self._seconds = np.zeros((len(results), clocks))
+            self._seconds_pointer = ffi.cast(
+                "double *", self._seconds.ctypes.data
+            )
+
+    def holds(self, inputs: Mapping[str, ArrayRegion]) -> bool:
+        """Whether ``inputs`` are the regions the programs were built on."""
+        return all(inputs[name] is region for name, region in self._inputs)
+
+    def point_output(self, out: np.ndarray) -> None:
+        """Re-point the output copies at a new output array."""
+        for program, offset, part, source in self._outputs:
+            program.repoint(offset, out[part.slices()], source)
+        self.out = out
+
+    def arm(self) -> None:
+        """Reset the barrier (and the clocks) before a step's members start."""
+        self._sync.fill(0)
+        if self._seconds is not None:
+            self._seconds.fill(0.0)
+
+    def run(self, member: int) -> int:
+        """Run member ``member``'s program; 0, or 1 if the step was aborted."""
+        try:
+            return self._run(
+                self._pointers[member], self._sync_pointer, self.size,
+                self.keep, self._seconds_pointer,
+            )
+        except BaseException:
+            self.abort()
+            raise
+
+    def abort(self) -> None:
+        """Release every member of the current step, wherever it waits."""
+        self._abort(self._sync_pointer)
+
+    def results(self) -> List[IslandResult]:
+        """Each island's result for the step just run: the launch slots
+        it reused (a team step allocates nothing) and, timed, its
+        seconds."""
+        if self._seconds is None:
+            return self._results
+        results = []
+        for position, result in enumerate(self._results):
+            row = self._seconds[position].tolist()
+            results.append(
+                IslandResult(
+                    reused=result.reused,
+                    seconds=row[-1],
+                    stage_seconds={
+                        name: row[slot]
+                        for slot, name in self._stage_names[position]
+                    },
+                )
+            )
+        return results
+
 
 class FlatInterpreterBackend(IslandBackend):
     """Walk the stage graph per island (the reference execution path)."""
@@ -553,9 +706,12 @@ class NativeBackend(IslandBackend):
     directly it has no ``boundary`` and reads ghost-extended inputs
     only.  Each plan's output is
     bound to the island's part of the runner's output array, so the step
-    writes it in place.  There is deliberately no silent fallback to
-    the interpreter: a quietly degraded backend would invalidate any
-    performance measurement taken through it.
+    writes it in place.  Under exchange and hybrid, :meth:`team_step`
+    packs the bound stage plans and halo copies into one program per
+    team member, so a fault-free step is one C call per member.  There
+    is deliberately no silent fallback to the interpreter: a quietly
+    degraded backend would invalidate any performance measurement taken
+    through it.
     """
 
     key = "native"
@@ -643,6 +799,8 @@ class NativeBackend(IslandBackend):
     # -- stage-granular path (exchange / hybrid) ------------------------
     def _prepare_stage_state(self) -> None:
         self._stage_plans: Dict[Tuple[int, int], object] = {}
+        #: Team steps by team size, dropped whenever a plan is rebound.
+        self._teams: Dict[int, TeamStep] = {}
         for island in self.decomposition.islands:
             q = island.index
             for s in range(len(self._ledger.compute_boxes[q])):
@@ -669,6 +827,7 @@ class NativeBackend(IslandBackend):
         )
 
     def _refresh_stage_state(self, island_index: int) -> None:
+        self._teams.clear()
         for (q, s), compiled in self._stage_plans.items():
             if q != island_index:
                 continue
@@ -678,6 +837,91 @@ class NativeBackend(IslandBackend):
                 self.program.stages[s].output,
                 self._stage_buffers[q][s].view(comp),
             )
+
+    def team_step(self, size, inputs, out) -> Optional[TeamStep]:
+        """The :class:`TeamStep` of ``size`` members, built once.
+
+        Kept while the ghost input regions are the same objects (a check
+        per input, not per plan or island) and no refresh rebound a
+        plan; a new ``out`` re-points only the output copies.
+        """
+        if self._ledger is None:
+            return None
+        team = self._teams.get(size)
+        if team is None or not team.holds(inputs):
+            team = self._teams[size] = self._build_team(size, inputs, out)
+        elif team.out is not out:
+            team.point_output(out)
+        return team
+
+    def _build_team(self, size, inputs, out) -> TeamStep:
+        """Pack each member's program from the bound stage plans.
+
+        Binds every stage plan through the same checks and launch reuse
+        as a call (:meth:`~repro.stencil.codegen.CompiledPlan.bind`), but
+        runs no kernel.
+        """
+        ledger = self._ledger
+        islands = self.decomposition.islands
+        active = ledger.active_stages
+        buffers = self._stage_buffers
+        programs = [TeamProgram() for _ in range(size)]
+        launches: List[object] = []
+        results = [IslandResult() for _ in islands]
+        stage_names: List[List[Tuple[int, str]]] = [[] for _ in islands]
+        wall = len(active)
+
+        def receive(stage: int) -> None:
+            for flow in ledger.stage_flows[stage]:
+                programs[flow.dst % size].copy(
+                    buffers[flow.dst][stage].view(flow.box),
+                    buffers[flow.src][stage].view(flow.box),
+                )
+
+        for slot, stage in enumerate(active):
+            if slot:
+                receive(active[slot - 1])
+            name = self.program.stages[stage].name
+            for position, island in enumerate(islands):
+                compiled = self._stage_plans.get((island.index, stage))
+                if compiled is None:
+                    continue
+                launch = compiled.bind(
+                    self._stage_inputs(island.index, stage, inputs)
+                )
+                results[position].reused += launch.slots
+                stage_names[position].append((slot, name))
+                programs[island.index % size].task(
+                    launch, position * (wall + 1) + wall,
+                    position * (wall + 1) + slot,
+                )
+                launches.append(launch)
+            for program in programs:
+                program.barrier()
+        receive(active[-1])
+        producer = self.program.producer_of(self.output_field)
+        outputs = []
+        for island in islands:
+            program = programs[island.index % size]
+            source = buffers[island.index][producer].view(island.part)
+            offset = program.copy(out[island.part.slices()], source)
+            outputs.append((program, offset, island.part, source))
+        for program in programs:
+            program.pack()
+        return TeamStep(
+            size,
+            programs,
+            tuple(
+                (field.name, inputs[field.name])
+                for field in self.program.input_fields
+            ),
+            out,
+            outputs,
+            launches,
+            results,
+            stage_names,
+            wall + 1 if self.timed else 0,
+        )
 
 
 BACKENDS: Dict[str, Type[IslandBackend]] = {

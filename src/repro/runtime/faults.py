@@ -281,6 +281,20 @@ class FaultInjector:
                 fired.append(spec)
         return fired
 
+    def pending(self, step: int) -> bool:
+        """Whether any spec can still fire at ``step``, on any island.
+
+        A query, not an execution: no firing is counted.  The runner
+        asks it before a step it could run without per-island fault
+        sites, so a step where a fault can fire keeps them.
+        """
+        with self._lock:
+            return any(
+                (spec.step is None or spec.step == step)
+                and self._fired.get(position, 0) < spec.attempts
+                for position, spec in enumerate(self.specs)
+            )
+
     def reset(self) -> None:
         """Forget all firing counts (reuse the injector for a fresh run)."""
         with self._lock:

@@ -26,9 +26,10 @@ inputs shared by all islands — ghost-extended buffers, or the caller's
 bare arrays for the inputs a backend applies the boundary to itself
 (:attr:`~repro.runtime.backends.IslandBackend.raw_inputs`) — the
 assembled output array (two of them, alternating, for such a backend),
-the island-level work team (thread pool) with its degradation path, and
-step-level invariants — a failed step is never observable as a
-successful one.
+the island-level work team (thread pool) with its degradation path and
+the choice between a backend's team step and the stage-by-stage
+exchange path, and step-level invariants — a failed step is never
+observable as a successful one.
 
 The runner is a **steady-state execution engine**: resources that the
 paper's per-step overhead analysis says must not be paid every
@@ -55,7 +56,7 @@ from ..mpdata.reference import MpdataState
 from ..mpdata.solver import GhostSpec
 from ..mpdata.stages import FIELD_DENSITY, FIELD_X, mpdata_program
 from ..stencil import ArrayRegion, Box, StencilProgram, full_box
-from .backends import IslandResult, create_backend
+from .backends import IslandResult, TeamStep, create_backend
 from .config import EngineConfig, resolve_engine_config
 from .faults import FaultInjector, FaultStats
 from .resilience import IslandFailure, ResiliencePolicy, ResilientExecutor
@@ -569,6 +570,73 @@ class PartitionedRunner:
             errors += member_errors
         return errors
 
+    def _team_size(self) -> int:
+        """Members of a team step: one per thread, at most one per island,
+        and one once the pool has degraded."""
+        if self._degraded:
+            return 1
+        return min(self.threads, self.decomposition.count)
+
+    def _run_team(
+        self,
+        team: TeamStep,
+        inputs: Mapping[str, ArrayRegion],
+        out: np.ndarray,
+    ) -> TeamStep:
+        """Run one team step; returns the team that completed it.
+
+        Member 0 runs in the calling thread, the others as pool tasks.  A
+        member that never enters its call would leave the rest waiting at
+        a barrier, so every exit that can leave one out — a failed
+        ``submit``, an exception in the calling thread — aborts the step
+        (:meth:`~repro.runtime.backends.TeamStep.abort` releases every
+        waiting member) before it waits for the members.  A failed submit
+        degrades the runner to serial, as in :meth:`_fan_out`; an
+        exception propagates.  A step that did not finish on every member
+        is rerun by a team of one, which rewrites identical bytes.
+        """
+        team.arm()
+        if team.size == 1:
+            team.run(0)
+            return team
+        futures = []
+        codes: List[int] = []
+        try:
+            try:
+                executor = self._executor()
+                for member in range(1, team.size):
+                    futures.append(executor.submit(team.run, member))
+            except RuntimeError:
+                if self._closed:
+                    raise
+                self._degraded = True
+                team.abort()
+            else:
+                codes.append(team.run(0))
+        except BaseException:
+            team.abort()
+            self._join(futures)
+            raise
+        codes += self._join(futures)
+        if len(codes) == team.size and not any(codes):
+            return team
+        solo = self.backend.team_step(1, inputs, out)
+        solo.arm()
+        solo.run(0)
+        return solo
+
+    @staticmethod
+    def _join(futures) -> List[int]:
+        """Wait for every team member; a member that raised (and so
+        aborted the step) counts as aborted."""
+        codes = []
+        for future in futures:
+            try:
+                codes.append(future.result())
+            except Exception:
+                codes.append(1)
+        return codes
+
     def _exchange_copies(self) -> Dict[int, Tuple[tuple, int]]:
         """Each active stage's boundary copies, built once per runner.
 
@@ -606,18 +674,30 @@ class PartitionedRunner:
     ) -> Tuple[int, int]:
         """One scenario-1 step: per stage, compute owned slabs, copy halos.
 
-        Every active stage is one fan-out over all islands (each computes
-        its ledger slab into its persistent stage buffer), followed by a
+        When the backend offers a team step (in-process ``native``) and
+        no injected fault can fire at this step, the whole step is one
+        call per team member (:meth:`_run_team`): every stage kernel,
+        barrier and halo copy runs in C.  Otherwise every active stage is
+        one fan-out over all islands (each computes its ledger slab into
+        its persistent stage buffer through the resilience layer, so
+        every fault keeps its firing site and retries), followed by a
         barrier — the fan-out joins every island before the boundary
         copies run — and the stage's :class:`~repro.core.halo.StageFlow`
         copies between island buffers.  Returns the measured
         ``(exchanged_bytes, stage_syncs)`` of the call.
         """
         islands = self.decomposition.islands
+        copies = self._exchange_copies()
+        injector = self.fault_injector
+        if injector is None or not injector.pending(step_index):
+            team = self.backend.team_step(self._team_size(), inputs, out)
+            if team is not None:
+                island_results[:] = self._run_team(team, inputs, out).results()
+                return sum(nbytes for _, nbytes in copies.values()), len(copies)
         exchanged_bytes = 0
         stage_syncs = 0
 
-        for stage_index, (pairs, nbytes) in self._exchange_copies().items():
+        for stage_index, (pairs, nbytes) in copies.items():
 
             def run_stage(position: int, _stage: int = stage_index) -> None:
                 result = self.resilience.run_island_stage(

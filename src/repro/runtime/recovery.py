@@ -300,12 +300,15 @@ def run_with_recovery(
             # Roll back: replay from the last good field.  A guard trip
             # means the runner's output buffer holds poison, an island
             # failure that the runner already invalidated it; either way
-            # every ghost buffer is refilled on the replayed step.
+            # only ``x`` was rolled back.  The static inputs' ghost
+            # buffers live in the runner (in shared memory under procs),
+            # which no retry or respawn touches, so the replayed step
+            # refills ``x`` alone.
             report.rollbacks += 1
             arrays[FIELD_X] = good_x
             report.replayed_steps += step - good_step
             step = good_step
-            changed = None
+            changed = {FIELD_X}
             continue
         step += 1
         arrays[FIELD_X] = new_x

@@ -175,9 +175,10 @@ class CompiledPlan:
     keeps the bindings of its last two distinct input sets, so a caller
     alternating between two (a double-buffered field) skips the coverage
     checks, view slicing and boundary maps after both were seen.  The
-    launch (the entry point's pointer and stride arguments) is bound once
-    per binding too, so a steady-state call is the one C call alone
-    (which reads the per-stage clock when timed).
+    launch (the entry point's packed vector of pointers and strides) is
+    bound once per binding too, so a steady-state call is the one C call
+    alone (which reads the per-stage clock when timed); :meth:`bind`
+    returns the launch without running it.
     """
 
     program: StencilProgram
@@ -243,16 +244,8 @@ class CompiledPlan:
     def __call__(
         self, inputs: Mapping[str, ArrayRegion]
     ) -> Dict[str, ArrayRegion]:
-        binding = self._binding
-        if binding is None or not binding.holds(inputs):
-            previous = self._previous
-            if previous is not None and previous.holds(inputs):
-                self._binding, self._previous = previous, binding
-                binding = previous
-            else:
-                self._previous = binding
-                binding = self._binding = self._bind(inputs)
-        raw = self._run(binding)
+        binding = self._binding_for(inputs)
+        raw = self._launch(self._launch_for(binding))
         cached = binding.results
         if cached is not None and all(
             region.data is raw[name] for name, region in cached.items()
@@ -265,6 +258,29 @@ class CompiledPlan:
         }
         binding.results = results
         return dict(results)
+
+    def bind(self, inputs: Mapping[str, ArrayRegion]) -> Any:
+        """The launch a call with ``inputs`` would run, without running it.
+
+        The same binding and launch reuse as a call, with the same checks
+        and workspace counters; a caller that runs the launch itself (the
+        native team driver, through the launch's entry address and
+        argument vector) must keep ``inputs`` as they are while it does.
+        """
+        return self._launch_for(self._binding_for(inputs))
+
+    def _binding_for(self, inputs: Mapping[str, ArrayRegion]) -> PlanBinding:
+        """The kept binding ``inputs`` match, or a new one."""
+        binding = self._binding
+        if binding is None or not binding.holds(inputs):
+            previous = self._previous
+            if previous is not None and previous.holds(inputs):
+                self._binding, self._previous = previous, binding
+                binding = previous
+            else:
+                self._previous = binding
+                binding = self._binding = self._bind(inputs)
+        return binding
 
     def _bind(self, inputs: Mapping[str, ArrayRegion]) -> PlanBinding:
         """Check input coverage and re-anchor the input views (or, for a
@@ -295,8 +311,8 @@ class CompiledPlan:
             sources.append((name, region, region.data, region.box))
         return PlanBinding(tuple(sources), arrays, maps)
 
-    def _run(self, binding: PlanBinding) -> Dict[str, np.ndarray]:
-        """Run the entry point over a binding's inputs."""
+    def _launch_for(self, binding: PlanBinding) -> Any:
+        """A binding's launch: kept while it holds, else rebuilt."""
         launch = binding.stages
         if launch is None or not launch.holds():
             launch = binding.stages = self._bind_stages(
@@ -306,4 +322,4 @@ class CompiledPlan:
             # The slots a rebuilt launch would fetch again, counted the
             # same way so workspace reuse counters keep their meaning.
             self.workspace.reuses += launch.slots
-        return self._launch(launch)
+        return launch

@@ -91,6 +91,9 @@ __all__ = [
     "PlaneSchedule",
     "boundary_map",
     "compile_plan_native",
+    "entry_arguments",
+    "team_driver",
+    "TeamProgram",
 ]
 
 
@@ -418,8 +421,53 @@ def _emit_stage(
     return "\n".join(lines)
 
 
+#: Name of the typed pipeline the packed entry point unpacks into.
+PIPELINE_SYMBOL = "_pipeline"
+
+
+def entry_arguments(schedule: PlaneSchedule) -> Tuple[Tuple[str, str], ...]:
+    """The packed entry point's argument vector, one ``long`` per slot.
+
+    Each slot is ``(name, kind)``: ``"out"`` (an output array),
+    ``"in"`` (an input array), ``"map"`` (a gathered input's boundary
+    map), ``"stride"`` (an element stride), ``"rings"`` (the ring arena)
+    or ``"clock"`` (the per-stage clock, 0 when untimed).  Outputs come
+    first, each with its i and j strides; then every input with either
+    its boundary map or its strides; then the ring arena and the clock.
+    The emitter unpacks this order and the launch packs it.
+    """
+    slots: List[Tuple[str, str]] = []
+    for name, _ in schedule.outputs:
+        slots += [(name, "out"), (f"{name}_s0", "stride"), (f"{name}_s1", "stride")]
+    for name in schedule.inputs:
+        slots.append((name, "in"))
+        if name in schedule.gathered:
+            slots.append((f"{name}_map", "map"))
+        else:
+            slots += [(f"{name}_s0", "stride"), (f"{name}_s1", "stride")]
+    return tuple(slots) + ((RING_ARENA, "rings"), ("_clock", "clock"))
+
+
+#: Each argument kind's C parameter type, ``restrict`` included.
+_ARGUMENT_TYPES = {
+    "out": "real* restrict",
+    "in": "const real* restrict",
+    "map": "const long* restrict",
+    "stride": "long",
+    "rings": "real* restrict",
+    "clock": "double*",
+}
+
+
 def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
     """Emit the entry point over the plane kernels; returns ``(definition, cdef)``.
+
+    The exported :data:`ENTRY_SYMBOL` takes one argument, the packed
+    ``long`` vector of :func:`entry_arguments`, and calls the typed
+    pipeline, a ``static`` function the compiler inlines into it.  One
+    calling convention serves every caller: Python passes the vector of
+    a launch, and the native team driver calls the same symbol through a
+    function pointer.
 
     Plane indices are counted from the first tick's plane, so the source
     depends only on the plan's shapes and relative offsets, as the plane
@@ -428,16 +476,14 @@ def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
     its boundary map, both run-time arguments, so the same holds for it;
     every other input as its array and strides, like an output.
     """
-    params: List[str] = []
-    for name, _ in schedule.outputs:
-        params += [f"real* restrict {name}", f"long {name}_s0", f"long {name}_s1"]
-    for name in schedule.inputs:
-        params.append(f"const real* restrict {name}")
-        if name in schedule.gathered:
-            params.append(f"const long* restrict {name}_map")
-        else:
-            params += [f"long {name}_s0", f"long {name}_s1"]
-    params += ["real* restrict _rings", "double* _clock"]
+    slots = entry_arguments(schedule)
+    params = [f"{_ARGUMENT_TYPES[kind]} {name}" for name, kind in slots]
+    unpacked = [
+        f"_a[{n}]" if kind == "stride"
+        else f"({_ARGUMENT_TYPES[kind].replace(' restrict', '')})_a[{n}]"
+        for n, (_, kind) in enumerate(slots)
+    ]
+    signature = f"static void {PIPELINE_SYMBOL}({', '.join(params)})"
 
     first, last = schedule.ticks
 
@@ -472,7 +518,19 @@ def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
     for name, (_, reader) in schedule.gathers.items():
         readers.setdefault(reader, []).append(name)
 
-    lines = [f"void {ENTRY_SYMBOL}({', '.join(params)})", "{"]
+    # The exported entry comes first, as the module's interface; the
+    # pipeline it unpacks into is declared ahead of it and defined after.
+    lines = [
+        f"{signature};",
+        "",
+        f"void {ENTRY_SYMBOL}(const long* _a)",
+        "{",
+        f"    {PIPELINE_SYMBOL}({', '.join(unpacked)});",
+        "}",
+        "",
+        signature,
+        "{",
+    ]
     lines.append("    long _i;")
     lines.append("    double _c = 0.0;")
     # The planes tick 0 reads besides its newest, charged to the reader.
@@ -524,8 +582,7 @@ def _emit_entry(ir: KernelIR, schedule: PlaneSchedule) -> Tuple[str, str]:
             lines.append(f"        if (_clock) _clock[{n}] += _now() - _c;")
     lines.append("    }")
     lines.append("}")
-    declared = ", ".join(p.replace(" restrict", "") for p in params)
-    return "\n".join(lines), f"void {ENTRY_SYMBOL}({declared});"
+    return "\n".join(lines), f"void {ENTRY_SYMBOL}(const long *);"
 
 
 def emit_c_source(
@@ -534,10 +591,11 @@ def emit_c_source(
     """Render a kernel IR to a C translation unit.
 
     Returns ``(csource, cdef)``: the compilable source (one static plane
-    kernel per non-empty stage, plus the :data:`ENTRY_SYMBOL` entry point that
-    pipelines them over the plan's i-planes) and the matching cffi
-    declaration of the entry point.  ``gather`` names the inputs the entry
-    point copies plane by plane into rings (:func:`plane_schedule`).
+    kernel per non-empty stage, the static pipeline over the plan's
+    i-planes, and the :data:`ENTRY_SYMBOL` entry point that unpacks one
+    argument vector into it) and the matching cffi declaration of the
+    entry point.  ``gather`` names the inputs the pipeline copies plane by
+    plane into rings (:func:`plane_schedule`).
     """
     key = np.dtype(dtype).str
     if key not in _C_TYPES:
@@ -705,26 +763,284 @@ def _load_native_module(csource: str, cdef: str) -> object:
 
 
 # ----------------------------------------------------------------------
+# The team driver: one call per team member runs a whole program
+# ----------------------------------------------------------------------
+
+#: Opcodes of a team program (:class:`TeamProgram`), each followed by its
+#: operand words (the team driver's C enum has the same values).
+#: ``TASK fn args clock wall kernel`` calls entry point ``fn`` with
+#: argument vector ``args``; ``COPY dst src n0 n1 n2 d0 d1 s0 s1
+#: itemsize`` copies an ``n0 x n1 x n2`` box between two arrays with unit
+#: innermost strides (outer strides in elements); ``BARRIER`` waits for
+#: every team member; ``END`` returns.
+TEAM_END, TEAM_TASK, TEAM_COPY, TEAM_BARRIER = 0, 1, 2, 3
+
+#: Words of the team's synchronization array (``int32``): the arrival
+#: count, the barrier generation, the abort flag and the number of
+#: blocked waiters, a cache line apart.
+TEAM_SYNC_WORDS = 64
+
+_TEAM_SOURCE = """\
+#include <limits.h>
+#include <sched.h>
+#include <string.h>
+#include <time.h>
+#ifdef __linux__
+#include <linux/futex.h>
+#include <sys/syscall.h>
+#include <unistd.h>
+#endif
+
+typedef void (*_entry)(const long*);
+
+/* Opcodes (TEAM_END ... in Python) and synchronization words. */
+enum { _END, _TASK, _COPY, _BARRIER };
+enum { _COUNT = 0, _GEN = 16, _ABORT = 32, _SLEEPERS = 48 };
+
+static double _now(void) {
+    struct timespec ts;
+    clock_gettime(CLOCK_MONOTONIC, &ts);
+    return (double)ts.tv_sec + 1e-9 * (double)ts.tv_nsec;
+}
+
+static void _relax(void) {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    __asm__ __volatile__("yield");
+#endif
+}
+
+/* Block while *word == value, for at most a millisecond: the timeout
+   bounds the cost of any wake-up that is missed. */
+static void _block(int* word, int value) {
+#ifdef __linux__
+    struct timespec ts = {0, 1000000};
+    syscall(SYS_futex, word, FUTEX_WAIT_PRIVATE, value, &ts, NULL, 0);
+#else
+    struct timespec ts = {0, 50000};
+    (void)word; (void)value;
+    nanosleep(&ts, NULL);
+#endif
+}
+
+static void _wake(int* word) {
+#ifdef __linux__
+    syscall(SYS_futex, word, FUTEX_WAKE_PRIVATE, INT_MAX, NULL, NULL, 0);
+#else
+    (void)word;
+#endif
+}
+
+static int _aborted(int* sync) {
+    return __atomic_load_n(sync + _ABORT, __ATOMIC_ACQUIRE);
+}
+
+/* A waiter spins (pauses) for its first _SPIN_SECONDS. */
+#define _SPIN_SECONDS 5e-5
+
+/* A generation barrier.  The last member to arrive resets the count and
+   advances the generation.  The others spin, then yield their CPU, and
+   block once they have waited `keep` seconds, until the generation
+   moves.  Returns nonzero once the step was aborted. */
+static int _barrier(int* sync, long team, double keep) {
+    if (team <= 1)
+        return _aborted(sync);
+    const int gen = __atomic_load_n(sync + _GEN, __ATOMIC_ACQUIRE);
+    if (_aborted(sync))
+        return 1;
+    if (__atomic_add_fetch(sync + _COUNT, 1, __ATOMIC_ACQ_REL) == team) {
+        __atomic_store_n(sync + _COUNT, 0, __ATOMIC_RELAXED);
+        __atomic_add_fetch(sync + _GEN, 1, __ATOMIC_SEQ_CST);
+        if (__atomic_load_n(sync + _SLEEPERS, __ATOMIC_SEQ_CST))
+            _wake(sync + _GEN);
+        return _aborted(sync);
+    }
+    const double start = _now();
+    for (long turn = 1;; ++turn) {
+        if (_aborted(sync))
+            return 1;
+        if (__atomic_load_n(sync + _GEN, __ATOMIC_ACQUIRE) != gen)
+            return 0;
+        if (turn % 64) {
+            _relax();
+            continue;
+        }
+        const double waited = _now() - start;
+        if (waited < keep) {
+            if (waited >= _SPIN_SECONDS)
+                sched_yield();
+            continue;
+        }
+        __atomic_add_fetch(sync + _SLEEPERS, 1, __ATOMIC_SEQ_CST);
+        if (__atomic_load_n(sync + _GEN, __ATOMIC_SEQ_CST) == gen)
+            _block(sync + _GEN, gen);
+        __atomic_sub_fetch(sync + _SLEEPERS, 1, __ATOMIC_SEQ_CST);
+    }
+}
+
+/* Run one member's program of a team of `team`, keeping its CPU for up
+   to `keep` seconds at each barrier.  With `seconds`, each task's wall
+   time is added to seconds[wall] and the growth of its plan's clock to
+   seconds[kernel].  Returns 0, or 1 when the step was aborted. */
+long _team_run(const long* op, int* sync, long team, double keep,
+               double* seconds) {
+    for (;;) {
+        if (_aborted(sync))
+            return 1;
+        switch (op[0]) {
+        case _TASK: {
+            const double* clock = (const double*)op[3];
+            double begin = 0.0, before = 0.0;
+            if (seconds) {
+                begin = _now();
+                if (clock)
+                    before = *clock;
+            }
+            ((_entry)op[1])((const long*)op[2]);
+            if (seconds) {
+                seconds[op[4]] += _now() - begin;
+                if (clock)
+                    seconds[op[5]] += *clock - before;
+            }
+            op += 6;
+            break;
+        }
+        case _COPY: {
+            char* dst = (char*)op[1];
+            const char* src = (const char*)op[2];
+            const long item = op[10], row = op[5] * item;
+            for (long i = 0; i < op[3]; ++i)
+                for (long j = 0; j < op[4]; ++j)
+                    memcpy(dst + (i * op[6] + j * op[7]) * item,
+                           src + (i * op[8] + j * op[9]) * item, row);
+            op += 11;
+            break;
+        }
+        case _BARRIER:
+            if (_barrier(sync, team, keep))
+                return 1;
+            op += 1;
+            break;
+        default:
+            return 0;
+        }
+    }
+}
+
+/* Release every member of the step, wherever it waits. */
+void _team_abort(int* sync) {
+    __atomic_store_n(sync + _ABORT, 1, __ATOMIC_SEQ_CST);
+    __atomic_add_fetch(sync + _GEN, 1, __ATOMIC_SEQ_CST);
+    _wake(sync + _GEN);
+}
+"""
+
+_TEAM_CDEF = """\
+long _team_run(const long *, int *, long, double, double *);
+void _team_abort(int *);
+"""
+
+
+def team_driver() -> object:
+    """The compiled team driver module (built and cached like a plan's).
+
+    Its ``lib`` exports ``_team_run(program, sync, team, keep,
+    seconds)``, which runs one member's :class:`TeamProgram` and returns
+    0, or 1 when the step was aborted, and ``_team_abort(sync)``, which
+    releases every member of a step wherever it waits.  Both release the
+    GIL.  A member waiting at a barrier spins briefly, then yields its
+    CPU, and blocks once it has waited ``keep`` seconds; it never spins
+    without bound.
+    """
+    return _load_native_module(_TEAM_SOURCE, _TEAM_CDEF)
+
+
+class TeamProgram:
+    """One team member's op list for the team driver (:data:`TEAM_TASK` …).
+
+    Built once, packed into one ``int64`` array; only the destination of
+    a copy is ever rewritten in place afterwards (:meth:`repoint`).
+    """
+
+    def __init__(self) -> None:
+        self._words: List[int] = []
+        self.words: Optional[np.ndarray] = None
+
+    def task(self, launch: _Launch, wall: int, kernel: int) -> None:
+        """Call a launch; its wall time goes to ``seconds[wall]`` and its
+        plan's clock growth to ``seconds[kernel]`` when timed."""
+        self._words += [
+            TEAM_TASK, launch.entry, launch.vector.ctypes.data, launch.clock,
+            wall, kernel,
+        ]
+
+    def copy(self, dst: np.ndarray, src: np.ndarray) -> int:
+        """Copy ``src`` into ``dst`` (equal 3-D shapes, unit innermost
+        strides); returns the word offset of the copy's operands."""
+        if dst.shape != src.shape or dst.dtype != src.dtype:
+            raise ValueError(
+                f"team copy between {src.shape} {src.dtype} and "
+                f"{dst.shape} {dst.dtype}"
+            )
+        self._words.append(TEAM_COPY)
+        offset = len(self._words)
+        self._words += _copy_words(dst, src)
+        return offset
+
+    def barrier(self) -> None:
+        self._words.append(TEAM_BARRIER)
+
+    def pack(self) -> np.ndarray:
+        """The program as the team driver reads it, ended by
+        :data:`TEAM_END`."""
+        self.words = np.array(self._words + [TEAM_END], dtype=np.int64)
+        return self.words
+
+    def repoint(self, offset: int, dst: np.ndarray, src: np.ndarray) -> None:
+        """Rewrite a packed copy's operands for a new destination array."""
+        self.words[offset:offset + 10] = _copy_words(dst, src)
+
+
+def _copy_words(dst: np.ndarray, src: np.ndarray) -> List[int]:
+    d0, d1 = _strides_in_elements(dst, "copy destination")
+    s0, s1 = _strides_in_elements(src, "copy source")
+    n0, n1, n2 = dst.shape
+    return [
+        dst.ctypes.data, src.ctypes.data, n0, n1, n2, d0, d1, s0, s1,
+        dst.itemsize,
+    ]
+
+
+# ----------------------------------------------------------------------
 # Plan compilation
 # ----------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class _Launch:
-    """The entry point's argument tuple, built against the plan's workspace.
+    """The entry point's packed argument vector, built against the plan's
+    workspace.
 
     Building it is the per-call set-up of a native step: fetch the output
-    arrays and the ring arena, check unit innermost strides, cast
-    pointers.  The tuple stays valid while the workspace still holds
-    every array the launch points into (no slot was reallocated, reset or
-    bound to another array since), and the owning
-    :class:`~repro.stencil.codegen.PlanBinding` holds its inputs;
-    ``produced`` and ``rings`` keep every such array alive.
+    arrays and the ring arena, check unit innermost strides, pack
+    pointers and strides into ``vector`` in :func:`entry_arguments`
+    order.  Python runs it as ``entry(pointer)``; the team driver calls
+    the entry point at address ``entry`` with the vector's address.  The
+    vector stays valid while the workspace still holds every array the
+    launch points into (no slot was reallocated, reset or bound to
+    another array since); ``produced``, ``rings`` and ``sources`` (the
+    input arrays and boundary maps) keep every such array alive.
     """
 
     workspace: Workspace
-    args: tuple
+    vector: np.ndarray
+    pointer: object
+    entry: int
+    #: Address of the plan's per-stage clock (0 when untimed).
+    clock: int
     produced: Dict[str, np.ndarray]
     rings: Optional[np.ndarray]
+    sources: Tuple[np.ndarray, ...] = ()
 
     def holds(self) -> bool:
         workspace = self.workspace
@@ -896,15 +1212,19 @@ def compile_plan_native(
     module = _load_native_module(csource, cdef)
     ffi = module.ffi  # type: ignore[attr-defined]
     entry = getattr(module.lib, ENTRY_SYMBOL)  # type: ignore[attr-defined]
-    ctype, _, _ = _C_TYPES[dtype.str]
-    ptr_type = f"{ctype} *"
+    # The entry's address, for callers that run launches through a
+    # function pointer (the team driver).
+    address = int(
+        ffi.cast("intptr_t", ffi.addressof(module.lib, ENTRY_SYMBOL))
+    )
+    slots = entry_arguments(schedule)
     cast = ffi.cast
 
     stage_seconds: Optional[np.ndarray] = None
-    clock = ffi.NULL
+    clock = 0
     if timed:
         stage_seconds = np.zeros(len(names))
-        clock = cast("double *", stage_seconds.ctypes.data)
+        clock = stage_seconds.ctypes.data
 
     gather_map = None
     if boundary is not None:
@@ -927,29 +1247,42 @@ def compile_plan_native(
         maps: Dict[str, np.ndarray],
         workspace: Workspace,
     ) -> _Launch:
-        args: List[object] = []
+        values: Dict[str, int] = {"_clock": clock}
         produced: Dict[str, np.ndarray] = {}
         for name, shape in schedule.outputs:
             out = produced[name] = workspace.out(name, shape)
-            s0, s1 = _strides_in_elements(out, name)
-            args += [cast(ptr_type, out.ctypes.data), s0, s1]
+            values[name] = out.ctypes.data
+            values[f"{name}_s0"], values[f"{name}_s1"] = _strides_in_elements(
+                out, name
+            )
         for name in schedule.inputs:
             source = arrays[name]
-            args.append(cast(ptr_type, source.ctypes.data))
+            values[name] = source.ctypes.data
             if name in schedule.gathered:
-                args.append(cast("long *", maps[name].ctypes.data))
+                values[f"{name}_map"] = maps[name].ctypes.data
             else:
-                args += _strides_in_elements(source, name)
+                values[f"{name}_s0"], values[f"{name}_s1"] = (
+                    _strides_in_elements(source, name)
+                )
         rings = None
-        ring_pointer = ffi.NULL
+        values[RING_ARENA] = 0
         if schedule.ring_elems:
             rings = workspace.out(RING_ARENA, (schedule.ring_elems,))
-            ring_pointer = cast(ptr_type, rings.ctypes.data)
-        args += [ring_pointer, clock]
-        return _Launch(workspace, tuple(args), produced, rings)
+            values[RING_ARENA] = rings.ctypes.data
+        vector = np.array([values[name] for name, _ in slots], dtype=np.int64)
+        return _Launch(
+            workspace,
+            vector,
+            cast("long *", vector.ctypes.data),
+            address,
+            clock,
+            produced,
+            rings,
+            (*arrays.values(), *maps.values()),
+        )
 
     def _launch(launch: _Launch) -> Dict[str, np.ndarray]:
-        entry(*launch.args)
+        entry(launch.pointer)
         return launch.produced
 
     return CompiledPlan(

@@ -37,6 +37,9 @@ BACKENDS = [
     # Both islands on one worker: their commands queue up on its pipe.
     pytest.param("procs-native-queued", marks=needs_native),
     pytest.param("native", marks=needs_native),
+    # Two threads: exchange and hybrid steps run as a team of two native
+    # calls with a real barrier (the ``native`` row's team has one).
+    pytest.param("native-team", marks=needs_native),
 ]
 HALOS = ["recompute", "exchange", "hybrid"]
 
@@ -47,6 +50,9 @@ def _config(backend, halo, **kwargs):
     if backend == "procs-native-queued":
         backend = "procs-native"
         kwargs.setdefault("workers", 1)
+    if backend == "native-team":
+        backend = "native"
+        kwargs.setdefault("threads", 2)
     if backend == "procs-native":  # procs workers running native kernels
         backend = "procs"
         kwargs.setdefault("procs_inner", "native")

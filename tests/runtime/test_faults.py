@@ -126,6 +126,38 @@ class TestFaultInjector:
         )
         assert [spec.kind for spec in injector.specs] == ["crash", "corrupt"]
 
+    def test_pending_at_an_exact_step(self):
+        injector = FaultInjector([FaultSpec("crash", island=1, step=3)])
+        assert [injector.pending(step) for step in range(5)] == [
+            False, False, False, True, False,
+        ]
+
+    def test_pending_at_a_wildcard_step_until_exhausted(self):
+        injector = FaultInjector([FaultSpec("slow", island=0, attempts=2)])
+        assert injector.pending(0) and injector.pending(9)
+        injector.fire(0, 0)
+        assert injector.pending(1)
+        injector.fire(1, 0)
+        assert not injector.pending(2)
+
+    def test_not_pending_once_attempts_are_spent(self):
+        injector = FaultInjector(
+            [FaultSpec("crash", island=2, step=4, attempts=2)]
+        )
+        injector.fire(4, 2)
+        assert injector.pending(4)
+        injector.fire(4, 2)
+        assert not injector.pending(4)
+        assert injector.exhausted
+
+    def test_pending_never_counts_a_firing(self):
+        injector = FaultInjector([FaultSpec("crash", island=0, step=1)])
+        for _ in range(5):
+            assert injector.pending(1)
+        assert not injector.exhausted
+        assert len(injector.fire(1, 0)) == 1
+        assert not injector.pending(1)
+
 
 class TestFaultStats:
     def test_absorb_and_since(self):

@@ -393,3 +393,90 @@ class TestRunWithRecoveryDirect:
                     recovery=RecoveryPolicy(max_rollbacks=0),
                 )
         assert isinstance(excinfo.value.__cause__, NumericalHealthError)
+
+
+class TestRollbackRefillsOnlyX:
+    """A rollback restores ``x`` alone, so the replayed step ghost-fills
+    ``x`` and no static input: their buffers live in the runner (in
+    shared memory under procs), which no retry or respawn touches."""
+
+    SHAPE = (32, 16, 8)
+    STEPS = 10
+    FAULT = "corrupt@island=1,step=7"
+
+    def _extensions(self, monkeypatch, state):
+        """Count ghost fills per input name (``extend_array`` and
+        ``extend_array_into`` alike)."""
+        from repro.runtime import island_exec
+
+        names = {
+            id(state.x): "x", id(state.u1): "u1", id(state.u2): "u2",
+            id(state.u3): "u3", id(state.h): "h",
+        }
+        counts = {}
+
+        def counting(target):
+            def wrapper(array, *args, **kwargs):
+                name = names.get(id(array), "x")
+                counts[name] = counts.get(name, 0) + 1
+                return target(array, *args, **kwargs)
+
+            return wrapper
+
+        for function in ("extend_array", "extend_array_into"):
+            monkeypatch.setattr(
+                island_exec, function,
+                counting(getattr(island_exec, function)),
+            )
+        return counts
+
+    def _run(self, state, config):
+        with MpdataIslandSolver(self.SHAPE, 4, config=config) as solver:
+            final = np.array(
+                solver.run(
+                    state, self.STEPS,
+                    recovery=RecoveryPolicy(checkpoint_every=5),
+                ),
+                copy=True,
+            )
+            return final, solver.last_recovery_report
+
+    @pytest.mark.skipif(
+        not native_available(), reason="needs cffi and a system C compiler"
+    )
+    def test_procs_native_fills_the_static_inputs_once(
+        self, monkeypatch, state
+    ):
+        state = random_state(self.SHAPE, seed=2017)
+        expected = MpdataSolver(self.SHAPE).run(state, self.STEPS)
+        counts = self._extensions(monkeypatch, state)
+        config = EngineConfig(
+            backend="procs", procs_inner="native", workers=2,
+            fault_specs=(self.FAULT,),
+        )
+        final, report = self._run(state, config)
+        assert report.rollbacks == 1
+        # x is gathered by the workers; the static inputs are filled on
+        # step 0 only, not again after the rollback.
+        assert counts == {"u1": 1, "u2": 1, "u3": 1, "h": 1}
+        assert sum(counts.values()) == 4
+        np.testing.assert_array_equal(final, expected)
+
+    def test_interpreter_exchange_fills_the_static_inputs_once(
+        self, monkeypatch, state
+    ):
+        state = random_state(self.SHAPE, seed=2017)
+        expected = MpdataSolver(self.SHAPE).run(state, self.STEPS)
+        counts = self._extensions(monkeypatch, state)
+        config = EngineConfig(halo="exchange", fault_specs=(self.FAULT,))
+        final, report = self._run(state, config)
+        assert report.rollbacks == 1
+        assert {name: counts[name] for name in ("u1", "u2", "u3", "h")} == {
+            "u1": 1, "u2": 1, "u3": 1, "h": 1,
+        }
+        # x: once per step call, so every step, the replayed ones and the
+        # step whose guard tripped.
+        assert counts["x"] == (
+            self.STEPS + report.replayed_steps + report.rollbacks
+        )
+        np.testing.assert_array_equal(final, expected)

@@ -50,8 +50,10 @@ from repro.stencil.codegen import CompiledPlan
 from repro.stencil.expr import fmax, fmin, neg, pos
 from repro.stencil.native import (
     ENTRY_SYMBOL,
+    PIPELINE_SYMBOL,
     RING_ARENA,
     emit_c_source,
+    entry_arguments,
     plane_schedule,
 )
 
@@ -901,6 +903,73 @@ def _raw_domain_inputs(solver, state):
         )
         for name, region in solver.prepare_inputs(state).items()
     }
+
+
+@needs_native
+class TestPackedEntryPoint:
+    """One calling convention: the entry point takes one ``long`` vector,
+    and the launch packs it in the order the emitted entry unpacks."""
+
+    def test_launch_packs_the_emitted_argument_order(self):
+        program = mpdata_program()
+        solver = MpdataSolver(SHAPE)
+        state = random_state(SHAPE, seed=21)
+        plan = required_regions(
+            program, solver.domain, domain=solver.extended_domain
+        )
+        # Every argument kind: an output, a gathered input (its map),
+        # ghost-read inputs (their strides), the ring arena, the clock.
+        compiled = compile_plan_native(
+            program, plan, timed=True, boundary=("periodic", solver.domain),
+            gather={"x"},
+        )
+        inputs = dict(solver.prepare_inputs(state))
+        inputs["x"] = _raw_domain_inputs(solver, state)["x"]
+        launch = compiled.bind(inputs)
+        binding = compiled._binding
+        slots = entry_arguments(
+            plane_schedule(lower_plan(program, plan), {"x"})
+        )
+        assert {kind for _, kind in slots} == {
+            "out", "in", "map", "stride", "rings", "clock",
+        }
+
+        def element_strides(array):
+            return [stride // array.itemsize for stride in array.strides[:2]]
+
+        expected = {
+            RING_ARENA: launch.rings.ctypes.data,
+            "_clock": compiled._stage_seconds.ctypes.data,
+        }
+        for name, array in [*launch.produced.items(), *binding.arrays.items()]:
+            expected[name] = array.ctypes.data
+            expected[f"{name}_s0"], expected[f"{name}_s1"] = element_strides(
+                array
+            )
+        for name, array in binding.maps.items():
+            expected[f"{name}_map"] = array.ctypes.data
+        assert launch.vector.tolist() == [expected[name] for name, _ in slots]
+        assert launch.clock == expected["_clock"]
+
+        source = compiled.source
+        declared = source[source.index(f"static void {PIPELINE_SYMBOL}("):]
+        declared = declared[declared.index("(") + 1:declared.index(");")]
+        assert [param.split()[-1] for param in declared.split(", ")] == [
+            name for name, _ in slots
+        ]
+        entry = source[source.index(f"void {ENTRY_SYMBOL}(const long* _a)"):]
+        call = entry[entry.index(f"{PIPELINE_SYMBOL}(") + len(PIPELINE_SYMBOL) + 1:]
+        unpacked = call[:call.index(");")].split(", ")
+        assert len(unpacked) == len(slots)
+        for n, ((_, kind), argument) in enumerate(zip(slots, unpacked)):
+            # Slot n, cast to a pointer unless it is a stride.
+            assert argument.endswith(f"_a[{n}]")
+            assert argument.startswith("(") == (kind != "stride")
+        # The launch runs as the interpreter does.
+        reference, _ = execute_plan(program, plan, solver.prepare_inputs(state))
+        np.testing.assert_array_equal(
+            compiled(inputs)["x_out"].data, reference["x_out"].data
+        )
 
 
 @needs_native
