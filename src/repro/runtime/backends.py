@@ -37,7 +37,8 @@ them, :meth:`refresh` replaces one island's after a failed attempt,
 Backends know nothing about retries, faults or telemetry — that is the
 resilience layer's job (:mod:`repro.runtime.resilience`) — and they
 never read clocks in Python: wall-time attribution happens around them,
-except inside a team step, whose C driver times each task itself.
+except inside a team step, whose C driver times each task itself, and
+inside a batched procs step, whose workers time each island sweep.
 
 Besides the whole-step :meth:`IslandBackend.execute_island` used by the
 ``recompute`` halo policy, every backend also supports *stage-granular*
@@ -52,7 +53,9 @@ them), so exchange-mode steps are allocation-free after warm-up in
 every backend.  The in-process ``native`` backend can also run such a
 step whole, as one C call per team member (:meth:`IslandBackend
 .team_step`, :class:`TeamStep`): the members run every stage kernel,
-halo copy and barrier of their islands below the interpreter.
+halo copy and barrier of their islands below the interpreter.  In the
+same way the ``procs`` backend runs a ``recompute`` step in one round
+trip per worker (:meth:`IslandBackend.batch_step`, :class:`StepBatch`).
 """
 
 from __future__ import annotations
@@ -98,6 +101,7 @@ __all__ = [
     "IslandBackend",
     "IslandResult",
     "NativeBackend",
+    "StepBatch",
     "TeamStep",
     "create_backend",
     "require_native",
@@ -144,8 +148,9 @@ class IslandResult:
     """What one successful island sweep reported.
 
     ``seconds`` is filled by the caller that timed the sweep (the
-    resilience layer), not by the backend; ``stage_seconds`` is only
-    populated by timing-enabled backends.
+    resilience layer, or the procs worker that ran it in a batched
+    step), not by the backend; ``stage_seconds`` is only populated by
+    timing-enabled backends.
     """
 
     stage_allocations: int = 0
@@ -490,6 +495,38 @@ class IslandBackend:
         the runner's stage-by-stage path.
         """
         return None
+
+    def batch_step(
+        self,
+        inputs: Mapping[str, ArrayRegion],
+        out: np.ndarray,
+        weights: Optional[str] = None,
+    ) -> Optional["StepBatch"]:
+        """A whole recompute step in one round trip per worker, or ``None``.
+
+        Backends whose islands run in worker processes (``procs``) run
+        every island and return a :class:`StepBatch`; with ``weights``
+        (the name of an input) it also holds each island part's mass
+        ``sum(weights * out)``.  The rest (the default) keep the runner's
+        per-island path.
+        """
+        return None
+
+
+@dataclass
+class StepBatch:
+    """What one batched step reported (:meth:`IslandBackend.batch_step`).
+
+    ``results`` and ``masses`` are keyed by island index; ``masses`` is
+    empty unless the step was asked for them.  A non-empty ``failures``
+    (the :class:`~repro.runtime.procs.WorkerCrashed` and
+    :class:`~repro.runtime.faults.WorkerHung` errors of the workers that
+    did not reply) voids the step: the runner reruns it per island.
+    """
+
+    results: Dict[int, IslandResult] = field(default_factory=dict)
+    masses: Dict[int, float] = field(default_factory=dict)
+    failures: List[Exception] = field(default_factory=list)
 
 
 #: How long a team member waiting at a barrier keeps its CPU (spinning,

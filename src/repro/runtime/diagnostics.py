@@ -88,6 +88,7 @@ def check_step_health(
     initial_mass: "float | None" = None,
     check_finite: bool = True,
     mass_drift_limit: "float | None" = None,
+    mass: "float | None" = None,
 ) -> "str | None":
     """Per-step numerical guard; returns a failure reason or ``None``.
 
@@ -99,25 +100,32 @@ def check_step_health(
     :attr:`RunHistory.mass_drift`, as :func:`field_mass` computes it)
     within the limit.
 
-    The field is read once: a non-finite value makes the mass (without
-    a mass limit, the plain sum) non-finite, so the exact ``isfinite``
-    scan runs only when that sum is.  A finite field whose sum overflows
-    passes the scan, and its mass drift is reported.
+    The field is read at most once: a non-finite value makes the mass
+    (without a mass limit or a given ``mass``, the plain sum)
+    non-finite, so the exact ``isfinite`` scan runs only when that sum
+    is.  ``mass`` is the field's mass when the caller already has it
+    (summed per island part by the workers that wrote them, so it may
+    differ from :func:`field_mass` in the last few bits); then ``x`` is
+    read only for that scan.  A finite field whose sum overflows passes
+    the scan, and its mass drift is reported.
     """
-    if mass_drift_limit is None:
-        if check_finite:
-            with np.errstate(all="ignore"):
-                total = float(np.sum(x))
-            if not math.isfinite(total) and not bool(np.isfinite(x).all()):
-                return "non-finite value in field"
-        return None
-    if h is None or initial_mass is None:
+    if mass_drift_limit is not None and (h is None or initial_mass is None):
         raise ValueError("mass_drift_limit requires both h and initial_mass")
-    mass = field_mass(x, h)
-    if check_finite and not math.isfinite(mass):
+    if mass is not None:
+        total = mass
+    elif mass_drift_limit is not None:
+        total = field_mass(x, h)
+    elif check_finite:
+        with np.errstate(all="ignore"):
+            total = float(np.sum(x))
+    else:
+        return None
+    if check_finite and not math.isfinite(total):
         if not bool(np.isfinite(x).all()):
             return "non-finite value in field"
-    drift = abs(mass - initial_mass)
+    if mass_drift_limit is None:
+        return None
+    drift = abs(total - initial_mass)
     if drift > mass_drift_limit:
         return f"mass drift {drift:.6e} exceeds limit {mass_drift_limit:.6e}"
     return None

@@ -26,10 +26,11 @@ inputs shared by all islands — ghost-extended buffers, or the caller's
 bare arrays for the inputs a backend applies the boundary to itself
 (:attr:`~repro.runtime.backends.IslandBackend.raw_inputs`) — the
 assembled output array (two of them, alternating, for such a backend),
-the island-level work team (thread pool) with its degradation path and
-the choice between a backend's team step and the stage-by-stage
-exchange path, and step-level invariants — a failed step is never
-observable as a successful one.
+the island-level work team (thread pool) with its degradation path, the
+choice between a backend's team step and the stage-by-stage exchange
+path and between a batched recompute step and the per-island one, and
+step-level invariants — a failed step is never observable as a
+successful one.
 
 The runner is a **steady-state execution engine**: resources that the
 paper's per-step overhead analysis says must not be paid every
@@ -58,7 +59,7 @@ from ..mpdata.stages import FIELD_DENSITY, FIELD_X, mpdata_program
 from ..stencil import ArrayRegion, Box, StencilProgram, full_box
 from .backends import IslandResult, TeamStep, create_backend
 from .config import EngineConfig, resolve_engine_config
-from .faults import FaultInjector, FaultStats
+from .faults import FaultInjector, FaultStats, WorkerHung
 from .resilience import IslandFailure, ResiliencePolicy, ResilientExecutor
 from .telemetry import StepEvent, StepStats, StepTimings, Telemetry
 
@@ -229,6 +230,9 @@ class PartitionedRunner:
         self._copies: Optional[Dict[int, Tuple[tuple, int]]] = None
         self._closed = False
         self.last_step_stats: Optional[StepStats] = None
+        #: The last step's output mass, when the step was asked for it
+        #: and its backend summed it per island (``None`` otherwise).
+        self.last_step_mass: Optional[float] = None
         # Run-level synchronization ledger: successful steps and the
         # inter-island barriers they paid since construction.
         self.total_steps = 0
@@ -726,11 +730,52 @@ class PartitionedRunner:
             out[island.part.slices()] = buffer.view(island.part)
         return exchanged_bytes, stage_syncs
 
+    def _run_batch(
+        self,
+        inputs: Mapping[str, ArrayRegion],
+        out: np.ndarray,
+        step_index: int,
+        island_results: List[Optional[IslandResult]],
+        weights: Optional[str],
+    ) -> bool:
+        """One recompute step in one round trip per worker; ``False`` when
+        the per-island path must run it.
+
+        Taken when the backend offers a batched step (``procs``, not
+        degraded to serial) and no injected fault can fire at the step,
+        so every fault keeps its per-island firing site, retries and
+        stats.  The batch records its own crashes and hangs in the
+        workers' health ledger; its hangs are counted here, and a failed
+        batch is rerun per island, which respawns, retries and
+        quarantines.  The part masses it reports (``weights``) are summed
+        in island order into :attr:`last_step_mass`.
+        """
+        injector = self.fault_injector
+        if injector is not None and injector.pending(step_index):
+            return False
+        batch = self.backend.batch_step(inputs, out, weights)
+        if batch is None:
+            return False
+        for error in batch.failures:
+            if isinstance(error, WorkerHung):
+                self.fault_stats.hangs_detected += 1
+                self.fault_stats.hang_detect_seconds += error.waited
+        if batch.failures:
+            return False
+        islands = self.decomposition.islands
+        island_results[:] = [batch.results[island.index] for island in islands]
+        if batch.masses:
+            self.last_step_mass = sum(
+                batch.masses[island.index] for island in islands
+            )
+        return True
+
     def step(
         self,
         arrays: Mapping[str, np.ndarray],
         changed: Optional[Set[str]] = None,
         step_index: Optional[int] = None,
+        weights: Optional[str] = None,
     ) -> np.ndarray:
         """One partitioned time step; returns the assembled output.
 
@@ -751,6 +796,13 @@ class PartitionedRunner:
         a caller-level re-execution of a failed step reuses the same
         index.
 
+        ``weights`` names an input whose product with the output a
+        guard will sum (MPDATA's density, for the mass).  A batched step
+        then returns each island part's sum, and their total in island
+        order lands in :attr:`last_step_mass`.  It stays ``None`` on the
+        per-island path, and when the input's dtype differs from the
+        engine's: the workers weigh with their engine-dtype copy of it.
+
         On an island failure that survives the retry budget the step
         raises :class:`IslandFailure` with the buffer it was writing
         invalidated (NaN-poisoned and dropped; a buffer holding its input
@@ -765,6 +817,11 @@ class PartitionedRunner:
         step_begin = time.perf_counter() if observing else 0.0
         faults_before = replace(self.fault_stats) if observing else None
         self._last_ghost_counts = (0, 0)
+        self.last_step_mass = None
+        if weights is not None and (
+            np.asarray(arrays[weights]).dtype != self.dtype
+        ):
+            weights = None  # the workers hold it rounded to the engine's
         output_allocations = self._output_buffers()
         inputs = self.extend_inputs(arrays, changed=changed)
         ghost_allocations, ghost_reused = self._last_ghost_counts
@@ -800,7 +857,9 @@ class PartitionedRunner:
                 exchanged_bytes, stage_syncs = self._run_exchange_stages(
                     inputs, out, step_index, island_results, fault_slot, errors
                 )
-            else:
+            elif not self._run_batch(
+                inputs, out, step_index, island_results, weights
+            ):
                 errors.extend(self._fan_out(len(islands), run_island))
         finally:
             for stats in island_faults:

@@ -31,13 +31,18 @@ decomposition and shared-memory views with no pickling; each worker then
 builds its *own* islands' compute state — arenas, native plan workspaces —
 in its own address space, the first-touch-style per-island initialization
 of Wittmann/Hager (arXiv 0912.4506).  The step protocol is the paper's
-one-barrier-per-step: the parent issues one command per island, the
-pipe joins are the barrier, and under exchange mode the same join runs
-once per stage.  A worker's commands queue up on its pipe — every island
-sends as soon as it can, and replies are read in the order sent — so a
-worker that owns several islands runs them back to back.  The
-interpreter/native stage executors run inside the workers unchanged, so
-every trajectory is bit-identical to the single-process backends.
+one-barrier-per-step.  A fault-free ``recompute`` step is one round trip
+per worker (:meth:`ProcsBackend.batch_step`): the calling thread sends
+every live worker one command naming all of its islands, the worker runs
+them back to back and replies once — with each island part's mass when
+asked — and the parent waits on every pipe at once.  Every other step
+(one where an injected fault can fire, an exchange stage, the rerun of a
+failed batched step) issues one command per island from the runner's
+pool threads, and the pipe joins are the barrier — under exchange mode
+once per stage.  Those commands queue up on a worker's pipe — every
+island sends as soon as it can, and replies are read in the order sent.
+The interpreter/native stage executors run inside the workers unchanged,
+so every trajectory is bit-identical to the single-process backends.
 
 Failure semantics are *real*: a worker that dies (SIGKILL, OOM, a
 ``kill`` fault) surfaces as :class:`WorkerCrashed` on the parent's pipe,
@@ -55,7 +60,8 @@ its reply with ``poll(timeout)`` against a per-command deadline — either
 explicit (``step_deadline``) or adaptive (:class:`DeadlineClock`: an
 EWMA of recent command durations times ``deadline_factor``, with a
 warm-up deadline before the first sample).  A queued command's deadline
-starts when its reply is next in line to be read.  A freshly forked worker
+starts when its reply is next in line to be read, and a batched command
+that covers n islands gets n times the deadline.  A freshly forked worker
 first rebuilds its compute state — compiling kernels on a cold cache —
 and then reports ready; the parent waits for that within the warm-up
 grace before it sends a command, so a deadline covers the command
@@ -66,15 +72,16 @@ reply — and the watchdog SIGKILLs it and raises
 :meth:`ProcsBackend.refresh` respawns, and the replay is bit-identical.
 A respawn or a quarantine opens a new pipe *generation*: a command still
 queued on the old pipe fails as :class:`WorkerCrashed` and is retried,
-and never reads the new pipe.  A per-worker health ledger counts
-consecutive failures (one per pipe generation: a death that also fails
-the commands queued behind it counts once), and a worker that keeps
-failing is **quarantined** — killed for good, its islands remapped
-round-robin onto surviving workers (which ``adopt`` the extra compute
-state) — and when no worker survives, the pool degrades to
-**serial-in-parent**: the parent builds its own inner backend over the
-same shared buffers and the run finishes without worker processes at
-all.  Setting both ``step_deadline`` and ``deadline_factor`` to ``None``
+and never reads the new pipe; nothing more is sent on a generation once
+it failed, so no command can read a dead worker's last reply.  A
+per-worker health ledger counts consecutive failures (one per pipe
+generation: a death that also fails the commands queued behind it
+counts once), and a worker that keeps failing is **quarantined** —
+killed for good, its islands remapped round-robin onto surviving
+workers (which ``adopt`` the extra compute state) — and when no worker
+survives, the pool degrades to **serial-in-parent**: the parent builds
+its own inner backend over the same shared buffers and the run finishes
+without worker processes at all.  Setting both ``step_deadline`` and ``deadline_factor`` to ``None``
 disables supervision and restores the unbounded blocking dispatch.
 """
 
@@ -92,7 +99,6 @@ from typing import (
     FrozenSet,
     List,
     Mapping,
-    NoReturn,
     Optional,
     Sequence,
     Tuple,
@@ -104,8 +110,15 @@ from ..core import IslandDecomposition
 from ..stencil.interpreter import ArrayRegion
 from ..stencil.program import StencilProgram
 from ..stencil.region import Box
-from .backends import BACKENDS, IslandBackend, IslandResult, require_native
+from .backends import (
+    BACKENDS,
+    IslandBackend,
+    IslandResult,
+    StepBatch,
+    require_native,
+)
 from .config import PROCS_INNER_KEYS, EngineConfig
+from .diagnostics import field_mass
 from .faults import InjectedFault, WorkerHung
 
 __all__ = [
@@ -707,12 +720,14 @@ class ProcsBackend(IslandBackend):
         worker's pipe holds nothing but this command and its reply, then
         sends it and awaits the reply for at most ``timeout`` seconds.
         Returns whether the worker answered ``ok``; a dead, never-ready
-        or wedged worker, or a protocol error, returns ``False`` and the
-        caller respawns it.
+        or wedged worker, one whose pipe generation already failed, or a
+        protocol error, returns ``False`` and the caller respawns it.
         """
         process = handle.process
         if process is None or not process.is_alive():
             return False
+        if handle.failed_generation == handle.generation:
+            return False  # killed or dying: its pipe may hold a stale reply
         with handle.turn:
             while handle.read != handle.sent:
                 handle.turn.wait()
@@ -1021,17 +1036,21 @@ class ProcsBackend(IslandBackend):
     # ------------------------------------------------------------------
     # Dispatch (parent side)
     # ------------------------------------------------------------------
-    def _dispatch(self, island_index: int, command: tuple) -> IslandResult:
-        """Queue one command on the island's worker and await its reply.
+    def _send(
+        self, handle: _WorkerHandle, island_index: int, command: tuple
+    ) -> Tuple[int, int, object]:
+        """Queue one command on a worker's pipe; returns ``(generation,
+        ticket, conn)`` for reading its reply.
 
-        The command is sent as soon as the send lock is free, so islands
-        multiplexed onto one worker queue up on its pipe and it runs them
-        back to back; replies are read in the order sent
-        (:meth:`_await_reply`).  A fresh worker gets the warm-up grace to
-        report ready (:meth:`_await_ready`) before the first command of
-        its generation is sent.
+        The command is sent as soon as the send lock is free, so commands
+        for islands multiplexed onto one worker queue up on its pipe and
+        it runs them back to back.  A fresh worker gets the warm-up grace
+        to report ready (:meth:`_await_ready`) before the first command
+        of its generation is sent.  A quarantined worker, or a generation
+        whose failure was already counted, is sent nothing: the
+        :class:`WorkerCrashed` takes the caller to the retry path, which
+        remaps or respawns.
         """
-        handle = self._by_island[island_index]
         with handle.send_lock:
             generation = handle.generation
             if handle.conn is None:
@@ -1040,18 +1059,30 @@ class ProcsBackend(IslandBackend):
                 raise WorkerCrashed(
                     island_index, handle.worker_id, None, None
                 )
+            if handle.failed_generation == generation:
+                raise self._crashed(handle, generation, island_index)
             try:
                 grace = self._clock.warmup if self._clock.supervised else None
                 begin = time.perf_counter()
                 if not self._await_ready(handle, grace):
-                    self._hang(handle, generation, island_index, begin, grace)
+                    raise self._hang(
+                        handle, generation, island_index, begin, grace
+                    )
                 handle.conn.send(command)
             except (EOFError, OSError) as error:
                 raise self._crashed(handle, generation, island_index) from error
             with handle.turn:
                 ticket = handle.sent
                 handle.sent += 1
-            conn = handle.conn
+            return generation, ticket, handle.conn
+
+    def _dispatch(self, island_index: int, command: tuple) -> IslandResult:
+        """Queue one island's command on its worker and await its reply.
+
+        Replies are read in the order sent (:meth:`_await_reply`).
+        """
+        handle = self._by_island[island_index]
+        generation, ticket, conn = self._send(handle, island_index, command)
         reply = self._await_reply(handle, generation, ticket, conn, island_index)
         if reply[0] != "ok":
             raise RuntimeError(
@@ -1059,6 +1090,27 @@ class ProcsBackend(IslandBackend):
                 f"{handle.worker_id}: {reply[1]}"
             )
         return reply[1]
+
+    @staticmethod
+    def _claim(handle: _WorkerHandle, generation: int, ticket: int) -> bool:
+        """Wait until reply ``ticket`` is next in line and take the pipe;
+        ``False`` if its generation was retired meanwhile."""
+        with handle.turn:
+            while handle.generation == generation and handle.read != ticket:
+                handle.turn.wait()
+            if handle.generation != generation:
+                return False
+            handle.reading = True
+            return True
+
+    @staticmethod
+    def _release(handle: _WorkerHandle, generation: int) -> None:
+        """Leave the pipe to the next reply in line."""
+        with handle.turn:
+            handle.reading = False
+            if handle.generation == generation:
+                handle.read += 1
+            handle.turn.notify_all()
 
     def _await_reply(
         self,
@@ -1083,28 +1135,22 @@ class ProcsBackend(IslandBackend):
         without reading.  An unsupervised pool (no deadline) blocks in
         ``recv`` exactly as before.
         """
-        with handle.turn:
-            while handle.generation == generation and handle.read != ticket:
-                handle.turn.wait()
-            if handle.generation != generation:
-                raise self._crashed(handle, generation, island_index)
-            handle.reading = True
+        if not self._claim(handle, generation, ticket):
+            raise self._crashed(handle, generation, island_index)
         try:
             deadline = self._clock.current()
             begin = time.perf_counter()
             if deadline is not None and not conn.poll(deadline):
-                self._hang(handle, generation, island_index, begin, deadline)
+                raise self._hang(
+                    handle, generation, island_index, begin, deadline
+                )
             reply = conn.recv()
             self._clock.observe(time.perf_counter() - begin)
             self._record_success(handle)
         except (EOFError, OSError) as error:
             raise self._crashed(handle, generation, island_index) from error
         finally:
-            with handle.turn:
-                handle.reading = False
-                if handle.generation == generation:
-                    handle.read += 1
-                handle.turn.notify_all()
+            self._release(handle, generation)
         return reply
 
     def _crashed(
@@ -1128,9 +1174,9 @@ class ProcsBackend(IslandBackend):
         island_index: int,
         begin: float,
         deadline: float,
-    ) -> NoReturn:
-        """SIGKILL a live worker that missed ``deadline``; raise
-        :class:`~repro.runtime.faults.WorkerHung`."""
+    ) -> WorkerHung:
+        """SIGKILL a live worker that missed ``deadline``; record the hang
+        and build the :class:`~repro.runtime.faults.WorkerHung`."""
         waited = time.perf_counter() - begin
         process = handle.process
         pid = None if process is None else process.pid
@@ -1138,9 +1184,140 @@ class ProcsBackend(IslandBackend):
             process.kill()
         self._record_failure(handle, generation, hang=True)
         handle.failed[island_index] = generation
-        raise WorkerHung(
+        return WorkerHung(
             island_index, handle.worker_id, pid, waited, deadline
         )
+
+    def batch_step(self, inputs, out, weights=None) -> Optional[StepBatch]:
+        """One ``recompute`` step as one round trip per live worker.
+
+        Each worker gets one ``steps`` command naming all of its islands
+        in index order.  It runs them back to back and replies once: the
+        islands' results, each island's ``seconds`` its own sweep time,
+        and — when ``weights`` names a ghost input — each part's mass
+        ``sum(weights * out)``, summed while the part is still in the
+        worker's cache.  The calling thread waits on every pipe at once
+        (:meth:`_await_batch`).  A worker that crashes or hangs is
+        recorded exactly as on the per-island path (health ledger, hang
+        kill) and its error lands in the batch's ``failures``; the runner
+        then reruns the whole step per island, which respawns, retries
+        and quarantines.  That is safe: a step writes only its islands'
+        parts of a buffer it does not read, so the islands that did
+        finish rewrite identical bytes.  ``None`` in serial mode and
+        under exchange or hybrid.
+        """
+        if self._serial or self._ledger is not None:
+            return None
+        source, target = self._sync_inputs(inputs, out)
+        if weights not in self._input_regions:
+            weights = None
+        batch = StepBatch()
+        sent = []
+        for handle in self._handles:
+            islands = tuple(sorted(handle.islands))
+            if not islands:
+                continue  # quarantined
+            command = ("steps", islands, source, target, weights)
+            try:
+                ticket = self._send(handle, islands[0], command)
+            except (WorkerCrashed, WorkerHung) as error:
+                batch.failures.append(error)
+            else:
+                sent.append((handle, islands) + ticket)
+        self._await_batch(sent, batch)
+        written = self._outputs[target]
+        if out is not written and not batch.failures:
+            for island in self.decomposition.islands:
+                out[island.part.slices()] = written[island.part.slices()]
+        return batch
+
+    def _await_batch(self, sent: list, batch: StepBatch) -> None:
+        """Read every sent batched command's reply, waiting on all pipes.
+
+        A command covering n islands gets n times the per-command
+        deadline, from when its reply is next in line, and its duration
+        over n feeds the adaptive clock.  EOF is a crash; a deadline
+        missed by a live worker is a hang, and the worker is SIGKILLed
+        (:meth:`_hang`).  Every command is read or failed before this
+        returns, so each pipe's tickets stay in step; if the wait itself
+        is interrupted, the workers whose replies are unread are
+        replaced, so no later command can read one.
+        """
+        # Imported here: the pipes imported it already, and a run with no
+        # procs backend need not load it.
+        from multiprocessing.connection import wait
+
+        per_command = self._clock.current()
+        waiting = {}
+        for handle, islands, generation, ticket, conn in sent:
+            if not self._claim(handle, generation, ticket):
+                batch.failures.append(
+                    self._crashed(handle, generation, islands[0])
+                )
+                continue
+            deadline = (
+                None if per_command is None else per_command * len(islands)
+            )
+            waiting[conn] = (
+                handle, islands, generation, time.perf_counter(), deadline
+            )
+        try:
+            while waiting:
+                ends = [
+                    begin + deadline
+                    for _, _, _, begin, deadline in waiting.values()
+                    if deadline is not None
+                ]
+                timeout = (
+                    max(0.0, min(ends) - time.perf_counter()) if ends else None
+                )
+                ready = wait(list(waiting), timeout)
+                now = time.perf_counter()
+                for conn, entry in list(waiting.items()):
+                    handle, islands, generation, begin, deadline = entry
+                    if conn in ready:
+                        self._read_batch_reply(entry, conn, batch)
+                    elif deadline is not None and now - begin >= deadline:
+                        batch.failures.append(
+                            self._hang(
+                                handle, generation, islands[0], begin, deadline
+                            )
+                        )
+                    else:
+                        continue
+                    del waiting[conn]
+                    self._release(handle, generation)
+        except BaseException:
+            for handle, _, generation, _, _ in waiting.values():
+                self._release(handle, generation)
+                with handle.send_lock:
+                    self._respawn_locked(handle)
+            raise
+
+    def _read_batch_reply(self, entry: tuple, conn, batch: StepBatch) -> None:
+        """Read one worker's batched reply into ``batch``."""
+        handle, islands, generation, begin, _ = entry
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):
+            batch.failures.append(
+                self._crashed(handle, generation, islands[0])
+            )
+            return
+        self._clock.observe((time.perf_counter() - begin) / len(islands))
+        self._record_success(handle)
+        if reply[0] != "ok":
+            batch.failures.append(
+                RuntimeError(
+                    f"islands {islands} failed in worker "
+                    f"{handle.worker_id}: {reply[1]}"
+                )
+            )
+            return
+        _, results, masses = reply
+        batch.results.update(zip(islands, results))
+        if masses is not None:
+            batch.masses.update(zip(islands, masses))
 
     def execute_island(self, island, inputs, out) -> IslandResult:
         source, target = self._sync_inputs(inputs, out)
@@ -1269,6 +1446,20 @@ class ProcsBackend(IslandBackend):
                     conn.send(("err", f"{type(error).__name__}: {error}"))
                 else:
                     conn.send(("ok", result))
+            elif op == "steps":
+                _, island_ids, source, target, weights = command
+                try:
+                    results, masses = self._run_islands(
+                        inner,
+                        [by_index[q] for q in island_ids],
+                        source,
+                        target,
+                        weights,
+                    )
+                except Exception as error:
+                    conn.send(("err", f"{type(error).__name__}: {error}"))
+                else:
+                    conn.send(("ok", results, masses))
             elif op == "stage":
                 _, q, stage_index, die, wedge = command
                 if die:
@@ -1286,6 +1477,37 @@ class ProcsBackend(IslandBackend):
                     conn.send(("ok", result))
             else:  # pragma: no cover - protocol error
                 conn.send(("err", f"unknown command {op!r}"))
+
+    def _run_islands(
+        self,
+        inner: IslandBackend,
+        islands: list,
+        source: int,
+        target: int,
+        weights: Optional[str],
+    ) -> Tuple[List[IslandResult], Optional[List[float]]]:
+        """One batched command, worker side: the islands' whole steps in
+        turn, each timed when the pool is, and each part's mass when
+        ``weights`` is set."""
+        inputs = self._step_inputs[source]
+        out = self._outputs[target]
+        results = []
+        masses = None if weights is None else []
+        for island in islands:
+            begin = time.perf_counter()
+            result = inner.execute_island(island, inputs, out)
+            if self.timed:
+                result.seconds = time.perf_counter() - begin
+            results.append(result)
+            if masses is not None:
+                part = island.part
+                masses.append(
+                    field_mass(
+                        out[part.slices()],
+                        self._input_regions[weights].view(part),
+                    )
+                )
+        return results, masses
 
 
 BACKENDS[ProcsBackend.key] = ProcsBackend

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..mpdata.checkpoint import save_checkpoint
 from ..mpdata.reference import MpdataState
-from ..mpdata.stages import FIELD_X
+from ..mpdata.stages import FIELD_DENSITY, FIELD_X
 from .diagnostics import check_step_health, field_mass
 from .faults import FaultStats
 from .island_exec import IslandFailure
@@ -243,7 +243,10 @@ def run_with_recovery(
     recovery loop: guard each step, checkpoint every
     ``policy.checkpoint_every`` steps, and on an exhausted island or a
     guard trip restore the last good scalar field and replay from there.
-    Returns the final field and the :class:`RecoveryReport`.
+    A guarded run asks each step for its mass, which a batched procs
+    step sums in the workers; the guard then reads the field only when
+    that mass is not finite.  Returns the final field and the
+    :class:`RecoveryReport`.
     """
     if steps < 0:
         raise ValueError("steps must be non-negative")
@@ -268,11 +271,15 @@ def run_with_recovery(
         _write_checkpoint(policy, report, written, good_x, state, 0)
         report.last_checkpoint_step = 0
 
+    guarded = policy.check_finite or policy.mass_drift_limit is not None
+    weights = FIELD_DENSITY if guarded else None
     step = 0
     changed: Optional[Set[str]] = None  # first step fills every ghost buffer
     while step < steps:
         try:
-            new_x = runner.step(arrays, changed=changed, step_index=step)
+            new_x = runner.step(
+                arrays, changed=changed, step_index=step, weights=weights
+            )
             reason = (
                 check_step_health(
                     new_x,
@@ -280,8 +287,9 @@ def run_with_recovery(
                     initial_mass=initial_mass,
                     check_finite=policy.check_finite,
                     mass_drift_limit=policy.mass_drift_limit,
+                    mass=runner.last_step_mass,
                 )
-                if policy.check_finite or policy.mass_drift_limit is not None
+                if guarded
                 else None
             )
             if reason is not None:

@@ -514,20 +514,47 @@ class Where(Expr):
 # ----------------------------------------------------------------------
 # Convenience constructors
 # ----------------------------------------------------------------------
+def _select_tree(op: str, operands: Tuple[ExprLike, ...]) -> Expr:
+    """``op`` over ``operands`` as a balanced tree, in operand order.
+
+    A left fold over n operands is a dependent chain of n - 1 selects; a
+    balanced tree is ceil(log2 n) deep, so the C kernels can overlap its
+    independent selects.  The bits are the same for any bracketing that
+    keeps the operand order.  NumPy's rule (and the C ``_np_fmax``) is
+    ``max(a, b) = (a > b or isnan(a)) ? a : b``: it returns one operand
+    unchanged, the first NaN of the two, else the larger, else (a tie,
+    ``-0 == +0`` included) the second.  Call that selection ``f`` over a
+    sequence: the first NaN in it, else its last maximal operand.  Then
+    ``f(L + R) == max(f(L), f(R))`` for any split of a sequence into a
+    left part ``L`` and a right part ``R``: a NaN in ``L`` is returned
+    (``f(L)`` is that first NaN); else a NaN in ``R`` is (``f(R)``);
+    else the larger maximum wins, and on a tie the last maximal operand
+    lies in ``R``, which is the second operand ``f(R)``.  So every tree
+    over the same sequence selects the same operand, NaN payload and
+    sign of zero included.  ``min`` is the same with ``<``.
+    """
+    if len(operands) == 1:
+        return as_expr(operands[0])
+    middle = len(operands) // 2
+    return Binary(
+        op,
+        _select_tree(op, operands[:middle]),
+        _select_tree(op, operands[middle:]),
+    )
+
+
 def fmax(a: ExprLike, b: ExprLike, *rest: ExprLike) -> Expr:
-    """Elementwise maximum of two or more expressions."""
-    result = Binary("max", as_expr(a), as_expr(b))
-    for item in rest:
-        result = Binary("max", result, as_expr(item))
-    return result
+    """Elementwise maximum of two or more expressions (a balanced tree in
+    operand order, bit-identical to the left fold; see
+    :func:`_select_tree`)."""
+    return _select_tree("max", (a, b) + rest)
 
 
 def fmin(a: ExprLike, b: ExprLike, *rest: ExprLike) -> Expr:
-    """Elementwise minimum of two or more expressions."""
-    result = Binary("min", as_expr(a), as_expr(b))
-    for item in rest:
-        result = Binary("min", result, as_expr(item))
-    return result
+    """Elementwise minimum of two or more expressions (a balanced tree in
+    operand order, bit-identical to the left fold; see
+    :func:`_select_tree`)."""
+    return _select_tree("min", (a, b) + rest)
 
 
 def fabs(a: ExprLike) -> Expr:

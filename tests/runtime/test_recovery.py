@@ -115,6 +115,37 @@ class TestCheckStepHealth:
         )
         assert reason == "mass drift inf exceeds limit 1.000000e-09"
 
+    @pytest.mark.parametrize("limit", [None, 1e-9])
+    def test_a_finite_given_mass_reads_nothing(self, limit):
+        """Workers that wrote the parts report the mass: the guard takes
+        it and does not touch the field at all."""
+        assert check_step_health(
+            None, h=None if limit is None else np.ones(3),
+            initial_mass=4.0, mass_drift_limit=limit, mass=4.0,
+        ) is None
+
+    @pytest.mark.parametrize("limit", [None, 1e-9])
+    def test_a_non_finite_given_mass_runs_the_exact_scan(self, limit):
+        x = np.ones((4, 5, 3))
+        h = np.ones((4, 5, 3))
+        kwargs = dict(h=h, initial_mass=60.0, mass_drift_limit=limit)
+        # A finite field passes the scan (its given mass only overflowed).
+        reason = check_step_health(x, mass=np.inf, **kwargs)
+        assert reason == (None if limit is None else
+                          "mass drift inf exceeds limit 1.000000e-09")
+        x[3, 0, 2] = np.nan
+        assert check_step_health(x, mass=np.nan, **kwargs) == (
+            "non-finite value in field"
+        )
+
+    def test_drift_is_measured_on_the_given_mass(self):
+        x = np.ones((4, 5, 3))
+        kwargs = dict(h=np.ones((4, 5, 3)), initial_mass=60.0,
+                      mass_drift_limit=1e-9)
+        assert check_step_health(x, mass=60.0, **kwargs) is None
+        reason = check_step_health(x, mass=61.0, **kwargs)
+        assert reason == "mass drift 1.000000e+00 exceeds limit 1.000000e-09"
+
     def test_field_mass_matches_the_elementwise_sum(self):
         rng = np.random.default_rng(3)
         x, h = rng.random((6, 5, 4)), rng.random((6, 5, 4))

@@ -19,7 +19,6 @@ import signal
 import sys
 import time
 from dataclasses import replace
-from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -284,30 +283,6 @@ class TestHangDetection:
         assert np.array_equal(final, reference)
 
 
-@pytest.fixture()
-def pipe_log(monkeypatch):
-    """Every message the parent sends to or reads from a worker pipe, in
-    order: ``("send", command)`` and ``("recv", reply kind)``."""
-    log = []
-    parent = os.getpid()
-    send, recv = Connection.send, Connection.recv
-
-    def logged_send(conn, message):
-        send(conn, message)
-        if os.getpid() == parent:
-            log.append(("send", message))
-
-    def logged_recv(conn):
-        message = recv(conn)
-        if os.getpid() == parent:
-            log.append(("recv", message[0]))
-        return message
-
-    monkeypatch.setattr(Connection, "send", logged_send)
-    monkeypatch.setattr(Connection, "recv", logged_recv)
-    return log
-
-
 def _slow_sweep(monkeypatch, seconds, island=None):
     """Slow the interpreter's island sweep (of one island, or of all).
     Patched before the backend forks, so the workers inherit it."""
@@ -322,19 +297,24 @@ def _slow_sweep(monkeypatch, seconds, island=None):
 
 
 def _step_traffic(log):
-    """``"send"`` per step command and ``"recv"`` per reply, in order."""
-    return [
-        kind
-        for kind, message in log
-        if (kind == "send" and message[0] == "step")
-        or (kind == "recv" and message in ("ok", "err"))
-    ]
+    """``"send"`` per island step command, ``"batch"`` per batched step
+    command and ``"recv"`` per reply, in order."""
+    kinds = []
+    for kind, message in log:
+        if kind == "send" and message[0] == "step":
+            kinds.append("send")
+        elif kind == "send" and message[0] == "steps":
+            kinds.append("batch")
+        elif kind == "recv" and message in ("ok", "err"):
+            kinds.append("recv")
+    return kinds
 
 
 class TestQueuedCommands:
-    """Both islands on one worker: each island's command is sent as soon
-    as it is issued, the worker runs them back to back, and the replies
-    are read in the order sent."""
+    """Both islands on one worker.  On a step where a fault can fire,
+    each island's command is sent as soon as it is issued, the worker
+    runs them back to back, and the replies are read in the order sent;
+    a fault-free step is one batched command and one reply."""
 
     def _reference(self, steps):
         return MpdataSolver(SHAPE).run(random_state(SHAPE, seed=7), steps)
@@ -343,10 +323,19 @@ class TestQueuedCommands:
         self, monkeypatch, pipe_log
     ):
         _slow_sweep(monkeypatch, 0.2)
-        config = EngineConfig(backend="procs", workers=1)
+        config = EngineConfig(
+            backend="procs",
+            workers=1,
+            fault_specs=(
+                "slow@island=1,step=1,delay=0.01",
+                "slow@island=1,step=3,delay=0.01",
+            ),
+        )
         final, stats = _trajectory(config, steps=4)
-        assert _step_traffic(pipe_log) == ["send", "send", "recv", "recv"] * 4
-        assert stats == FaultStats()
+        batched = ["batch", "recv"]  # one send and one reply per worker
+        queued = ["send", "send", "recv", "recv"]
+        assert _step_traffic(pipe_log) == (batched + queued) * 2
+        assert stats == FaultStats(injected_slowdowns=2)
         np.testing.assert_array_equal(final, self._reference(4))
 
     def test_kill_on_the_island_queued_behind_its_sibling(
@@ -446,8 +435,8 @@ class TestQueuedCommands:
         sent = read = 0
         refreshes = 0
         for kind, message in pipe_log:
-            if kind == "send" and message[0] == "step":
-                sent += 1
+            if kind == "send" and message[0] in ("step", "steps"):
+                sent += 1  # a batched command is one send, one reply
             elif kind == "recv" and message != "ready":
                 read += 1
             elif kind == "send" and message[0] == "refresh":
@@ -463,19 +452,28 @@ class TestQueuedCommands:
 
     def test_eight_islands_on_one_worker_under_fast_thread_switching(self):
         """Eight dispatch threads share one worker's queue while the
-        interpreter switches threads every few microseconds.  A reply
-        read by the wrong command would end a step before its island
-        was done and break the trajectory; every reply is read and the
-        queue ends empty."""
-        config = EngineConfig(backend="procs", workers=1, step_deadline=5.0)
+        interpreter switches threads every few microseconds: exchange
+        steps issue one command per island and stage.  A reply read by
+        the wrong command would end a stage before its island was done
+        and break the trajectory; every reply is read and the queue
+        ends empty."""
+        config = EngineConfig(
+            backend="procs", workers=1, step_deadline=5.0, halo="exchange"
+        )
         state = random_state(SHAPE, seed=7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
             with MpdataIslandSolver(SHAPE, 8, config=config) as solver:
                 final = np.array(solver.run(state, 10), copy=True)
+                ledger = solver.runner.halo_ledger
+                commands = sum(
+                    not ledger.compute_boxes[island][stage].is_empty()
+                    for island in range(8)
+                    for stage in ledger.active_stages
+                )
                 handle = solver.runner.backend._handles[0]
-                assert handle.sent == handle.read == 8 * 10
+                assert handle.sent == handle.read == commands * 10
                 stats = replace(solver.runner.fault_stats)
         finally:
             sys.setswitchinterval(interval)

@@ -1,7 +1,10 @@
 """Unit tests for the scalar expression IR."""
 
+import functools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.stencil import (
     Access,
@@ -180,3 +183,63 @@ class TestFormatting:
 
     def test_binary_format(self):
         assert str(Access("a") + Const(1.0)) == "(a[i,j,k] + 1.0)"
+
+
+def _from_bits(pattern):
+    return np.array([pattern], dtype=np.uint64).view(np.float64)[0]
+
+
+#: Values whose selection the bits reveal: signed zeros, infinities,
+#: subnormals and a few numbers from a small pool (so ties are common),
+#: quiet NaNs of either sign with distinct payloads, and any float.
+_SELECT_VALUES = st.one_of(
+    st.sampled_from(
+        [0.0, -0.0, np.inf, -np.inf, 1.0, -1.0, 2.5, 5e-324, -5e-324,
+         1e-310, -1e-310]
+    ),
+    st.tuples(st.integers(0, 1), st.integers(1, 2**51 - 1)).map(
+        lambda sign_payload: _from_bits(
+            (sign_payload[0] << 63) | 0x7FF8000000000000 | sign_payload[1]
+        )
+    ),
+    st.floats(width=64, allow_nan=False),
+)
+_SELECT_OPERANDS = st.integers(1, 9).flatmap(
+    lambda length: st.lists(
+        st.lists(_SELECT_VALUES, min_size=length, max_size=length),
+        min_size=2,
+        max_size=16,
+    )
+)
+
+
+def _depth(expr):
+    if isinstance(expr, Binary):
+        return 1 + max(_depth(expr.left), _depth(expr.right))
+    return 0
+
+
+class TestSelectTrees:
+    """``fmax``/``fmin`` over many operands build a balanced tree in
+    operand order, which selects the same bits as NumPy's left fold."""
+
+    @given(_SELECT_OPERANDS)
+    @settings(max_examples=200, deadline=None)
+    def test_tree_selects_the_left_fold_bits(self, operands):
+        arrays = {
+            f"v{index}": np.array(row, dtype=np.float64)
+            for index, row in enumerate(operands)
+        }
+        accesses = [Access(name) for name in arrays]
+        for build, ufunc in ((fmax, np.maximum), (fmin, np.minimum)):
+            got = build(*accesses).evaluate(lambda name, offset: arrays[name])
+            fold = functools.reduce(ufunc, arrays.values())
+            np.testing.assert_array_equal(
+                got.view(np.uint64), fold.view(np.uint64)
+            )
+
+    @pytest.mark.parametrize("count, depth", ((2, 1), (3, 2), (14, 4), (16, 4)))
+    def test_depth_is_logarithmic(self, count, depth):
+        operands = [Access(f"v{index}") for index in range(count)]
+        assert _depth(fmax(*operands)) == depth
+        assert _depth(fmin(*operands)) == depth

@@ -8,6 +8,7 @@ interpreter to the last bit, while allocating nothing in the steady
 state.
 """
 
+import functools
 import os
 import subprocess
 import sys
@@ -892,6 +893,43 @@ class TestSelectLowering:
         np.testing.assert_array_equal(
             native["y"].data.view(np.uint64),
             reference["y"].data.view(np.uint64),
+        )
+
+    @pytest.mark.parametrize("op", ["max", "min"])
+    def test_fourteen_operands_match_the_interpreter(self, op):
+        """A 14-operand select, the size of MPDATA's local extrema, runs
+        as a balanced tree in C and in the interpreter alike, and keeps
+        the left fold's bits: the first NaN with its payload, else the
+        last extreme operand (signed zeros included)."""
+        values = np.array(_SPECIAL_BITS, dtype=np.uint64).view(np.float64)
+        rng = np.random.default_rng(14)
+        names = tuple(f"a{index}" for index in range(14))
+        shape = (64, 4, 1)
+        arrays = {}
+        for name in names:
+            # The first half of the rows draws NaNs too, the second half
+            # only numbers, so ties decide most of its selects.
+            array = rng.choice(values, size=shape)
+            array[32:] = rng.choice(values[~np.isnan(values)], size=(32, 4, 1))
+            arrays[name] = array
+        build, ufunc = {"max": (fmax, np.maximum), "min": (fmin, np.minimum)}[op]
+        program = StencilProgram.build(
+            op,
+            inputs=tuple(Field(name, FieldRole.INPUT) for name in names),
+            stages=(Stage("s", "y", build(*(Access(n) for n in names))),),
+            outputs=("y",),
+        )
+        inputs = {name: ArrayRegion.wrap(arrays[name]) for name in names}
+        plan = required_regions(program, Box((0, 0, 0), shape))
+        reference, _ = execute_plan(program, plan, inputs)
+        native = compile_plan_native(program, plan)(inputs)
+        fold = functools.reduce(ufunc, (arrays[name] for name in names))
+        np.testing.assert_array_equal(
+            native["y"].data.view(np.uint64),
+            reference["y"].data.view(np.uint64),
+        )
+        np.testing.assert_array_equal(
+            reference["y"].data.view(np.uint64), fold.view(np.uint64)
         )
 
 
