@@ -161,22 +161,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="stage executor each worker runs for its islands "
         "(default: interpreter)",
     )
+    from .core.halo import HALO_POLICIES
+
     halo = engine.add_argument_group(
         "halo policy",
         "how island boundaries are satisfied each step: recompute the "
-        "transitive halo once per step (scenario 2), exchange boundary "
-        "planes with a barrier per stage (scenario 1), or pick "
-        "per-boundary from the shipped volume (hybrid)",
+        "transitive halo once per step (scenario 2), or exchange boundary "
+        "planes with a barrier per stage (scenario 1)",
     )
     halo.add_argument(
-        "--halo", choices=("recompute", "exchange", "hybrid"),
-        default="recompute",
+        "--halo", choices=HALO_POLICIES, default="recompute",
         help="halo policy (default recompute)",
-    )
-    halo.add_argument(
-        "--halo-threshold", type=int, default=None, metavar="POINTS",
-        help="hybrid only: boundaries shipping more than POINTS per step "
-        "switch from exchange to recompute",
     )
     halo.add_argument(
         "--variant", choices=("A", "B", "2D"), default="A",
@@ -444,17 +439,6 @@ def _validate_engine_args(parser, args) -> None:
             parser, f"--islands {args.islands}", args.islands, args.shape,
             args.variant,
         )
-    if args.halo_threshold is not None and args.halo != "hybrid":
-        parser.error(
-            "--halo-threshold tunes the hybrid policy; add --halo hybrid"
-        )
-    if args.halo == "hybrid" and args.halo_threshold is None:
-        parser.error(
-            "--halo hybrid needs a per-boundary volume threshold; "
-            "add --halo-threshold POINTS"
-        )
-    if args.halo_threshold is not None and args.halo_threshold < 0:
-        parser.error("--halo-threshold must be non-negative")
     if args.threads < 1:
         parser.error("--threads must be at least 1")
     if args.backend != "procs":

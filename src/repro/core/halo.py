@@ -17,9 +17,8 @@ exchange-plan builder (Table 1) and the runtime backends.
 
 :class:`HaloLedger` materializes one policy into per-island, per-stage
 geometry: the box each island *computes*, the box it must *buffer*, and the
-inter-island :class:`StageFlow` copies that fill the difference.  A
-``hybrid`` policy chooses exchange or recompute per island boundary from a
-shipped-volume threshold.
+inter-island :class:`StageFlow` copies that fill the difference, all for
+one time step.
 """
 
 from __future__ import annotations
@@ -27,14 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..stencil import (
-    Box,
-    HaloPlan,
-    StencilProgram,
-    composed_step_plans,
-    recurrent_input,
-    required_regions,
-)
+from ..stencil import Box, HaloPlan, StencilProgram, required_regions
 from .partition import Partition
 
 __all__ = [
@@ -46,7 +38,7 @@ __all__ = [
 ]
 
 #: Recognised halo policies, in documentation order.
-HALO_POLICIES: Tuple[str, ...] = ("recompute", "exchange", "hybrid")
+HALO_POLICIES: Tuple[str, ...] = ("recompute", "exchange")
 
 
 def island_halo_plans(
@@ -84,48 +76,31 @@ class StageFlow:
 
 @dataclass(frozen=True)
 class HaloLedger:
-    """Per-island, per-stage halo geometry under one policy.
-
-    With ``sync_every = s > 1`` (temporal blocking) the stage axis is
-    *flattened across sub-steps*: every per-stage tuple has length
-    ``s * len(program.stages)``, where flat index ``t`` addresses stage
-    ``t % stages`` of sub-step ``t // stages``.  All accounting
-    (``redundant_points``, flows, the Sect. 3.2 identity) then covers one
-    *super-step* of ``s`` time steps.
+    """Per-island, per-stage halo geometry of one time step under one policy.
 
     Attributes
     ----------
     policy:
         One of :data:`HALO_POLICIES`.
     plans:
-        The shared backward halo plans, one per island (recompute geometry
-        of the *final* sub-step, targeting the island's part).
+        The shared backward halo plans, one per island
+        (:func:`island_halo_plans`): the recompute geometry targeting the
+        island's part.
     global_boxes:
-        Per flat stage, the region the whole program must compute for the
-        full domain — the union of work no strategy can avoid *given one
-        synchronization per super-step* (earlier sub-steps must reach
-        deeper, even for a single island).
+        Per stage, the region the whole program must compute for the full
+        domain — the work no strategy can avoid.
     owned_boxes:
         Per island, its part extended outward to the clip domain on sides
         touching the physical boundary; owned boxes tile the clip domain.
     compute_boxes:
-        ``compute_boxes[island][t]`` — the box that island computes for
-        flat stage ``t`` under this policy.
+        ``compute_boxes[island][stage]`` — the box that island computes
+        for that stage under this policy.
     buffer_boxes:
-        ``buffer_boxes[island][t]`` — the box the island must hold in
-        memory for that flat stage's output (computed part plus received
-        halo).
+        ``buffer_boxes[island][stage]`` — the box the island must hold in
+        memory for that stage's output (computed part plus received halo).
     stage_flows:
-        ``stage_flows[t]`` — the boundary copies to perform after flat
-        stage ``t``, before any island starts the next one.
-    sync_every:
-        Time steps per super-step (1 = the paper's per-step sync).
-    step_plans:
-        ``step_plans[island]`` — the ``s`` composed plans in execution
-        order (``step_plans[island][-1] is plans[island]``).
-    recurrent:
-        The input field that receives the output between sub-steps
-        (``None`` only on ledgers loaded from older constructions).
+        ``stage_flows[stage]`` — the boundary copies to perform after that
+        stage, before any island starts the next one.
     """
 
     program: StencilProgram
@@ -138,9 +113,6 @@ class HaloLedger:
     compute_boxes: Tuple[Tuple[Box, ...], ...]
     buffer_boxes: Tuple[Tuple[Box, ...], ...]
     stage_flows: Tuple[Tuple[StageFlow, ...], ...]
-    sync_every: int = 1
-    step_plans: Tuple[Tuple[HaloPlan, ...], ...] = ()
-    recurrent: Optional[str] = None
 
     # -- communication accounting ---------------------------------------
     @property
@@ -168,19 +140,12 @@ class HaloLedger:
 
     # -- computation accounting ------------------------------------------
     @property
-    def stages_per_step(self) -> int:
-        """Program stages per time step (the flat axis is ``s`` times it)."""
-        return len(self.program.stages)
-
-    @property
     def redundant_points(self) -> int:
-        """Points computed beyond the once-per-point minimum, per super-step.
+        """Points computed beyond the once-per-point minimum, per step.
 
         Zero for pure exchange (owned boxes tile the domain); equals the
         Table-2 extra-element count for pure recompute over a physical
-        clip domain.  The minimum is the *composed* global plan, so this
-        counts only the redundancy caused by splitting into islands, not
-        the deep-halo work temporal blocking itself requires.
+        clip domain.
         """
         computed = sum(
             box.size for per_island in self.compute_boxes for box in per_island
@@ -189,34 +154,18 @@ class HaloLedger:
         return computed - minimum
 
     @property
-    def redundant_points_per_step(self) -> float:
-        """Redundant points amortized over the super-step's time steps.
-
-        Grows roughly linearly in ``sync_every``: sub-step ``k`` of ``s``
-        recomputes a boundary wedge of depth ``(s - k) * h``, so the
-        per-super-step total is ~quadratic and the per-step average
-        ~linear — the price paid for ``s`` times fewer barriers.
-        """
-        return self.redundant_points / self.sync_every
-
-    @property
     def active_stages(self) -> Tuple[int, ...]:
-        """Flat stage indices that require any computation at all."""
+        """Stage indices that require any computation at all."""
         return tuple(
             index for index, box in enumerate(self.global_boxes) if not box.is_empty()
         )
 
     @property
     def step_syncs(self) -> int:
-        """Inter-island synchronizations per *super-step* under this policy."""
+        """Inter-island synchronizations per time step under this policy."""
         if self.policy == "recompute":
             return 1
         return len(self.active_stages)
-
-    @property
-    def syncs_per_step(self) -> float:
-        """Synchronizations amortized per time step (``step_syncs / s``)."""
-        return self.step_syncs / self.sync_every
 
 
 def _owned_boxes(partition: Partition, clip: Box) -> Tuple[Box, ...]:
@@ -235,25 +184,9 @@ def _owned_boxes(partition: Partition, clip: Box) -> Tuple[Box, ...]:
     return tuple(owned)
 
 
-def _touch_side(a: Box, b: Box) -> Optional[Tuple[int, int]]:
-    """The (axis, side) on which face-neighbours ``a`` and ``b`` touch.
-
-    ``side`` is +1 when ``b`` sits above ``a`` on the axis, -1 when below.
-    Returns ``None`` when the boxes do not share a full face.
-    """
-    for axis in range(3):
-        if a.hi[axis] == b.lo[axis]:
-            return axis, +1
-        if b.hi[axis] == a.lo[axis]:
-            return axis, -1
-    return None
-
-
 def _stage_flows(
-    stages: int,
-    islands: int,
-    compute_boxes: List[List[Box]],
-    buffer_boxes: List[List[Box]],
+    compute_boxes: Tuple[Tuple[Box, ...], ...],
+    buffer_boxes: Tuple[Tuple[Box, ...], ...],
     owned: Tuple[Box, ...],
 ) -> Tuple[Tuple[StageFlow, ...], ...]:
     """Boundary copies filling each island's buffer beyond what it computes.
@@ -262,8 +195,9 @@ def _stage_flows(
     owning island; because owned boxes tile the clip domain and every
     buffer box lies inside it, the pieces are always fully covered.
     """
+    islands = len(owned)
     per_stage: List[Tuple[StageFlow, ...]] = []
-    for stage in range(stages):
+    for stage in range(len(compute_boxes[0])):
         flows: List[StageFlow] = []
         for dst in range(islands):
             need = buffer_boxes[dst][stage]
@@ -291,9 +225,6 @@ def build_halo_ledger(
     *,
     clip_domain: Optional[Box] = None,
     policy: str = "recompute",
-    hybrid_max_flow_points: Optional[int] = None,
-    sync_every: int = 1,
-    recurrent: Optional[str] = None,
 ) -> HaloLedger:
     """Materialize one halo policy into executable per-stage geometry.
 
@@ -308,132 +239,37 @@ def build_halo_ledger(
     policy:
         ``"recompute"`` computes the full backward plan per island with no
         flows; ``"exchange"`` computes owned slabs only and ships every
-        boundary plane; ``"hybrid"`` starts from exchange and converts any
-        island boundary whose total shipped volume exceeds
-        ``hybrid_max_flow_points`` back to recomputation.
-    hybrid_max_flow_points:
-        Per-boundary shipped-points threshold; required (and only allowed)
-        for the hybrid policy.
-    sync_every:
-        Time steps per super-step (temporal blocking).  With ``s > 1``
-        every per-stage axis is flattened to ``s * stages`` entries and
-        all accounting covers one super-step; recompute then needs a
-        single synchronization for ``s`` full time steps.
-    recurrent:
-        The input field that receives the output between sub-steps;
-        inferred (the unique time-varying input) when omitted.
+        boundary plane.
     """
     if policy not in HALO_POLICIES:
         raise ValueError(
             f"unknown halo policy {policy!r}; expected one of {HALO_POLICIES}"
         )
-    if policy == "hybrid":
-        if hybrid_max_flow_points is None or hybrid_max_flow_points < 0:
-            raise ValueError(
-                "hybrid halo policy requires a non-negative hybrid_max_flow_points"
-            )
-    elif hybrid_max_flow_points is not None:
-        raise ValueError("hybrid_max_flow_points only applies to the hybrid policy")
-    if sync_every < 1:
-        raise ValueError("sync_every must be at least 1")
-
     clip = clip_domain if clip_domain is not None else partition.domain
-    if recurrent is None and sync_every > 1:
-        recurrent = recurrent_input(program)
-    step_plans = tuple(
-        composed_step_plans(
-            program, part, domain=clip, sync_every=sync_every, recurrent=recurrent
-        )
-        for part in partition.parts
-    )
-    plans = tuple(per_island[-1] for per_island in step_plans)
-    global_steps = composed_step_plans(
-        program,
-        partition.domain,
-        domain=clip,
-        sync_every=sync_every,
-        recurrent=recurrent,
-    )
-    global_boxes = tuple(
-        box for plan in global_steps for box in plan.stage_boxes
-    )
+    plans = island_halo_plans(program, partition, clip_domain=clip)
+    global_boxes = required_regions(
+        program, partition.domain, domain=clip
+    ).stage_boxes
     owned = _owned_boxes(partition, clip)
-    stages = sync_every * len(program.stages)
-    islands = partition.count
-    # The island's recompute bound per flat stage: sub-step k's composed
-    # plan box for that stage (deepest at k = 0).
-    island_boxes = tuple(
-        tuple(box for plan in per_island for box in plan.stage_boxes)
-        for per_island in step_plans
-    )
+    plan_boxes = tuple(plan.stage_boxes for plan in plans)
 
     if policy == "recompute":
-        return HaloLedger(
-            program=program,
-            partition=partition,
-            clip_domain=clip,
-            policy=policy,
-            plans=plans,
-            global_boxes=global_boxes,
-            owned_boxes=owned,
-            compute_boxes=island_boxes,
-            buffer_boxes=island_boxes,
-            stage_flows=tuple(() for _ in range(stages)),
-            sync_every=sync_every,
-            step_plans=step_plans,
-            recurrent=recurrent,
+        compute_boxes = buffer_boxes = plan_boxes
+        stage_flows: Tuple[Tuple[StageFlow, ...], ...] = tuple(
+            () for _ in global_boxes
         )
-
-    # Pure-exchange geometry: each island computes only its owned slice of
-    # the globally required region; its buffer must additionally hold the
-    # recompute plan's box, which bounds every later-stage read (including
-    # the next sub-step's reads of the recurrent field, which the composed
-    # plan targets by construction).
-    compute_boxes = [
-        [global_boxes[s].intersect(owned[q]) for s in range(stages)]
-        for q in range(islands)
-    ]
-    buffer_boxes = [
-        [island_boxes[q][s].hull(compute_boxes[q][s]) for s in range(stages)]
-        for q in range(islands)
-    ]
-
-    if policy == "hybrid":
-        flows = _stage_flows(stages, islands, compute_boxes, buffer_boxes, owned)
-        volumes: Dict[Tuple[int, int], int] = {}
-        for per_stage in flows:
-            for flow in per_stage:
-                key = (min(flow.src, flow.dst), max(flow.src, flow.dst))
-                volumes[key] = volumes.get(key, 0) + flow.points
-        for a, b in partition.neighbours():
-            if volumes.get((a, b), 0) <= hybrid_max_flow_points:
-                continue
-            side = _touch_side(partition.parts[a], partition.parts[b])
-            if side is None:  # pragma: no cover - neighbours() implies a face
-                continue
-            axis, direction = side
-            for island, grow_hi in ((a, direction > 0), (b, direction < 0)):
-                for s in range(stages):
-                    comp = compute_boxes[island][s]
-                    plan_box = island_boxes[island][s]
-                    if comp.is_empty() or plan_box.is_empty():
-                        continue
-                    lo = list(comp.lo)
-                    hi = list(comp.hi)
-                    if grow_hi:
-                        hi[axis] = max(hi[axis], plan_box.hi[axis])
-                    else:
-                        lo[axis] = min(lo[axis], plan_box.lo[axis])
-                    compute_boxes[island][s] = Box(tuple(lo), tuple(hi))  # type: ignore[arg-type]
-        buffer_boxes = [
-            [
-                island_boxes[q][s].hull(compute_boxes[q][s])
-                for s in range(stages)
-            ]
-            for q in range(islands)
-        ]
-
-    stage_flows = _stage_flows(stages, islands, compute_boxes, buffer_boxes, owned)
+    else:
+        # Each island computes only its owned slice of the globally
+        # required region; its buffer must additionally hold the recompute
+        # plan's box, which bounds every later-stage read.
+        compute_boxes = tuple(
+            tuple(box.intersect(own) for box in global_boxes) for own in owned
+        )
+        buffer_boxes = tuple(
+            tuple(box.hull(comp) for box, comp in zip(plan_row, comp_row))
+            for plan_row, comp_row in zip(plan_boxes, compute_boxes)
+        )
+        stage_flows = _stage_flows(compute_boxes, buffer_boxes, owned)
     return HaloLedger(
         program=program,
         partition=partition,
@@ -442,10 +278,7 @@ def build_halo_ledger(
         plans=plans,
         global_boxes=global_boxes,
         owned_boxes=owned,
-        compute_boxes=tuple(tuple(row) for row in compute_boxes),
-        buffer_boxes=tuple(tuple(row) for row in buffer_boxes),
+        compute_boxes=compute_boxes,
+        buffer_boxes=buffer_boxes,
         stage_flows=stage_flows,
-        sync_every=sync_every,
-        step_plans=step_plans,
-        recurrent=recurrent,
     )

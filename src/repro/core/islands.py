@@ -84,11 +84,7 @@ class IslandDecomposition:
         """Points of the most loaded island — the parallel critical path."""
         return max(island.compute_points for island in self.islands)
 
-    def halo_ledger(
-        self,
-        policy: str = "recompute",
-        hybrid_max_flow_points: Optional[int] = None,
-    ) -> HaloLedger:
+    def halo_ledger(self, policy: str = "recompute") -> HaloLedger:
         """Executable per-stage halo geometry for one policy.
 
         Built against this decomposition's clip domain, so the resulting
@@ -99,7 +95,6 @@ class IslandDecomposition:
             self.partition,
             clip_domain=self.clip_domain,
             policy=policy,
-            hybrid_max_flow_points=hybrid_max_flow_points,
         )
 
 

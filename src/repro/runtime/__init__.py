@@ -15,7 +15,7 @@ uniform lifecycle, the resilience layer
 retry / backoff, the telemetry spine (:mod:`repro.runtime.telemetry`)
 records structured per-step events into pluggable sinks, and one frozen
 :class:`~repro.runtime.config.EngineConfig` selects all of it — including
-the halo policy (recompute / exchange / hybrid) whose geometry comes from
+the halo policy (recompute / exchange) whose geometry comes from
 :func:`repro.core.build_halo_ledger`.
 """
 

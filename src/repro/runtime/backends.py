@@ -42,7 +42,7 @@ inside a batched procs step, whose workers time each island sweep.
 
 Besides the whole-step :meth:`IslandBackend.execute_island` used by the
 ``recompute`` halo policy, every backend also supports *stage-granular*
-execution for the ``exchange`` and ``hybrid`` policies: after
+execution for the ``exchange`` policy: after
 :meth:`IslandBackend.prepare_exchange` installs a
 :class:`~repro.core.halo.HaloLedger`, each
 :meth:`IslandBackend.execute_island_stage` call computes one stage over
@@ -232,13 +232,13 @@ class IslandBackend:
         raise NotImplementedError
 
     def refresh(self, island_index: int) -> None:
-        """Replace one island's persistent compute state before a retry.
+        """Replace one island's persistent compute state after a failure.
 
         A sweep that died mid-execution leaves arena liveness bookkeeping
-        or workspace bindings indeterminate, so the retry starts from
-        fresh storage.  Only the failed island pays — its neighbours keep
-        their warm buffers, exactly the isolation the islands approach
-        buys.
+        or workspace bindings indeterminate, so the retry (or a rollback's
+        replay) starts from fresh storage.  Only the failed island pays —
+        its neighbours keep their warm buffers, exactly the isolation the
+        islands approach buys.
         """
         if self._ledger is not None:
             self._refresh_stage_state(island_index)
@@ -317,7 +317,7 @@ class IslandBackend:
         """True when a pooled backend degraded to serial-in-parent."""
         return False
 
-    # -- stage-granular execution (exchange / hybrid halo policies) -----
+    # -- stage-granular execution (exchange halo policy) ----------------
     @property
     def ledger(self) -> Optional[HaloLedger]:
         """The halo ledger installed by :meth:`prepare_exchange`."""
@@ -327,7 +327,7 @@ class IslandBackend:
         """Build per-stage buffers and compute state for one halo ledger.
 
         Called instead of :meth:`prepare` when the halo policy is
-        ``exchange`` or ``hybrid``.  Each island gets one persistent
+        ``exchange``.  Each island gets one persistent
         buffer per stage, covering the ledger's buffer box (computed slab
         plus the halo received from neighbours); halo copies between
         buffers are the runner's job.
@@ -694,7 +694,7 @@ class FlatInterpreterBackend(IslandBackend):
         self._arenas[island_index] = StageArena(self.dtype)
         self._scratch[island_index] = EvalArena(self.dtype)
 
-    # -- stage-granular path (exchange / hybrid) ------------------------
+    # -- stage-granular path (exchange) ---------------------------------
     def _prepare_stage_state(self) -> None:
         self._stage_scratch: Dict[int, EvalArena] = {}
         for island in self.decomposition.islands:
@@ -728,8 +728,8 @@ class FlatInterpreterBackend(IslandBackend):
 class NativeBackend(IslandBackend):
     """One C call per island step, persistent workspace.
 
-    Every halo plan — whole-step, and per stage under the exchange and
-    hybrid policies — is compiled by
+    Every halo plan — whole-step, and per stage under the exchange
+    policy — is compiled by
     :func:`~repro.stencil.native.compile_plan_native`.  A whole step then
     streams the island's inputs and output once, keeping every
     intermediate in a ring of planes (MODEL.md §8, §15).  Built from a
@@ -743,7 +743,7 @@ class NativeBackend(IslandBackend):
     directly it has no ``boundary`` and reads ghost-extended inputs
     only.  Each plan's output is
     bound to the island's part of the runner's output array, so the step
-    writes it in place.  Under exchange and hybrid, :meth:`team_step`
+    writes it in place.  Under exchange, :meth:`team_step`
     packs the bound stage plans and halo copies into one program per
     team member, so a fault-free step is one C call per member.  There
     is deliberately no silent fallback to the interpreter: a quietly
@@ -833,7 +833,7 @@ class NativeBackend(IslandBackend):
     def _refresh_plan(self, island_index: int) -> None:
         self.plans[island_index].workspace.reset()
 
-    # -- stage-granular path (exchange / hybrid) ------------------------
+    # -- stage-granular path (exchange) ---------------------------------
     def _prepare_stage_state(self) -> None:
         self._stage_plans: Dict[Tuple[int, int], object] = {}
         #: Team steps by team size, dropped whenever a plan is rebound.

@@ -86,12 +86,7 @@ class EngineConfig:
         Inter-island halo policy: ``"recompute"`` (scenario 2 — each
         island redundantly computes its transitive halo, one sync per
         step), ``"exchange"`` (scenario 1 — owned slabs only, boundary
-        copies and a barrier after every stage) or ``"hybrid"``
-        (exchange-vs-recompute chosen per island boundary from
-        ``halo_threshold``).
-    halo_threshold:
-        Hybrid policy only: island boundaries shipping more than this
-        many points per step are recomputed instead of exchanged.
+        copies and a barrier after every stage).
     workers:
         ``procs`` backend only: number of persistent worker processes.
         ``None`` (default) means one worker per island; fewer workers
@@ -140,7 +135,6 @@ class EngineConfig:
     fault_specs: Tuple[str, ...] = ()
     collect_timings: bool = False
     halo: str = "recompute"
-    halo_threshold: Optional[int] = None
     workers: Optional[int] = None
     pin_workers: bool = False
     procs_inner: str = "interpreter"
@@ -185,19 +179,6 @@ class EngineConfig:
             raise ValueError(
                 f"unknown halo policy {self.halo!r}; known: "
                 f"{', '.join(HALO_POLICIES)}"
-            )
-        if self.halo_threshold is not None:
-            object.__setattr__(self, "halo_threshold", int(self.halo_threshold))
-        if self.halo == "hybrid":
-            if self.halo_threshold is None or self.halo_threshold < 0:
-                raise ValueError(
-                    "the hybrid halo policy requires a non-negative "
-                    "halo_threshold (shipped points per boundary per step)"
-                )
-        elif self.halo_threshold is not None:
-            raise ValueError(
-                f"halo_threshold is a hybrid-policy option; got "
-                f"halo={self.halo!r}"
             )
         if self.procs_inner not in PROCS_INNER_KEYS:
             raise ValueError(
@@ -280,7 +261,6 @@ class EngineConfig:
             "fault_specs": list(self.fault_specs),
             "collect_timings": self.collect_timings,
             "halo": self.halo,
-            "halo_threshold": self.halo_threshold,
             "workers": self.workers,
             "pin_workers": self.pin_workers,
             "procs_inner": self.procs_inner,
@@ -349,7 +329,6 @@ class EngineConfig:
             fault_specs=tuple(getattr(args, "faults", None) or ()),
             collect_timings=getattr(args, "timings", False),
             halo=getattr(args, "halo", "recompute") or "recompute",
-            halo_threshold=getattr(args, "halo_threshold", None),
         )
 
 

@@ -179,11 +179,9 @@ class PartitionedRunner:
             self.threads = max(self.threads, self.decomposition.count)
         # One halo ledger per runner, always built: under ``recompute`` it
         # only carries the accounting (redundant points, zero flows); under
-        # ``exchange``/``hybrid`` it is the executable stage geometry the
-        # backend and the per-stage copy loop both follow.
-        self.halo_ledger = self.decomposition.halo_ledger(
-            config.halo, config.halo_threshold
-        )
+        # ``exchange`` it is the executable stage geometry the backend and
+        # the per-stage copy loop both follow.
+        self.halo_ledger = self.decomposition.halo_ledger(config.halo)
         self._redundant_points = self.halo_ledger.redundant_points
         # Snapshot the process-wide plan cache around backend construction
         # so telemetry can attribute this runner's compile reuse.
@@ -467,10 +465,6 @@ class PartitionedRunner:
     def syncs_per_step(self) -> float:
         """Inter-island barriers per time step, run to date."""
         return self.total_syncs / max(1, self.total_steps)
-
-    def _fresh_island_resources(self, island_index: int) -> None:
-        """Replace one island's persistent compute state before a retry."""
-        self.backend.refresh(island_index)
 
     def _invalidate_after_failure(self, out: np.ndarray) -> None:
         """Make a half-written step unobservable as a success.

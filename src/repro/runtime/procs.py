@@ -22,7 +22,7 @@ alike:
   and writes the other, and a foreign ``x`` (the first step's, or one
   restored by a rollback) is staged into the one the step does not
   write;
-* in exchange/hybrid halo mode, the **per-stage buffers** — the parent's
+* in exchange halo mode, the **per-stage buffers** — the parent's
   existing :class:`~repro.core.halo.HaloLedger` boundary-copy loop works
   on the very same bytes the workers compute into.
 
@@ -1204,7 +1204,7 @@ class ProcsBackend(IslandBackend):
         and quarantines.  That is safe: a step writes only its islands'
         parts of a buffer it does not read, so the islands that did
         finish rewrite identical bytes.  ``None`` in serial mode and
-        under exchange or hybrid.
+        under exchange.
         """
         if self._serial or self._ledger is not None:
             return None

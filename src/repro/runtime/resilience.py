@@ -7,8 +7,8 @@ written once for every backend instead of once per execution path: a
 :class:`ResilientExecutor` wraps an
 :class:`~repro.runtime.backends.IslandBackend` and runs one island with
 deterministic fault injection applied around the sweep, a bounded retry
-loop with exponential backoff, fresh backend resources before each retry
-(:meth:`~repro.runtime.backends.IslandBackend.refresh`), and
+loop with exponential backoff, fresh backend resources after every
+failure (:meth:`~repro.runtime.backends.IslandBackend.refresh`), and
 :class:`IslandFailure` once the budget is spent.
 
 What it deliberately does *not* do: poison the half-written output
@@ -140,38 +140,15 @@ class ResilientExecutor:
         island,
         step_index: int,
         attempt: int,
-        inputs: Mapping[str, object],
-        out: np.ndarray,
+        call: Callable[[], IslandResult],
+        view: Callable[[], Optional[np.ndarray]],
         fault_stats: Callable[[], FaultStats],
     ) -> IslandResult:
-        fired = (
-            self.injector.fire(step_index, island.index)
-            if self.injector is not None
-            else ()
-        )
-        if fired:
-            apply_pre_faults(
-                fired, fault_stats(), island.index, step_index, attempt,
-                kill=self.backend.inject_kill,
-                hang=self.backend.inject_hang,
-            )
-        begin = time.perf_counter() if self.backend.timed else 0.0
-        result = self.backend.execute_island(island, inputs, out)
-        if self.backend.timed:
-            result.seconds = time.perf_counter() - begin
-        if fired:
-            apply_post_faults(fired, fault_stats(), out[island.part.slices()])
-        return result
+        """One attempt: the island's faults fired around a timed ``call``.
 
-    def _attempt_stage(
-        self,
-        island,
-        stage_index: int,
-        step_index: int,
-        attempt: int,
-        inputs: Mapping[str, object],
-        fault_stats: Callable[[], FaultStats],
-    ) -> IslandResult:
+        A ``corrupt`` fault lands in ``view()``, the output the call just
+        wrote (none when it returns ``None``).
+        """
         fired = (
             self.injector.fire(step_index, island.index)
             if self.injector is not None
@@ -184,50 +161,56 @@ class ResilientExecutor:
                 hang=self.backend.inject_hang,
             )
         begin = time.perf_counter() if self.backend.timed else 0.0
-        result = self.backend.execute_island_stage(island, stage_index, inputs)
+        result = call()
         if self.backend.timed:
             result.seconds = time.perf_counter() - begin
         if fired:
-            view = self.backend.owned_stage_view(island, stage_index)
-            if view is not None:
-                apply_post_faults(fired, fault_stats(), view)
+            written = view()
+            if written is not None:
+                apply_post_faults(fired, fault_stats(), written)
         return result
 
     def _with_retries(
         self,
         island,
         step_index: int,
-        attempt_fn: Callable[[int], IslandResult],
+        call: Callable[[], IslandResult],
+        view: Callable[[], Optional[np.ndarray]],
         fault_stats: Callable[[], FaultStats],
     ) -> IslandResult:
         """The retry loop: attempt, retry within budget, or raise.
 
-        Each retry runs on fresh backend resources — a task that died
-        mid-execution leaves its arena or workspace bookkeeping
-        indeterminate — and sleeps the policy's exponential backoff
-        first.  Raises :class:`IslandFailure` (chained to the last
-        error) once the island has failed ``1 + max_retries`` times.
+        Every failure, the last one included, leaves the island on fresh
+        backend resources: a task that died mid-execution leaves its
+        arena or workspace bookkeeping indeterminate, and a dead procs
+        worker is respawned, so a retry, or a rollback that replays the
+        step, runs on a live one.  A retry sleeps the policy's
+        exponential backoff first.  Raises :class:`IslandFailure`
+        (chained to the last error) once the island has failed
+        ``1 + max_retries`` times.
         """
         attempt = 0
         while True:
             try:
-                result = attempt_fn(attempt)
+                result = self._attempt(
+                    island, step_index, attempt, call, view, fault_stats
+                )
             except Exception as error:
                 attempt += 1
                 stats = fault_stats()
                 if isinstance(error, WorkerHung):
                     stats.hangs_detected += 1
                     stats.hang_detect_seconds += error.waited
+                self.backend.refresh(island.index)
+                quarantines, remapped = self.backend.health_events()
+                stats.quarantines += quarantines
+                stats.islands_remapped += remapped
                 if attempt > self.policy.max_retries:
                     stats.islands_failed += 1
                     raise IslandFailure(
                         island.index, step_index, attempt, error
                     ) from error
                 stats.retries += 1
-                self.backend.refresh(island.index)
-                quarantines, remapped = self.backend.health_events()
-                stats.quarantines += quarantines
-                stats.islands_remapped += remapped
                 if self.policy.retry_backoff:
                     time.sleep(
                         self.policy.backoff_seconds(
@@ -251,9 +234,8 @@ class ResilientExecutor:
         return self._with_retries(
             island,
             step_index,
-            lambda attempt: self._attempt(
-                island, step_index, attempt, inputs, out, fault_stats
-            ),
+            lambda: self.backend.execute_island(island, inputs, out),
+            lambda: out[island.part.slices()],
             fault_stats,
         )
 
@@ -275,8 +257,9 @@ class ResilientExecutor:
         return self._with_retries(
             island,
             step_index,
-            lambda attempt: self._attempt_stage(
-                island, stage_index, step_index, attempt, inputs, fault_stats
+            lambda: self.backend.execute_island_stage(
+                island, stage_index, inputs
             ),
+            lambda: self.backend.owned_stage_view(island, stage_index),
             fault_stats,
         )

@@ -62,9 +62,7 @@ from .gallery import (
 )
 from .halo import (
     HaloPlan,
-    composed_step_plans,
     program_halo_depth,
-    recurrent_input,
     required_regions,
     stage_expansions,
 )
@@ -157,7 +155,6 @@ __all__ = [
     "candidate_shapes",
     "clear_plan_cache",
     "compile_plan_native",
-    "composed_step_plans",
     "dependency_levels",
     "describe_program",
     "describe_stage_table",
@@ -192,7 +189,6 @@ __all__ = [
     "program_arith_flops_per_point",
     "program_cost",
     "program_halo_depth",
-    "recurrent_input",
     "required_regions",
     "schedule_by_levels",
     "shift_expr",

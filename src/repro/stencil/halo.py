@@ -22,9 +22,7 @@ from .region import Box
 
 __all__ = [
     "HaloPlan",
-    "composed_step_plans",
     "program_halo_depth",
-    "recurrent_input",
     "required_regions",
     "stage_expansions",
 ]
@@ -119,70 +117,6 @@ def required_regions(
         field.name: needed.get(field.name, empty) for field in program.input_fields
     }
     return HaloPlan(target, tuple(stage_boxes), input_boxes)
-
-
-def recurrent_input(program: StencilProgram) -> str:
-    """The input field that receives the program's output between steps.
-
-    Time stepping applies the program repeatedly, feeding the single
-    output field back into the time-varying input (for MPDATA:
-    ``x_out`` → ``x``).  Composing halo plans across steps needs that
-    pairing, and it is unambiguous exactly when the program has one
-    output and one time-varying input.
-    """
-    if len(program.output_fields) != 1:
-        raise ValueError(
-            f"step composition requires a single-output program; "
-            f"{program.name!r} has {len(program.output_fields)}"
-        )
-    candidates = [f.name for f in program.input_fields if f.time_varying]
-    if len(candidates) != 1:
-        raise ValueError(
-            f"step composition requires exactly one time-varying input; "
-            f"{program.name!r} has {candidates!r}"
-        )
-    return candidates[0]
-
-
-def composed_step_plans(
-    program: StencilProgram,
-    target: Box,
-    domain: Optional[Box] = None,
-    sync_every: int = 1,
-    recurrent: Optional[str] = None,
-) -> Tuple[HaloPlan, ...]:
-    """Backward halo plans for ``sync_every`` chained program applications.
-
-    Temporal blocking runs ``s = sync_every`` full cascades locally before
-    the next synchronization, so the backward walk must compose across
-    *steps*, not just stages: sub-step ``s-1`` must produce ``target``;
-    sub-step ``k`` must produce exactly the region of the recurrent input
-    that sub-step ``k+1`` reads.  Chaining :func:`required_regions`
-    through the recurrent field yields the exact composed footprint — no
-    clip-then-guess depth estimate, so a too-shallow ghost region is
-    impossible by construction.
-
-    Returns the ``s`` plans in *execution order*: ``plans[0]`` is the
-    deepest (first sub-step), ``plans[s-1]`` targets ``target``.  By
-    construction ``plans[k].target == plans[k+1].input_boxes[recurrent]``,
-    which is what lets executors feed one sub-step's output region
-    directly into the next.
-    """
-    if sync_every < 1:
-        raise ValueError("sync_every must be at least 1")
-    if recurrent is None and sync_every > 1:
-        recurrent = recurrent_input(program)
-    plans = [required_regions(program, target, domain=domain)]
-    for _ in range(sync_every - 1):
-        need = plans[-1].input_boxes.get(recurrent)
-        if need is None or need.is_empty():
-            raise ValueError(
-                f"program {program.name!r} does not read recurrent input "
-                f"{recurrent!r}; cannot compose steps"
-            )
-        plans.append(required_regions(program, need, domain=domain))
-    plans.reverse()
-    return tuple(plans)
 
 
 def stage_expansions(program: StencilProgram) -> Tuple[Tuple[Offset, Offset], ...]:

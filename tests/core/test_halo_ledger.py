@@ -73,6 +73,22 @@ class TestSharedAnalysis:
         ):
             assert island.total_points == plan.compute_points()
 
+    @pytest.mark.parametrize("partition", _partitions(), ids=("A3", "B4", "2x2"))
+    def test_ledger_plans_are_the_shared_analysis(self, partition):
+        """Under either policy the ledger takes its per-island plans from
+        :func:`island_halo_plans` and its global boxes from one backward
+        walk over the whole domain."""
+        program = mpdata_program()
+        clip = Box((-3, -3, -3), (27, 19, 11))
+        plans = island_halo_plans(program, partition, clip)
+        whole = required_regions(program, DOMAIN, domain=clip)
+        for policy in HALO_POLICIES:
+            ledger = build_halo_ledger(
+                program, partition, clip_domain=clip, policy=policy
+            )
+            assert ledger.plans == plans
+            assert ledger.global_boxes == whole.stage_boxes
+
     def test_decomposition_ledger_delegates(self):
         program = mpdata_program()
         deco = decompose(program, DOMAIN, 3, Variant.A)
@@ -84,27 +100,17 @@ class TestSharedAnalysis:
 
 class TestLedgerValidation:
     def test_policies_tuple(self):
-        assert HALO_POLICIES == ("recompute", "exchange", "hybrid")
+        assert HALO_POLICIES == ("recompute", "exchange")
 
     def test_unknown_policy_rejected(self):
         partition = partition_domain(DOMAIN, 2, Variant.A)
         with pytest.raises(ValueError, match="unknown halo policy"):
             build_halo_ledger(mpdata_program(), partition, policy="mpi")
 
-    def test_hybrid_requires_threshold(self):
+    def test_removed_hybrid_policy_rejected(self):
         partition = partition_domain(DOMAIN, 2, Variant.A)
-        with pytest.raises(ValueError, match="hybrid_max_flow_points"):
+        with pytest.raises(ValueError, match="unknown halo policy 'hybrid'"):
             build_halo_ledger(mpdata_program(), partition, policy="hybrid")
-
-    def test_threshold_only_for_hybrid(self):
-        partition = partition_domain(DOMAIN, 2, Variant.A)
-        with pytest.raises(ValueError, match="only applies"):
-            build_halo_ledger(
-                mpdata_program(),
-                partition,
-                policy="exchange",
-                hybrid_max_flow_points=10,
-            )
 
 
 class TestRecomputeGeometry:
@@ -216,74 +222,6 @@ class TestExchangeGeometry:
         ledger = build_halo_ledger(program, partition, policy="exchange")
         assert ledger.exchanged_bytes() == ledger.exchanged_points() * 8
         assert ledger.exchanged_bytes(4) == ledger.exchanged_points() * 4
-
-
-class TestHybridGeometry:
-    def test_huge_threshold_is_pure_exchange(self):
-        program = mpdata_program()
-        partition = partition_domain(DOMAIN, 3, Variant.A)
-        exchange = build_halo_ledger(program, partition, policy="exchange")
-        hybrid = build_halo_ledger(
-            program,
-            partition,
-            policy="hybrid",
-            hybrid_max_flow_points=10**9,
-        )
-        assert hybrid.compute_boxes == exchange.compute_boxes
-        assert hybrid.stage_flows == exchange.stage_flows
-
-    def test_zero_threshold_is_pure_recompute(self):
-        program = mpdata_program()
-        partition = partition_domain(DOMAIN, 3, Variant.A)
-        recompute = build_halo_ledger(program, partition, policy="recompute")
-        hybrid = build_halo_ledger(
-            program, partition, policy="hybrid", hybrid_max_flow_points=0
-        )
-        assert hybrid.exchanged_points() == 0
-        assert hybrid.compute_boxes == recompute.compute_boxes
-        assert hybrid.redundant_points == recompute.redundant_points
-
-    def test_intermediate_threshold_interpolates(self):
-        """Some boundaries exchange, some recompute; totals sit strictly
-        between the two pure policies."""
-        program = mpdata_program()
-        partition = partition_grid_2d(full_box((24, 18, 8)), 2, 2)
-        exchange = build_halo_ledger(program, partition, policy="exchange")
-        volumes = sorted(
-            sum(
-                f.points
-                for f in exchange.flows
-                if {f.src, f.dst} == {a, b}
-            )
-            for a, b in partition.neighbours()
-        )
-        assert volumes[0] < volumes[-1]  # i-cuts and j-cuts ship differently
-        threshold = volumes[0]  # keep the cheapest pair(s), convert the rest
-        hybrid = build_halo_ledger(
-            program,
-            partition,
-            policy="hybrid",
-            hybrid_max_flow_points=threshold,
-        )
-        assert 0 < hybrid.exchanged_points() < exchange.exchanged_points()
-        recompute = build_halo_ledger(program, partition, policy="recompute")
-        assert 0 < hybrid.redundant_points < recompute.redundant_points
-
-    def test_hybrid_buffers_cover_compute_and_plan(self):
-        program = mpdata_program()
-        partition = partition_grid_2d(full_box((24, 18, 8)), 2, 2)
-        hybrid = build_halo_ledger(
-            program, partition, policy="hybrid", hybrid_max_flow_points=500
-        )
-        for q in range(partition.count):
-            for s in range(len(program.stages)):
-                buf = hybrid.buffer_boxes[q][s]
-                comp = hybrid.compute_boxes[q][s]
-                if not comp.is_empty():
-                    assert buf.contains(comp)
-                plan_box = hybrid.plans[q].stage_boxes[s]
-                if not plan_box.is_empty():
-                    assert buf.contains(plan_box)
 
 
 class TestBoxDifference:

@@ -1,10 +1,10 @@
 """Neighbour detection and 2D grid partitioning.
 
-The hybrid halo policy walks :meth:`Partition.neighbours` to decide, per
-island boundary, whether to exchange or recompute — so face detection
-must be exact on 2D grids too: tiles that only share an edge or a corner
-are *not* neighbours, and non-divisible extents must still tile the
-domain and report every face-sharing pair.
+:meth:`Partition.cut_count` counts the interior cuts from
+:meth:`Partition.neighbours` — so face detection must be exact on 2D
+grids too: tiles that only share an edge or a corner are *not*
+neighbours, and non-divisible extents must still tile the domain and
+report every face-sharing pair.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ other duplicates*.  These properties check that identity for random
 stencil programs — analytically on the ledger, and end-to-end on the
 runner, where the telemetry's measured byte counter must equal the
 model's prediction while the two policies produce bit-identical output.
+The exchange ledger's flows are built by ``Box.difference``, so its
+exact-partition contract and the flows' exact fill are checked here too.
 """
 
 from __future__ import annotations
@@ -23,9 +25,93 @@ from repro.core import (
 )
 from repro.mpdata import GhostSpec
 from repro.runtime import EngineConfig, InMemorySink, PartitionedRunner, Telemetry
-from repro.stencil import full_box
+from repro.stencil import Box, full_box
 
 from .test_invariants import programs
+
+
+@st.composite
+def box_pairs(draw):
+    """Two boxes that may nest, overlap, touch, or miss entirely."""
+
+    def box(max_lo: int) -> Box:
+        lo = tuple(draw(st.integers(-max_lo, max_lo)) for _ in range(3))
+        extent = tuple(draw(st.integers(0, 6)) for _ in range(3))
+        return Box(lo, tuple(a + b for a, b in zip(lo, extent)))
+
+    return box(8), box(8)
+
+
+@st.composite
+def partitions(draw, shape):
+    """A 1D slab cut (either paper variant) or a 2D island grid —
+    islands at the domain faces are boundary-clipped either way."""
+    domain = full_box(shape)
+    if draw(st.booleans()):
+        return partition_domain(
+            domain,
+            draw(st.integers(2, 4)),
+            draw(st.sampled_from([Variant.A, Variant.B])),
+        )
+    return partition_grid_2d(
+        domain, draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(pair=box_pairs())
+def test_box_difference_is_an_exact_partition(pair):
+    """``a.difference(b)`` tiles ``a \\ b``: pieces lie in ``a``, miss
+    ``b``, are pairwise disjoint, and their sizes sum exactly."""
+    a, b = pair
+    pieces = a.difference(b)
+    for piece in pieces:
+        assert not piece.is_empty()
+        assert a.contains(piece)
+        assert piece.intersect(b).is_empty()
+    for i, first in enumerate(pieces):
+        for second in pieces[i + 1 :]:
+            assert first.intersect(second).is_empty()
+    assert (
+        sum(piece.size for piece in pieces)
+        == a.size - a.intersect(b).size
+    )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    program=programs(),
+    shape=st.tuples(
+        st.integers(10, 18), st.integers(8, 14), st.integers(3, 8)
+    ),
+    data=st.data(),
+)
+def test_stage_flows_fill_exactly_what_is_missing(program, shape, data):
+    """Each stage's flows are valid copies (from the owner's computed
+    region) that together cover exactly the buffered-but-not-computed
+    region of the destination island."""
+    partition = data.draw(partitions(shape))
+    ledger = build_halo_ledger(program, partition, policy="exchange")
+    assert len(ledger.stage_flows) == len(program.stages)
+    for stage, flows in enumerate(ledger.stage_flows):
+        for dst in range(partition.count):
+            need = ledger.buffer_boxes[dst][stage]
+            have = ledger.compute_boxes[dst][stage]
+            incoming = [flow for flow in flows if flow.dst == dst]
+            for flow in incoming:
+                assert need.contains(flow.box)
+                assert flow.box.intersect(have).is_empty()
+                assert ledger.compute_boxes[flow.src][stage].contains(
+                    flow.box
+                )
+                assert ledger.owned_boxes[flow.src].contains(flow.box)
+            for i, first in enumerate(incoming):
+                for second in incoming[i + 1 :]:
+                    assert first.box.intersect(second.box).is_empty()
+            assert (
+                sum(flow.points for flow in incoming)
+                == need.size - need.intersect(have).size
+            )
 
 
 @settings(max_examples=25, deadline=None)

@@ -154,12 +154,14 @@ class TestEngineConfigRoundTrip:
             ("block_shape", [8, 8, 8]),
             ("intra_threads", 2),
             ("reuse_buffers", True),
+            ("halo_threshold", None),
+            ("halo_threshold", 64),
         ],
     )
     def test_removed_fields_are_refused_by_name(self, key, value):
-        """Dicts written while the tiled backend and the naive mode
-        existed always carried these keys; they are refused loudly,
-        never half-applied."""
+        """Dicts written while the tiled backend, the naive mode and the
+        hybrid halo policy existed always carried these keys; they are
+        refused loudly, never half-applied."""
         with pytest.raises(TypeError, match=key):
             EngineConfig(**{key: value})
         saved = dict(EngineConfig().to_dict(), **{key: value})

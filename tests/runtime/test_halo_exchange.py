@@ -1,7 +1,7 @@
 """The stage-granular halo-exchange execution path.
 
 The acceptance bar for the pluggable halo layer: every backend, under
-every policy, reproduces the recompute trajectory bit-for-bit over long
+both policies, reproduces the recompute trajectory bit-for-bit over long
 runs; the steady-state engine still allocates nothing per step; the
 telemetry counters match the ledger's analytic accounting; and a failed
 stage is retried in place without corrupting already-received halos.
@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import Variant, build_halo_ledger, partition_grid_2d
-from repro.mpdata import mpdata_program, random_state
+from repro.core import Variant, partition_grid_2d
+from repro.mpdata import random_state
 from repro.mpdata.stages import FIELD_X
 from repro.runtime import (
     EngineConfig,
@@ -58,16 +58,9 @@ class TestBitIdentity:
     policy — exchanged halos carry exactly the recomputed values."""
 
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
-    @pytest.mark.parametrize(
-        "halo,threshold",
-        [("recompute", None), ("exchange", None), ("hybrid", 600)],
-    )
-    def test_backend_policy_matrix(self, reference_50, backend, halo, threshold):
-        config = EngineConfig(
-            backend=backend,
-            halo=halo,
-            halo_threshold=threshold,
-        )
+    @pytest.mark.parametrize("halo", ["recompute", "exchange"])
+    def test_backend_policy_matrix(self, reference_50, backend, halo):
+        config = EngineConfig(backend=backend, halo=halo)
         np.testing.assert_array_equal(_run(config, steps=50), reference_50)
 
     def test_threaded_exchange_matches_serial(self, reference_50):
@@ -168,21 +161,6 @@ class TestTelemetryCounters:
         measured = sink.events[-1].stats.exchanged_bytes
         assert measured == exchange.exchanged_bytes(itemsize)
         assert measured == recompute.redundant_points * itemsize
-
-    def test_hybrid_counters_sit_between_the_pure_policies(self):
-        from repro.core import partition_domain
-
-        sink = InMemorySink()
-        config = EngineConfig(halo="hybrid", halo_threshold=600)
-        _run(config, steps=1, sink=sink)
-        stats = sink.events[-1].stats
-        exchange = build_halo_ledger(
-            mpdata_program(),
-            partition_domain(full_box(SHAPE), ISLANDS, Variant.A),
-            policy="exchange",
-        )
-        assert exchange.exchanged_points() > 0
-        assert stats.exchanged_bytes + stats.redundant_points > 0
 
 
 class TestFaultsUnderExchange:
@@ -354,19 +332,18 @@ class TestConfigSurface:
         with pytest.raises(ValueError, match="unknown halo policy"):
             EngineConfig(halo="mpi")
 
-    def test_hybrid_requires_threshold(self):
-        with pytest.raises(ValueError, match="halo_threshold"):
+    def test_removed_hybrid_policy_names_the_two_policies(self):
+        with pytest.raises(
+            ValueError,
+            match="unknown halo policy 'hybrid'; known: recompute, exchange$",
+        ):
             EngineConfig(halo="hybrid")
 
-    def test_threshold_requires_hybrid(self):
-        with pytest.raises(ValueError, match="hybrid-policy option"):
-            EngineConfig(halo="exchange", halo_threshold=100)
-
     def test_round_trip_preserves_halo(self):
-        config = EngineConfig(halo="hybrid", halo_threshold=250)
+        config = EngineConfig(halo="exchange")
         data = config.to_dict()
-        assert data["halo"] == "hybrid"
-        assert data["halo_threshold"] == 250
+        assert data["halo"] == "exchange"
+        assert "halo_threshold" not in data
         assert EngineConfig.from_dict(data) == config
 
     def test_runner_mirrors_halo_config(self):

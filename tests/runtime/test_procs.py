@@ -97,12 +97,6 @@ class TestProcsBitIdentity:
         )
         assert np.array_equal(final, reference)
 
-    def test_hybrid_bit_identical_50_steps(self, reference):
-        final, _ = _trajectory(
-            EngineConfig(backend="procs", halo="hybrid", halo_threshold=200)
-        )
-        assert np.array_equal(final, reference)
-
     def test_interpreter_inner_bit_identical(self, reference):
         final, _ = _trajectory(
             EngineConfig(backend="procs", procs_inner="interpreter"),
@@ -121,19 +115,9 @@ class TestProcsBitIdentity:
         assert np.array_equal(final, ref10)
 
     @needs_native
-    @pytest.mark.parametrize(
-        "halo,threshold", [("exchange", None), ("hybrid", 200)]
-    )
-    def test_native_inner_stage_policies_50_steps(
-        self, reference, halo, threshold
-    ):
+    def test_native_inner_exchange_50_steps(self, reference):
         final, _ = _trajectory(
-            EngineConfig(
-                backend="procs",
-                procs_inner="native",
-                halo=halo,
-                halo_threshold=threshold,
-            )
+            EngineConfig(backend="procs", procs_inner="native", halo="exchange")
         )
         assert np.array_equal(final, reference)
 

@@ -214,6 +214,28 @@ class TestRollbackAndReplay:
         assert report.fault_stats.islands_failed == 1
         assert report.rollbacks == 1
 
+    def test_killed_worker_is_respawned_for_the_replay(self, state):
+        """A kill with no retry budget exhausts the island at once; the
+        worker is still respawned, so the rollback's replay completes."""
+        expected = MpdataSolver(SHAPE).run(state, 6)
+        config = EngineConfig(
+            backend="procs", workers=2, max_retries=0,
+            fault_specs=("kill@island=1,step=3",),
+        )
+        with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+            actual = np.array(
+                solver.run(
+                    state, 6,
+                    recovery=RecoveryPolicy(checkpoint_every=2, max_rollbacks=3),
+                ),
+                copy=True,
+            )
+            report = solver.last_recovery_report
+        np.testing.assert_array_equal(actual, expected)
+        assert report.rollbacks == 1
+        assert report.fault_stats.injected_kills == 1
+        assert report.fault_stats.islands_failed == 1
+
     @pytest.mark.parametrize("backend", KERNEL_BACKENDS)
     def test_mass_drift_guard_trips_and_recovers(self, state, backend):
         # An injected finite-but-wrong value slips past the NaN check;

@@ -93,11 +93,10 @@ def test_interpreted_step_timings(state):
     "config",
     [
         EngineConfig(backend="native", halo="exchange"),
-        EngineConfig(backend="native", halo="hybrid", halo_threshold=64),
         EngineConfig(backend="procs", procs_inner="native"),
         EngineConfig(backend="procs", procs_inner="native", halo="exchange"),
     ],
-    ids=["native-exchange", "native-hybrid", "procs-native", "procs-native-exchange"],
+    ids=["native-exchange", "procs-native", "procs-native-exchange"],
 )
 def test_every_stage_is_clocked(state, config):
     """The one-stage plans of exchange mode and the plans inside procs

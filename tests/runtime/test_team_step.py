@@ -1,8 +1,8 @@
 """The native team step: one C call per team member runs an exchange step.
 
-Under ``exchange`` (and ``hybrid``) the in-process ``native`` backend runs
-a step as ``min(threads, islands)`` calls of the native team driver, one
-per member: every stage kernel, halo copy and barrier of its islands.
+Under ``exchange`` the in-process ``native`` backend runs a step as
+``min(threads, islands)`` calls of the native team driver, one per
+member: every stage kernel, halo copy and barrier of its islands.
 The contracts: bit-identity with the whole-domain solver for every team
 size, layout, boundary and dtype; every step at which an injected fault
 can fire takes the stage-by-stage path, with its exact firing site; an
@@ -172,15 +172,6 @@ class TestMatchesWholeDomain:
         np.testing.assert_array_equal(
             result[0], references["periodic", "float64"]
         )
-
-    def test_hybrid_runs_the_team_step(self, state, references):
-        config = EngineConfig(
-            backend="native", halo="hybrid", halo_threshold=64, threads=2
-        )
-        with MpdataIslandSolver(SHAPE, ISLANDS, config=config) as solver:
-            got = np.array(solver.run(state, STEPS), copy=True)
-            assert set(solver.runner.backend._teams) == {2}
-        np.testing.assert_array_equal(got, references["periodic", "float64"])
 
     def test_flows_read_only_computed_boxes(self):
         """Why one barrier per stage suffices: a flow reads only its

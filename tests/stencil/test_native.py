@@ -307,12 +307,9 @@ class TestNativeEngine:
         ) as solver:
             return np.array(solver.run(state, 50), copy=True)
 
-    @pytest.mark.parametrize("halo", ["recompute", "exchange", "hybrid"])
+    @pytest.mark.parametrize("halo", ["recompute", "exchange"])
     def test_50_steps_bit_identical_per_halo_policy(self, reference, halo):
-        threshold = 4096 if halo == "hybrid" else None
-        config = EngineConfig(
-            backend="native", halo=halo, halo_threshold=threshold
-        )
+        config = EngineConfig(backend="native", halo=halo)
         np.testing.assert_array_equal(self._trajectory(config), reference)
 
     def test_procs_pool_with_native_workers_survives_sigkill(self):

@@ -89,6 +89,14 @@ class TestEngineValidation:
         err = self._error(capsys, ["engine", "--sync-every", "2"])
         assert "unrecognized arguments: --sync-every" in err
 
+    def test_hybrid_halo_is_an_invalid_choice(self, capsys):
+        err = self._error(capsys, ["engine", "--halo", "hybrid"])
+        assert "argument --halo: invalid choice: 'hybrid'" in err
+
+    def test_halo_threshold_flag_is_gone(self, capsys):
+        err = self._error(capsys, ["engine", "--halo-threshold", "64"])
+        assert "unrecognized arguments: --halo-threshold" in err
+
     @pytest.mark.parametrize(
         "flag",
         [
