@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Tuple
 
 from ..stencil import Box, split_axis
 
@@ -51,15 +51,6 @@ class Partition:
     def count(self) -> int:
         return len(self.parts)
 
-    def neighbours(self) -> List[Tuple[int, int]]:
-        """Pairs of island indices whose parts share a face."""
-        pairs: List[Tuple[int, int]] = []
-        for a in range(len(self.parts)):
-            for b in range(a + 1, len(self.parts)):
-                if _share_face(self.parts[a], self.parts[b]):
-                    pairs.append((a, b))
-        return pairs
-
     def validate(self) -> None:
         """Check the parts tile the domain exactly (used by tests)."""
         total = sum(p.size for p in self.parts)
@@ -73,23 +64,6 @@ class Partition:
             for other in self.parts[a + 1 :]:
                 if not part.intersect(other).is_empty():
                     raise AssertionError(f"parts {part} and {other} overlap")
-
-    def cut_count(self) -> int:
-        """Number of interior cuts (face-sharing neighbour pairs)."""
-        return len(self.neighbours())
-
-
-def _share_face(a: Box, b: Box) -> bool:
-    touching = 0
-    overlapping = 0
-    for axis in range(3):
-        lo = max(a.lo[axis], b.lo[axis])
-        hi = min(a.hi[axis], b.hi[axis])
-        if hi > lo:
-            overlapping += 1
-        elif hi == lo and (a.hi[axis] == b.lo[axis] or b.hi[axis] == a.lo[axis]):
-            touching += 1
-    return overlapping == 2 and touching == 1
 
 
 def partition_domain(domain: Box, islands: int, variant: Variant = Variant.A) -> Partition:

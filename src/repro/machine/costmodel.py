@@ -295,7 +295,9 @@ class PortModel:
     def estimate(
         self, schedule: "StageSchedule", dtype_bytes: int = 8
     ) -> StageEstimate:
-        """Price one lowered stage."""
+        """Price one lowered stage over the points its kernel computes:
+        its window, which under a periodic boundary leaves out the j/k
+        ghosts copied from their images, and is the whole box otherwise."""
         cycles = self.stage_cycles(schedule)
         traffic = self.stage_bytes(schedule, dtype_bytes)
         points = schedule.points

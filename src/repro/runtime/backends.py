@@ -769,13 +769,18 @@ class NativeBackend(IslandBackend):
         backend.boundary = config.boundary
         return backend
 
+    def _boundary(self) -> Optional[Tuple[str, Box]]:
+        """``(mode, domain)`` for :func:`compile_plan_native`, or ``None``."""
+        if self.boundary is None:
+            return None
+        return (self.boundary, self.decomposition.partition.domain)
+
     def prepare(self) -> None:
         output_stage = self.program.producer_of(self.output_field)
         for island in self.decomposition.islands:
             assert island.halo_plan.stage_boxes[output_stage] == island.part
-        boundary = None
-        if self.boundary is not None:
-            boundary = (self.boundary, self.decomposition.partition.domain)
+        boundary = self._boundary()
+        if boundary is not None:
             self.raw_inputs = frozenset(
                 field.name
                 for field in self.program.input_fields
@@ -838,6 +843,11 @@ class NativeBackend(IslandBackend):
         self._stage_plans: Dict[Tuple[int, int], object] = {}
         #: Team steps by team size, dropped whenever a plan is rebound.
         self._teams: Dict[int, TeamStep] = {}
+        # Stage plans gather nothing: their inputs are ghost-extended
+        # stage buffers and input regions, whose ghosts hold their
+        # periodic images.  The boundary lets a periodic plan copy its
+        # j/k ghosts from their images instead of computing them.
+        boundary = self._boundary()
         for island in self.decomposition.islands:
             q = island.index
             for s in range(len(self._ledger.compute_boxes[q])):
@@ -851,6 +861,8 @@ class NativeBackend(IslandBackend):
                     required_regions(sub, comp),
                     dtype=self.dtype,
                     timed=self.timed,
+                    boundary=boundary,
+                    gather=(),
                 )
                 compiled.workspace.bind_out(
                     stage.output, self._stage_buffers[q][s].view(comp)

@@ -916,7 +916,9 @@ class ProcsBackend(IslandBackend):
         Native workers under ``recompute`` gather :attr:`raw_inputs` from
         the output buffers, applying the boundary as they read; every
         other input is read from its ghost buffer.  In exchange mode the
-        inner backend adopts the shared stage buffers.
+        inner backend adopts the shared stage buffers, and a native one
+        gets the boundary, so its stage plans copy periodic ghosts from
+        their images as in-process ones do.
         """
         inner = BACKENDS[self.inner](
             self.program,
@@ -927,6 +929,8 @@ class ProcsBackend(IslandBackend):
             timed=self.timed,
         )
         if self._ledger is not None:
+            if self.inner == "native":
+                inner.boundary = self.boundary
             inner.adopt_exchange_state(self._ledger, self._stage_buffers)
             return inner
         if self.raw_inputs:

@@ -14,7 +14,8 @@ lowering into explicit, typed data:
   — one elementwise operation each, in program order, carrying the exact
   set of slots *released* after the op fires (``frees``).
 * :class:`StageSchedule` — one stage's complete schedule: its compute box,
-  view bindings, op list and slot-liveness summary.
+  the window of it the kernel computes (the rest is copied from periodic
+  images), view bindings, op list and slot-liveness summary.
 * :class:`KernelIR` — the whole plan's schedules plus anchor geometry.
 
 The lowering mirrors ``Expr._eval_into`` exactly — same operation set, same
@@ -161,7 +162,11 @@ class StageSchedule:
 
     ``index`` is the stage's position in the *program* (0-based; the
     emitted stage comments print ``index + 1``).  ``box`` is the
-    stage's clipped compute box; every op sweeps ``box.shape`` points.
+    stage's clipped compute box, the region its output holds.  Every op
+    sweeps ``window``, the part of ``box`` the kernel computes: the whole
+    box, except under a periodic boundary, where each j/k axis on which
+    the box covers the domain is cut to the domain and the ghosts outside
+    it are copied from their periodic images (:func:`lower_plan`).
     ``float_slots`` / ``mask_slots`` list every slot index the stage ever
     touches (sorted); ``peak_float_slots`` / ``peak_mask_slots`` are the
     allocator high-water marks — the maximum number of simultaneously
@@ -178,6 +183,7 @@ class StageSchedule:
     mask_slots: Tuple[int, ...]
     peak_float_slots: int
     peak_mask_slots: int
+    window: Box
 
     @property
     def shape(self) -> Tuple[int, int, int]:
@@ -185,7 +191,8 @@ class StageSchedule:
 
     @property
     def points(self) -> int:
-        return self.box.size
+        """Points the kernel computes (its window's, not its box's)."""
+        return self.window.size
 
     def reads(self) -> Tuple[str, ...]:
         """Distinct fields this schedule reads, in first-use order."""
@@ -316,12 +323,45 @@ def _lower_expr(
     raise TypeError(f"cannot lower expression node {type(expr).__name__}")
 
 
-def lower_plan(program: StencilProgram, plan: HaloPlan) -> KernelIR:
+def _periodic_window(box: Box, domain: Optional[Box]) -> Box:
+    """The part of ``box`` a stage computes under a periodic ``domain``.
+
+    The IR is translation-invariant, so when every input ghost holds its
+    periodic image, every stage's ghost values equal their images too.
+    On each j/k axis where ``box`` covers the domain with ghosts at most
+    one period deep, each ghost's image lies in the domain, so only the
+    domain is computed there.  Axis i is the pipeline axis: an i ghost's
+    image is another plane, which the rings need not hold.
+    """
+    if domain is None:
+        return box
+    lo, hi = list(box.lo), list(box.hi)
+    for axis in (1, 2):
+        start, stop = domain.lo[axis], domain.hi[axis]
+        period = stop - start
+        if (
+            box.lo[axis] <= start
+            and box.hi[axis] >= stop
+            and start - box.lo[axis] <= period
+            and box.hi[axis] - stop <= period
+        ):
+            lo[axis], hi[axis] = start, stop
+    return Box(tuple(lo), tuple(hi))  # type: ignore[arg-type]
+
+
+def lower_plan(
+    program: StencilProgram, plan: HaloPlan, *, periodic: Optional[Box] = None
+) -> KernelIR:
     """Lower every non-empty stage of ``plan`` to a :class:`KernelIR`.
 
     Validates what code generation requires — compilable field names and
     reads that stay inside the available (anchored) data — so a plan that
     cannot run fails here, before any C is emitted.
+
+    ``periodic`` is the domain of a periodic boundary whose images every
+    input's ghosts hold.  Each stage's ``window`` then leaves out the j/k
+    ghosts its kernel can copy from their images (:func:`_periodic_window`);
+    without it every window is the whole box.
     """
     for declared in program.fields:
         if not declared.name.isidentifier() or declared.name.startswith("_") or (
@@ -393,6 +433,7 @@ def lower_plan(program: StencilProgram, plan: HaloPlan) -> KernelIR:
                 mask_slots=tuple(sorted(masks.used)),
                 peak_float_slots=floats.high_water,
                 peak_mask_slots=masks.high_water,
+                window=_periodic_window(compute, periodic),
             )
         )
 

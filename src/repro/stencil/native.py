@@ -16,8 +16,13 @@ the planes it reads (:func:`plane_schedule`).  That is the paper's
 (3+1)D reuse (Sect. 3.2) without redundancy: every temporary lives in a
 ring of a few planes instead of a full array, so the intermediates of all
 stages stay cache-resident while inputs and outputs stream through once,
-and every stage computes exactly its stage box, so no point is computed
-twice.
+and every stage computes its stage box once.  Under a periodic boundary
+a stage computes only its window (:class:`~repro.stencil.lowering
+.StageSchedule`): on the j/k axes where its box spans the domain, each
+plane kernel computes the domain's rows, copies each row's k ghosts from
+their periodic images inside the row loop, and then copies the j ghost
+rows from their image rows, since those ghosts hold exactly their
+images' bits.
 
 Bit-identity with the interpreter is preserved by construction:
 
@@ -31,7 +36,8 @@ Bit-identity with the interpreter is preserved by construction:
 * selection (``Where``) compiles to ``cond > 0 ? t : f`` per point,
   elementwise identical to the interpreter's compare + masked copies;
 * a point's value depends only on its operand points, never on the order
-  in which planes are computed.
+  in which planes are computed, nor on where it lies, so a periodic
+  ghost copied from its image holds the bits computing it would give.
 
 A property test pins 50-step trajectories against the interpreter bit for
 bit.
@@ -363,7 +369,12 @@ def _stage_planes(schedule: StageSchedule) -> List[Tuple[str, List[int]]]:
 def _emit_stage(
     schedule: StageSchedule, anchors: Dict[str, Box], fabs: str, sqrt: str
 ) -> str:
-    """Emit one stage's fused loop nest over one i-plane."""
+    """Emit one stage's fused loop nest over one i-plane.
+
+    The nest sweeps the schedule's window; a window narrower than the box
+    on k copies each computed row's k ghosts after the row, and one
+    narrower on j copies the j ghost rows once every domain row is done.
+    """
     params = ["real* restrict _out", "long _out_s1"]
     for name, offsets in _stage_planes(schedule):
         params += [
@@ -371,6 +382,12 @@ def _emit_stage(
         ]
         params.append(f"long {name}_s1")
     _, nj, nk = schedule.shape
+    # The computed window, counted from the box's corner; each ghost row
+    # or column outside it copies its periodic image, one period away.
+    box, window = schedule.box, schedule.window
+    j0, k0 = (window.lo[axis] - box.lo[axis] for axis in (1, 2))
+    j1, k1 = (window.hi[axis] - box.lo[axis] for axis in (1, 2))
+    k_ghosts = (k0, k1) != (0, nk)
     lines: List[str] = []
     lines.append(f"/* stage {schedule.index + 1}: "
                  f"{schedule.name} -> {schedule.output} */")
@@ -378,8 +395,10 @@ def _emit_stage(
         f"static inline void {_stage_symbol(schedule)}({', '.join(params)})"
     )
     lines.append("{")
-    lines.append(f"    for (long _j = 0; _j < {nj}; ++_j)")
-    lines.append(f"    for (long _k = 0; _k < {nk}; ++_k) {{")
+    lines.append(
+        f"    for (long _j = {j0}; _j < {j1}; ++_j)" + (" {" if k_ghosts else "")
+    )
+    lines.append(f"    for (long _k = {k0}; _k < {k1}; ++_k) {{")
     for view in schedule.views:
         anchor = anchors[view.field]
         oj, ok = (view.read_box.lo[axis] - anchor.lo[axis] for axis in (1, 2))
@@ -417,6 +436,30 @@ def _emit_stage(
             raise NativeBuildError(f"cannot emit kernel op {type(op).__name__}")
     lines.append("        _out[_j * _out_s1 + _k] = _acc;")
     lines.append("    }")
+    if k_ghosts:
+        # The row's k ghosts, from their images in the run just computed.
+        period = k1 - k0
+        lines.append("    /* k ghosts: periodic images */")
+        for lo, hi, image in ((0, k0, f"+ {period}"), (k1, nk, f"- {period}")):
+            if lo < hi:
+                lines.append(f"    for (long _k = {lo}; _k < {hi}; ++_k)")
+                lines.append(
+                    "        _out[_j * _out_s1 + _k] = "
+                    f"_out[_j * _out_s1 + _k {image}];"
+                )
+        lines.append("    }")
+    if (j0, j1) != (0, nj):
+        # The j ghost rows, k ghosts included, from their image rows.
+        period = j1 - j0
+        lines.append("    /* j ghost rows: periodic images */")
+        for lo, hi, image in ((0, j0, f"+ {period}"), (j1, nj, f"- {period}")):
+            if lo < hi:
+                lines.append(f"    for (long _j = {lo}; _j < {hi}; ++_j)")
+                lines.append(f"    for (long _k = 0; _k < {nk}; ++_k)")
+                lines.append(
+                    "        _out[_j * _out_s1 + _k] = "
+                    f"_out[(_j {image}) * _out_s1 + _k];"
+                )
     lines.append("}")
     return "\n".join(lines)
 
@@ -1147,9 +1190,9 @@ def compile_plan_native(
 
     The entry point walks the plan's i-planes and runs every stage's
     fused loop nest on a plane that lags its inputs
-    (:func:`plane_schedule`), so temporaries live in rings of planes, no
-    point is computed twice, and the result is bit-identical to the
-    interpreter.  The plan owns one
+    (:func:`plane_schedule`), so temporaries live in rings of planes,
+    every stage computes its box once, and the result is bit-identical
+    to the interpreter.  The plan owns one
     :class:`~repro.stencil.codegen.Workspace` (the ring arena plus one
     array per program output), so repeat calls are allocation-free and
     overwrite the arrays the previous call returned.  ``timed`` hands
@@ -1171,6 +1214,15 @@ def compile_plan_native(
     regions covering their required boxes, as a plan without a boundary
     reads every input.
 
+    A ``"periodic"`` boundary also lowers the plan with its domain
+    (:func:`~repro.stencil.lowering.lower_plan`): each stage computes
+    only the domain on the j/k axes its box spans and copies its ghosts
+    there from their periodic images.  That is exact because a gathered
+    input's ghosts are folded images, and it requires the same of every
+    other input: their ghost layers must hold the boundary's images
+    (as :func:`~repro.mpdata.boundary.extend_array` fills them, on every
+    engine path).
+
     Generated C and the plane schedule are served from the process-wide
     plan cache; compiled shared objects are additionally cached on disk,
     so forked/spawned procs workers reload instead of recompiling.  Each
@@ -1190,15 +1242,19 @@ def compile_plan_native(
                 f"cannot gather {sorted(gathered - inputs)}: not inputs of "
                 f"{program.name!r}"
             )
+    periodic = None
+    if boundary is not None and boundary[0] == "periodic":
+        periodic = boundary[1]
     cache_key = (
         program_fingerprint(program),
         plan_geometry_key(plan),
         dtype.str,
         tuple(sorted(gathered)),
+        periodic,
     )
 
     def _build():
-        ir = lower_plan(program, plan)
+        ir = lower_plan(program, plan, periodic=periodic)
         csource, cdef = emit_c_source(ir, dtype, gathered)
         names = tuple(stage.name for stage in ir.stages)
         return (

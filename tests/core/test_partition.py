@@ -57,11 +57,6 @@ class TestPartition1D:
         with pytest.raises(ValueError, match="partition_grid_2d"):
             partition_domain(full_box((8, 8, 8)), 4, Variant.GRID_2D)
 
-    def test_neighbours_form_a_chain(self):
-        partition = partition_domain(full_box((20, 4, 4)), 5)
-        assert partition.neighbours() == [(0, 1), (1, 2), (2, 3), (3, 4)]
-        assert partition.cut_count() == 4
-
 
 class TestPartition2D:
     def test_grid_tiles_domain(self):
@@ -99,4 +94,3 @@ class TestProperties:
         partition = partition_domain(full_box(shape), islands, variant)
         partition.validate()
         assert partition.count == islands
-        assert partition.cut_count() == islands - 1

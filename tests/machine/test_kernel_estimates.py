@@ -116,6 +116,7 @@ class TestPortModelAccounting:
                 mask_slots=(),
                 peak_float_slots=peak,
                 peak_mask_slots=0,
+                window=Box((0, 0, 0), (4, 4, 4)),
             )
 
         ports = PortModel(register_budget=16)
@@ -141,6 +142,29 @@ class TestPortModelAccounting:
         assert c.seconds_per_point == pytest.approx(
             c.seconds / ir.stages[0].points
         )
+
+    def test_periodic_paper_plan_prices_the_points_it_computes(self):
+        """Under a periodic boundary the 256x128x32 paper plan computes
+        17.14 points per domain cell, not the 18.63 its stage boxes
+        hold: each stage is priced over its window."""
+        program = mpdata_program()
+        solver = MpdataSolver((256, 128, 32))
+        plan = required_regions(
+            program, solver.domain, domain=solver.extended_domain
+        )
+        cells = solver.domain.size
+        whole = kernel_estimates(lower_plan(program, plan))
+        windowed = kernel_estimates(
+            lower_plan(program, plan, periodic=solver.domain)
+        )
+        assert sum(e.points for e in whole) / cells == pytest.approx(
+            18.6346, abs=1e-4
+        )
+        assert sum(e.points for e in windowed) / cells == pytest.approx(
+            17.1445, abs=1e-4
+        )
+        for a, b in zip(whole, windowed):
+            assert b.seconds / b.points == pytest.approx(a.seconds / a.points)
 
     def test_kernel_estimates_cover_every_mpdata_stage(self):
         program = mpdata_program()

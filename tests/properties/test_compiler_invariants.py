@@ -210,6 +210,66 @@ def test_gathered_plans_bit_exact_on_domain_arrays(
     np.testing.assert_array_equal(actual[output].data, expected[output].data)
 
 
+@pytest.mark.skipif(
+    not native_available(), reason="needs cffi and a system C compiler"
+)
+@settings(max_examples=20, deadline=None)
+@given(
+    program=programs(),
+    spanned=st.sampled_from(((1,), (2,), (1, 2))),
+    lo=st.tuples(st.integers(0, 11), st.integers(0, 11), st.integers(0, 5)),
+    extent=st.tuples(st.integers(1, 12), st.integers(1, 12), st.integers(1, 6)),
+    seed=st.integers(0, 1000),
+    data=st.data(),
+)
+def test_periodic_windows_bit_exact(program, spanned, lo, extent, seed, data):
+    """A periodic plan whose target spans the domain on j, k or both
+    computes each stage only over the domain there and copies the ghosts
+    from their images, and still computes the interpreter's bits from
+    ghost-extended inputs, for any program and set of gathered inputs
+    (the others bound as their ghost-extended copies).  A stage box of
+    these programs reaches at most 8 cells past the target in j and 4
+    in k, so on this domain every ghost is within one period."""
+    shape = (12, 12, 6)
+    domain = Box((0, 0, 0), shape)
+    lo = tuple(0 if axis in spanned else a for axis, a in enumerate(lo))
+    hi = tuple(
+        s if axis in spanned else min(a + n, s)
+        for axis, (a, n, s) in enumerate(zip(lo, extent, shape))
+    )
+    plan = required_regions(program, Box(lo, hi))
+    for schedule in lower_plan(program, plan, periodic=domain).stages:
+        for axis in range(3):
+            window = (schedule.window.lo[axis], schedule.window.hi[axis])
+            if axis in spanned:
+                assert window == (domain.lo[axis], domain.hi[axis])
+            elif axis == 0:
+                assert window == (schedule.box.lo[0], schedule.box.hi[0])
+    rng = np.random.default_rng(seed)
+    arrays = {
+        field.name: rng.standard_normal(shape) for field in program.input_fields
+    }
+    ghosted = {}
+    for name, box in plan.input_boxes.items():
+        if box.is_empty():
+            continue
+        ghosts_lo = tuple(max(0, d - b) for b, d in zip(box.lo, domain.lo))
+        ghosts_hi = tuple(max(0, b - d) for b, d in zip(box.hi, domain.hi))
+        ghosted[name] = extend_array(arrays[name], ghosts_lo, ghosts_hi, "periodic")
+    expected, _ = execute_plan(program, plan, ghosted)
+    gather = data.draw(st.sets(st.sampled_from(sorted(arrays))))
+    compiled = compile_plan_native(
+        program, plan, boundary=("periodic", domain), gather=gather
+    )
+    inputs = dict(ghosted)
+    inputs.update(
+        (name, ArrayRegion(arrays[name], domain)) for name in gather
+    )
+    actual = compiled(inputs)
+    output = program.output_fields[0].name
+    np.testing.assert_array_equal(actual[output].data, expected[output].data)
+
+
 @settings(max_examples=30, deadline=None)
 @given(program=programs(), seed=st.integers(0, 1000))
 def test_full_inlining_preserves_values(program, seed):

@@ -13,16 +13,22 @@ op over the whole stencil gallery plus the MPDATA variants:
   and ``float_slots`` / ``mask_slots`` list exactly the slots ever used.
 
 Plus determinism: lowering the same plan twice yields equal IR, and the
-C emission over it is byte-stable.
+C emission over it is byte-stable; and the periodic windows: lowered with
+a periodic domain, each stage computes only the domain on the j/k axes
+its box spans with ghosts at most one period deep, and its whole box
+everywhere else.
 """
 
 import numpy as np
 import pytest
 
+from repro.core import partition_grid_2d
+from repro.core.halo import island_halo_plans
 from repro.mpdata import MpdataSolver, mpdata_program
 from repro.stencil import (
     GALLERY,
     Access,
+    Box,
     Field,
     FieldRole,
     Stage,
@@ -186,3 +192,71 @@ class TestSlotAllocatorProperties:
         assert first.anchors == second.anchors
         for dtype in (np.float64, np.float32):
             assert emit_c_source(first, dtype) == emit_c_source(second, dtype)
+
+
+def _axis(box, axis):
+    return box.lo[axis], box.hi[axis]
+
+
+class TestPeriodicWindows:
+    def test_paper_flux_k_computes_the_domain_of_its_box(self):
+        """On the paper workloads' 256x128x32 grid, ``flux_k`` holds
+        260x132x37 points and computes 260x128x32 of them."""
+        program = mpdata_program()
+        solver = MpdataSolver((256, 128, 32))
+        plan = required_regions(
+            program, solver.domain, domain=solver.extended_domain
+        )
+        ir = lower_plan(program, plan, periodic=solver.domain)
+        (flux_k,) = [s for s in ir.stages if s.name == "flux_k"]
+        assert flux_k.box.shape == (260, 132, 37)
+        assert flux_k.window.shape == (260, 128, 32)
+        assert flux_k.points == 260 * 128 * 32
+        for schedule in ir.stages:
+            assert _axis(schedule.window, 0) == _axis(schedule.box, 0)
+            for axis in (1, 2):
+                assert _axis(schedule.window, axis) == _axis(solver.domain, axis)
+
+    def test_without_a_domain_every_window_is_the_box(self):
+        program, plan = _mpdata_plan()
+        for schedule in lower_plan(program, plan).stages:
+            assert schedule.window == schedule.box
+            assert schedule.points == schedule.box.size
+
+    def test_a_grid_island_windows_k_but_not_j(self):
+        """A 2x2 grid's islands span the domain on k only: their j ghosts'
+        images belong to the other island of the row."""
+        program = mpdata_program()
+        solver = MpdataSolver((16, 12, 8))
+        partition = partition_grid_2d(solver.domain, 2, 2)
+        plans = island_halo_plans(
+            program, partition, clip_domain=solver.extended_domain
+        )
+        for plan in plans:
+            stages = lower_plan(program, plan, periodic=solver.domain).stages
+            assert any(s.window != s.box for s in stages)
+            for schedule in stages:
+                for axis in (0, 1):
+                    assert _axis(schedule.window, axis) == _axis(
+                        schedule.box, axis
+                    )
+                assert _axis(schedule.window, 2) == _axis(solver.domain, 2)
+
+    def test_a_box_deeper_than_one_period_stays_whole(self):
+        """On a domain 2 cells deep in k, ``flux_k`` reaches 3 cells past
+        it, so its k axis stays whole; ``pseudo_vel_i`` reaches 1 and is
+        cut to the domain.  j (12 cells) is cut for both."""
+        program = mpdata_program()
+        domain = full_box((16, 12, 2))
+        extended = Box((-3, -3, -3), (19, 15, 5))
+        plan = required_regions(program, domain, domain=extended)
+        stages = {
+            s.name: s for s in lower_plan(program, plan, periodic=domain).stages
+        }
+        flux_k, pseudo = stages["flux_k"], stages["pseudo_vel_i"]
+        assert _axis(flux_k.box, 2) == (-2, 5)
+        assert _axis(flux_k.window, 2) == (-2, 5)
+        assert _axis(pseudo.box, 2) == (-1, 3)
+        assert _axis(pseudo.window, 2) == (0, 2)
+        for schedule in (flux_k, pseudo):
+            assert _axis(schedule.window, 1) == (0, 12)

@@ -1214,3 +1214,58 @@ class TestGatheredPlans:
         np.testing.assert_array_equal(
             arrays[FIELD_X], MpdataSolver(SHAPE).run(state, 7)
         )
+
+
+@needs_native
+class TestPeriodicImages:
+    """Under a periodic boundary a plan computes each stage only over the
+    domain on the j/k axes its box spans and copies the ghosts there
+    from their images; under ``open`` it computes every box whole."""
+
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    def test_only_periodic_plans_copy_images(self, mode):
+        program, plan, _ = _mpdata_setup()
+        solver = MpdataSolver(SHAPE, boundary=mode)
+        compiled = compile_plan_native(
+            program, plan, boundary=(mode, solver.domain)
+        )
+        periodic = solver.domain if mode == "periodic" else None
+        ir = lower_plan(program, plan, periodic=periodic)
+        assert compiled.source == emit_c_source(ir, np.float64, compiled.gathered)[0]
+        assert ("periodic images" in compiled.source) == (mode == "periodic")
+
+    @pytest.mark.parametrize("mode", BOUNDARY_MODES)
+    def test_exchange_stage_plans_copy_images(self, mode):
+        """In-process exchange stage plans and a procs backend's inner
+        ones copy a stage's j/k ghosts from their images exactly when
+        the boundary is periodic and the stage's box has such ghosts, and
+        the run stays bit for bit the whole-domain solver's."""
+        state = random_state(SHAPE, seed=23)
+        reference = MpdataSolver(SHAPE, boundary=mode).run(state, 3)
+        for config in (
+            EngineConfig(backend="native", halo="exchange", boundary=mode),
+            EngineConfig(
+                backend="procs", procs_inner="native", workers=1,
+                halo="exchange", boundary=mode,
+            ),
+        ):
+            with MpdataIslandSolver(SHAPE, 2, config=config) as solver:
+                np.testing.assert_array_equal(
+                    solver.run(state, 3), reference
+                )
+                backend = solver.runner.backend
+                if config.backend == "procs":
+                    backend = backend._ensure_parent_inner()
+                domain = solver.runner.decomposition.partition.domain
+                windowed = 0
+                for (q, s), compiled in backend._stage_plans.items():
+                    box = backend.ledger.compute_boxes[q][s]
+                    ghosts = any(
+                        box.lo[axis] < domain.lo[axis]
+                        or box.hi[axis] > domain.hi[axis]
+                        for axis in (1, 2)
+                    )
+                    copies = "periodic images" in compiled.source
+                    assert copies == (ghosts and mode == "periodic")
+                    windowed += copies
+                assert windowed or mode == "open"
