@@ -11,8 +11,8 @@ runner, and checkpointed rollback-and-replay
 The runtime is layered: execution backends
 (:mod:`repro.runtime.backends`) own per-island compute resources behind a
 uniform lifecycle, the resilience layer
-(:mod:`repro.runtime.resilience`) wraps any backend with injection /
-retry / backoff, the telemetry spine (:mod:`repro.runtime.telemetry`)
+(:mod:`repro.runtime.resilience`) wraps any backend with injection and
+retry, the telemetry spine (:mod:`repro.runtime.telemetry`)
 records structured per-step events into pluggable sinks, and one frozen
 :class:`~repro.runtime.config.EngineConfig` selects all of it — including
 the halo policy (recompute / exchange) whose geometry comes from

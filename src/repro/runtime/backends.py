@@ -381,15 +381,6 @@ class IslandBackend:
         """One island's persistent buffer for one stage's output."""
         return self._stage_buffers[island_index][stage_index]
 
-    def stage_view(
-        self, island_index: int, stage_index: int
-    ) -> Optional[np.ndarray]:
-        """View of the slab one island *computes* for one stage."""
-        comp = self._ledger.compute_boxes[island_index][stage_index]
-        if comp.is_empty():
-            return None
-        return self._stage_buffers[island_index][stage_index].view(comp)
-
     def owned_stage_view(self, island, stage_index: int) -> Optional[np.ndarray]:
         """View of the points of one stage an island computes *and* owns.
 

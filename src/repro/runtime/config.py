@@ -2,7 +2,7 @@
 
 Three feature axes grew onto the runner in successive steps — backend
 selection (interpreter / native / procs), resilience policy (retry
-budget, backoff, injected faults) and observability (buffer reuse
+budget, injected faults) and observability (buffer reuse
 accounting, timing collection) — and each
 grew its own copy of the kwarg list: once on
 :class:`~repro.runtime.island_exec.PartitionedRunner`, once on
@@ -59,21 +59,17 @@ class EngineConfig:
     boundary:
         Ghost-fill mode for all inputs (``"periodic"`` or ``"open"``).
     threads:
-        Island-level work team: islands execute concurrently when > 1.
+        Island-level work team, at least 1: islands execute concurrently
+        when > 1.
     dtype:
         Element type, ``"float64"`` or ``"float32"`` (:data:`DTYPE_KEYS`),
         stored as a NumPy dtype *name* so the config round-trips through
         JSON; see :attr:`numpy_dtype`.
     reuse_output:
         Recycle the assembled output array across steps.
-    max_retries, retry_backoff:
-        Resilience policy: per-island retry budget within one step, and
-        the base sleep before retry N (grows as ``backoff * 2**(N-1)``,
-        capped at ``retry_backoff_max``).
-    retry_backoff_max:
-        Ceiling on one retry sleep: the exponential backoff saturates
-        here (with deterministic down-jitter) instead of growing without
-        bound.
+    max_retries:
+        Resilience policy: per-island retry budget within one step (a
+        retry runs at once).
     fault_specs:
         Deterministic fault injection sites as
         :func:`~repro.runtime.faults.parse_fault_spec` strings — the
@@ -130,8 +126,6 @@ class EngineConfig:
     dtype: str = "float64"
     reuse_output: bool = False
     max_retries: int = 0
-    retry_backoff: float = 0.0
-    retry_backoff_max: float = 30.0
     fault_specs: Tuple[str, ...] = ()
     collect_timings: bool = False
     halo: str = "recompute"
@@ -147,7 +141,7 @@ class EngineConfig:
         # Normalize (object.__setattr__: the dataclass is frozen) so two
         # configs built from e.g. np.float64 and "float64" compare equal.
         object.__setattr__(self, "dtype", str(np.dtype(self.dtype)))
-        object.__setattr__(self, "threads", max(1, int(self.threads)))
+        object.__setattr__(self, "threads", int(self.threads))
         object.__setattr__(self, "fault_specs", tuple(self.fault_specs))
         if self.dtype not in DTYPE_KEYS:
             raise ValueError(
@@ -164,15 +158,10 @@ class EngineConfig:
                 f"unknown boundary mode {self.boundary!r}; known: "
                 f"{', '.join(BOUNDARY_MODES)}"
             )
+        if self.threads < 1:
+            raise ValueError(f"threads must be at least 1, got {self.threads}")
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
-        object.__setattr__(
-            self, "retry_backoff_max", float(self.retry_backoff_max)
-        )
-        if self.retry_backoff_max <= 0:
-            raise ValueError("retry_backoff_max must be positive")
         for spec in self.fault_specs:
             parse_fault_spec(spec)  # raises ValueError on a malformed spec
         if self.halo not in HALO_POLICIES:
@@ -230,6 +219,11 @@ class EngineConfig:
                     f"step_deadline is a procs-backend option; got "
                     f"backend={self.backend!r}"
                 )
+            if self.procs_inner != "interpreter":
+                raise ValueError(
+                    f"procs_inner is a procs-backend option; got "
+                    f"backend={self.backend!r}"
+                )
 
     # ------------------------------------------------------------------
     # Derived values
@@ -256,8 +250,6 @@ class EngineConfig:
             "dtype": self.dtype,
             "reuse_output": self.reuse_output,
             "max_retries": self.max_retries,
-            "retry_backoff": self.retry_backoff,
-            "retry_backoff_max": self.retry_backoff_max,
             "fault_specs": list(self.fault_specs),
             "collect_timings": self.collect_timings,
             "halo": self.halo,

@@ -15,7 +15,7 @@ The runner is a thin composition of four explicit layers:
   behind one
   ``prepare``/``execute_island``/``refresh`` lifecycle;
 * a **resilience** layer (:mod:`repro.runtime.resilience`) wrapping every
-  island sweep with fault injection, bounded retry and backoff;
+  island sweep with fault injection and bounded retry;
 * a **telemetry** spine (:mod:`repro.runtime.telemetry`) that can record
   each successful step as a structured event into pluggable sinks;
 * one frozen **configuration** (:class:`~repro.runtime.config
@@ -141,7 +141,6 @@ class PartitionedRunner:
         self.dtype = config.numpy_dtype
         self.reuse_output = config.reuse_output
         self.collect_timings = config.collect_timings
-        self.halo = config.halo
         self.fault_injector = (
             fault_injector
             if fault_injector is not None
@@ -173,9 +172,10 @@ class PartitionedRunner:
             partition=partition,
         )
         if config.backend == "procs":
-            # Each dispatch thread blocks in recv on its worker's pipe —
+            # Each dispatch thread blocks on its island's round trip —
             # the fan-out join is the step barrier — so the team must
-            # cover every island or procs would run them serially.
+            # cover every island, or a hang on one worker would hold back
+            # the islands of another.
             self.threads = max(self.threads, self.decomposition.count)
         # One halo ledger per runner, always built: under ``recompute`` it
         # only carries the accounting (redundant points, zero flows); under

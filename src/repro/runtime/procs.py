@@ -39,10 +39,11 @@ asked — and the parent waits on every pipe at once.  Every other step
 (one where an injected fault can fire, an exchange stage, the rerun of a
 failed batched step) issues one command per island from the runner's
 pool threads, and the pipe joins are the barrier — under exchange mode
-once per stage.  Those commands queue up on a worker's pipe — every
-island sends as soon as it can, and replies are read in the order sent.
-The interpreter/native stage executors run inside the workers unchanged,
-so every trajectory is bit-identical to the single-process backends.
+once per stage.  A worker never has more than one command in flight: a
+round trip holds the worker's lock from the send to the reply, so
+islands that share a worker take turns.  The interpreter/native stage
+executors run inside the workers unchanged, so every trajectory is
+bit-identical to the single-process backends.
 
 Failure semantics are *real*: a worker that dies (SIGKILL, OOM, a
 ``kill`` fault) surfaces as :class:`WorkerCrashed` on the parent's pipe,
@@ -55,34 +56,33 @@ even after an exception or ``KeyboardInterrupt`` — so no ``/dev/shm``
 blocks leak.  Workers never unlink (they exit via ``os._exit``), so a
 crashed worker cannot take the arena down with it.
 
-The pool is *deadline-supervised*: every parent-side dispatch waits for
-its reply with ``poll(timeout)`` against a per-command deadline — either
-explicit (``step_deadline``) or adaptive (:class:`DeadlineClock`: an
-EWMA of recent command durations times ``deadline_factor``, with a
-warm-up deadline before the first sample).  A queued command's deadline
-starts when its reply is next in line to be read, and a batched command
-that covers n islands gets n times the deadline.  A freshly forked worker
-first rebuilds its compute state — compiling kernels on a cold cache —
-and then reports ready; the parent waits for that within the warm-up
-grace before it sends a command, so a deadline covers the command
-alone.  A worker that misses its deadline while still alive is *hung*,
-not crashed — wedged in a syscall, spinning, or silently dropping its
-reply — and the watchdog SIGKILLs it and raises
+The pool is *deadline-supervised*: every command's reply is awaited
+against a deadline that starts at its send — either explicit
+(``step_deadline``) or adaptive (:class:`DeadlineClock`: an EWMA of
+recent command durations times ``deadline_factor``, with a warm-up
+deadline before the first sample) — and a command that covers n islands
+gets n times the deadline.  A freshly forked worker first rebuilds its
+compute state — compiling kernels on a cold cache — and then reports
+ready; the parent waits for that within the warm-up grace before it
+sends a command, so a deadline covers the command alone.  A worker that
+misses its deadline while still alive is *hung*, not crashed — wedged
+in a syscall, spinning, or silently dropping its reply — and the
+watchdog SIGKILLs it and raises
 :class:`~repro.runtime.faults.WorkerHung`; the resilience layer retries,
 :meth:`ProcsBackend.refresh` respawns, and the replay is bit-identical.
-A respawn or a quarantine opens a new pipe *generation*: a command still
-queued on the old pipe fails as :class:`WorkerCrashed` and is retried,
-and never reads the new pipe; nothing more is sent on a generation once
-it failed, so no command can read a dead worker's last reply.  A
-per-worker health ledger counts consecutive failures (one per pipe
-generation: a death that also fails the commands queued behind it
-counts once), and a worker that keeps failing is **quarantined** —
-killed for good, its islands remapped round-robin onto surviving
-workers (which ``adopt`` the extra compute state) — and when no worker
-survives, the pool degrades to **serial-in-parent**: the parent builds
-its own inner backend over the same shared buffers and the run finishes
-without worker processes at all.  Setting both ``step_deadline`` and ``deadline_factor`` to ``None``
-disables supervision and restores the unbounded blocking dispatch.
+A respawn or a quarantine opens a new pipe *generation*, and nothing
+more is sent on a generation once it failed: an island whose turn comes
+after its worker's failure fails as :class:`WorkerCrashed` without
+sending and is retried on the respawned worker.  A per-worker health
+ledger counts consecutive failures (one per pipe generation, however
+many islands it failed), and a worker that keeps failing is
+**quarantined** — killed for good, its islands remapped round-robin onto
+surviving workers (which ``adopt`` the extra compute state) — and when
+no worker survives, the pool degrades to **serial-in-parent**: the
+parent builds its own inner backend over the same shared buffers and the
+run finishes without worker processes at all.  Setting both ``step_deadline`` and
+``deadline_factor`` to ``None`` disables supervision: replies are
+awaited without a deadline.
 """
 
 from __future__ import annotations
@@ -371,17 +371,13 @@ class _WorkerHealth:
 class _WorkerHandle:
     """Parent-side state of one worker process.
 
-    Commands queue up on the pipe.  ``send_lock`` serializes every write
-    to it, and respawning, so two islands multiplexed onto one worker
-    never interleave their bytes and never race a respawn.  Replies are
-    read in the order the commands were sent, each by the thread that
-    sent it: under ``turn``, ``sent`` counts the commands sent in this
-    pipe ``generation`` and ``read`` the replies read, and ``reading``
-    marks the reader currently in the pipe.  A respawn or a quarantine
-    starts a new generation.  ``failed_generation`` is the last
-    generation whose failure the health ledger counted, and ``failed``
-    maps each island whose command failed at the pipe to the generation
-    it failed in.  ``fresh`` marks a just-forked worker whose
+    ``lock`` is held from a command's send to its reply, and for a
+    respawn, so a worker never has more than one command in flight and
+    every reply is read by the thread that asked for it.  A respawn or a
+    quarantine starts a new pipe ``generation``.  ``failed_generation``
+    is the last generation whose failure the health ledger counted, and
+    ``failed`` maps each island whose command failed at the pipe to the
+    generation it failed in.  ``fresh`` marks a just-forked worker whose
     ``("ready",)`` the parent has not read yet.
     """
 
@@ -390,12 +386,8 @@ class _WorkerHandle:
         self.islands = islands
         self.process = None
         self.conn = None
-        self.send_lock = threading.Lock()
-        self.turn = threading.Condition(threading.Lock())
+        self.lock = threading.Lock()
         self.generation = 0
-        self.sent = 0
-        self.read = 0
-        self.reading = False
         self.failed_generation = -1
         self.failed: Dict[int, int] = {}
         self.fresh = True
@@ -490,7 +482,7 @@ class ProcsBackend(IslandBackend):
         self._health: Dict[int, _WorkerHealth] = {}
         self._health_lock = threading.Lock()
         # _remap_lock serializes quarantine decisions and island remaps;
-        # it nests *outside* send locks and dispatch never takes it.
+        # it nests *outside* worker locks and round trips never take it.
         self._remap_lock = threading.Lock()
         self._quarantine_events = 0
         self._remap_events = 0
@@ -675,7 +667,7 @@ class ProcsBackend(IslandBackend):
         consecutive-failure count crossed ``quarantine_after`` is
         quarantined and its islands remapped onto survivors (or the pool
         degrades to serial when none remain); a live worker refreshes the
-        island's inner arenas in place once its command queue is empty —
+        island's inner arenas in place once no command is in flight —
         awaited with a bounded ``poll``, so a worker wedged *during
         refresh* falls through to respawn instead of deadlocking the retry
         path; a dead or unresponsive worker is reaped and re-forked, which
@@ -697,7 +689,7 @@ class ProcsBackend(IslandBackend):
                 return
         handle = self._by_island[island_index]
         deadline = self._clock.current()
-        with handle.send_lock:
+        with handle.lock:
             failed = handle.failed.pop(island_index, handle.generation)
             if handle.conn is None or failed < handle.generation:
                 # Quarantined, or respawned since the island failed (a
@@ -714,23 +706,20 @@ class ProcsBackend(IslandBackend):
     def _control(
         self, handle: _WorkerHandle, command: tuple, timeout: float
     ) -> bool:
-        """Run a refresh or adopt command alone (send lock held).
+        """Run a refresh or adopt command (lock held).
 
-        Waits until every queued command's reply has been read, so the
-        worker's pipe holds nothing but this command and its reply, then
-        sends it and awaits the reply for at most ``timeout`` seconds.
-        Returns whether the worker answered ``ok``; a dead, never-ready
-        or wedged worker, one whose pipe generation already failed, or a
-        protocol error, returns ``False`` and the caller respawns it.
+        No other command is in flight, so the worker's pipe holds nothing
+        but this command and its reply; the reply is awaited for at most
+        ``timeout`` seconds.  Returns whether the worker answered ``ok``;
+        a dead, never-ready or wedged worker, one whose pipe generation
+        already failed, or a protocol error, returns ``False`` and the
+        caller respawns it.
         """
         process = handle.process
         if process is None or not process.is_alive():
             return False
         if handle.failed_generation == handle.generation:
             return False  # killed or dying: its pipe may hold a stale reply
-        with handle.turn:
-            while handle.read != handle.sent:
-                handle.turn.wait()
         try:
             if self._await_ready(handle, self._clock.warmup):
                 handle.conn.send(command)
@@ -743,16 +732,14 @@ class ProcsBackend(IslandBackend):
     def _await_ready(
         self, handle: _WorkerHandle, timeout: Optional[float]
     ) -> bool:
-        """Read a fresh worker's ``("ready",)`` (send lock held).
+        """Read a fresh worker's ``("ready",)`` (lock held).
 
         A forked worker rebuilds its inner backend — compiling kernels on
         a cold cache — before it reads any command, then says so.  Every
         path that talks to a worker consumes that message first, waiting
         at most ``timeout`` seconds (``None``: unbounded), so the deadline
-        of the command that follows covers the command alone.  A fresh
-        worker has no command queued yet, so nothing else reads its pipe.
-        Returns whether the worker is ready; a dead pipe raises
-        ``EOFError``.
+        of the command that follows covers the command alone.  Returns
+        whether the worker is ready; a dead pipe raises ``EOFError``.
         """
         if handle.fresh:
             if timeout is not None and not handle.conn.poll(timeout):
@@ -766,25 +753,17 @@ class ProcsBackend(IslandBackend):
         self._start_worker(handle)
 
     def _retire_locked(self, handle: _WorkerHandle) -> None:
-        """Kill and reap the worker and close its pipe (send lock held).
+        """Kill and reap the worker and close its pipe (lock held).
 
-        Opens a new pipe generation first: queued commands of the old one
-        fail without reading, and the pipe is closed only after the reply
-        reader in it — if any — has left, which the kill makes prompt (a
-        dead worker's pipe reads as EOF).  So no waiter ever reads the
-        next worker's pipe.
+        Opens a new pipe generation, so a failure counted against the old
+        one neither blocks nor counts for the next worker.
         """
         process = handle.process
         if process is not None:
             if process.is_alive():  # wedged rather than dead
                 process.kill()
             process.join(timeout=5.0)
-        with handle.turn:
-            handle.generation += 1
-            handle.sent = handle.read = 0
-            handle.turn.notify_all()
-            while handle.reading:
-                handle.turn.wait()
+        handle.generation += 1
         if handle.conn is not None:
             try:
                 handle.conn.close()
@@ -799,8 +778,8 @@ class ProcsBackend(IslandBackend):
     ) -> None:
         """Count one failure of a pipe generation, once.
 
-        A worker that dies or wedges also fails every command queued
-        behind the one it was running; those count as the same failure.
+        A worker that dies or wedges also fails its other islands' turns
+        until it is respawned; those count as the same failure.
         """
         with self._health_lock:
             if handle.failed_generation == generation:
@@ -851,7 +830,7 @@ class ProcsBackend(IslandBackend):
         with self._health_lock:
             self._health[handle.worker_id].quarantined = True
         self._quarantine_events += 1
-        with handle.send_lock:
+        with handle.lock:
             self._retire_locked(handle)
             handle.process = None
             handle.conn = None
@@ -879,11 +858,11 @@ class ProcsBackend(IslandBackend):
         The adopt command rebuilds the worker's inner backend (compute
         state for the adopted island included) before it replies, so it
         gets the warm-up deadline, and like a refresh it waits for the
-        worker's queue to empty; an adopter that dies or wedges during
-        the handover is simply respawned — its island tuple already
-        includes the orphan, so the fresh fork covers it.
+        worker's lock; an adopter that dies or wedges during the handover
+        is simply respawned — its island tuple already includes the
+        orphan, so the fresh fork covers it.
         """
-        with handle.send_lock:
+        with handle.lock:
             if not self._control(
                 handle, ("adopt", island_index), self._clock.warmup
             ):
@@ -970,7 +949,7 @@ class ProcsBackend(IslandBackend):
             return
         self._closed = True
         for handle in self._handles:
-            with handle.send_lock:
+            with handle.lock:
                 if handle.conn is not None:
                     try:
                         handle.conn.send(("close",))
@@ -978,7 +957,7 @@ class ProcsBackend(IslandBackend):
                         pass
         grace_until = time.monotonic() + self._close_grace
         for handle in self._handles:
-            with handle.send_lock:
+            with handle.lock:
                 process = handle.process
                 if process is not None:
                     process.join(
@@ -1040,122 +1019,148 @@ class ProcsBackend(IslandBackend):
     # ------------------------------------------------------------------
     # Dispatch (parent side)
     # ------------------------------------------------------------------
-    def _send(
-        self, handle: _WorkerHandle, island_index: int, command: tuple
-    ) -> Tuple[int, int, object]:
-        """Queue one command on a worker's pipe; returns ``(generation,
-        ticket, conn)`` for reading its reply.
+    def _round_trips(self, commands: Sequence[tuple]) -> StepBatch:
+        """Send each worker its command and read every reply.
 
-        The command is sent as soon as the send lock is free, so commands
-        for islands multiplexed onto one worker queue up on its pipe and
-        it runs them back to back.  A fresh worker gets the warm-up grace
-        to report ready (:meth:`_await_ready`) before the first command
-        of its generation is sent.  A quarantined worker, or a generation
-        whose failure was already counted, is sent nothing: the
-        :class:`WorkerCrashed` takes the caller to the retry path, which
-        remaps or respawns.
+        ``commands`` holds ``(handle, islands, command)``, at most one per
+        worker, in worker order: the order the workers' locks are taken
+        in.  Each lock is held from the command's send to its reply, so a
+        worker never has more than one command in flight.  Every reply is
+        awaited on all pipes at once; a command covering n islands gets n
+        times the per-command deadline, from its send, and its duration
+        over n feeds the adaptive clock.  EOF is a crash; a deadline
+        missed by a live worker is a hang, and the worker is SIGKILLed
+        (:meth:`_hang`).  Each failure lands in the batch's ``failures``.
+        If the call is interrupted, every worker whose pipe may hold half
+        a command or an unread reply is replaced, so no later command can
+        read one, and every lock taken is released.
         """
-        with handle.send_lock:
-            generation = handle.generation
-            if handle.conn is None:
-                # Quarantined between our lookup and the lock: surface a
-                # crash so the retry path re-resolves the remapped owner.
-                raise WorkerCrashed(
-                    island_index, handle.worker_id, None, None
-                )
-            if handle.failed_generation == generation:
-                raise self._crashed(handle, generation, island_index)
-            try:
-                grace = self._clock.warmup if self._clock.supervised else None
-                begin = time.perf_counter()
-                if not self._await_ready(handle, grace):
-                    raise self._hang(
-                        handle, generation, island_index, begin, grace
+        # Imported here: the pipes imported it already, and a run with no
+        # procs backend need not load it.
+        from multiprocessing.connection import wait
+
+        batch = StepBatch()
+        held: List[_WorkerHandle] = []
+        sending = None
+        waiting = {}
+        try:
+            for handle, islands, command in commands:
+                handle.lock.acquire()
+                held.append(handle)
+                sending = handle
+                try:
+                    self._send_locked(handle, islands[0], command)
+                except (WorkerCrashed, WorkerHung) as error:
+                    batch.failures.append(error)
+                else:
+                    deadline = self._clock.current()
+                    if deadline is not None:
+                        deadline *= len(islands)
+                    waiting[handle.conn] = (
+                        handle, islands, handle.generation,
+                        time.perf_counter(), deadline,
                     )
-                handle.conn.send(command)
-            except (EOFError, OSError) as error:
-                raise self._crashed(handle, generation, island_index) from error
-            with handle.turn:
-                ticket = handle.sent
-                handle.sent += 1
-            return generation, ticket, handle.conn
+                sending = None
+            while waiting:
+                ends = [
+                    begin + deadline
+                    for _, _, _, begin, deadline in waiting.values()
+                    if deadline is not None
+                ]
+                timeout = (
+                    max(0.0, min(ends) - time.perf_counter()) if ends else None
+                )
+                ready = wait(list(waiting), timeout)
+                now = time.perf_counter()
+                for conn, entry in list(waiting.items()):
+                    handle, islands, generation, begin, deadline = entry
+                    if conn in ready:
+                        self._read_reply(entry, conn, batch)
+                    elif deadline is not None and now - begin >= deadline:
+                        batch.failures.append(
+                            self._hang(
+                                handle, generation, islands[0], begin, deadline
+                            )
+                        )
+                    else:
+                        continue
+                    del waiting[conn]
+        except BaseException:
+            unread = [entry[0] for entry in waiting.values()]
+            for handle in held:
+                if handle is sending or handle in unread:
+                    self._respawn_locked(handle)
+            raise
+        finally:
+            for handle in held:
+                handle.lock.release()
+        return batch
 
-    def _dispatch(self, island_index: int, command: tuple) -> IslandResult:
-        """Queue one island's command on its worker and await its reply.
+    def _send_locked(
+        self, handle: _WorkerHandle, island_index: int, command: tuple
+    ) -> None:
+        """Send one command to a worker (lock held), or raise its failure.
 
-        Replies are read in the order sent (:meth:`_await_reply`).
+        A fresh worker gets the warm-up grace to report ready
+        (:meth:`_await_ready`) first.  A quarantined worker, or a pipe
+        generation whose failure was already counted, is sent nothing:
+        the :class:`WorkerCrashed` takes the caller to the retry path,
+        which remaps or respawns.
         """
-        handle = self._by_island[island_index]
-        generation, ticket, conn = self._send(handle, island_index, command)
-        reply = self._await_reply(handle, generation, ticket, conn, island_index)
-        if reply[0] != "ok":
-            raise RuntimeError(
-                f"island {island_index} failed in worker "
-                f"{handle.worker_id}: {reply[1]}"
-            )
-        return reply[1]
-
-    @staticmethod
-    def _claim(handle: _WorkerHandle, generation: int, ticket: int) -> bool:
-        """Wait until reply ``ticket`` is next in line and take the pipe;
-        ``False`` if its generation was retired meanwhile."""
-        with handle.turn:
-            while handle.generation == generation and handle.read != ticket:
-                handle.turn.wait()
-            if handle.generation != generation:
-                return False
-            handle.reading = True
-            return True
-
-    @staticmethod
-    def _release(handle: _WorkerHandle, generation: int) -> None:
-        """Leave the pipe to the next reply in line."""
-        with handle.turn:
-            handle.reading = False
-            if handle.generation == generation:
-                handle.read += 1
-            handle.turn.notify_all()
-
-    def _await_reply(
-        self,
-        handle: _WorkerHandle,
-        generation: int,
-        ticket: int,
-        conn,
-        island_index: int,
-    ) -> tuple:
-        """Wait until this command's reply is next in line, then read it.
-
-        The deadline starts when the reply is next in line, so a command
-        queued behind a sibling's is not charged for the sibling's work.
-        Three outcomes: a reply in time (success — the duration feeds the
-        adaptive clock); a dead pipe (``poll`` returns instantly on EOF,
-        ``recv`` raises — :class:`WorkerCrashed`); or deadline expiry
-        with the process still alive — a *hang*: the watchdog SIGKILLs
-        the worker and raises :class:`~repro.runtime.faults.WorkerHung`
-        carrying the detection latency actually paid.  Either failure
-        also fails the commands queued behind it, which then read EOF; a
-        command whose generation was retired while it waited fails
-        without reading.  An unsupervised pool (no deadline) blocks in
-        ``recv`` exactly as before.
-        """
-        if not self._claim(handle, generation, ticket):
+        generation = handle.generation
+        if handle.conn is None:
+            # Quarantined between our lookup and the lock: surface a
+            # crash so the retry path re-resolves the remapped owner.
+            raise WorkerCrashed(island_index, handle.worker_id, None, None)
+        if handle.failed_generation == generation:
             raise self._crashed(handle, generation, island_index)
         try:
-            deadline = self._clock.current()
+            grace = self._clock.warmup if self._clock.supervised else None
             begin = time.perf_counter()
-            if deadline is not None and not conn.poll(deadline):
+            if not self._await_ready(handle, grace):
                 raise self._hang(
-                    handle, generation, island_index, begin, deadline
+                    handle, generation, island_index, begin, grace
                 )
-            reply = conn.recv()
-            self._clock.observe(time.perf_counter() - begin)
-            self._record_success(handle)
+            handle.conn.send(command)
         except (EOFError, OSError) as error:
             raise self._crashed(handle, generation, island_index) from error
-        finally:
-            self._release(handle, generation)
-        return reply
+
+    def _read_reply(self, entry: tuple, conn, batch: StepBatch) -> None:
+        """Read one worker's reply into ``batch``: the islands' results
+        and masses, or the failure."""
+        handle, islands, generation, begin, _ = entry
+        try:
+            reply = conn.recv()
+        except (EOFError, OSError):
+            batch.failures.append(
+                self._crashed(handle, generation, islands[0])
+            )
+            return
+        self._clock.observe((time.perf_counter() - begin) / len(islands))
+        self._record_success(handle)
+        if reply[0] != "ok":
+            batch.failures.append(
+                RuntimeError(
+                    f"islands {islands} failed in worker "
+                    f"{handle.worker_id}: {reply[1]}"
+                )
+            )
+            return
+        _, results, masses = reply
+        batch.results.update(zip(islands, results))
+        if masses is not None:
+            batch.masses.update(zip(islands, masses))
+
+    def _island_round_trip(
+        self, island_index: int, command: tuple
+    ) -> IslandResult:
+        """One island's command on its worker: the result, or the
+        failure raised."""
+        handle = self._by_island[island_index]
+        batch = self._round_trips([(handle, (island_index,), command)])
+        if batch.failures:
+            raise batch.failures[0]
+        return batch.results[island_index]
 
     def _crashed(
         self, handle: _WorkerHandle, generation: int, island_index: int
@@ -1200,12 +1205,11 @@ class ProcsBackend(IslandBackend):
         islands' results, each island's ``seconds`` its own sweep time,
         and — when ``weights`` names a ghost input — each part's mass
         ``sum(weights * out)``, summed while the part is still in the
-        worker's cache.  The calling thread waits on every pipe at once
-        (:meth:`_await_batch`).  A worker that crashes or hangs is
-        recorded exactly as on the per-island path (health ledger, hang
-        kill) and its error lands in the batch's ``failures``; the runner
-        then reruns the whole step per island, which respawns, retries
-        and quarantines.  That is safe: a step writes only its islands'
+        worker's cache.  A worker that crashes or hangs is recorded
+        exactly as on the per-island path (health ledger, hang kill) and
+        its error lands in the batch's ``failures``; the runner then
+        reruns the whole step per island, which respawns, retries and
+        quarantines.  That is safe: a step writes only its islands'
         parts of a buffer it does not read, so the islands that did
         finish rewrite identical bytes.  ``None`` in serial mode and
         under exchange.
@@ -1215,132 +1219,39 @@ class ProcsBackend(IslandBackend):
         source, target = self._sync_inputs(inputs, out)
         if weights not in self._input_regions:
             weights = None
-        batch = StepBatch()
-        sent = []
+        commands = []
         for handle in self._handles:
             islands = tuple(sorted(handle.islands))
-            if not islands:
-                continue  # quarantined
-            command = ("steps", islands, source, target, weights)
-            try:
-                ticket = self._send(handle, islands[0], command)
-            except (WorkerCrashed, WorkerHung) as error:
-                batch.failures.append(error)
-            else:
-                sent.append((handle, islands) + ticket)
-        self._await_batch(sent, batch)
+            if islands:  # a quarantined worker has none
+                commands.append(
+                    (
+                        handle,
+                        islands,
+                        ("steps", islands, source, target, weights, False, False),
+                    )
+                )
+        batch = self._round_trips(commands)
         written = self._outputs[target]
         if out is not written and not batch.failures:
             for island in self.decomposition.islands:
                 out[island.part.slices()] = written[island.part.slices()]
         return batch
 
-    def _await_batch(self, sent: list, batch: StepBatch) -> None:
-        """Read every sent batched command's reply, waiting on all pipes.
-
-        A command covering n islands gets n times the per-command
-        deadline, from when its reply is next in line, and its duration
-        over n feeds the adaptive clock.  EOF is a crash; a deadline
-        missed by a live worker is a hang, and the worker is SIGKILLed
-        (:meth:`_hang`).  Every command is read or failed before this
-        returns, so each pipe's tickets stay in step; if the wait itself
-        is interrupted, the workers whose replies are unread are
-        replaced, so no later command can read one.
-        """
-        # Imported here: the pipes imported it already, and a run with no
-        # procs backend need not load it.
-        from multiprocessing.connection import wait
-
-        per_command = self._clock.current()
-        waiting = {}
-        for handle, islands, generation, ticket, conn in sent:
-            if not self._claim(handle, generation, ticket):
-                batch.failures.append(
-                    self._crashed(handle, generation, islands[0])
-                )
-                continue
-            deadline = (
-                None if per_command is None else per_command * len(islands)
-            )
-            waiting[conn] = (
-                handle, islands, generation, time.perf_counter(), deadline
-            )
-        try:
-            while waiting:
-                ends = [
-                    begin + deadline
-                    for _, _, _, begin, deadline in waiting.values()
-                    if deadline is not None
-                ]
-                timeout = (
-                    max(0.0, min(ends) - time.perf_counter()) if ends else None
-                )
-                ready = wait(list(waiting), timeout)
-                now = time.perf_counter()
-                for conn, entry in list(waiting.items()):
-                    handle, islands, generation, begin, deadline = entry
-                    if conn in ready:
-                        self._read_batch_reply(entry, conn, batch)
-                    elif deadline is not None and now - begin >= deadline:
-                        batch.failures.append(
-                            self._hang(
-                                handle, generation, islands[0], begin, deadline
-                            )
-                        )
-                    else:
-                        continue
-                    del waiting[conn]
-                    self._release(handle, generation)
-        except BaseException:
-            for handle, _, generation, _, _ in waiting.values():
-                self._release(handle, generation)
-                with handle.send_lock:
-                    self._respawn_locked(handle)
-            raise
-
-    def _read_batch_reply(self, entry: tuple, conn, batch: StepBatch) -> None:
-        """Read one worker's batched reply into ``batch``."""
-        handle, islands, generation, begin, _ = entry
-        try:
-            reply = conn.recv()
-        except (EOFError, OSError):
-            batch.failures.append(
-                self._crashed(handle, generation, islands[0])
-            )
-            return
-        self._clock.observe((time.perf_counter() - begin) / len(islands))
-        self._record_success(handle)
-        if reply[0] != "ok":
-            batch.failures.append(
-                RuntimeError(
-                    f"islands {islands} failed in worker "
-                    f"{handle.worker_id}: {reply[1]}"
-                )
-            )
-            return
-        _, results, masses = reply
-        batch.results.update(zip(islands, results))
-        if masses is not None:
-            batch.masses.update(zip(islands, masses))
-
     def execute_island(self, island, inputs, out) -> IslandResult:
         source, target = self._sync_inputs(inputs, out)
+        q = island.index
         if self._serial:
-            self._take_kill(island.index)  # stale arms are void in serial
-            self._take_hang(island.index)
+            self._take_kill(q)  # stale arms are void in serial
+            self._take_hang(q)
             result = self._ensure_parent_inner().execute_island(
                 island, self._step_inputs[source], self._outputs[target]
             )
         else:
-            result = self._dispatch(
-                island.index,
+            result = self._island_round_trip(
+                q,
                 (
-                    "step",
-                    island.index,
-                    self._take_kill(island.index),
-                    self._take_hang(island.index),
-                    source,
-                    target,
+                    "steps", (q,), source, target, None,
+                    self._take_kill(q), self._take_hang(q),
                 ),
             )
         written = self._outputs[target]
@@ -1350,20 +1261,15 @@ class ProcsBackend(IslandBackend):
 
     def _execute_stage(self, island, stage_index, inputs) -> IslandResult:
         self._sync_inputs(inputs, None)
+        q = island.index
         if self._serial:
-            self._take_kill(island.index)
-            self._take_hang(island.index)
+            self._take_kill(q)
+            self._take_hang(q)
             inner = self._ensure_parent_inner()
             return inner._execute_stage(island, stage_index, self._input_regions)
-        return self._dispatch(
-            island.index,
-            (
-                "stage",
-                island.index,
-                stage_index,
-                self._take_kill(island.index),
-                self._take_hang(island.index),
-            ),
+        return self._island_round_trip(
+            q,
+            ("stage", q, stage_index, self._take_kill(q), self._take_hang(q)),
         )
 
     # ------------------------------------------------------------------
@@ -1417,8 +1323,6 @@ class ProcsBackend(IslandBackend):
         mine = list(islands)
         inner = build_inner(tuple(mine))
         conn.send(("ready",))
-        step_inputs = self._step_inputs
-        outputs = self._outputs
         while True:
             command = conn.recv()
             op = command[0]
@@ -1435,50 +1339,36 @@ class ProcsBackend(IslandBackend):
                     mine.append(q)
                     inner = build_inner(tuple(mine))
                 conn.send(("ok", None))
-            elif op == "step":
-                _, q, die, wedge, source, target = command
+            elif op in ("steps", "stage"):
+                if op == "steps":
+                    _, island_ids, source, target, weights, die, wedge = command
+                else:
+                    _, q, stage_index, die, wedge = command
                 if die:
                     os.kill(os.getpid(), signal.SIGKILL)
                 if wedge:
                     while True:  # hung, not dead: the pipe stays open
                         time.sleep(3600.0)
                 try:
-                    result = inner.execute_island(
-                        by_index[q], step_inputs[source], outputs[target]
-                    )
-                except Exception as error:
-                    conn.send(("err", f"{type(error).__name__}: {error}"))
-                else:
-                    conn.send(("ok", result))
-            elif op == "steps":
-                _, island_ids, source, target, weights = command
-                try:
-                    results, masses = self._run_islands(
-                        inner,
-                        [by_index[q] for q in island_ids],
-                        source,
-                        target,
-                        weights,
-                    )
+                    if op == "steps":
+                        results, masses = self._run_islands(
+                            inner,
+                            [by_index[q] for q in island_ids],
+                            source,
+                            target,
+                            weights,
+                        )
+                    else:
+                        results = [
+                            inner.execute_island_stage(
+                                by_index[q], stage_index, self._input_regions
+                            )
+                        ]
+                        masses = None
                 except Exception as error:
                     conn.send(("err", f"{type(error).__name__}: {error}"))
                 else:
                     conn.send(("ok", results, masses))
-            elif op == "stage":
-                _, q, stage_index, die, wedge = command
-                if die:
-                    os.kill(os.getpid(), signal.SIGKILL)
-                if wedge:
-                    while True:
-                        time.sleep(3600.0)
-                try:
-                    result = inner.execute_island_stage(
-                        by_index[q], stage_index, self._input_regions
-                    )
-                except Exception as error:
-                    conn.send(("err", f"{type(error).__name__}: {error}"))
-                else:
-                    conn.send(("ok", result))
             else:  # pragma: no cover - protocol error
                 conn.send(("err", f"unknown command {op!r}"))
 
@@ -1490,7 +1380,7 @@ class ProcsBackend(IslandBackend):
         target: int,
         weights: Optional[str],
     ) -> Tuple[List[IslandResult], Optional[List[float]]]:
-        """One batched command, worker side: the islands' whole steps in
+        """One ``steps`` command, worker side: the islands' whole steps in
         turn, each timed when the pool is, and each part's mass when
         ``weights`` is set."""
         inputs = self._step_inputs[source]

@@ -1,4 +1,4 @@
-"""Per-island retry, backoff and fault application over any backend.
+"""Per-island retry and fault application over any backend.
 
 The island is the unit of failure isolation: it recomputes its transitive
 halo instead of communicating, so a failed island task can be re-executed
@@ -7,8 +7,8 @@ written once for every backend instead of once per execution path: a
 :class:`ResilientExecutor` wraps an
 :class:`~repro.runtime.backends.IslandBackend` and runs one island with
 deterministic fault injection applied around the sweep, a bounded retry
-loop with exponential backoff, fresh backend resources after every
-failure (:meth:`~repro.runtime.backends.IslandBackend.refresh`), and
+loop, fresh backend resources after every failure
+(:meth:`~repro.runtime.backends.IslandBackend.refresh`), and
 :class:`IslandFailure` once the budget is spent.
 
 What it deliberately does *not* do: poison the half-written output
@@ -65,54 +65,21 @@ class ResiliencePolicy:
     """How hard one island step tries before giving up.
 
     ``max_retries`` is the per-island retry budget within one step (an
-    island fails its step after ``1 + max_retries`` attempts);
-    ``retry_backoff`` the base sleep before retry N, growing as
-    ``retry_backoff * 2**(N-1)`` but saturating at
-    ``retry_backoff_max`` — an unbounded exponential turns a persistent
-    fault into an unbounded stall.  The actual sleep carries a
-    deterministic down-jitter derived from the (island, step, attempt)
-    site, so concurrent islands retrying the same step do not thunder
-    in lockstep yet every run remains reproducible.  Zero backoff
-    retries immediately — the in-process failure modes retry targets
-    are transient task faults, not contended external resources.
+    island fails its step after ``1 + max_retries`` attempts).  A retry
+    runs at once: the failures it targets are transient task faults and
+    dead or wedged workers, which a respawn clears, not contended
+    external resources that waiting would free.
     """
 
     max_retries: int = 0
-    retry_backoff: float = 0.0
-    retry_backoff_max: float = 30.0
 
     def __post_init__(self) -> None:
         if self.max_retries < 0:
             raise ValueError("max_retries must be non-negative")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be non-negative")
-        if self.retry_backoff_max <= 0:
-            raise ValueError("retry_backoff_max must be positive")
 
     @classmethod
     def from_config(cls, config: EngineConfig) -> "ResiliencePolicy":
-        return cls(
-            max_retries=config.max_retries,
-            retry_backoff=config.retry_backoff,
-            retry_backoff_max=config.retry_backoff_max,
-        )
-
-    def backoff_seconds(self, island: int, step: int, attempt: int) -> float:
-        """The bounded, deterministically jittered sleep before retry N.
-
-        ``retry_backoff * 2**(N-1)`` capped at ``retry_backoff_max``,
-        then shaved by up to 15% — the jitter fraction is a hash of the
-        retry site, so it desynchronizes concurrent islands without
-        introducing run-to-run nondeterminism, and shaving (never
-        adding) keeps the cap a true ceiling.
-        """
-        if not self.retry_backoff:
-            return 0.0
-        base = min(
-            self.retry_backoff * (2 ** (attempt - 1)), self.retry_backoff_max
-        )
-        frac = ((island * 40503 + step * 9973 + attempt * 271) % 1000) / 999.0
-        return base * (1.0 - 0.15 * frac)
+        return cls(max_retries=config.max_retries)
 
 
 class ResilientExecutor:
@@ -184,8 +151,7 @@ class ResilientExecutor:
         backend resources: a task that died mid-execution leaves its
         arena or workspace bookkeeping indeterminate, and a dead procs
         worker is respawned, so a retry, or a rollback that replays the
-        step, runs on a live one.  A retry sleeps the policy's
-        exponential backoff first.  Raises :class:`IslandFailure`
+        step, runs on a live one.  Raises :class:`IslandFailure`
         (chained to the last error) once the island has failed
         ``1 + max_retries`` times.
         """
@@ -211,12 +177,6 @@ class ResilientExecutor:
                         island.index, step_index, attempt, error
                     ) from error
                 stats.retries += 1
-                if self.policy.retry_backoff:
-                    time.sleep(
-                        self.policy.backoff_seconds(
-                            island.index, step_index, attempt
-                        )
-                    )
             else:
                 if attempt:
                     fault_stats().retry_successes += 1

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, TextIO, Tuple, Union
+from typing import Dict, List, Optional, Sequence, TextIO, Tuple
 
 from .faults import FaultStats
 
@@ -365,10 +365,6 @@ class Telemetry:
             for sink in self.sinks:
                 sink.emit(event)
 
-    def with_sinks(self, *sinks: TelemetrySink) -> "Telemetry":
-        """A new spine with ``sinks`` prepended (existing sinks kept)."""
-        return Telemetry((*sinks, *self.sinks))
-
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
@@ -379,18 +375,3 @@ class Telemetry:
     def __exit__(self, *exc_info: object) -> None:
         self.close()
 
-
-def telemetry_from_spec(
-    jsonl_path: Optional[Union[str, "object"]] = None,
-    table_stream: Optional[TextIO] = None,
-    in_memory: bool = False,
-) -> Telemetry:
-    """Build a spine from the common sink combinations (CLI helper)."""
-    sinks: List[TelemetrySink] = []
-    if in_memory:
-        sinks.append(InMemorySink())
-    if jsonl_path is not None:
-        sinks.append(JsonlSink(jsonl_path))
-    if table_stream is not None:
-        sinks.append(TableSink(table_stream))
-    return Telemetry(sinks)

@@ -88,11 +88,6 @@ class ExecutionStats:
     def points(self) -> int:
         return sum(self.points_by_stage.values())
 
-    @property
-    def total_allocations(self) -> int:
-        """Every fresh NumPy array this run created."""
-        return self.allocations + self.scratch_allocations
-
 
 class StageArena:
     """Capacity-pooled storage for stage outputs, reusable across runs.

@@ -129,21 +129,21 @@ def test_chaos_trajectory_bit_identical(base, seed, reference):
     "inner", ["interpreter", pytest.param("native", marks=needs_native)]
 )
 def test_chaos_on_one_worker_bit_identical(inner, seed, reference, monkeypatch):
-    """Both islands on one worker, so their commands queue up on its
-    pipe.  A ``kill`` or ``hang`` also fails the sibling command queued
-    behind the faulted one, when it was; those extra failures are
-    counted at the dispatch and retried like any other."""
+    """Both islands on one worker, so they take turns at its lock.  A
+    ``kill`` or ``hang`` also fails the sibling's command when the
+    sibling takes the lock before the respawn; those extra failures are
+    counted at the per-island round trip and retried like any other."""
     failures = []
-    dispatch = ProcsBackend._dispatch
+    round_trip = ProcsBackend._island_round_trip
 
     def counted(backend, island_index, command):
         try:
-            return dispatch(backend, island_index, command)
+            return round_trip(backend, island_index, command)
         except Exception as error:
             failures.append((island_index, type(error).__name__))
             raise
 
-    monkeypatch.setattr(ProcsBackend, "_dispatch", counted)
+    monkeypatch.setattr(ProcsBackend, "_island_round_trip", counted)
     config = EngineConfig(
         backend="procs",
         procs_inner=inner,
@@ -169,8 +169,8 @@ def test_chaos_on_one_worker_bit_identical(inner, seed, reference, monkeypatch):
     assert stats.injected_crashes == stats.injected_kills == 1
     assert stats.injected_slowdowns == stats.injected_corruptions == 1
     assert stats.injected_hangs == stats.hangs_detected == 1
-    # The crash raises in the parent, before its dispatch; the kill and
-    # the hang fail theirs, and each may take the queued sibling along.
+    # The crash raises in the parent, before its round trip; the kill
+    # and the hang fail theirs, and each may take the sibling along.
     assert sorted(kind for _, kind in failures).count("WorkerHung") == 1
     siblings = len(failures) - 2
     assert 0 <= siblings <= 2

@@ -37,8 +37,8 @@ BACKENDS = [
     "interpreter",
     "procs",
     pytest.param("procs-native", marks=needs_native),
-    # Both islands on one worker: their commands queue up on its pipe.
-    pytest.param("procs-native-queued", marks=needs_native),
+    # Both islands on one worker: their commands take turns at it.
+    pytest.param("procs-native-shared", marks=needs_native),
     pytest.param("native", marks=needs_native),
     # Two threads: exchange steps run as a team of two native
     # calls with a real barrier (the ``native`` row's team has one).
@@ -48,7 +48,7 @@ HALOS = ["recompute", "exchange"]
 
 
 def _config(backend, halo, **kwargs):
-    if backend == "procs-native-queued":
+    if backend == "procs-native-shared":
         backend = "procs-native"
         kwargs.setdefault("workers", 1)
     if backend == "native-team":

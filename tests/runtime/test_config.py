@@ -81,9 +81,19 @@ class TestEngineConfigValidation:
         with pytest.raises(ValueError, match="max_retries"):
             EngineConfig(max_retries=-1)
 
-    def test_negative_backoff_rejected(self):
-        with pytest.raises(ValueError, match="retry_backoff"):
-            EngineConfig(retry_backoff=-0.5)
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one_rejected(self, threads):
+        """``--threads 0`` is a parser error; the config agrees instead of
+        clamping to one thread."""
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            EngineConfig(threads=threads)
+
+    @pytest.mark.parametrize("backend", ["interpreter", "native"])
+    def test_procs_inner_requires_procs_backend(self, backend):
+        """``--procs-inner`` without ``--backend procs`` is a parser
+        error; the config refuses the setting instead of ignoring it."""
+        with pytest.raises(ValueError, match="procs_inner is a procs-backend"):
+            EngineConfig(backend=backend, procs_inner="native")
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -132,7 +142,6 @@ class TestEngineConfigRoundTrip:
             threads=2,
             dtype="float32",
             max_retries=3,
-            retry_backoff=0.25,
             fault_specs=("crash@island=0,step=1",),
             collect_timings=True,
         )
@@ -156,12 +165,14 @@ class TestEngineConfigRoundTrip:
             ("reuse_buffers", True),
             ("halo_threshold", None),
             ("halo_threshold", 64),
+            ("retry_backoff", 0.0),
+            ("retry_backoff_max", 30.0),
         ],
     )
     def test_removed_fields_are_refused_by_name(self, key, value):
-        """Dicts written while the tiled backend, the naive mode and the
-        hybrid halo policy existed always carried these keys; they are
-        refused loudly, never half-applied."""
+        """Dicts written while the tiled backend, the naive mode, the
+        hybrid halo policy and the retry backoff existed always carried
+        these keys; they are refused loudly, never half-applied."""
         with pytest.raises(TypeError, match=key):
             EngineConfig(**{key: value})
         saved = dict(EngineConfig().to_dict(), **{key: value})

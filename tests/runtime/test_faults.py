@@ -21,7 +21,6 @@ from repro.runtime import (
     IslandFailure,
     MpdataIslandSolver,
     PartitionedRunner,
-    ResiliencePolicy,
     native_available,
     parse_fault_spec,
 )
@@ -232,34 +231,6 @@ class TestPerIslandRetry:
         ) as runner:
             with pytest.raises(IslandFailure):
                 runner.step(_arrays(state))
-
-    def test_retry_backoff_sleeps(self, state, monkeypatch):
-        import repro.runtime.island_exec as island_exec
-
-        sleeps = []
-        monkeypatch.setattr(
-            island_exec.time, "sleep", lambda seconds: sleeps.append(seconds)
-        )
-        injector = FaultInjector(
-            [FaultSpec("crash", island=0, step=0, attempts=2)]
-        )
-        with PartitionedRunner(
-            mpdata_program(),
-            SHAPE,
-            islands=2,
-            fault_injector=injector,
-            config=EngineConfig(max_retries=3, retry_backoff=0.5),
-        ) as runner:
-            runner.step(_arrays(state))
-        # Exponential backoff per attempt, with the policy's deterministic
-        # down-jitter applied (never above the unjittered exponential).
-        policy = ResiliencePolicy(max_retries=3, retry_backoff=0.5)
-        assert sleeps == [
-            policy.backoff_seconds(0, 0, 1),
-            policy.backoff_seconds(0, 0, 2),
-        ]
-        assert 0.0 < sleeps[0] <= 0.5
-        assert sleeps[0] < sleeps[1] <= 1.0
 
 
 class TestSlowAndCorruptFaults:

@@ -346,10 +346,10 @@ class TestConfigSurface:
         assert "halo_threshold" not in data
         assert EngineConfig.from_dict(data) == config
 
-    def test_runner_mirrors_halo_config(self):
+    def test_runner_builds_the_configured_halo_ledger(self):
         config = EngineConfig(halo="exchange")
         with MpdataIslandSolver(SHAPE, ISLANDS, config=config) as solver:
-            assert solver.runner.halo == "exchange"
+            assert solver.runner.config.halo == "exchange"
             assert solver.runner.halo_ledger.policy == "exchange"
 
 

@@ -6,11 +6,12 @@ one reply, which carries the islands' results and, when a guard asks,
 each island part's mass.  The contracts: bit-identity with the
 whole-domain solver for every inner executor, boundary, dtype, output
 mode and worker layout; exactly that traffic, with steps that carry a
-pending fault on the per-island path; a worker that dies or stops
-between steps fails the batch, which is recorded like a per-island
-failure and rerun per island; after a quarantine the survivor's batch
-covers the adopted islands; the summed masses are the field's mass, and
-the guard reads them.
+pending fault on the per-island path, whose commands are one-island
+``steps`` commands; a worker that dies or stops between steps fails the
+batch, which is recorded like a per-island failure and rerun per island;
+after a quarantine the survivor's batch covers the adopted islands; an
+interrupt anywhere in a round trip leaves every worker lock free; the
+summed masses are the field's mass, and the guard reads them.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import itertools
 import math
 import os
 import signal
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -102,7 +104,7 @@ def _mark_steps(runner, log, before=None):
 
 
 def _traffic_by_step(log):
-    """Per step: the commands sent (``(op, islands or island)``) and the
+    """Per step: the step commands sent (``("steps", islands)``) and the
     replies read (``"ok"``/``"err"``)."""
     steps = {}
     current = None
@@ -111,7 +113,7 @@ def _traffic_by_step(log):
             current = steps.setdefault(message, {"sent": [], "read": []})
         elif current is None:
             continue
-        elif kind == "send" and message[0] in ("step", "steps"):
+        elif kind == "send" and message[0] == "steps":
             current["sent"].append((message[0], message[1]))
         elif kind == "recv" and message in ("ok", "err"):
             current["read"].append(message)
@@ -134,7 +136,7 @@ class TestMatchesWholeDomain:
     @pytest.mark.parametrize("boundary", ("periodic", "open"))
     @pytest.mark.parametrize("inner", INNERS)
     def test_bit_identical(
-        self, state, references, inner, boundary, islands, workers
+        self, state, references, inner, boundary, islands, workers, pipe_log
     ):
         for dtype, reuse in itertools.product(
             ("float64", "float32"), (True, False)
@@ -143,10 +145,19 @@ class TestMatchesWholeDomain:
                 inner, workers, boundary=boundary, dtype=dtype,
                 reuse_output=reuse,
             )
+            pipe_log.clear()
             with MpdataIslandSolver(SHAPE, islands, config=config) as solver:
                 got = np.array(solver.run(state, STEPS), copy=True)
-                sent = [h.sent for h in solver.runner.backend._handles]
-            assert sent == [STEPS] * workers  # one command per step
+                owned = [
+                    tuple(sorted(h.islands))
+                    for h in solver.runner.backend._handles
+                ]
+            sent = [m[:2] for kind, m in pipe_log if kind == "send"]
+            # One command per worker per step, naming all of its islands.
+            assert sent[: STEPS * workers] == [
+                ("steps", mine) for mine in owned
+            ] * STEPS
+            assert {m[0] for m in sent[STEPS * workers:]} == {"close"}
             np.testing.assert_array_equal(got, references[boundary, dtype])
 
 
@@ -163,7 +174,9 @@ class TestTraffic:
         assert sorted(traffic) == [0, 1, 2, 3, 4]
         for step, seen in traffic.items():
             if step == 2:  # the slow fault can fire: per island
-                assert sorted(seen["sent"]) == [("step", q) for q in range(4)]
+                assert sorted(seen["sent"]) == [
+                    ("steps", (q,)) for q in range(4)
+                ]
                 assert seen["read"] == ["ok"] * 4
             else:
                 assert seen["sent"] == [("steps", (0, 2)), ("steps", (1, 3))]
@@ -210,7 +223,7 @@ class TestFailedBatchReruns:
         assert stats.hangs_detected == 0
         assert stats.retries == stats.retry_successes >= 1
         traffic = _traffic_by_step(pipe_log)
-        assert ("step", 1) in traffic[5]["sent"]  # rerun per island
+        assert ("steps", (1,)) in traffic[5]["sent"]  # rerun per island
         for step in range(6, STEPS):
             assert traffic[step]["sent"] == [
                 ("steps", (0, 2)), ("steps", (1, 3)),
@@ -260,7 +273,7 @@ class TestFailedBatchReruns:
         assert stats.quarantines == 1
         assert stats.islands_remapped == 2
         traffic = _traffic_by_step(pipe_log)
-        assert all(op == "step" for op, _ in traffic[5]["sent"])
+        assert all(len(islands) == 1 for _, islands in traffic[5]["sent"])
         for step in range(6, STEPS):
             assert traffic[step]["sent"] == [("steps", (0, 1, 2, 3))]
             assert traffic[step]["read"] == ["ok"]
@@ -300,6 +313,71 @@ class TestFailedBatchReruns:
             stats = replace(solver.runner.fault_stats)
             health = [backend.worker_health(w) for w in (0, 1)]
         assert calls[0] == 2
+        assert all((h.crashes, h.hangs) == (0, 0) for h in health)
+        assert stats.retries == 0
+        np.testing.assert_array_equal(got, references["periodic", "float64"])
+
+    @pytest.mark.parametrize("site", ("send", "ready"))
+    def test_interrupted_send_releases_every_lock(
+        self, state, references, monkeypatch, site
+    ):
+        """An interrupt while the batch is still sending: at worker 1's
+        command, with worker 0's reply unread, or in the wait for a
+        fresh worker 0's ready message, before any command.  Every lock
+        the round trip took is released, so the next steps run and
+        ``close`` returns within its grace period."""
+        from multiprocessing.connection import Connection
+
+        class Interrupted(Exception):
+            pass
+
+        solver = MpdataIslandSolver(SHAPE, 4, config=_procs())
+        backend = solver.runner.backend
+        # Closed from a thread, so a lock left held fails the test
+        # instead of hanging it.
+        closer = threading.Thread(target=solver.close, daemon=True)
+        try:
+            solver.run(state, 1)
+            if site == "send":
+                send = Connection.send
+                sent = []
+
+                def interrupting(conn, message):
+                    if message[0] == "steps":
+                        sent.append(message)
+                        if len(sent) == 2:
+                            raise Interrupted
+                    return send(conn, message)
+
+                monkeypatch.setattr(Connection, "send", interrupting)
+            else:
+                fresh = backend._handles[0]
+                with fresh.lock:
+                    backend._respawn_locked(fresh)
+
+                def interrupting(conn, timeout=0.0):
+                    raise Interrupted
+
+                monkeypatch.setattr(Connection, "poll", interrupting)
+            pids = [h.process.pid for h in backend._handles]
+            with pytest.raises(Interrupted):
+                solver.run(state, 1)
+            monkeypatch.undo()
+            assert not any(h.lock.locked() for h in backend._handles)
+            replaced = [
+                h.process.pid != pid for h, pid in zip(backend._handles, pids)
+            ]
+            # Every worker whose pipe the interrupt may have left a
+            # command or an unread reply in is replaced.
+            assert replaced == [True, site == "send"]
+            got = np.array(solver.run(state, STEPS), copy=True)
+            stats = replace(solver.runner.fault_stats)
+            health = [backend.worker_health(w) for w in (0, 1)]
+        finally:
+            closer.start()
+            # close() joins for one grace period, then kills and reaps.
+            closer.join(timeout=backend._close_grace + 5.0)
+        assert not closer.is_alive()
         assert all((h.crashes, h.hangs) == (0, 0) for h in health)
         assert stats.retries == 0
         np.testing.assert_array_equal(got, references["periodic", "float64"])

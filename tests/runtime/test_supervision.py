@@ -7,8 +7,8 @@ deadline, respawned, and the island replayed bit-identically over 50
 steps), the per-worker health ledger with quarantine and round-robin
 island remapping onto survivors, degradation to serial-in-parent when no
 worker survives, the bounded ``refresh``/``close`` paths (a SIGSTOPped
-worker can no longer deadlock either), the capped and deterministically
-jittered retry backoff, and the new config / CLI surface.
+worker can no longer deadlock either), one command in flight per worker,
+and the config / CLI surface.
 """
 
 import glob
@@ -17,6 +17,7 @@ import os
 import pathlib
 import signal
 import sys
+import threading
 import time
 from dataclasses import replace
 
@@ -34,7 +35,6 @@ from repro.runtime import (
     MpdataIslandSolver,
     RecoveryPolicy,
     RecoveryReport,
-    ResiliencePolicy,
     Telemetry,
     native_available,
 )
@@ -108,46 +108,6 @@ class TestDeadlineClock:
         clock.observe(1.0)
         clock.observe(3.0)  # ewma = 1 + 0.25 * 2 = 1.5
         assert clock.ewma == pytest.approx(1.5)
-
-
-class TestBackoffCap:
-    def test_backoff_saturates_at_cap(self):
-        policy = ResiliencePolicy(
-            max_retries=64, retry_backoff=0.5, retry_backoff_max=3.0
-        )
-        for attempt in range(1, 64):
-            assert policy.backoff_seconds(0, 0, attempt) <= 3.0
-
-    def test_backoff_deterministic(self):
-        policy = ResiliencePolicy(max_retries=8, retry_backoff=0.5)
-        a = [policy.backoff_seconds(1, 4, n) for n in range(1, 9)]
-        b = [policy.backoff_seconds(1, 4, n) for n in range(1, 9)]
-        assert a == b
-
-    def test_jitter_only_shaves(self):
-        policy = ResiliencePolicy(max_retries=8, retry_backoff=0.5)
-        for attempt in range(1, 9):
-            for island in range(4):
-                sleep = policy.backoff_seconds(island, 3, attempt)
-                exponential = min(0.5 * 2 ** (attempt - 1), 30.0)
-                assert 0.85 * exponential <= sleep <= exponential
-
-    def test_jitter_desynchronizes_islands(self):
-        policy = ResiliencePolicy(max_retries=2, retry_backoff=0.5)
-        sleeps = {policy.backoff_seconds(q, 0, 1) for q in range(8)}
-        assert len(sleeps) > 1
-
-    def test_zero_backoff_stays_zero(self):
-        policy = ResiliencePolicy(max_retries=2)
-        assert policy.backoff_seconds(0, 0, 1) == 0.0
-
-    def test_policy_validates_cap(self):
-        with pytest.raises(ValueError, match="retry_backoff_max"):
-            ResiliencePolicy(retry_backoff_max=0.0)
-
-    def test_policy_cap_from_config(self):
-        config = EngineConfig(retry_backoff=0.1, retry_backoff_max=2.0)
-        assert ResiliencePolicy.from_config(config).retry_backoff_max == 2.0
 
 
 class TestHangDetection:
@@ -297,31 +257,27 @@ def _slow_sweep(monkeypatch, seconds, island=None):
 
 
 def _step_traffic(log):
-    """``"send"`` per island step command, ``"batch"`` per batched step
-    command and ``"recv"`` per reply, in order."""
+    """``"send"`` per one-island step command, ``"batch"`` per step
+    command naming several islands and ``"recv"`` per reply, in order."""
     kinds = []
     for kind, message in log:
-        if kind == "send" and message[0] == "step":
-            kinds.append("send")
-        elif kind == "send" and message[0] == "steps":
-            kinds.append("batch")
+        if kind == "send" and message[0] == "steps":
+            kinds.append("send" if len(message[1]) == 1 else "batch")
         elif kind == "recv" and message in ("ok", "err"):
             kinds.append("recv")
     return kinds
 
 
-class TestQueuedCommands:
+class TestOneCommandInFlight:
     """Both islands on one worker.  On a step where a fault can fire,
-    each island's command is sent as soon as it is issued, the worker
-    runs them back to back, and the replies are read in the order sent;
-    a fault-free step is one batched command and one reply."""
+    each island's command is a round trip under the worker's lock: the
+    sibling's command is sent only once the reply is read.  A fault-free
+    step is one batched command and one reply."""
 
     def _reference(self, steps):
         return MpdataSolver(SHAPE).run(random_state(SHAPE, seed=7), steps)
 
-    def test_second_command_is_sent_before_the_first_reply(
-        self, monkeypatch, pipe_log
-    ):
+    def test_sends_and_replies_alternate(self, monkeypatch, pipe_log):
         _slow_sweep(monkeypatch, 0.2)
         config = EngineConfig(
             backend="procs",
@@ -333,18 +289,18 @@ class TestQueuedCommands:
         )
         final, stats = _trajectory(config, steps=4)
         batched = ["batch", "recv"]  # one send and one reply per worker
-        queued = ["send", "send", "recv", "recv"]
-        assert _step_traffic(pipe_log) == (batched + queued) * 2
+        per_island = ["send", "recv", "send", "recv"]
+        assert _step_traffic(pipe_log) == (batched + per_island) * 2
         assert stats == FaultStats(injected_slowdowns=2)
         np.testing.assert_array_equal(final, self._reference(4))
 
-    def test_kill_on_the_island_queued_behind_its_sibling(
+    def test_kill_is_sent_after_the_sibling_reply(
         self, monkeypatch, pipe_log
     ):
-        """Island 1's command waits behind island 0's slow sweep; the
-        worker dies when it reads it.  Island 0's reply was read first,
-        so only island 1 fails, is retried on a fresh worker, and the
-        run stays bit-identical."""
+        """Island 1's command waits for island 0's slow round trip; the
+        worker dies when it reads it.  Island 0's reply was read before
+        the kill was sent, so only island 1 fails, is retried on a fresh
+        worker, and the run stays bit-identical."""
         _slow_sweep(monkeypatch, 0.3, island=0)
         config = EngineConfig(
             backend="procs",
@@ -365,22 +321,23 @@ class TestQueuedCommands:
             assert backend._handles[0].process.pid != pid
             assert backend.worker_health(0).crashes == 1
         sends = [message for kind, message in pipe_log if kind == "send"]
-        killed = next(m for m in sends if m[0] == "step" and m[2])
+        killed = next(m for m in sends if m[0] == "steps" and m[5])
         position = pipe_log.index(("send", killed))
-        # Sent right behind island 0's command, before its reply.
-        assert pipe_log[position - 1][0] == "send"
-        assert pipe_log[position - 1][1][:2] == ("step", 0)
+        # Sent right after island 0's round trip.
+        assert pipe_log[position - 1] == ("recv", "ok")
+        assert pipe_log[position - 2][1][:2] == ("steps", (0,))
         assert stats.injected_kills == 1
         assert stats.retries == stats.retry_successes == 1
         assert stats.hangs_detected == 0
         np.testing.assert_array_equal(final, self._reference(4))
 
-    def test_hang_fails_the_queued_sibling_once(self, pipe_log):
-        """Island 0 wedges with island 1's command queued behind it: one
-        hang is detected, the sibling reads EOF and is retried, and the
-        worker's ledger counts one failure.  One respawn serves both
-        retries: the fresh fork rebuilt the sibling's state, so no
-        in-place refresh is sent."""
+    def test_hang_is_counted_once_and_nothing_follows_it(self, pipe_log):
+        """Island 0 wedges while island 1 waits for the worker's lock:
+        one hang is detected and the worker's ledger counts one failure.
+        Nothing is sent on the failed pipe generation — the next message
+        is a fresh fork's ready — and no in-place refresh is sent.  The
+        sibling's retry depends on whether it took the lock before the
+        respawn (it fails without sending) or after (it never fails)."""
         config = EngineConfig(
             backend="procs",
             workers=1,
@@ -398,20 +355,27 @@ class TestQueuedCommands:
             health = solver.runner.backend.worker_health(0)
         assert stats.hangs_detected == 1
         assert 1.0 <= stats.hang_detect_seconds <= 2.0
-        assert stats.retries == stats.retry_successes == 2
+        assert stats.retries == stats.retry_successes
+        assert stats.retries in (1, 2)
         assert (health.hangs, health.crashes) == (1, 0)
         assert health.consecutive_failures == 0
+        wedged = next(
+            m for kind, m in pipe_log if kind == "send" and m[0] == "steps"
+            and m[6]
+        )
+        position = pipe_log.index(("send", wedged))
+        assert pipe_log[position + 1] == ("recv", "ready")
         assert not [m for kind, m in pipe_log if kind == "send" and m[0] == "refresh"]
         np.testing.assert_array_equal(final, self._reference(5))
 
-    def test_parent_crash_refresh_waits_for_the_queue(
+    def test_parent_crash_refresh_waits_for_the_reply(
         self, monkeypatch, pipe_log
     ):
         """Island 1 crashes in the parent while island 0's command is in
-        flight.  Its in-place refresh is sent only once the worker's
-        queue is empty, so every reply goes to the command that asked
-        for it (a misrouted one would break the timed results) and
-        nothing is mistaken for a hang."""
+        flight.  Its in-place refresh takes the worker's lock, so it is
+        sent only once island 0's reply has been read: every reply goes
+        to the command that asked for it (a misrouted one would break
+        the timed results) and nothing is mistaken for a hang."""
         _slow_sweep(monkeypatch, 0.3, island=0)
         config = EngineConfig(
             backend="procs",
@@ -435,12 +399,12 @@ class TestQueuedCommands:
         sent = read = 0
         refreshes = 0
         for kind, message in pipe_log:
-            if kind == "send" and message[0] in ("step", "steps"):
-                sent += 1  # a batched command is one send, one reply
+            if kind == "send" and message[0] == "steps":
+                sent += 1
             elif kind == "recv" and message != "ready":
                 read += 1
             elif kind == "send" and message[0] == "refresh":
-                assert sent == read  # the queue was empty
+                assert sent == read  # no command in flight
                 refreshes += 1
                 sent += 1
         assert refreshes == 1
@@ -450,35 +414,90 @@ class TestQueuedCommands:
         assert len(timings.island_seconds) == 2
         np.testing.assert_array_equal(final, self._reference(4))
 
-    def test_eight_islands_on_one_worker_under_fast_thread_switching(self):
-        """Eight dispatch threads share one worker's queue while the
-        interpreter switches threads every few microseconds: exchange
-        steps issue one command per island and stage.  A reply read by
-        the wrong command would end a stage before its island was done
-        and break the trajectory; every reply is read and the queue
-        ends empty."""
+    def test_eight_islands_on_one_worker_under_fast_thread_switching(
+        self, pipe_log
+    ):
+        """Eight dispatch threads share one worker while the interpreter
+        switches threads every few microseconds: exchange steps issue
+        one command per island and stage.  A reply read by the wrong
+        command would end a stage before its island was done and break
+        the trajectory; sends and replies alternate, and every command
+        is answered.  The run is time-bounded, so a lock that is never
+        released fails the test instead of hanging it."""
         config = EngineConfig(
             backend="procs", workers=1, step_deadline=5.0, halo="exchange"
         )
         state = random_state(SHAPE, seed=7)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
+        seen = {}
+
+        def run():
             with MpdataIslandSolver(SHAPE, 8, config=config) as solver:
-                final = np.array(solver.run(state, 10), copy=True)
+                seen["final"] = np.array(solver.run(state, 10), copy=True)
                 ledger = solver.runner.halo_ledger
-                commands = sum(
+                seen["commands"] = sum(
                     not ledger.compute_boxes[island][stage].is_empty()
                     for island in range(8)
                     for stage in ledger.active_stages
                 )
-                handle = solver.runner.backend._handles[0]
-                assert handle.sent == handle.read == commands * 10
-                stats = replace(solver.runner.fault_stats)
+                seen["stats"] = replace(solver.runner.fault_stats)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            runner = threading.Thread(target=run, daemon=True)
+            runner.start()
+            runner.join(timeout=300.0)
         finally:
             sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        final, commands, stats = seen["final"], seen["commands"], seen["stats"]
+        traffic = [
+            kind
+            for kind, message in pipe_log
+            if (kind == "send" and message[0] == "stage")
+            or (kind == "recv" and message != "ready")
+        ]
+        assert traffic == ["send", "recv"] * (commands * 10)
         assert stats == FaultStats()
         np.testing.assert_array_equal(final, self._reference(10))
+
+    def test_shared_workers_alternate_under_exchange(self, monkeypatch):
+        """Four islands on two workers under exchange: each worker's
+        pipe carries one stage command, then its reply, and so on —
+        never a second command before the first reply."""
+        from multiprocessing.connection import Connection
+
+        by_pipe = {}
+        parent = os.getpid()
+        send, recv = Connection.send, Connection.recv
+
+        def logged_send(conn, message):
+            send(conn, message)
+            if os.getpid() == parent and message[0] == "stage":
+                by_pipe.setdefault(id(conn), []).append("send")
+
+        def logged_recv(conn):
+            message = recv(conn)
+            if os.getpid() == parent and message[0] != "ready":
+                by_pipe.setdefault(id(conn), []).append("recv")
+            return message
+
+        monkeypatch.setattr(Connection, "send", logged_send)
+        monkeypatch.setattr(Connection, "recv", logged_recv)
+        config = EngineConfig(
+            backend="procs", workers=2, step_deadline=5.0, halo="exchange"
+        )
+        with MpdataIslandSolver(SHAPE, 4, config=config) as solver:
+            final = np.array(
+                solver.run(random_state(SHAPE, seed=7), 5), copy=True
+            )
+            stats = replace(solver.runner.fault_stats)
+        assert len(by_pipe) == 2
+        for traffic in by_pipe.values():
+            assert traffic == ["send", "recv"] * (len(traffic) // 2)
+            assert traffic
+        assert stats == FaultStats()
+        np.testing.assert_array_equal(final, self._reference(5))
 
 
 class TestQuarantineAndRemap:
@@ -666,7 +685,6 @@ class TestSupervisionConfig:
         assert config.step_deadline is None
         assert config.deadline_factor == 8.0
         assert config.quarantine_after == 3
-        assert config.retry_backoff_max == 30.0
 
     def test_step_deadline_requires_procs(self):
         with pytest.raises(ValueError, match="procs-backend option"):
@@ -679,8 +697,6 @@ class TestSupervisionConfig:
             EngineConfig(backend="procs", deadline_factor=-1.0)
         with pytest.raises(ValueError, match="quarantine_after"):
             EngineConfig(backend="procs", quarantine_after=0)
-        with pytest.raises(ValueError, match="retry_backoff_max"):
-            EngineConfig(retry_backoff_max=0.0)
 
     def test_round_trips_through_dict(self):
         config = EngineConfig(
@@ -688,13 +704,11 @@ class TestSupervisionConfig:
             step_deadline=1.5,
             deadline_factor=None,
             quarantine_after=5,
-            retry_backoff_max=12.0,
         )
         data = config.to_dict()
         assert data["step_deadline"] == 1.5
         assert data["deadline_factor"] is None
         assert data["quarantine_after"] == 5
-        assert data["retry_backoff_max"] == 12.0
         assert EngineConfig.from_dict(data) == config
 
     def test_cli_flags_parse_and_map(self):
